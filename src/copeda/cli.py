@@ -12,7 +12,7 @@ import numpy as np
 
 from .algorithms import copula_family_counts, describe_search_model
 from .benchmarks import UnknownBenchmarkError, get_benchmark
-from .copulas import CopulaFamily
+from .copulas import CopulaFamily, ParameterError, UnsupportedTauError
 from .eda import (
     ALGORITHMS,
     EdaSpec,
@@ -330,6 +330,8 @@ def main(argv=None, stream=None) -> int:
                 "critpop": cmd_critpop}
     try:
         return handlers[args.command](args, stream)
+    except (ParameterError, UnsupportedTauError, np.linalg.LinAlgError):
+        raise  # a numerical failure inside the algorithm, not a usage error
     except (UnknownBenchmarkError, ValueError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import pickle
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -287,6 +288,13 @@ def eda_indep_runs(spec: EdaSpec, f, lower, upper, runs: int,
         raise ValueError("runs must be >= 1")
     tasks = [(spec, f, lower, upper, base_seed, i) for i in range(runs)]
     if jobs > 1:
+        try:
+            pickle.dumps(tasks[0])
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise ValueError(
+                f"jobs={jobs} sends the objective to worker processes, so it "
+                "must be picklable (a module-level function, not a lambda or "
+                f"closure): {exc}") from exc
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_one_indep_run, tasks))
     else:

@@ -66,7 +66,7 @@ class KernelMargin:
 
     def quantile(self, p):
         # monotone bisection on the smoothed CDF over the data range +/- 4h
-        p = np.clip(np.atleast_1d(np.asarray(p, float)), _P_EPS, 1.0 - _P_EPS)
+        p = np.clip(np.asarray(p, float), _P_EPS, 1.0 - _P_EPS)
         lo = np.full(p.shape, self.sample.min() - 4.0 * self.bandwidth)
         hi = np.full(p.shape, self.sample.max() + 4.0 * self.bandwidth)
         for _ in range(44):  # relative width ~1e-13 of the initial bracket
@@ -74,8 +74,7 @@ class KernelMargin:
             low_side = self.cdf(mid) < p
             lo = np.where(low_side, mid, lo)
             hi = np.where(low_side, hi, mid)
-        out = 0.5 * (lo + hi)
-        return float(out[0]) if out.size == 1 and np.ndim(p) <= 1 else out
+        return _scalar_or_array(0.5 * (lo + hi), p)
 
 
 @dataclass(frozen=True)

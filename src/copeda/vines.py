@@ -72,12 +72,6 @@ class RVineModel:
         return len(self.order)
 
 
-def _abs_tau_sums(U: np.ndarray, cols: list[int]) -> np.ndarray:
-    taus = np.abs(kendall_tau_matrix(U[:, cols]))
-    np.fill_diagonal(taus, 0.0)
-    return taus.sum(axis=1)
-
-
 def select_cvine_order(U) -> tuple[int, ...]:
     """Greedy C-vine root sequence.
 

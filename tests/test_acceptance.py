@@ -51,6 +51,8 @@ from copeda.eda import (
 )
 from copeda.margins import MarginKind
 
+pytestmark = pytest.mark.slow
+
 BASE_SEED = 12345
 FULL_TERM = TerminationSpec(target_eval=0.0, target_tol=1e-6,
                             max_evals=300000, eval_stddev_floor=1e-8)

@@ -1,11 +1,13 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import copeda
 from copeda.cli import CSV_HEADER, main
 
 
@@ -13,6 +15,14 @@ def run_cli(argv):
     stream = io.StringIO()
     status = main(argv, stream=stream)
     return status, stream.getvalue()
+
+
+def run_python(*args):
+    # the child imports the copeda these tests import, installed or not
+    src = os.path.dirname(os.path.dirname(copeda.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 FAST_RUN = ["--algorithm", "umda", "--function", "sphere", "--dim", "2",
@@ -191,8 +201,28 @@ class TestConfigFile:
 
 class TestEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "copeda.cli", "run", *FAST_RUN],
-            capture_output=True, text=True)
+        proc = run_python("-m", "copeda.cli", "run", *FAST_RUN)
         assert proc.returncode == 0
         assert "Best function evaluation" in proc.stdout
+
+    def test_invalid_bounds_exit_2(self):
+        proc = run_python("-m", "copeda.cli", "run", *FAST_RUN,
+                          "--lower", "5", "--upper", "-5")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: need lower < upper")
+
+    @pytest.mark.parametrize("error", ["ParameterError", "UnsupportedTauError"])
+    def test_numerical_failure_is_not_a_usage_error(self, error):
+        # the copula layer raising mid-run must not read as exit 2
+        script = (
+            "import sys\n"
+            "import copeda.cli as cli\n"
+            f"from copeda.copulas import {error} as Err\n"
+            "def failing_run(*args, **kwargs):\n"
+            "    raise Err('theta outside the family domain')\n"
+            "cli.eda_run = failing_run\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+        proc = run_python("-c", script, "run", *FAST_RUN)
+        assert proc.returncode == 1
+        assert f"{error}: theta outside the family domain" in proc.stderr
+        assert "Traceback" in proc.stderr

@@ -1,9 +1,11 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from copeda.copulas import (
     CopulaFamily,
@@ -15,6 +17,7 @@ from copeda.copulas import (
     product,
 )
 from copeda.dependence import (
+    TAU_SIGN_MAX_M,
     DegenerateDataWarning,
     copula_mutual_information,
     empirical_copula_at,
@@ -77,6 +80,83 @@ class TestKendallTau:
         assert kendall_tau(x, 3.0 * y + 1.0) == pytest.approx(t)
 
 
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def reference_tau_matrix(X):
+    # the per-pair scipy loop the vectorised kernel must reproduce bit for bit
+    n = X.shape[1]
+    out = np.eye(n)
+    for i, j in itertools.combinations(range(n), 2):
+        x, y = X[:, i], X[:, j]
+        if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+            tau = 0.0
+        else:
+            tau = stats.kendalltau(x, y).statistic
+            tau = float(tau) if np.isfinite(tau) else 0.0
+        out[i, j] = out[j, i] = tau
+    return out
+
+
+def tau_cases():
+    rng = np.random.default_rng(21)
+    yield "continuous", rng.random((31, 10))
+    yield "ties", rng.integers(0, 4, (60, 6)).astype(float)
+    yield "rounded", np.round(rng.normal(size=(52, 5)), 1)
+    X = rng.random((33, 4))
+    X[:, 2] = 0.5
+    yield "constant column", X
+    X = rng.random((40, 4))
+    X[7, 1] = np.nan
+    yield "nan", X
+    X = rng.random((25, 3))
+    X[3, 0] = np.inf
+    yield "inf", X
+    yield "m = 2", rng.random((2, 5))
+    yield "m = 2 tied", np.array([[1.0, 2.0, 3.0], [1.0, 1.0, 4.0]])
+    yield "two columns, m = 150", rng.random((150, 2))
+    yield "two columns, m = 200", rng.random((200, 2))
+    yield "above the kernel cap", rng.integers(0, 50, (TAU_SIGN_MAX_M + 1, 4)) * 0.1
+    for k in range(40):
+        m, n = int(rng.integers(2, 90)), int(rng.integers(1, 9))
+        yield f"random {k}", rng.integers(0, int(rng.integers(2, 9)), (m, n)) * 0.5
+
+
+TAU_CASES = dict(tau_cases())
+
+
+class TestTauMatchesScipyBitwise:
+    @pytest.mark.parametrize("name", TAU_CASES)
+    def test_matrix(self, name):
+        X = TAU_CASES[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateDataWarning)
+            assert same_bits(kendall_tau_matrix(X), reference_tau_matrix(X))
+
+    @pytest.mark.parametrize(
+        "name", [k for k, X in TAU_CASES.items() if X.shape[1] >= 2])
+    def test_scalar(self, name):
+        X = TAU_CASES[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateDataWarning)
+            tau = kendall_tau(X[:, 0], X[:, 1])
+        assert same_bits(tau, reference_tau_matrix(X[:, :2])[0, 1])
+
+    def test_constant_column_warns_per_pair(self):
+        X = np.random.default_rng(22).random((20, 4))
+        X[:, 1] = 3.0
+        with pytest.warns(DegenerateDataWarning) as record:
+            M = kendall_tau_matrix(X)
+        assert len(record) == 3
+        assert np.all(M[1, [0, 2, 3]] == 0.0) and M[1, 1] == 1.0
+
+    def test_fewer_than_two_rows_rejected(self):
+        with pytest.raises(ValueError):
+            kendall_tau_matrix(np.zeros((1, 3)))
+
+
 class TestPseudoObservations:
     def test_columns_are_scaled_ranks(self):
         X = np.array([[3.0, 10.0], [1.0, 30.0], [2.0, 20.0]])
@@ -87,6 +167,17 @@ class TestPseudoObservations:
     def test_ties_get_average_ranks(self):
         U = pseudo_observations(np.array([[1.0], [1.0], [2.0]]))
         assert U[0, 0] == pytest.approx(U[1, 0])
+
+
+    def test_matches_per_column_rankdata_bitwise(self):
+        rng = np.random.default_rng(23)
+        for X in (rng.random((31, 10)), rng.integers(0, 3, (40, 5)) * 1.0,
+                  np.array([[1.0, np.nan], [2.0, 0.5], [2.0, 0.1]]),
+                  rng.random((1, 3))):
+            ref = np.empty_like(X)
+            for j in range(X.shape[1]):
+                ref[:, j] = stats.rankdata(X[:, j], method="average") / (X.shape[0] + 1.0)
+            assert same_bits(pseudo_observations(X), ref)
 
 
 class TestEmpiricalCopula:
@@ -114,6 +205,59 @@ class TestEmpiricalCopula:
         vals = np.array([[empirical_copula_at(U, a, b) for b in grid] for a in grid])
         assert np.all(np.diff(vals, axis=0) >= 0)
         assert np.all(np.diff(vals, axis=1) >= 0)
+
+
+def reference_indep_test_cvm(u, v, replicates, rng, sig_level=0.01):
+    # one rng.permutation and one gathered indicator matrix per replicate
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    m = u.size
+    le_u = u[None, :] <= u[:, None]
+    le_v = v[None, :] <= v[:, None]
+    observed = float(np.sum(((le_u & le_v).mean(axis=1) - u * v) ** 2))
+    exceed = 0
+    for _ in range(replicates):
+        perm = rng.permutation(m)
+        cn_p = (le_u & le_v[np.ix_(perm, perm)]).mean(axis=1)
+        exceed += float(np.sum((cn_p - u * v[perm]) ** 2)) >= observed
+    p_value = (exceed + 1.0) / (replicates + 1.0)
+    return observed, p_value, p_value >= sig_level
+
+
+def cvm_cases():
+    rng = np.random.default_rng(24)
+    for m in (1, 2, 3, 31, 33, 60, 290):
+        yield m, 100, rng.random(m), rng.random(m)
+    u = rng.random(52)
+    yield 52, 100, u, u + 0.05 * rng.random(52)
+    yield 40, 100, rng.integers(0, 5, 40) / 5.0, rng.integers(0, 5, 40) / 5.0
+    # constant u: every replicate's statistic sums the observed terms in
+    # another order, so only the same summation order gives the same ties
+    yield 31, 100, np.full(31, 0.5), rng.random(31)
+    yield 60, 100, np.full(60, 0.5), rng.random(60)
+    yield 31, 0, rng.random(31), rng.random(31)
+    yield 31, 7, rng.random(31), rng.random(31)
+    yield 200, 400, rng.random(200), rng.random(200)  # several row chunks
+    u = rng.random(20)
+    u[4] = np.nan
+    yield 20, 30, u, rng.random(20)
+
+
+CVM_CASES = list(cvm_cases())
+
+
+class TestIndependenceTestMatchesLoop:
+    @pytest.mark.parametrize(
+        "m, replicates, u, v", CVM_CASES,
+        ids=[f"{k}-m{c[0]}-B{c[1]}" for k, c in enumerate(CVM_CASES)])
+    def test_result_and_generator_state(self, m, replicates, u, v):
+        rng_new, rng_ref = np.random.default_rng(25), np.random.default_rng(25)
+        res = indep_test_cvm(u, v, replicates=replicates, rng=rng_new)
+        ref = reference_indep_test_cvm(u, v, replicates, rng_ref)
+        assert same_bits(res.statistic, ref[0])
+        assert same_bits(res.p_value, ref[1])
+        assert res.independent == ref[2]
+        assert rng_new.random() == rng_ref.random()
 
 
 class TestIndependenceTest:

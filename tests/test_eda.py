@@ -225,6 +225,21 @@ class TestIndepRuns:
             assert a.best_eval == b.best_eval
             assert np.array_equal(a.best_sol, b.best_sol)
 
+    @pytest.mark.parametrize("objective", [
+        lambda x: float(np.sum(x ** 2)),
+        (lambda scale: (lambda x: scale * float(np.sum(x ** 2))))(2.0),
+    ], ids=["lambda", "closure"])
+    def test_unpicklable_objective_rejected_before_any_worker(self, objective,
+                                                               monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        spec = umda_spec(pop_size=12, max_gen=4)
+        with pytest.raises(ValueError, match="picklable"):
+            eda_indep_runs(spec, objective, [-2.0] * 2, [2.0] * 2, runs=2,
+                           jobs=2)
+
 
 class TestSummarizeRuns:
     def make(self, gens):

@@ -113,6 +113,15 @@ class TestQuantile:
         for p, q in zip(ps, vec):
             assert margin_quantile(model, p) == pytest.approx(q, abs=1e-12)
 
+    @pytest.mark.parametrize("model", all_kind_models(),
+                             ids=lambda m: m.kind.value)
+    def test_only_scalar_input_gives_float(self, model):
+        assert isinstance(model.quantile(0.3), float)
+        for p in (np.array([0.3]), [0.3], np.array([[0.3], [0.6]])):
+            q = model.quantile(p)
+            assert isinstance(q, np.ndarray) and q.shape == np.shape(p)
+            assert q.flat[0] == model.quantile(0.3)
+
 
 class TestProperties:
     @given(st.lists(st.floats(-50.0, 50.0), min_size=5, max_size=40),
