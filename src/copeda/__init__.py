@@ -24,7 +24,7 @@ from .copulas import (
     student,
     tau_to_parameter,
 )
-from .margins import MarginKind, MarginModel, fit_margin, margin_cdf, margin_quantile
+from .margins import MarginKind, MarginModel, fit_margin
 from .dependence import (
     DegenerateDataWarning,
     IndepTestResult,
@@ -42,7 +42,6 @@ from .vines import (
     VineType,
     describe_vine,
     fit_vine,
-    select_cvine_order,
     select_dvine_order,
     vine_loglik,
     vine_sample,
@@ -57,7 +56,6 @@ from .eda import (
     critical_pop_size,
     eda_indep_runs,
     eda_run,
-    replace_complete,
     run_rng,
     seed_uniform,
     select_truncation,
@@ -70,17 +68,10 @@ from .algorithms import (
     ProductDependence,
     SearchModel,
     VineDependence,
-    ceda_learn,
-    ceda_sample,
     chain_permutation,
-    cmimic_learn,
-    cmimic_sample,
-    copula_family_counts,
     describe_search_model,
     learn_model,
     sample_model,
-    veda_learn,
-    veda_sample,
 )
 from .benchmarks import (
     BenchmarkSpec,

@@ -36,118 +36,8 @@ from .dependence import (
     pseudo_observations,
 )
 from .eda import EdaSpec, Population
-from .margins import MarginKind, MarginModel, fit_margin, margin_cdf, margin_quantile
+from .margins import MarginKind, MarginModel, fit_margin
 from .vines import RVineModel, describe_vine, fit_vine, vine_sample
-
-
-@dataclass(frozen=True)
-class ProductDependence:
-    pass
-
-
-@dataclass(frozen=True, eq=False)
-class NormalDependence:
-    correlation: np.ndarray
-
-
-@dataclass(frozen=True)
-class VineDependence:
-    vine: RVineModel
-
-
-@dataclass(frozen=True)
-class ChainDependence:
-    perm: tuple[int, ...]
-    copulas: tuple[BivariateCopula, ...]
-
-
-Dependence = ProductDependence | NormalDependence | VineDependence | ChainDependence
-
-
-@dataclass(frozen=True, eq=False)
-class SearchModel:
-    """Margins plus a dependence structure; everything needed to sample."""
-
-    margins: list[MarginModel]
-    dependence: Dependence
-
-
-def _fit_margins(kind, X: np.ndarray, lower, upper) -> list[MarginModel]:
-    return [fit_margin(kind, X[:, j], lower[j], upper[j])
-            for j in range(X.shape[1])]
-
-
-# ---------------------------------------------------------------------------
-# UMDA / GCEDA
-
-
-def ceda_learn(spec: EdaSpec, selected: Population, lower, upper) -> SearchModel:
-    """UMDA: product dependence.  GCEDA: normal-copula correlation matrix.
-
-    With normal margins the algorithm coincides with the classic
-    multivariate-normal EDA, so the correlation matrix is the sample
-    (Pearson) correlation.  With any other margin kind it is estimated by
-    pairwise Kendall tau inversion, rho = sin(pi tau / 2).  Either way the
-    matrix is clipped away from +-1 and repaired to positive definite.
-    """
-    X = selected.solutions
-    margins = _fit_margins(spec.effective_margin, X, lower, upper)
-    if spec.algorithm == "umda":
-        return SearchModel(margins, ProductDependence())
-    if spec.effective_margin is MarginKind.NORMAL:
-        with np.errstate(invalid="ignore"):
-            rho = np.corrcoef(X.T)
-        rho = np.nan_to_num(rho, nan=0.0)
-    else:
-        taus = kendall_tau_matrix(X)
-        rho = np.sin(np.pi * taus / 2.0)
-    rho = np.clip(rho, -(1.0 - 1e-8), 1.0 - 1e-8)
-    np.fill_diagonal(rho, 1.0)
-    return SearchModel(margins, NormalDependence(make_positive_definite(rho)))
-
-
-def ceda_sample(model: SearchModel, pop_size: int, lower, upper,
-                rng: np.random.Generator) -> np.ndarray:
-    """Uniforms from the multivariate copula pushed through margin quantiles."""
-    n = len(model.margins)
-    if isinstance(model.dependence, NormalDependence):
-        U = mvnormal_copula_sample(model.dependence.correlation, pop_size, rng)
-    else:
-        U = rng.random((pop_size, n))
-    return _quantile_columns(model.margins, U)
-
-
-def _quantile_columns(margins, U: np.ndarray) -> np.ndarray:
-    X = np.empty_like(U)
-    for j, margin in enumerate(margins):
-        X[:, j] = margin_quantile(margin, U[:, j])
-    return X
-
-
-# ---------------------------------------------------------------------------
-# CVEDA / DVEDA
-
-
-def veda_learn(spec: EdaSpec, selected: Population, lower, upper,
-               rng: np.random.Generator) -> SearchModel:
-    """Fit margins, rank-transform, and fit the vine over the candidates."""
-    X = selected.solutions
-    margins = _fit_margins(spec.effective_margin, X, lower, upper)
-    U = pseudo_observations(X)
-    vine = fit_vine(U, spec.effective_vine_type, spec.copulas,
-                    sig_level=spec.sig_level, criterion=spec.trunc_criterion,
-                    rng=rng, indep_replicates=spec.indep_replicates)
-    return SearchModel(margins, VineDependence(vine))
-
-
-def veda_sample(model: SearchModel, pop_size: int, lower, upper,
-                rng: np.random.Generator) -> np.ndarray:
-    U = vine_sample(model.dependence.vine, pop_size, rng)
-    return _quantile_columns(model.margins, U)
-
-
-# ---------------------------------------------------------------------------
-# Copula MIMIC (bivariate copula chain)
 
 
 def _ml_refine(family: CopulaFamily, start: BivariateCopula,
@@ -198,114 +88,191 @@ def chain_permutation(mi: np.ndarray) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def cmimic_learn(spec: EdaSpec, selected: Population, lower, upper,
-                 rng: np.random.Generator) -> SearchModel:
-    """Chain structure over margin-CDF transforms of the selected population.
-
-    Every pair copula is moment-fitted then refined by maximum likelihood;
-    pairwise mutual information comes from the copula entropy (closed form
-    for normal copulas, Monte Carlo otherwise).
-    """
-    family = CopulaFamily(spec.copulas[0])
-    if family not in (CopulaFamily.NORMAL, CopulaFamily.FRANK):
-        raise ValueError("the chain algorithm supports normal or frank copulas")
-    X = selected.solutions
-    n = X.shape[1]
-    margins = _fit_margins(spec.effective_margin, X, lower, upper)
-    U = np.column_stack([margin_cdf(margins[j], X[:, j]) for j in range(n)])
-    taus = kendall_tau_matrix(X)
-    pair: dict[tuple[int, int], BivariateCopula] = {}
-    mi = np.zeros((n, n))
-    for i in range(1, n):
-        for j in range(i):
-            tau = clip_tau(taus[i, j])
-            if family is CopulaFamily.NORMAL:
-                start = normal(math.sin(math.pi * tau / 2.0))
-            else:
-                start = (tau_to_parameter(CopulaFamily.FRANK, tau)
-                         if tau != 0.0 else frank(1e-4))
-            U2 = U[:, [i, j]]
-            cop = _ml_refine(family, start, U2)
-            mi[i, j] = mi[j, i] = copula_mutual_information(
-                cop, rng, samples=spec.mi_samples)
-            pair[(i, j)] = pair[(j, i)] = cop
-    perm = chain_permutation(mi)
-    copulas = tuple(pair[(perm[k], perm[k + 1])] for k in range(n - 1))
-    return SearchModel(margins, ChainDependence(perm, copulas))
+def _family_counts(copulas) -> dict[str, int]:
+    counts = {family.value: 0 for family in CopulaFamily}
+    for c in copulas:
+        counts[c.family.value] += 1
+    return counts
 
 
-def cmimic_sample(model: SearchModel, pop_size: int, lower, upper,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Chain simulation: last permutation slot uniform, the rest conditional."""
-    n = len(model.margins)
-    perm = model.dependence.perm
-    copulas = model.dependence.copulas
-    U = np.empty((pop_size, n))
-    U[:, perm[-1]] = rng.random(pop_size)
-    for k in range(n - 2, -1, -1):
-        w = rng.random(pop_size)
-        U[:, perm[k]] = copula_hinv(copulas[k], w, U[:, perm[k + 1]])
-    return _quantile_columns(model.margins, U)
+# Every dependence structure has the same four methods: the classmethod
+# learn(spec, X, margins, rng) fits it to the selected rows X; sample(m, n,
+# rng) draws m rows of n uniforms; describe() is the text after
+# "dependence: "; family_counts() maps each pair-copula family to its edges.
 
 
-# ---------------------------------------------------------------------------
-# dispatch
+@dataclass(frozen=True)
+class ProductDependence:
+    """UMDA: independent variables."""
+
+    @classmethod
+    def learn(cls, spec, X, margins, rng):
+        return cls()
+
+    def sample(self, m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.random((m, n))
+
+    def describe(self) -> str:
+        return "product"
+
+    def family_counts(self) -> dict[str, int]:
+        return _family_counts(())
+
+
+@dataclass(frozen=True, eq=False)
+class NormalDependence:
+    """GCEDA: multivariate normal copula."""
+
+    correlation: np.ndarray
+
+    @classmethod
+    def learn(cls, spec, X, margins, rng):
+        """With normal margins the algorithm coincides with the classic
+        multivariate-normal EDA, so the correlation matrix is the sample
+        (Pearson) correlation.  With any other margin kind it is estimated by
+        pairwise Kendall tau inversion, rho = sin(pi tau / 2).  Either way the
+        matrix is clipped away from +-1 and repaired to positive definite.
+        """
+        if spec.effective_margin is MarginKind.NORMAL:
+            with np.errstate(invalid="ignore"):
+                rho = np.corrcoef(X.T)
+            rho = np.nan_to_num(rho, nan=0.0)
+        else:
+            rho = np.sin(np.pi * kendall_tau_matrix(X) / 2.0)
+        rho = np.clip(rho, -(1.0 - 1e-8), 1.0 - 1e-8)
+        np.fill_diagonal(rho, 1.0)
+        return cls(make_positive_definite(rho))
+
+    def sample(self, m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        return mvnormal_copula_sample(self.correlation, m, rng)
+
+    def describe(self) -> str:
+        return ("normal copula, correlation=\n"
+                + np.array2string(self.correlation, precision=6))
+
+    def family_counts(self) -> dict[str, int]:
+        return _family_counts(())
+
+
+@dataclass(frozen=True)
+class VineDependence:
+    """CVEDA/DVEDA: a C-vine or D-vine fitted to the rank-transformed rows."""
+
+    vine: RVineModel
+
+    @classmethod
+    def learn(cls, spec, X, margins, rng):
+        return cls(fit_vine(pseudo_observations(X), spec.effective_vine_type,
+                            spec.copulas, sig_level=spec.sig_level,
+                            criterion=spec.trunc_criterion, rng=rng,
+                            indep_replicates=spec.indep_replicates))
+
+    def sample(self, m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        return vine_sample(self.vine, m, rng)
+
+    def describe(self) -> str:
+        return describe_vine(self.vine)
+
+    def family_counts(self) -> dict[str, int]:
+        return _family_counts(c for tree in self.vine.trees for c in tree)
+
+
+@dataclass(frozen=True)
+class ChainDependence:
+    """Copula MIMIC: bivariate copulas linking consecutive ``perm`` slots."""
+
+    perm: tuple[int, ...]
+    copulas: tuple[BivariateCopula, ...]
+
+    @classmethod
+    def learn(cls, spec, X, margins, rng):
+        """Chain structure over margin-CDF transforms of the selected rows.
+
+        Every pair copula is moment-fitted then refined by maximum
+        likelihood; pairwise mutual information comes from the copula
+        entropy (closed form for normal copulas, Monte Carlo otherwise).
+        """
+        family = CopulaFamily(spec.copulas[0])
+        if family not in (CopulaFamily.NORMAL, CopulaFamily.FRANK):
+            raise ValueError(
+                "the chain algorithm supports normal or frank copulas")
+        n = X.shape[1]
+        U = np.column_stack([margins[j].cdf(X[:, j]) for j in range(n)])
+        taus = kendall_tau_matrix(X)
+        pair: dict[tuple[int, int], BivariateCopula] = {}
+        mi = np.zeros((n, n))
+        for i in range(1, n):
+            for j in range(i):
+                tau = clip_tau(taus[i, j])
+                if family is CopulaFamily.NORMAL:
+                    start = normal(math.sin(math.pi * tau / 2.0))
+                else:
+                    start = (tau_to_parameter(CopulaFamily.FRANK, tau)
+                             if tau != 0.0 else frank(1e-4))
+                cop = _ml_refine(family, start, U[:, [i, j]])
+                mi[i, j] = mi[j, i] = copula_mutual_information(
+                    cop, rng, samples=spec.mi_samples)
+                pair[(i, j)] = pair[(j, i)] = cop
+        perm = chain_permutation(mi)
+        return cls(perm, tuple(pair[(perm[k], perm[k + 1])]
+                               for k in range(n - 1)))
+
+    def sample(self, m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Last permutation slot uniform, the rest conditional on the next."""
+        U = np.empty((m, n))
+        U[:, self.perm[-1]] = rng.random(m)
+        for k in range(n - 2, -1, -1):
+            w = rng.random(m)
+            U[:, self.perm[k]] = copula_hinv(self.copulas[k], w,
+                                             U[:, self.perm[k + 1]])
+        return U
+
+    def describe(self) -> str:
+        return "\n".join(["chain perm=" + ",".join(map(str, self.perm))]
+                         + [f"link {k}: {c}"
+                            for k, c in enumerate(self.copulas)])
+
+    def family_counts(self) -> dict[str, int]:
+        return _family_counts(self.copulas)
+
+
+Dependence = ProductDependence | NormalDependence | VineDependence | ChainDependence
+
+_DEPENDENCE = {"umda": ProductDependence, "gceda": NormalDependence,
+               "cveda": VineDependence, "dveda": VineDependence,
+               "copula-mimic": ChainDependence}
+
+
+@dataclass(frozen=True, eq=False)
+class SearchModel:
+    """Margins plus a dependence structure; everything needed to sample."""
+
+    margins: list[MarginModel]
+    dependence: Dependence
 
 
 def learn_model(spec: EdaSpec, selected: Population, lower, upper,
                 rng: np.random.Generator) -> SearchModel:
-    if spec.algorithm in ("umda", "gceda"):
-        return ceda_learn(spec, selected, lower, upper)
-    if spec.algorithm in ("cveda", "dveda"):
-        return veda_learn(spec, selected, lower, upper, rng)
-    return cmimic_learn(spec, selected, lower, upper, rng)
+    """Fit every margin, then the algorithm's dependence structure."""
+    X = selected.solutions
+    margins = [fit_margin(spec.effective_margin, X[:, j], lower[j], upper[j])
+               for j in range(X.shape[1])]
+    dependence = _DEPENDENCE[spec.algorithm].learn(spec, X, margins, rng)
+    return SearchModel(margins, dependence)
 
 
 def sample_model(model: SearchModel, pop_size: int, lower, upper,
                  rng: np.random.Generator) -> np.ndarray:
-    dep = model.dependence
-    if isinstance(dep, (ProductDependence, NormalDependence)):
-        return ceda_sample(model, pop_size, lower, upper, rng)
-    if isinstance(dep, VineDependence):
-        return veda_sample(model, pop_size, lower, upper, rng)
-    return cmimic_sample(model, pop_size, lower, upper, rng)
-
-
-def copula_family_counts(model: SearchModel) -> dict[str, int]:
-    """Counts of pair-copula families in a vine or chain model."""
-    counts = {family.value: 0 for family in CopulaFamily}
-    dep = model.dependence
-    if isinstance(dep, VineDependence):
-        for tree in dep.vine.trees:
-            for c in tree:
-                counts[c.family.value] += 1
-    elif isinstance(dep, ChainDependence):
-        for c in dep.copulas:
-            counts[c.family.value] += 1
-    return counts
+    """Uniforms from the dependence structure through margin quantiles."""
+    U = model.dependence.sample(pop_size, len(model.margins), rng)
+    X = np.empty_like(U)
+    for j, margin in enumerate(model.margins):
+        X[:, j] = margin.quantile(U[:, j])
+    return X
 
 
 def describe_search_model(model: SearchModel) -> str:
     """Readable dump of the margins and the dependence structure."""
-    lines = []
-    for j, margin in enumerate(model.margins):
-        lines.append(f"margin {j}: {margin}")
-    dep = model.dependence
-    if isinstance(dep, ProductDependence):
-        lines.append("dependence: product")
-    elif isinstance(dep, NormalDependence):
-        lines.append("dependence: normal copula, correlation=")
-        lines.append(np.array2string(dep.correlation, precision=6))
-    elif isinstance(dep, VineDependence):
-        lines.append("dependence: " + describe_vine(dep.vine))
-    else:
-        lines.append("dependence: chain perm="
-                     + ",".join(str(i) for i in dep.perm))
-        for k, c in enumerate(dep.copulas):
-            if c.family is CopulaFamily.STUDENT:
-                lines.append(f"link {k}: student(rho={c.theta:.6g},nu={c.nu:.6g})")
-            elif c.family is CopulaFamily.PRODUCT:
-                lines.append(f"link {k}: product")
-            else:
-                lines.append(f"link {k}: {c.family.value}(theta={c.theta:.6g})")
-    return "\n".join(lines)
+    return "\n".join([f"margin {j}: {margin}"
+                      for j, margin in enumerate(model.margins)]
+                     + ["dependence: " + model.dependence.describe()])

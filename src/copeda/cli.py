@@ -10,7 +10,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .algorithms import copula_family_counts, describe_search_model
+from .algorithms import describe_search_model
 from .benchmarks import UnknownBenchmarkError, get_benchmark
 from .copulas import CopulaFamily, ParameterError, UnsupportedTauError
 from .eda import (
@@ -28,17 +28,6 @@ from .margins import MarginKind
 from .vines import VineType
 
 CSV_HEADER = "run,generations,evaluations,best_evaluation,cpu_time_seconds"
-
-_CONFIG_KEYS = {
-    "algorithm": str, "function": str, "dim": int, "lower": float,
-    "upper": float, "pop-size": int, "margin": str, "copula": str,
-    "vine": str, "sig-level": float, "trunc-criterion": str, "max-gen": int,
-    "max-evals": int, "target": float, "tol": float, "stddev-floor": float,
-    "runs": int, "seed": int, "jobs": int, "format": str, "out": str,
-    "lower-pop": int, "upper-pop": int, "total-runs": int,
-    "success-runs": int, "stop-percent": float,
-}
-
 
 def _read_config_file(path: str) -> dict:
     """Flat key=value pairs, one per line, '#' comments."""
@@ -112,6 +101,19 @@ def _build_parser() -> argparse.ArgumentParser:
     crit_p.add_argument("--stop-percent", type=float)
     return parser
 
+
+def _config_keys() -> dict[str, type]:
+    """Config-file keys and their types, read off the parser: every option
+    of the study commands (indep-runs, critpop) except --config.  The run
+    command's own options only shape one run's output and stay flags."""
+    commands = _build_parser()._subparsers._group_actions[0].choices
+    return {a.option_strings[-1][2:]: a.type or str
+            for name in ("indep-runs", "critpop")
+            for a in commands[name]._actions
+            if a.dest not in ("help", "config")}
+
+
+_CONFIG_KEYS = _config_keys()
 
 _DEFAULTS = dict(algorithm="gceda", function="sphere", dim=10,
                  copula="normal", sig_level=0.01, trunc_criterion="aic",
@@ -245,7 +247,7 @@ def cmd_run(args, stream) -> int:
     def sink(gen, model):
         last_model[0] = model
         if args.copula_trace:
-            trace_rows.append((gen, copula_family_counts(model)))
+            trace_rows.append((gen, model.dependence.family_counts()))
 
     wants_model = args.dump_model or args.copula_trace
     result = eda_run(spec, bench.func, lower, upper,

@@ -83,6 +83,13 @@ class BivariateCopula:
             return 0
         return 2 if self.family is CopulaFamily.STUDENT else 1
 
+    def __str__(self) -> str:
+        if self.family is CopulaFamily.PRODUCT:
+            return "product"
+        if self.family is CopulaFamily.STUDENT:
+            return f"student(rho={self.theta:.6g},nu={self.nu:.6g})"
+        return f"{self.family.value}(theta={self.theta:.6g})"
+
 
 def product() -> BivariateCopula:
     return BivariateCopula(CopulaFamily.PRODUCT)

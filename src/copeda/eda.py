@@ -176,13 +176,6 @@ def select_truncation(pop: Population, factor: float) -> Population:
     return Population(pop.solutions[order].copy(), pop.evaluations[order].copy())
 
 
-def replace_complete(old: Population, sampled: Population) -> Population:
-    """Complete generational replacement."""
-    if old.solutions.shape != sampled.solutions.shape:
-        raise ValueError("population shapes do not match")
-    return sampled
-
-
 def terminate_check(term: TerminationSpec, *, gen: int, evals: int,
                     best_eval: float, eval_stddev: float) -> bool:
     """True once any enabled criterion fires."""
@@ -253,7 +246,7 @@ def eda_run(spec: EdaSpec, f, lower, upper, rng: np.random.Generator,
             model_sink(gen, model)
         sols = sample_model(model, spec.pop_size, lower, upper, rng)
         evals = evaluate_objective(f, sols)
-        pop = replace_complete(pop, Population(sols, evals))
+        pop = Population(sols, evals)
         f_evals += spec.pop_size
         gen_best = int(np.argmin(evals))
         if evals[gen_best] < best_eval:

@@ -20,6 +20,8 @@ from scipy import special
 from scipy.optimize import minimize
 from scipy.stats import beta as _beta
 
+from .copulas import _as_result
+
 SIGMA_FLOOR = 1e-300      # anti-zero floor only; must not cap precision
 BANDWIDTH_FLOOR = 1e-8
 _P_EPS = 1e-12            # interior clamp for quantile probabilities
@@ -32,12 +34,6 @@ class MarginKind(str, Enum):
     BETA_RESCALED = "beta"
 
 
-def _scalar_or_array(x, *inputs):
-    if all(np.ndim(i) == 0 for i in inputs):
-        return float(x)
-    return x
-
-
 @dataclass(frozen=True)
 class NormalMargin:
     mu: float
@@ -45,12 +41,12 @@ class NormalMargin:
     kind = MarginKind.NORMAL
 
     def cdf(self, x):
-        return _scalar_or_array(
+        return _as_result(
             special.ndtr((np.asarray(x, float) - self.mu) / self.sigma), x)
 
     def quantile(self, p):
         p = np.clip(np.asarray(p, float), _P_EPS, 1.0 - _P_EPS)
-        return _scalar_or_array(self.mu + self.sigma * special.ndtri(p), p)
+        return _as_result(self.mu + self.sigma * special.ndtri(p), p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +58,7 @@ class KernelMargin:
     def cdf(self, x):
         x = np.asarray(x, float)
         z = (x[..., None] - self.sample) / self.bandwidth
-        return _scalar_or_array(special.ndtr(z).mean(axis=-1), x)
+        return _as_result(special.ndtr(z).mean(axis=-1), x)
 
     def quantile(self, p):
         # monotone bisection on the smoothed CDF over the data range +/- 4h
@@ -74,7 +70,7 @@ class KernelMargin:
             low_side = self.cdf(mid) < p
             lo = np.where(low_side, mid, lo)
             hi = np.where(low_side, hi, mid)
-        return _scalar_or_array(0.5 * (lo + hi), p)
+        return _as_result(0.5 * (lo + hi), p)
 
 
 @dataclass(frozen=True)
@@ -94,13 +90,13 @@ class TruncNormalMargin:
         x = np.asarray(x, float)
         zl, span = self._tails()
         raw = (special.ndtr((x - self.mu) / self.sigma) - zl) / span
-        return _scalar_or_array(np.clip(raw, 0.0, 1.0), x)
+        return _as_result(np.clip(raw, 0.0, 1.0), x)
 
     def quantile(self, p):
         p = np.clip(np.asarray(p, float), _P_EPS, 1.0 - _P_EPS)
         zl, span = self._tails()
         x = self.mu + self.sigma * special.ndtri(np.clip(zl + p * span, 1e-300, 1.0))
-        return _scalar_or_array(np.clip(x, self.lower, self.upper), p)
+        return _as_result(np.clip(x, self.lower, self.upper), p)
 
 
 @dataclass(frozen=True)
@@ -113,12 +109,12 @@ class BetaRescaledMargin:
 
     def cdf(self, x):
         y = (np.asarray(x, float) - self.lower) / (self.upper - self.lower)
-        return _scalar_or_array(_beta.cdf(np.clip(y, 0.0, 1.0), self.a, self.b), x)
+        return _as_result(_beta.cdf(np.clip(y, 0.0, 1.0), self.a, self.b), x)
 
     def quantile(self, p):
         p = np.clip(np.asarray(p, float), _P_EPS, 1.0 - _P_EPS)
         y = _beta.ppf(p, self.a, self.b)
-        return _scalar_or_array(self.lower + y * (self.upper - self.lower), p)
+        return _as_result(self.lower + y * (self.upper - self.lower), p)
 
 
 MarginModel = NormalMargin | KernelMargin | TruncNormalMargin | BetaRescaledMargin
@@ -175,13 +171,3 @@ def fit_margin(kind: MarginKind, sample, lower: float, upper: float) -> MarginMo
                                  float(lower), float(upper))
     a, b = _fit_beta(sample, lower, upper)
     return BetaRescaledMargin(float(lower), float(upper), a, b)
-
-
-def margin_cdf(model: MarginModel, x):
-    """Cumulative distribution function of a fitted margin."""
-    return model.cdf(x)
-
-
-def margin_quantile(model: MarginModel, p):
-    """Quantile (inverse CDF) of a fitted margin."""
-    return model.quantile(p)

@@ -21,7 +21,6 @@ import numpy as np
 from .copulas import (
     BivariateCopula,
     CopulaFamily,
-    clip_tau,
     copula_h,
     copula_hinv,
     copula_loglik,
@@ -70,40 +69,6 @@ class RVineModel:
     @property
     def dim(self) -> int:
         return len(self.order)
-
-
-def select_cvine_order(U) -> tuple[int, ...]:
-    """Greedy C-vine root sequence.
-
-    The first root maximizes the summed absolute empirical tau to the other
-    variables; subsequent roots repeat the rule on data h-transformed by
-    tau-inverted normal copulas, a lightweight stand-in for the fitted pair
-    copulas used during :func:`fit_vine`.  Ties break to the lowest index.
-    """
-    U = np.asarray(U, dtype=float)
-    n = U.shape[1]
-    if n < 2:
-        return tuple(range(n))
-    from .copulas import normal, tau_to_parameter
-
-    Z = U.copy()
-    remaining = list(range(n))
-    order: list[int] = []
-    while len(remaining) > 1:
-        taus = kendall_tau_matrix(Z[:, remaining])
-        sums = np.abs(taus - np.eye(len(remaining))).sum(axis=1)
-        root = remaining[int(np.argmax(sums))]
-        others = [i for i in remaining if i != root]
-        for other in others:
-            tau = clip_tau(taus[remaining.index(root), remaining.index(other)])
-            if tau != 0.0:
-                c = tau_to_parameter(CopulaFamily.NORMAL, tau)
-                if c.family is CopulaFamily.NORMAL:
-                    Z[:, other] = copula_h(c, Z[:, other], Z[:, root])
-        order.append(root)
-        remaining = others
-    order.extend(remaining)
-    return tuple(order)
 
 
 def select_dvine_order(U) -> tuple[int, ...]:
@@ -165,6 +130,73 @@ def _fit_edge(u, v, candidates, sig_level, replicates, rng):
     return gof_select_copula(u, v, candidates)
 
 
+class _CVineTrees:
+    """Tree j pairs every remaining variable with root j.
+
+    Fitting picks each root as the variable with the largest summed
+    absolute tau to the others on the current pseudo-observations, ties to
+    the lowest index, and lists a tree's edges by ascending variable index.
+    Replaying a fitted ``order`` takes the roots and the edges in that
+    order, as ``vine_sample`` reads them.  Product edges leave their column
+    as is.
+    """
+
+    def __init__(self, U, order=None):
+        self.Z = U.copy()
+        self.replay = order is not None
+        self.remaining = (list(order) if self.replay
+                          else list(range(U.shape[1])))
+        self.roots: list[int] = []
+
+    def pairs(self):
+        if self.replay:
+            self.root = self.remaining[0]
+        else:
+            taus = kendall_tau_matrix(self.Z[:, self.remaining])
+            sums = np.abs(taus - np.eye(len(self.remaining))).sum(axis=1)
+            self.root = self.remaining[int(np.argmax(sums))]
+        self.others = [i for i in self.remaining if i != self.root]
+        return [(self.Z[:, o], self.Z[:, self.root]) for o in self.others]
+
+    def advance(self, edges):
+        for c, o in zip(edges, self.others):
+            if c.family is not CopulaFamily.PRODUCT:
+                self.Z[:, o] = copula_h(c, self.Z[:, o], self.Z[:, self.root])
+        self.roots.append(self.root)
+        self.remaining = self.others
+
+    @property
+    def order(self) -> tuple[int, ...]:
+        return tuple(self.roots + sorted(self.remaining))
+
+
+class _DVineTrees:
+    """Tree j pairs path positions i and i + j + 1 given the nodes between.
+
+    ``a[i]`` is F(x_i | between) and ``b[i]`` is F(x_{i+j+1} | between);
+    every edge, product included, passes through ``copula_h``.
+    """
+
+    def __init__(self, U, order=None):
+        self.order = select_dvine_order(U) if order is None else order
+        cols = U[:, list(self.order)]
+        self.a = [cols[:, i] for i in range(U.shape[1] - 1)]
+        self.b = [cols[:, i + 1] for i in range(U.shape[1] - 1)]
+
+    def pairs(self):
+        return list(zip(self.a, self.b))
+
+    def advance(self, edges):
+        k = len(self.a) - 1
+        a = [copula_h(edges[i], self.a[i], self.b[i]) for i in range(k)]
+        b = [copula_h(edges[i + 1], self.b[i + 1], self.a[i + 1])
+             for i in range(k)]
+        self.a, self.b = a, b
+
+
+_TREES = {VineType.CVINE: _CVineTrees, VineType.DVINE: _DVineTrees}
+
+
 def fit_vine(U, vine_type: VineType, candidates, sig_level: float = 0.01,
              criterion: str = "aic", rng: np.random.Generator | None = None,
              indep_replicates: int = 100) -> RVineModel:
@@ -181,43 +213,23 @@ def fit_vine(U, vine_type: VineType, candidates, sig_level: float = 0.01,
         rng = np.random.default_rng()
     U = np.asarray(U, dtype=float)
     vine_type = VineType(vine_type)
-    n = U.shape[1]
+    m, n = U.shape
     if n < 2:
         return RVineModel(vine_type, tuple(range(n)), (), 0)
     candidates = [CopulaFamily(c) for c in candidates
                   if CopulaFamily(c) is not CopulaFamily.PRODUCT]
-    if vine_type is VineType.CVINE:
-        return _fit_cvine(U, candidates, sig_level, criterion, rng,
-                          indep_replicates)
-    return _fit_dvine(U, candidates, sig_level, criterion, rng,
-                      indep_replicates)
-
-
-def _product_tail(n: int, trees: list[list[BivariateCopula]]):
-    while len(trees) < n - 1:
-        j = len(trees)
-        trees.append([product()] * (n - 1 - j))
-
-
-def _fit_cvine(U, candidates, sig_level, criterion, rng, replicates):
-    m, n = U.shape
-    Z = U.copy()
-    remaining = list(range(n))
-    order: list[int] = []
+    walk = _TREES[vine_type](U)
     trees: list[list[BivariateCopula]] = []
     loglik_cum = 0.0
     k_cum = 0
     crit_prev = 0.0
     trunc_level = n - 1
     for level in range(n - 1):
-        taus = kendall_tau_matrix(Z[:, remaining])
-        sums = np.abs(taus - np.eye(len(remaining))).sum(axis=1)
-        root = remaining[int(np.argmax(sums))]
-        others = [i for i in remaining if i != root]
-        edges = [_fit_edge(Z[:, o], Z[:, root], candidates, sig_level,
-                           replicates, rng) for o in others]
-        tree_ll = sum(copula_loglik(c, np.column_stack([Z[:, o], Z[:, root]]))
-                      for c, o in zip(edges, others)
+        pairs = walk.pairs()
+        edges = [_fit_edge(u, v, candidates, sig_level, indep_replicates, rng)
+                 for u, v in pairs]
+        tree_ll = sum(copula_loglik(c, np.column_stack(pair))
+                      for c, pair in zip(edges, pairs)
                       if c.family is not CopulaFamily.PRODUCT)
         tree_k = sum(c.n_params for c in edges)
         if criterion != "none":
@@ -229,55 +241,11 @@ def _fit_cvine(U, candidates, sig_level, criterion, rng, replicates):
             crit_prev = crit_new
         loglik_cum += tree_ll
         k_cum += tree_k
-        order.append(root)
         trees.append(edges)
-        for c, o in zip(edges, others):
-            if c.family is not CopulaFamily.PRODUCT:
-                Z[:, o] = copula_h(c, Z[:, o], Z[:, root])
-        remaining = others
-    order.extend(sorted(remaining))
-    _product_tail(n, trees)
-    return RVineModel(VineType.CVINE, tuple(order),
-                      tuple(tuple(t) for t in trees), trunc_level)
-
-
-def _fit_dvine(U, candidates, sig_level, criterion, rng, replicates):
-    m, n = U.shape
-    order = select_dvine_order(U)
-    cols = U[:, order]
-    # a[i] = F(x_i | mid), b[i] = F(x_{i+j} | mid) for the current tree j
-    a = [cols[:, i] for i in range(n - 1)]
-    b = [cols[:, i + 1] for i in range(n - 1)]
-    trees: list[list[BivariateCopula]] = []
-    loglik_cum = 0.0
-    k_cum = 0
-    crit_prev = 0.0
-    trunc_level = n - 1
-    for j in range(n - 1):
-        edges = [_fit_edge(a[i], b[i], candidates, sig_level, replicates, rng)
-                 for i in range(n - 1 - j)]
-        tree_ll = sum(copula_loglik(c, np.column_stack([a[i], b[i]]))
-                      for i, c in enumerate(edges)
-                      if c.family is not CopulaFamily.PRODUCT)
-        tree_k = sum(c.n_params for c in edges)
-        if criterion != "none":
-            crit_new = (-2.0 * (loglik_cum + tree_ll)
-                        + _criterion_penalty(criterion, k_cum + tree_k, m))
-            if crit_new >= crit_prev:
-                trunc_level = j
-                break
-            crit_prev = crit_new
-        loglik_cum += tree_ll
-        k_cum += tree_k
-        trees.append(edges)
-        if j < n - 2:
-            a_next = [copula_h(edges[i], a[i], b[i]) for i in range(n - 2 - j)]
-            b_next = [copula_h(edges[i + 1], b[i + 1], a[i + 1])
-                      for i in range(n - 2 - j)]
-            a, b = a_next, b_next
-    _product_tail(n, trees)
-    return RVineModel(VineType.DVINE, order,
-                      tuple(tuple(t) for t in trees), trunc_level)
+        walk.advance(edges)
+    trees += [[product()] * (n - 1 - j) for j in range(len(trees), n - 1)]
+    return RVineModel(vine_type, walk.order, tuple(map(tuple, trees)),
+                      trunc_level)
 
 
 def vine_loglik(model: RVineModel, U) -> float:
@@ -288,29 +256,13 @@ def vine_loglik(model: RVineModel, U) -> float:
         raise ValueError("dimension mismatch between model and data")
     if n < 2:
         return 0.0
-    cols = U[:, list(model.order)]
+    walk = _TREES[model.vine_type](U, model.order)
     total = 0.0
-    if model.vine_type is VineType.CVINE:
-        Z = cols.copy()
-        for j, tree in enumerate(model.trees):
-            root = Z[:, j]
-            for e, c in enumerate(tree):
-                i = j + 1 + e
-                if c.family is not CopulaFamily.PRODUCT:
-                    total += copula_loglik(c, np.column_stack([Z[:, i], root]))
-                    Z[:, i] = copula_h(c, Z[:, i], root)
-        return total
-    a = [cols[:, i] for i in range(n - 1)]
-    b = [cols[:, i + 1] for i in range(n - 1)]
-    for j, tree in enumerate(model.trees):
-        for i, c in enumerate(tree):
+    for tree in model.trees:
+        for c, pair in zip(tree, walk.pairs()):
             if c.family is not CopulaFamily.PRODUCT:
-                total += copula_loglik(c, np.column_stack([a[i], b[i]]))
-        if j < n - 2:
-            a_next = [copula_h(tree[i], a[i], b[i]) for i in range(n - 2 - j)]
-            b_next = [copula_h(tree[i + 1], b[i + 1], a[i + 1])
-                      for i in range(n - 2 - j)]
-            a, b = a_next, b_next
+                total += copula_loglik(c, np.column_stack(pair))
+        walk.advance(tree)
     return total
 
 
@@ -365,13 +317,5 @@ def describe_vine(model: RVineModel) -> str:
              f"{','.join(str(i) for i in model.order)} "
              f"trunc_level={model.trunc_level}"]
     for j, tree in enumerate(model.trees):
-        parts = []
-        for c in tree:
-            if c.family is CopulaFamily.PRODUCT:
-                parts.append("product")
-            elif c.family is CopulaFamily.STUDENT:
-                parts.append(f"student(rho={c.theta:.6g},nu={c.nu:.6g})")
-            else:
-                parts.append(f"{c.family.value}(theta={c.theta:.6g})")
-        lines.append(f"tree {j + 1}: " + " ".join(parts))
+        lines.append(f"tree {j + 1}: " + " ".join(map(str, tree)))
     return "\n".join(lines)

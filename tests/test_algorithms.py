@@ -10,22 +10,20 @@ from copeda.algorithms import (
     ProductDependence,
     SearchModel,
     VineDependence,
-    ceda_learn,
-    ceda_sample,
     chain_permutation,
-    cmimic_learn,
-    cmimic_sample,
-    copula_family_counts,
     describe_search_model,
     learn_model,
     sample_model,
-    veda_learn,
-    veda_sample,
 )
-from copeda.copulas import CopulaFamily
+from copeda.copulas import CopulaFamily, clayton, student
 from copeda.dependence import kendall_tau
 from copeda.eda import EdaSpec, Population, TerminationSpec, run_rng
-from copeda.margins import MarginKind
+from copeda.margins import MarginKind, NormalMargin
+from copeda.vines import RVineModel, VineType
+
+
+# UMDA and GCEDA learning draws no random numbers
+NO_DRAWS = np.random.default_rng(0)
 
 
 def make_spec(algorithm, pop_size=100, margin=MarginKind.NORMAL,
@@ -38,8 +36,8 @@ def test_chain_algorithm_defaults_to_beta_margins():
     from copeda.margins import BetaRescaledMargin
     spec = EdaSpec("copula-mimic", 50, TerminationSpec(max_gen=5))
     pop = mvn_population(2, 0.5, 80, 77)
-    model = cmimic_learn(spec, pop, np.full(2, -10.0), np.full(2, 10.0),
-                         np.random.default_rng(78))
+    model = learn_model(spec, pop, np.full(2, -10.0), np.full(2, 10.0),
+                        np.random.default_rng(78))
     assert all(isinstance(m, BetaRescaledMargin) for m in model.margins)
 
 
@@ -48,7 +46,8 @@ def test_gceda_kernel_margins_use_tau_inversion():
     from copeda.dependence import kendall_tau as _kt
     pop = mvn_population(2, 0.7, 200, 79)
     spec = make_spec("gceda", margin=MarginKind.KERNEL)
-    model = ceda_learn(spec, pop, np.full(2, -10.0), np.full(2, 10.0))
+    model = learn_model(spec, pop, np.full(2, -10.0), np.full(2, 10.0),
+                        NO_DRAWS)
     expected = _math.sin(_math.pi * _kt(pop.solutions[:, 0],
                                         pop.solutions[:, 1]) / 2.0)
     assert model.dependence.correlation[0, 1] == pytest.approx(expected,
@@ -58,7 +57,8 @@ def test_gceda_kernel_margins_use_tau_inversion():
 def test_gceda_normal_margins_use_pearson():
     pop = mvn_population(2, 0.7, 200, 80)
     spec = make_spec("gceda", margin=MarginKind.NORMAL)
-    model = ceda_learn(spec, pop, np.full(2, -10.0), np.full(2, 10.0))
+    model = learn_model(spec, pop, np.full(2, -10.0), np.full(2, 10.0),
+                        NO_DRAWS)
     expected = np.corrcoef(pop.solutions.T)[0, 1]
     assert model.dependence.correlation[0, 1] == pytest.approx(expected,
                                                                abs=1e-12)
@@ -81,21 +81,21 @@ BOUNDS3 = (np.array([-10.0] * 3), np.array([10.0] * 3))
 class TestCedaLearn:
     def test_umda_always_product(self):
         pop = mvn_population(3, 0.9, 200, 1)
-        model = ceda_learn(make_spec("umda"), pop, *BOUNDS3)
+        model = learn_model(make_spec("umda"), pop, *BOUNDS3, NO_DRAWS)
         assert isinstance(model.dependence, ProductDependence)
 
     def test_gceda_clips_comonotone_pair(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(100)
         pop = evaluated(np.column_stack([x, 2.0 * x + 1.0, rng.standard_normal(100)]))
-        model = ceda_learn(make_spec("gceda"), pop, *BOUNDS3)
+        model = learn_model(make_spec("gceda"), pop, *BOUNDS3, NO_DRAWS)
         R = model.dependence.correlation
         assert R[0, 1] < 1.0
         np.linalg.cholesky(R)
 
     def test_gceda_correlation_is_factorizable(self):
         pop = mvn_population(3, 0.7, 150, 3)
-        model = ceda_learn(make_spec("gceda"), pop, *BOUNDS3)
+        model = learn_model(make_spec("gceda"), pop, *BOUNDS3, NO_DRAWS)
         R = model.dependence.correlation
         assert np.allclose(R, R.T)
         assert np.allclose(np.diag(R), 1.0)
@@ -107,10 +107,10 @@ class TestCedaLearn:
         mean = np.array([1.0, -2.0, 0.5])
         cov = np.array([[2.0, 0.8, 0.2], [0.8, 1.0, 0.4], [0.2, 0.4, 1.5]])
         data = rng.multivariate_normal(mean, cov, size=800)
-        model = ceda_learn(make_spec("gceda"), evaluated(data),
-                           np.full(3, -50.0), np.full(3, 50.0))
-        out = ceda_sample(model, 2000, np.full(3, -50.0), np.full(3, 50.0),
-                          np.random.default_rng(5))
+        model = learn_model(make_spec("gceda"), evaluated(data),
+                            np.full(3, -50.0), np.full(3, 50.0), NO_DRAWS)
+        out = sample_model(model, 2000, np.full(3, -50.0), np.full(3, 50.0),
+                           np.random.default_rng(5))
         assert np.allclose(out.mean(axis=0), data.mean(axis=0),
                            atol=0.1 * np.sqrt(np.diag(cov)))
         sample_cov = np.cov(out.T)
@@ -123,22 +123,26 @@ class TestCedaLearn:
 class TestCedaSample:
     def test_product_independent_columns(self):
         pop = mvn_population(3, 0.9, 300, 6)
-        model = ceda_learn(make_spec("umda"), pop, *BOUNDS3)
-        out = ceda_sample(model, 2000, *BOUNDS3, np.random.default_rng(7))
+        model = learn_model(make_spec("umda"), pop, *BOUNDS3, NO_DRAWS)
+        out = sample_model(model, 2000, *BOUNDS3, np.random.default_rng(7))
         for i, j in itertools.combinations(range(3), 2):
             assert abs(kendall_tau(out[:, i], out[:, j])) <= 0.05
 
     def test_identity_correlation_matches_product(self):
-        margins = ceda_learn(make_spec("umda"), mvn_population(2, 0.0, 300, 8),
-                             np.full(2, -10.0), np.full(2, 10.0)).margins
+        margins = learn_model(make_spec("umda"),
+                              mvn_population(2, 0.0, 300, 8),
+                              np.full(2, -10.0), np.full(2, 10.0),
+                              NO_DRAWS).margins
         model = SearchModel(margins, NormalDependence(np.eye(2)))
         out = sample_model(model, 2000, np.full(2, -10.0), np.full(2, 10.0),
                            np.random.default_rng(9))
         assert abs(kendall_tau(out[:, 0], out[:, 1])) <= 0.05
 
     def test_pearson_correlation_transfers(self):
-        margins = ceda_learn(make_spec("umda"), mvn_population(2, 0.0, 300, 10),
-                             np.full(2, -10.0), np.full(2, 10.0)).margins
+        margins = learn_model(make_spec("umda"),
+                              mvn_population(2, 0.0, 300, 10),
+                              np.full(2, -10.0), np.full(2, 10.0),
+                              NO_DRAWS).margins
         R = np.array([[1.0, 0.707], [0.707, 1.0]])
         model = SearchModel(margins, NormalDependence(R))
         out = sample_model(model, 2000, np.full(2, -10.0), np.full(2, 10.0),
@@ -151,21 +155,21 @@ class TestVedaLearnSample:
         rng = np.random.default_rng(12)
         pop = evaluated(rng.random((300, 4)))
         spec = make_spec("cveda")
-        model = veda_learn(spec, pop, np.zeros(4), np.ones(4), rng)
+        model = learn_model(spec, pop, np.zeros(4), np.ones(4), rng)
         vine = model.dependence.vine
         products = sum(c.family is CopulaFamily.PRODUCT
                        for tree in vine.trees for c in tree)
         assert products >= 5  # out of 6 edges
-        out = veda_sample(model, 2000, np.zeros(4), np.ones(4),
-                          np.random.default_rng(13))
+        out = sample_model(model, 2000, np.zeros(4), np.ones(4),
+                           np.random.default_rng(13))
         for i, j in itertools.combinations(range(4), 2):
             assert abs(kendall_tau(out[:, i], out[:, j])) <= 0.06
 
     def test_two_variable_normal_pair(self):
         pop = mvn_population(2, 0.8, 400, 14)
         spec = make_spec("cveda")
-        model = veda_learn(spec, pop, np.full(2, -10.0), np.full(2, 10.0),
-                           np.random.default_rng(15))
+        model = learn_model(spec, pop, np.full(2, -10.0), np.full(2, 10.0),
+                            np.random.default_rng(15))
         c = model.dependence.vine.trees[0][0]
         assert c.family is CopulaFamily.NORMAL
         assert c.theta == pytest.approx(0.8, abs=0.05)
@@ -173,8 +177,8 @@ class TestVedaLearnSample:
     def test_candidate_restriction(self):
         pop = mvn_population(4, 0.6, 300, 16)
         spec = make_spec("dveda", copulas=(CopulaFamily.NORMAL,))
-        model = veda_learn(spec, pop, np.full(4, -10.0), np.full(4, 10.0),
-                           np.random.default_rng(17))
+        model = learn_model(spec, pop, np.full(4, -10.0), np.full(4, 10.0),
+                            np.random.default_rng(17))
         for tree in model.dependence.vine.trees:
             for c in tree:
                 assert c.family in (CopulaFamily.NORMAL, CopulaFamily.PRODUCT)
@@ -183,10 +187,12 @@ class TestVedaLearnSample:
         pop = mvn_population(3, 0.6, 1000, 18)
         spec = make_spec("cveda", trunc_criterion="none")
         rng = np.random.default_rng(19)
-        model = veda_learn(spec, pop, np.full(3, -10.0), np.full(3, 10.0), rng)
-        out = veda_sample(model, 1500, np.full(3, -10.0), np.full(3, 10.0), rng)
-        refit = veda_learn(spec, evaluated(out), np.full(3, -10.0),
-                           np.full(3, 10.0), rng)
+        model = learn_model(spec, pop, np.full(3, -10.0), np.full(3, 10.0),
+                            rng)
+        out = sample_model(model, 1500, np.full(3, -10.0), np.full(3, 10.0),
+                           rng)
+        refit = learn_model(spec, evaluated(out), np.full(3, -10.0),
+                            np.full(3, 10.0), rng)
         original = sorted(abs(c.theta) for c in model.dependence.vine.trees[0])
         recovered = sorted(abs(c.theta) for c in refit.dependence.vine.trees[0])
         for a, b in zip(original, recovered):
@@ -197,8 +203,8 @@ class TestVedaLearnSample:
         rng = np.random.default_rng(20)
         pop = evaluated(rng.uniform(-1.0, 1.0, size=(200, 3)))
         spec = make_spec("cveda", margin=MarginKind.TRUNC_NORMAL)
-        model = veda_learn(spec, pop, np.full(3, -1.0), np.full(3, 1.0), rng)
-        out = veda_sample(model, 2000, np.full(3, -1.0), np.full(3, 1.0), rng)
+        model = learn_model(spec, pop, np.full(3, -1.0), np.full(3, 1.0), rng)
+        out = sample_model(model, 2000, np.full(3, -1.0), np.full(3, 1.0), rng)
         assert np.all(out >= -1.0)
         assert np.all(out <= 1.0)
 
@@ -228,8 +234,8 @@ class TestCopulaMimic:
     def test_two_variable_model(self):
         pop = mvn_population(2, 0.7, 150, 21)
         spec = make_spec("copula-mimic", margin=MarginKind.BETA_RESCALED)
-        model = cmimic_learn(spec, pop, np.full(2, -10.0), np.full(2, 10.0),
-                             np.random.default_rng(22))
+        model = learn_model(spec, pop, np.full(2, -10.0), np.full(2, 10.0),
+                            np.random.default_rng(22))
         dep = model.dependence
         assert isinstance(dep, ChainDependence)
         assert sorted(dep.perm) == [0, 1]
@@ -248,33 +254,33 @@ class TestCopulaMimic:
         for j, c in enumerate(coeffs, start=1):
             x[:, j] = c * x[:, j - 1] + math.sqrt(1 - c * c) * rng.standard_normal(m)
         spec = make_spec("copula-mimic")
-        model = cmimic_learn(spec, evaluated(x), np.full(4, -60.0),
-                             np.full(4, 60.0), np.random.default_rng(24))
+        model = learn_model(spec, evaluated(x), np.full(4, -60.0),
+                            np.full(4, 60.0), np.random.default_rng(24))
         perm = model.dependence.perm
         assert perm in ((0, 1, 2, 3), (3, 2, 1, 0))
 
     def test_frank_chain_supported(self):
         pop = mvn_population(3, 0.5, 120, 25)
         spec = make_spec("copula-mimic", copulas=(CopulaFamily.FRANK,))
-        model = cmimic_learn(spec, pop, np.full(3, -10.0), np.full(3, 10.0),
-                             np.random.default_rng(26))
+        model = learn_model(spec, pop, np.full(3, -10.0), np.full(3, 10.0),
+                            np.random.default_rng(26))
         for c in model.dependence.copulas:
             assert c.family in (CopulaFamily.FRANK, CopulaFamily.PRODUCT)
 
     def test_ml_refinement_close_to_truth(self):
         pop = mvn_population(2, 0.6, 500, 27)
         spec = make_spec("copula-mimic")
-        model = cmimic_learn(spec, pop, np.full(2, -10.0), np.full(2, 10.0),
-                             np.random.default_rng(28))
+        model = learn_model(spec, pop, np.full(2, -10.0), np.full(2, 10.0),
+                            np.random.default_rng(28))
         assert model.dependence.copulas[0].theta == pytest.approx(0.6, abs=0.07)
 
     def test_sampling_preserves_chain_tau(self):
         pop = mvn_population(2, 0.8, 400, 29)
         spec = make_spec("copula-mimic")
-        model = cmimic_learn(spec, pop, np.full(2, -10.0), np.full(2, 10.0),
-                             np.random.default_rng(30))
-        out = cmimic_sample(model, 2000, np.full(2, -10.0), np.full(2, 10.0),
-                            np.random.default_rng(31))
+        model = learn_model(spec, pop, np.full(2, -10.0), np.full(2, 10.0),
+                            np.random.default_rng(30))
+        out = sample_model(model, 2000, np.full(2, -10.0), np.full(2, 10.0),
+                           np.random.default_rng(31))
         expected_tau = 2 * math.asin(0.8) / math.pi
         assert kendall_tau(out[:, 0], out[:, 1]) == pytest.approx(
             expected_tau, abs=0.06)
@@ -296,7 +302,7 @@ class TestDispatchAndIntrospection:
         pop = mvn_population(3, 0.7, 200, 33)
         spec = make_spec("cveda")
         model = learn_model(spec, pop, *BOUNDS3, run_rng(5, 6))
-        counts = copula_family_counts(model)
+        counts = model.dependence.family_counts()
         assert sum(counts.values()) == 3  # all pair copulas of a 3-dim vine
 
     def test_describe_mentions_structure(self):
@@ -306,3 +312,27 @@ class TestDispatchAndIntrospection:
         text = describe_search_model(model)
         assert "normal copula" in text
         assert "margin 0" in text
+
+    def test_describe_and_counts_of_each_structure(self):
+        margins = [NormalMargin(0.0, 1.0), NormalMargin(2.0, 0.5)]
+        head = ("margin 0: NormalMargin(mu=0.0, sigma=1.0)\n"
+                "margin 1: NormalMargin(mu=2.0, sigma=0.5)\n")
+        vine = RVineModel(VineType.DVINE, (1, 0),
+                          ((student(0.5, 4.0),),), 1)
+        cases = [
+            (ProductDependence(), "dependence: product", {}),
+            (NormalDependence(np.array([[1.0, 0.25], [0.25, 1.0]])),
+             "dependence: normal copula, correlation=\n"
+             "[[1.   0.25]\n [0.25 1.  ]]", {}),
+            (VineDependence(vine),
+             "dependence: dvine order=1,0 trunc_level=1\n"
+             "tree 1: student(rho=0.5,nu=4)", {"student": 1}),
+            (ChainDependence((1, 0), (clayton(2.0),)),
+             "dependence: chain perm=1,0\nlink 0: clayton(theta=2)",
+             {"clayton": 1}),
+        ]
+        for dependence, text, nonzero in cases:
+            model = SearchModel(margins, dependence)
+            assert describe_search_model(model) == head + text
+            assert dependence.family_counts() == {
+                f.value: nonzero.get(f.value, 0) for f in CopulaFamily}

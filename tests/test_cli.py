@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import copeda
-from copeda.cli import CSV_HEADER, main
+from copeda.cli import _CONFIG_KEYS, CSV_HEADER, main
 
 
 def run_cli(argv):
@@ -191,6 +191,19 @@ class TestConfigFile:
         assert status == 0
         assert "Run 2" in out
         assert "Run 3" not in out
+
+    def test_keys_are_the_study_flags(self):
+        assert _CONFIG_KEYS == {
+            "algorithm": str, "function": str, "dim": int, "lower": float,
+            "upper": float, "pop-size": int, "margin": str, "copula": str,
+            "vine": str, "sig-level": float, "trunc-criterion": str,
+            "max-gen": int, "max-evals": int, "target": float, "tol": float,
+            "stddev-floor": float, "runs": int, "seed": int, "jobs": int,
+            "format": str, "out": str, "lower-pop": int, "upper-pop": int,
+            "total-runs": int, "success-runs": int, "stop-percent": float,
+        }
+        for flag_only in ("config", "report", "dump-model", "copula-trace"):
+            assert flag_only not in _CONFIG_KEYS
 
     def test_bad_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

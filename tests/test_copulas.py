@@ -68,6 +68,13 @@ class TestParameterDomains:
         assert normal(0.3).n_params == 1
         assert student(0.3, 5.0).n_params == 2
 
+    def test_text_form(self):
+        assert str(product()) == "product"
+        assert str(normal(0.5)) == "normal(theta=0.5)"
+        assert str(student(-0.25, 4.0)) == "student(rho=-0.25,nu=4)"
+        assert str(clayton(1.23456789)) == "clayton(theta=1.23457)"
+        assert str(frank(-3.0)) == "frank(theta=-3)"
+
 
 class TestPdf:
     def test_product_is_one(self):

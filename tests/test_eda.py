@@ -14,7 +14,6 @@ from copeda.eda import (
     critical_pop_size,
     eda_indep_runs,
     eda_run,
-    replace_complete,
     run_rng,
     seed_uniform,
     select_truncation,
@@ -80,23 +79,6 @@ class TestSelectTruncation:
         a = select_truncation(pop, 0.3)
         b = select_truncation(Population(pop.solutions, mapped), 0.3)
         assert np.array_equal(a.solutions, b.solutions)
-
-
-class TestReplaceComplete:
-    def test_returns_sampled(self):
-        old = Population(np.zeros((3, 2)), np.zeros(3))
-        new = Population(np.ones((3, 2)), np.ones(3))
-        assert replace_complete(old, new) is new
-
-    def test_idempotent(self):
-        a = Population(np.zeros((3, 2)), np.zeros(3))
-        b = Population(np.ones((3, 2)), np.ones(3))
-        assert replace_complete(replace_complete(a, b), b) is b
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            replace_complete(Population(np.zeros((3, 2))),
-                             Population(np.zeros((4, 2))))
 
 
 class TestTerminateCheck:

@@ -10,8 +10,6 @@ from copeda.margins import (
     NormalMargin,
     TruncNormalMargin,
     fit_margin,
-    margin_cdf,
-    margin_quantile,
 )
 
 P_GRID = np.arange(0.01, 1.0, 0.01)
@@ -49,7 +47,7 @@ class TestFit:
     def test_kernel_constant_sample(self):
         model = fit_margin(MarginKind.KERNEL, [5.0, 5.0, 5.0], 0.0, 10.0)
         assert model.bandwidth == pytest.approx(1e-8)
-        assert margin_quantile(model, 0.5) == pytest.approx(5.0, abs=1e-9)
+        assert model.quantile(0.5) == pytest.approx(5.0, abs=1e-9)
 
     def test_degenerate_sample_keeps_positive_sigma(self):
         model = fit_margin(MarginKind.NORMAL, [2.0, 2.0], 0.0, 10.0)
@@ -62,56 +60,56 @@ class TestFit:
 
 class TestCdf:
     def test_standard_normal_midpoint(self):
-        assert margin_cdf(NormalMargin(0.0, 1.0), 0.0) == pytest.approx(0.5)
+        assert NormalMargin(0.0, 1.0).cdf(0.0) == pytest.approx(0.5)
 
     def test_beta_uniform_case(self):
-        assert margin_cdf(BetaRescaledMargin(0.0, 1.0, 1.0, 1.0), 0.3) == \
+        assert BetaRescaledMargin(0.0, 1.0, 1.0, 1.0).cdf(0.3) == \
             pytest.approx(0.3)
 
     def test_truncnorm_upper_bound(self):
-        assert margin_cdf(TruncNormalMargin(0.0, 1.0, -1.0, 1.0), 1.0) == \
+        assert TruncNormalMargin(0.0, 1.0, -1.0, 1.0).cdf(1.0) == \
             pytest.approx(1.0)
 
     @pytest.mark.parametrize("model", all_kind_models())
     def test_monotone(self, model):
         xs = np.linspace(-9.0, 12.0, 120)
-        vals = np.array([margin_cdf(model, x) for x in xs])
+        vals = np.array([model.cdf(x) for x in xs])
         assert np.all(np.diff(vals) >= -1e-12)
 
     def test_kernel_tails(self):
         model = all_kind_models()[1]
         lo = model.sample.min() - 8.0 * model.bandwidth
         hi = model.sample.max() + 8.0 * model.bandwidth
-        assert margin_cdf(model, lo) < 1e-6
-        assert margin_cdf(model, hi) > 1.0 - 1e-6
+        assert model.cdf(lo) < 1e-6
+        assert model.cdf(hi) > 1.0 - 1e-6
 
 
 class TestQuantile:
     def test_standard_normal_median(self):
-        assert margin_quantile(NormalMargin(0.0, 1.0), 0.5) == pytest.approx(0.0)
+        assert NormalMargin(0.0, 1.0).quantile(0.5) == pytest.approx(0.0)
 
     def test_beta_uniform_rescaled(self):
-        assert margin_quantile(BetaRescaledMargin(-2.0, 2.0, 1.0, 1.0), 0.75) == \
+        assert BetaRescaledMargin(-2.0, 2.0, 1.0, 1.0).quantile(0.75) == \
             pytest.approx(1.0)
 
     @pytest.mark.parametrize("model", all_kind_models())
     def test_cdf_round_trip(self, model):
         for p in P_GRID:
-            x = margin_quantile(model, p)
-            assert margin_cdf(model, x) == pytest.approx(p, abs=1e-6)
+            x = model.quantile(p)
+            assert model.cdf(x) == pytest.approx(p, abs=1e-6)
 
     def test_truncnorm_stays_in_support(self):
         model = TruncNormalMargin(0.3, 2.5, -1.0, 1.0)
-        qs = margin_quantile(model, P_GRID)
+        qs = model.quantile(P_GRID)
         assert np.all(qs >= -1.0)
         assert np.all(qs <= 1.0)
 
     def test_vectorized_matches_scalar(self):
         model = all_kind_models()[1]
         ps = np.array([0.1, 0.4, 0.9])
-        vec = margin_quantile(model, ps)
+        vec = model.quantile(ps)
         for p, q in zip(ps, vec):
-            assert margin_quantile(model, p) == pytest.approx(q, abs=1e-12)
+            assert model.quantile(p) == pytest.approx(q, abs=1e-12)
 
     @pytest.mark.parametrize("model", all_kind_models(),
                              ids=lambda m: m.kind.value)
@@ -135,5 +133,5 @@ class TestProperties:
         if isinstance(model, KernelMargin) and model.bandwidth <= 1e-8:
             return  # floored bandwidth makes the CDF a step function
         for p in (0.05, 0.5, 0.95):
-            x = margin_quantile(model, p)
-            assert margin_cdf(model, x) == pytest.approx(p, abs=1e-5)
+            x = model.quantile(p)
+            assert model.cdf(x) == pytest.approx(p, abs=1e-5)

@@ -1,0 +1,91 @@
+"""The benchmark's traced pass finds every copeda layer it names.
+
+``perfbench/spans.py`` wraps copeda functions and margin methods by name
+from outside the package, so a rename inside ``src/`` would silently drop
+a layer from the traced pass.  These tests read the layer tables from that
+file and check them against the package.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import copeda
+from copeda.eda import eda_run
+
+SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+pytestmark = pytest.mark.skipif(not SPANS.exists(),
+                                reason="perfbench/ is not in this checkout")
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_function_layers_resolve():
+    for layer, (module, function) in load_spans().FUNCTION_LAYERS.items():
+        target = getattr(importlib.import_module(f"copeda.{module}"),
+                         function, None)
+        assert callable(target), f"{layer}: copeda.{module}.{function}"
+
+
+def test_method_layers_resolve_on_every_margin_class():
+    from copeda.margins import (BetaRescaledMargin, KernelMargin,
+                                NormalMargin, TruncNormalMargin)
+
+    for layer, method in load_spans().METHOD_LAYERS.items():
+        for cls in (NormalMargin, KernelMargin, TruncNormalMargin,
+                    BetaRescaledMargin):
+            assert method in vars(cls), f"{layer}: {cls.__name__}.{method}"
+
+
+def test_eda_run_accepts_model_sink():
+    assert "model_sink" in inspect.signature(eda_run).parameters
+
+
+TRACED_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import spans
+from copeda.benchmarks import f_sphere
+from copeda.eda import EdaSpec, TerminationSpec, eda_run, run_rng
+
+tracer = spans.Tracer()
+spans.install(tracer)
+run = tracer.wrap("eda.run", eda_run)
+# untruncated D-vines pass every edge through copula_h, product edges too
+for algorithm in ("cveda", "dveda"):
+    spec = EdaSpec(algorithm, 40, TerminationSpec(max_gen=3),
+                   trunc_criterion="none")
+    run(spec, f_sphere, np.full(4, -5.0), np.full(4, 5.0), run_rng(1, 0),
+        model_sink=lambda gen, model: None)
+metrics, problems = tracer.summary()
+assert not problems, problems
+for layer in ("algorithms.learn", "algorithms.sample", "vines.fit",
+              "vines.sample", "copulas.h", "margins.quantile"):
+    print(layer, metrics[layer + ".calls"])
+"""
+
+
+def test_traced_pass_counts_the_vine_layers():
+    src = os.path.dirname(os.path.dirname(copeda.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(SPANS.parent)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    calls = dict(line.split() for line in done.stdout.splitlines())
+    assert len(calls) == 6
+    for layer, count in calls.items():
+        assert int(count) > 0, layer

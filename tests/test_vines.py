@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from copeda.copulas import (
     CopulaFamily,
@@ -12,13 +13,14 @@ from copeda.copulas import (
     product,
     tau_to_parameter,
 )
-from copeda.dependence import kendall_tau, kendall_tau_matrix, pseudo_observations
+from copeda import vines
+from copeda.dependence import (indep_test_cvm, kendall_tau,
+                               kendall_tau_matrix, pseudo_observations)
 from copeda.vines import (
     RVineModel,
     VineType,
     describe_vine,
     fit_vine,
-    select_cvine_order,
     select_dvine_order,
     vine_loglik,
     vine_sample,
@@ -55,10 +57,16 @@ class TestModelValidation:
             RVineModel(VineType.CVINE, (0, 1, 2), trees, 1)
 
 
+def cvine_order(U):
+    """The roots ``fit_vine`` chooses when it fits every tree."""
+    return fit_vine(U, VineType.CVINE, NORMAL_ONLY, 0.01, "none",
+                    np.random.default_rng(0)).order
+
+
 class TestCvineOrder:
     def test_root_maximizes_tau_sum(self):
         U = sample_trivariate((0.8, 0.7, 0.55), 2000, 1)
-        order = select_cvine_order(U)
+        order = cvine_order(U)
         # oracle: exhaustive sums of absolute empirical taus
         taus = np.abs(kendall_tau_matrix(U)) - np.eye(3)
         assert order[0] == int(np.argmax(taus.sum(axis=1)))
@@ -66,14 +74,14 @@ class TestCvineOrder:
 
     def test_two_variables(self):
         rng = np.random.default_rng(2)
-        assert select_cvine_order(rng.random((50, 2))) == (0, 1)
+        assert cvine_order(rng.random((50, 2))) == (0, 1)
 
     def test_tie_breaks_to_lowest_index(self):
         # perfectly exchangeable columns: all taus equal
         rng = np.random.default_rng(3)
         x = rng.random(40)
         U = np.column_stack([x, x, x])
-        assert select_cvine_order(U)[0] == 0
+        assert cvine_order(U)[0] == 0
 
 
 class TestDvineOrder:
@@ -258,3 +266,75 @@ class TestSerialization:
         assert "trunc_level=1" in text
         assert "normal(theta=0.5)" in text
         assert "tree 2: product" in text
+
+
+def regression_sample():
+    """90 rows, 5 columns: normal-copula data with non-uniform margins,
+    built without copeda so only the fitter is under test."""
+    rng = np.random.default_rng(9)
+    A = rng.standard_normal((5, 5))
+    Z = rng.standard_normal((90, 5)) @ A.T
+    U = ndtr(Z / np.sqrt((A * A).sum(axis=1)))
+    return U ** np.array([1.0, 2.0, 1.0, 0.5, 1.0])
+
+
+CVINE_EDGES = (
+    "gumbel 0x1.c94e547ef8ebap+0", "product", "normal 0x1.2dc1fd07fb1dep-1",
+    "normal -0x1.278f510e2435fp-1", "product", "clayton 0x1.e38e38e38e38ep-2",
+    "normal -0x1.9bd7e30698f6bp-1", "product", "product", "product")
+DVINE_EDGES = (
+    "normal 0x1.2dc1fd07fb1dep-1", "gumbel 0x1.c94e547ef8ebap+0", "product",
+    "frank -0x1.6f7a831f477bap+1", "product", "product",
+    "normal -0x1.079d096bddf09p-1", "clayton 0x1.e38e38e38e38ep-2",
+    "normal -0x1.777a86c7accc3p-1", "product")
+
+# p-values of the independence tests in call order, times replicates + 1:
+# they pin which permutations each edge drew
+CVINE_TESTS = (1, 100, 1, 1, 56, 1, 1, 101, 101)
+DVINE_TESTS = (1, 1, 97, 1, 100, 88, 1, 1, 1, 101)
+
+# (vine type, criterion) -> order, trunc_level, edges tree by tree,
+# vine_loglik, independence tests
+VINE_REGRESSION = {
+    ("cvine", "aic"): ((4, 1, 0, 2, 3), 2, CVINE_EDGES,
+                       "-0x1.6df2ce711ea4ap+6", CVINE_TESTS),
+    ("cvine", "bic"): ((4, 1, 0, 2, 3), 2, CVINE_EDGES,
+                       "-0x1.6df2ce711ea4ap+6", CVINE_TESTS),
+    ("cvine", "none"): ((4, 1, 2, 0, 3), 4, CVINE_EDGES,
+                        "-0x1.bc2caaf5aaa75p+6", CVINE_TESTS + (25,)),
+    ("dvine", "aic"): ((2, 4, 0, 1, 3), 3, DVINE_EDGES,
+                       "0x1.4dd6c8e11f7dfp+6", DVINE_TESTS),
+    ("dvine", "bic"): ((2, 4, 0, 1, 3), 3, DVINE_EDGES,
+                       "0x1.4dd6c8e11f7dfp+6", DVINE_TESTS),
+    ("dvine", "none"): ((2, 4, 0, 1, 3), 4, DVINE_EDGES,
+                        "0x1.4dd6c8e11f7dfp+6", DVINE_TESTS),
+}
+
+
+class TestFitRegression:
+    """Bit-exact fits on one fixed sample, so a refactor of the fitter
+    cannot change the chosen structure, a parameter or the draw order."""
+
+    @pytest.mark.parametrize("key", sorted(VINE_REGRESSION))
+    def test_fit_and_loglik_bits(self, key, monkeypatch):
+        vine_type, criterion = key
+        order, trunc_level, edges, loglik, tests = VINE_REGRESSION[key]
+        p_values = []
+
+        def recorded_test(*args, **kwargs):
+            result = indep_test_cvm(*args, **kwargs)
+            p_values.append(round(result.p_value * 101))
+            return result
+
+        monkeypatch.setattr(vines, "indep_test_cvm", recorded_test)
+        U = regression_sample()
+        model = fit_vine(U, vine_type, ALL_FAMILIES, 0.05, criterion,
+                         np.random.default_rng(99))
+        assert tuple(p_values) == tests
+        assert model.order == order
+        assert model.trunc_level == trunc_level
+        assert tuple("product" if c.family is CopulaFamily.PRODUCT
+                     else f"{c.family.value} {c.theta.hex()}"
+                     for tree in model.trees for c in tree) == edges
+        assert all(math.isnan(c.nu) for tree in model.trees for c in tree)
+        assert vine_loglik(model, U).hex() == loglik
