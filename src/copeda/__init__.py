@@ -48,6 +48,7 @@ from .vines import (
 )
 from .eda import (
     EdaSpec,
+    InputError,
     ObjectiveError,
     Population,
     RunResult,

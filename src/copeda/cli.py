@@ -12,10 +12,11 @@ import numpy as np
 
 from .algorithms import describe_search_model
 from .benchmarks import UnknownBenchmarkError, get_benchmark
-from .copulas import CopulaFamily, ParameterError, UnsupportedTauError
+from .copulas import CopulaFamily
 from .eda import (
     ALGORITHMS,
     EdaSpec,
+    InputError,
     ObjectiveError,
     RunsSummary,
     TerminationSpec,
@@ -38,12 +39,15 @@ def _read_config_file(path: str) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
+                raise InputError(f"{path}:{lineno}: expected key=value")
             key, _, val = line.partition("=")
             key = key.strip()
             if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key.replace("-", "_")] = _CONFIG_KEYS[key](val.strip())
+                raise InputError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                values[key.replace("-", "_")] = _CONFIG_KEYS[key](val.strip())
+            except ValueError as exc:
+                raise InputError(f"{path}:{lineno}: {key}: {exc}") from exc
     return values
 
 
@@ -150,16 +154,15 @@ def _resolve_experiment(cfg: _Resolved):
         target_tol=float(cfg.get("tol")),
         eval_stddev_floor=cfg.get("stddev_floor"),
     )
-    families = tuple(CopulaFamily(tok.strip())
+    families = tuple(tok.strip()
                      for tok in str(cfg.get("copula")).split(",") if tok.strip())
-    margin = cfg.get("margin")
     spec = EdaSpec(
         algorithm=cfg.get("algorithm"),
         pop_size=int(cfg.get("pop_size", 100)),
         termination=termination,
-        margin=MarginKind(margin) if margin is not None else None,
+        margin=cfg.get("margin"),
         copulas=families,
-        vine_type=VineType(cfg.get("vine")) if cfg.get("vine") else None,
+        vine_type=cfg.get("vine") or None,
         sig_level=float(cfg.get("sig_level")),
         trunc_criterion=cfg.get("trunc_criterion"),
     )
@@ -330,11 +333,11 @@ def main(argv=None, stream=None) -> int:
     args = parser.parse_args(argv)
     handlers = {"run": cmd_run, "indep-runs": cmd_indep_runs,
                 "critpop": cmd_critpop}
+    # Only bad input is a usage error (exit 2); a ValueError raised by the
+    # numerics inside a run propagates with its traceback (exit 1).
     try:
         return handlers[args.command](args, stream)
-    except (ParameterError, UnsupportedTauError, np.linalg.LinAlgError):
-        raise  # a numerical failure inside the algorithm, not a usage error
-    except (UnknownBenchmarkError, ValueError) as exc:
+    except (UnknownBenchmarkError, InputError) as exc:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2

@@ -30,6 +30,12 @@ class ObjectiveError(RuntimeError):
     """The objective returned a non-finite value."""
 
 
+class InputError(ValueError):
+    """A study was configured with values it cannot run: a bad spec, bounds,
+    run count or critical-population search, an objective that cannot be
+    sent to worker processes, or a malformed config file."""
+
+
 @dataclass
 class Population:
     """Candidate solutions and, once evaluated, their objective values."""
@@ -62,7 +68,7 @@ class TerminationSpec:
     def __post_init__(self):
         if (self.max_gen is None and self.max_evals is None
                 and self.target_eval is None and self.eval_stddev_floor is None):
-            raise ValueError("at least one termination criterion must be set")
+            raise InputError("at least one termination criterion must be set")
 
 
 ALGORITHMS = ("umda", "gceda", "cveda", "dveda", "copula-mimic")
@@ -87,22 +93,25 @@ class EdaSpec:
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}; "
+            raise InputError(f"unknown algorithm {self.algorithm!r}; "
                              f"choose from {ALGORITHMS}")
         if self.pop_size < 2:
-            raise ValueError("pop_size must be at least 2")
+            raise InputError("pop_size must be at least 2")
         if not 0.0 < self.truncation_factor <= 1.0:
-            raise ValueError("truncation_factor must be in (0, 1]")
+            raise InputError("truncation_factor must be in (0, 1]")
         if self.trunc_criterion not in ("aic", "bic", "none"):
-            raise ValueError("trunc_criterion must be aic, bic or none")
+            raise InputError("trunc_criterion must be aic, bic or none")
         if self.report not in ("none", "simple"):
-            raise ValueError("report must be none or simple")
-        if self.margin is not None:
-            object.__setattr__(self, "margin", MarginKind(self.margin))
-        object.__setattr__(self, "copulas",
-                           tuple(CopulaFamily(c) for c in self.copulas))
-        if self.vine_type is not None:
-            object.__setattr__(self, "vine_type", VineType(self.vine_type))
+            raise InputError("report must be none or simple")
+        try:
+            if self.margin is not None:
+                object.__setattr__(self, "margin", MarginKind(self.margin))
+            object.__setattr__(self, "copulas",
+                               tuple(CopulaFamily(c) for c in self.copulas))
+            if self.vine_type is not None:
+                object.__setattr__(self, "vine_type", VineType(self.vine_type))
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
 
     @property
     def effective_margin(self) -> MarginKind:
@@ -161,7 +170,7 @@ def seed_uniform(lower, upper, pop_size: int,
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     if lower.shape != upper.shape or np.any(lower >= upper):
-        raise ValueError("need lower < upper in every coordinate")
+        raise InputError("need lower < upper in every coordinate")
     sols = rng.uniform(lower, upper, size=(pop_size, lower.size))
     return Population(sols)
 
@@ -278,13 +287,13 @@ def eda_indep_runs(spec: EdaSpec, f, lower, upper, runs: int,
                    ) -> tuple[list[RunResult], RunsSummary]:
     """Independent replications with per-run streams derived from the seed."""
     if runs < 1:
-        raise ValueError("runs must be >= 1")
+        raise InputError("runs must be >= 1")
     tasks = [(spec, f, lower, upper, base_seed, i) for i in range(runs)]
     if jobs > 1:
         try:
             pickle.dumps(tasks[0])
         except (pickle.PicklingError, AttributeError, TypeError) as exc:
-            raise ValueError(
+            raise InputError(
                 f"jobs={jobs} sends the objective to worker processes, so it "
                 "must be picklable (a module-level function, not a lambda or "
                 f"closure): {exc}") from exc
@@ -356,9 +365,9 @@ def critical_pop_size(spec: EdaSpec, f, lower, upper, target: float,
     receives (size, successes, attempted) after each probe.
     """
     if not lower_pop < upper_pop:
-        raise ValueError("need lower_pop < upper_pop")
+        raise InputError("need lower_pop < upper_pop")
     if success_runs > total_runs:
-        raise ValueError("success_runs cannot exceed total_runs")
+        raise InputError("success_runs cannot exceed total_runs")
 
     cache: dict[int, bool] = {}
 

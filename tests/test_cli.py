@@ -211,6 +211,16 @@ class TestConfigFile:
         status, _ = run_cli(["run", "--config", str(cfg)])
         assert status == 2
 
+    @pytest.mark.parametrize("line", ["dim=ten", "copula=normal,joe",
+                                      "margin=uniform", "vine=rvine",
+                                      "just-a-word"])
+    def test_bad_value_is_a_usage_error(self, tmp_path, line, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"function=sphere\n{line}\n")
+        status, _ = run_cli(["run", "--config", str(cfg), "--max-gen", "2"])
+        assert status == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestEntryPoint:
     def test_module_invocation(self):
@@ -238,4 +248,18 @@ class TestEntryPoint:
         proc = run_python("-c", script, "run", *FAST_RUN)
         assert proc.returncode == 1
         assert f"{error}: theta outside the family domain" in proc.stderr
+        assert "Traceback" in proc.stderr
+
+    def test_value_error_inside_a_run_is_not_a_usage_error(self):
+        # only InputError (bad configuration) maps to exit 2
+        script = (
+            "import sys\n"
+            "import copeda.cli as cli\n"
+            "def failing_run(*args, **kwargs):\n"
+            "    raise ValueError('array must not contain infs or NaNs')\n"
+            "cli.eda_run = failing_run\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+        proc = run_python("-c", script, "run", *FAST_RUN)
+        assert proc.returncode == 1
+        assert "ValueError: array must not contain infs or NaNs" in proc.stderr
         assert "Traceback" in proc.stderr

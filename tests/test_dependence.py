@@ -16,6 +16,7 @@ from copeda.copulas import (
     normal,
     product,
 )
+from copeda import dependence
 from copeda.dependence import (
     TAU_SIGN_MAX_M,
     DegenerateDataWarning,
@@ -378,3 +379,31 @@ class TestMakePositiveDefinite:
             np.linalg.cholesky(fixed)
             repaired += 1
         assert repaired == 100
+
+
+class TestPositiveDefiniteFallback:
+    # a floor below every eigenvalue makes each eigenvalue pass a no-op, so
+    # only the shrink toward the identity can repair the matrix
+    R = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
+
+    def test_shrinks_toward_identity(self, monkeypatch):
+        monkeypatch.setattr(dependence, "EIG_FLOOR", -np.inf)
+        fixed = make_positive_definite(self.R)
+        np.linalg.cholesky(fixed)
+        assert np.array_equal(np.diag(fixed), np.ones(3))
+        assert np.array_equal(fixed, fixed.T)
+        weight = 1.0 - fixed[0, 1] / self.R[0, 1]
+        assert 0.0 < weight < 1.0
+        assert np.allclose(fixed, (1.0 - weight) * self.R + weight * np.eye(3),
+                           rtol=0.0, atol=1e-15)
+        # the smallest weight a = 2^-k that factorizes, not a larger one
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky((1.0 - weight / 2.0) * self.R
+                               + weight / 2.0 * np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, bad):
+        R = np.eye(3)
+        R[0, 2] = R[2, 0] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            make_positive_definite(R)

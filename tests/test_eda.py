@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from copeda.benchmarks import f_sphere
 from copeda.eda import (
     EdaSpec,
+    InputError,
     ObjectiveError,
     Population,
     TerminationSpec,
@@ -290,6 +291,41 @@ class TestCriticalPopSize:
         assert found is not None
         assert 4 <= found <= 16
         assert trace[0][0] == 16  # upper bound probed first
+
+
+class TestInputError:
+    """Every check on a study's configuration raises the one typed error."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: EdaSpec("nope", 30, TerminationSpec(max_gen=5)),
+        lambda: EdaSpec("umda", 1, TerminationSpec(max_gen=5)),
+        lambda: EdaSpec("umda", 30, TerminationSpec(max_gen=5),
+                        truncation_factor=0.0),
+        lambda: EdaSpec("umda", 30, TerminationSpec(max_gen=5),
+                        trunc_criterion="aicc"),
+        lambda: EdaSpec("umda", 30, TerminationSpec(max_gen=5), report="all"),
+        lambda: EdaSpec("gceda", 30, TerminationSpec(max_gen=5),
+                        margin="uniform"),
+        lambda: EdaSpec("cveda", 30, TerminationSpec(max_gen=5),
+                        copulas=("joe",)),
+        lambda: EdaSpec("cveda", 30, TerminationSpec(max_gen=5),
+                        vine_type="rvine"),
+        lambda: TerminationSpec(),
+        lambda: seed_uniform([1.0], [1.0], 5, np.random.default_rng(0)),
+        lambda: eda_indep_runs(umda_spec(max_gen=2), f_sphere, [-1.0], [1.0],
+                               runs=0),
+        lambda: critical_pop_size(umda_spec(max_gen=2), f_sphere, [-1.0],
+                                  [1.0], 0.0, 1e-6, 20, 10),
+        lambda: critical_pop_size(umda_spec(max_gen=2), f_sphere, [-1.0],
+                                  [1.0], 0.0, 1e-6, 10, 20, total_runs=5,
+                                  success_runs=6),
+    ])
+    def test_raised_by_input_checks(self, build):
+        with pytest.raises(InputError):
+            build()
+
+    def test_is_a_value_error(self):
+        assert issubclass(InputError, ValueError)
 
 
 class TestDeterminismAcrossConfigs:

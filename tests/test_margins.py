@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
+
+from copeda import margins
 from copeda.margins import (
     BetaRescaledMargin,
     KernelMargin,
@@ -13,6 +16,7 @@ from copeda.margins import (
 )
 
 P_GRID = np.arange(0.01, 1.0, 0.01)
+TAIL_GRID = np.concatenate([np.logspace(-2, -11, 40), 1.0 - np.logspace(-2, -11, 40)])
 
 
 def all_kind_models():
@@ -135,3 +139,110 @@ class TestProperties:
         for p in (0.05, 0.5, 0.95):
             x = model.quantile(p)
             assert model.cdf(x) == pytest.approx(p, abs=1e-5)
+
+
+def bisection_quantile(model, p):
+    """Reference: 44 bisection steps on the kernel CDF over [min - 4h, max + 4h]."""
+    p = np.clip(np.asarray(p, float), 1e-12, 1.0 - 1e-12)
+    lo = np.full(p.shape, model.sample.min() - 4.0 * model.bandwidth)
+    hi = np.full(p.shape, model.sample.max() + 4.0 * model.bandwidth)
+    for _ in range(44):
+        mid = 0.5 * (lo + hi)
+        low_side = model.cdf(mid) < p
+        lo = np.where(low_side, mid, lo)
+        hi = np.where(low_side, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def assert_as_accurate_as_bisection(model, ps):
+    ps = np.asarray(ps, float)
+    target = np.clip(ps, 1e-12, 1.0 - 1e-12)
+    newton = np.abs(model.cdf(model.quantile(ps)) - target)
+    bisect = np.abs(model.cdf(bisection_quantile(model, ps)) - target)
+    assert np.all(newton <= bisect + 1e-12)
+
+
+def kernel(sample):
+    return fit_margin(MarginKind.KERNEL, sample, -1e4, 1e4)
+
+
+class TestKernelQuantile:
+    def test_grid_as_accurate_as_bisection(self):
+        model = all_kind_models()[1]
+        assert_as_accurate_as_bisection(model, P_GRID)
+        assert_as_accurate_as_bisection(model, TAIL_GRID)
+
+    def test_tail_clamps_are_the_support_ends(self):
+        model = all_kind_models()[1]
+        h = model.bandwidth
+        assert model.quantile(1e-12) == model.sample.min() - 4.0 * h
+        assert model.quantile(1.0 - 1e-12) == model.sample.max() + 4.0 * h
+        assert model.quantile(0.0) == model.sample.min() - 4.0 * h
+        assert model.quantile(1.0) == model.sample.max() + 4.0 * h
+
+    def test_floored_bandwidth_constant_sample(self):
+        model = kernel([5.0, 5.0, 5.0])
+        assert model.bandwidth == 1e-8
+        assert model.quantile(0.5) == 5.0
+        qs = model.quantile(P_GRID)
+        assert np.all((qs >= 5.0 - 4e-8) & (qs <= 5.0 + 4e-8))
+        assert np.all(np.diff(qs) >= 0.0)
+        assert_as_accurate_as_bisection(model, P_GRID)
+
+    def test_two_far_apart_clusters(self):
+        # Both quartiles fall in the big cluster, so h is about 0.4 and the
+        # CDF is flat at 5/6 across the gap, where the density underflows.
+        rng = np.random.default_rng(7)
+        model = kernel(np.concatenate([rng.normal(0.0, 1.0, 50),
+                                       rng.normal(1000.0, 1.0, 10)]))
+        assert model.bandwidth < 1.0
+        gap = model.cdf(500.0)
+        ps = np.concatenate([P_GRID, [gap, gap - 1e-9, gap + 1e-9]])
+        assert_as_accurate_as_bisection(model, ps)
+        qs = model.quantile(P_GRID)
+        assert np.all(np.diff(qs) >= 0.0)
+        assert np.all(qs[P_GRID < 0.83] < 10.0)
+        assert np.all(qs[P_GRID > 0.84] > 990.0)
+
+    def test_ends_at_the_rounding_level_of_the_cdf(self, monkeypatch):
+        # Near p = 1 the residual cannot fall below F's rounding error, and
+        # with a small density Newton's step there exceeds the x tolerance.
+        model = kernel(np.random.default_rng(0).normal(0.0, 30.0, 60))
+        calls = []
+        ndtr = special.ndtr
+
+        def counting_ndtr(z):
+            calls.append(np.shape(z))
+            return ndtr(z)
+
+        monkeypatch.setattr(special, "ndtr", counting_ndtr)
+        qs = model.quantile(TAIL_GRID)
+        monkeypatch.undo()
+        assert len(calls) <= 20  # one CDF at the knots, then the iterations
+        assert len(calls) < margins._NEWTON_MAX_ITER
+        assert_as_accurate_as_bisection(model, TAIL_GRID)
+        assert np.array_equal(qs, model.quantile(TAIL_GRID))
+
+    def test_shapes(self):
+        model = all_kind_models()[1]
+        ps = np.array([[1e-13, 0.3], [0.7, 1.0 - 1e-13]])
+        qs = model.quantile(ps)
+        assert qs.shape == (2, 2)
+        for p, q in zip(ps.flat, qs.flat):
+            assert model.quantile(float(p)) == q
+        single = model.quantile(np.array([0.3]))
+        assert single.shape == (1,) and single[0] == model.quantile(0.3)
+        assert model.quantile(np.empty((0, 3))).shape == (0, 3)
+
+    @pytest.mark.parametrize("model", all_kind_models(),
+                             ids=lambda m: m.kind.value)
+    def test_nan_probability_gives_nan(self, model):
+        assert math.isnan(model.quantile(float("nan")))
+        qs = model.quantile(np.array([0.3, np.nan]))
+        assert qs[0] == model.quantile(0.3) and np.isnan(qs[1])
+
+    @given(st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=40),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    @settings(max_examples=80, deadline=None)
+    def test_random_samples_as_accurate_as_bisection(self, data, ps):
+        assert_as_accurate_as_bisection(kernel(np.asarray(data)), ps)
