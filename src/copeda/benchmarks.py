@@ -8,21 +8,38 @@ from typing import Callable
 import numpy as np
 
 
-def f_sphere(x) -> float:
-    """Sum of squares; global minimum 0 at the origin."""
-    x = np.asarray(x, dtype=float)
-    return float(np.dot(x, x))
+def _batch_result(values):
+    """A float for one point, the ``(m,)`` array for a population."""
+    return float(values) if values.ndim == 0 else values
 
 
-def f_summation_cancellation(x) -> float:
+def f_sphere(x):
+    """Sum of squares; global minimum 0 at the origin.
+
+    Batched: a row-vector times column-vector product runs each row through
+    the same dot kernel as ``np.dot(x, x)``, so every row's value is the
+    one-point value bit for bit (``np.sum(x * x, -1)`` is not).  The kernel
+    sums a strided row in another order, hence the contiguous copy.
+    """
+    x = np.ascontiguousarray(x, dtype=float)
+    return _batch_result((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+
+
+def f_summation_cancellation(x):
     """Prefix-sum cancellation objective, stored negated for minimization.
 
     With y_1 = x_1 and y_i = y_{i-1} + x_i the value is
     -1 / (1e-5 + sum |y_i|); the global minimum is -1e5 at the origin.
+    Batched over the last axis; contiguous rows keep each row's sum in the
+    one-point summation order whatever the input's memory layout.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.cumsum(x)
-    return float(-1.0 / (1e-5 + np.sum(np.abs(y))))
+    x = np.ascontiguousarray(x, dtype=float)
+    y = np.cumsum(x, axis=-1)
+    return _batch_result(-1.0 / (1e-5 + np.sum(np.abs(y), axis=-1)))
+
+
+f_sphere.batched = True
+f_summation_cancellation.batched = True
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,8 @@ REPORT_HEADER = (f"{'Generation':>12} {'Minimum':>12} "
 
 
 class ObjectiveError(RuntimeError):
-    """The objective returned a non-finite value."""
+    """The objective returned a non-finite value, or a batched objective
+    returned a result whose shape is not one value per population row."""
 
 
 class InputError(ValueError):
@@ -140,7 +141,7 @@ class RunResult:
     f_evals: int
     best_sol: np.ndarray
     best_eval: float
-    cpu_time: float
+    cpu_time: float  # process CPU seconds of the run (time.process_time)
 
 
 @dataclass(frozen=True)
@@ -202,12 +203,30 @@ def terminate_check(term: TerminationSpec, *, gen: int, evals: int,
 
 
 def evaluate_objective(f, solutions: np.ndarray) -> np.ndarray:
-    values = np.empty(solutions.shape[0])
-    for i, row in enumerate(solutions):
-        values[i] = f(row)
-        if not np.isfinite(values[i]):
+    """Objective values of the ``(m, n)`` population, one per row.
+
+    An objective with the attribute ``batched = True`` is called once on
+    the whole population and must return shape ``(m,)`` whose row i equals
+    ``f(solutions[i])`` bit for bit; any other objective is called once per
+    row.  Raises ``ObjectiveError`` on a wrong-shape batched result or a
+    non-finite value, naming the first row that has one.
+    """
+    m = solutions.shape[0]
+    if getattr(f, "batched", False):
+        values = np.asarray(f(solutions), dtype=float)
+        if values.shape != (m,):
             raise ObjectiveError(
-                f"objective returned {values[i]} at point {row.tolist()}")
+                f"batched objective returned shape {values.shape} for "
+                f"{m} points; expected ({m},)")
+    else:
+        values = np.empty(m)
+        for i, row in enumerate(solutions):
+            values[i] = f(row)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = bad[0]
+        raise ObjectiveError(f"objective returned {values[i]} at point "
+                             f"{solutions[i].tolist()}")
     return values
 
 
@@ -220,12 +239,13 @@ def _report_line(stream, gen: int, evaluations: np.ndarray):
 
 def eda_run(spec: EdaSpec, f, lower, upper, rng: np.random.Generator,
             report_stream=None, model_sink=None) -> RunResult:
-    """One optimization run; returns generations, evaluations, best and time."""
+    """One optimization run; returns generations, evaluations, best and the
+    run's process CPU time."""
     from .algorithms import learn_model, sample_model
 
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    start = time.perf_counter()
+    start = time.process_time()
     stream = report_stream if report_stream is not None else sys.stdout
     reporting = spec.report == "simple"
 
@@ -265,7 +285,7 @@ def eda_run(spec: EdaSpec, f, lower, upper, rng: np.random.Generator,
             _report_line(stream, gen, evals)
 
     return RunResult(gen, f_evals, best_sol, best_eval,
-                     time.perf_counter() - start)
+                     time.process_time() - start)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from copeda.benchmarks import (
     REGISTRY,
@@ -67,3 +70,58 @@ class TestRegistry:
     def test_functions_are_registered_callables(self):
         for spec in REGISTRY.values():
             assert spec.func(np.zeros(3)) == pytest.approx(spec.target_eval)
+
+
+def sphere_point(x):
+    return float(np.dot(x, x))
+
+
+def summation_cancellation_point(x):
+    return float(-1.0 / (1e-5 + np.sum(np.abs(np.cumsum(x)))))
+
+
+# the one-point formulas the study results were recorded with
+ONE_POINT = {f_sphere: sphere_point,
+             f_summation_cancellation: summation_cancellation_point}
+# each registry objective on its default box and on [-300, 900]
+BATCH_CASES = [(f_sphere, -600.0, 600.0), (f_sphere, -300.0, 900.0),
+               (f_summation_cancellation, -0.16, 0.16),
+               (f_summation_cancellation, -300.0, 900.0)]
+
+
+class TestBatched:
+    @pytest.mark.parametrize("f, lower, upper", BATCH_CASES)
+    @given(data=st.data(), m=st.integers(1, 40), n=st.integers(1, 30),
+           fortran=st.booleans())
+    @example(data=None, m=1, n=1, fortran=False)
+    @example(data=None, m=1, n=10, fortran=True)
+    @example(data=None, m=25, n=1, fortran=False)
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_one_point_values_bitwise(self, f, lower, upper,
+                                                 data, m, n, fortran):
+        if data is None:
+            X = np.random.default_rng(m * 100 + n).uniform(lower, upper,
+                                                           (m, n))
+        else:
+            X = data.draw(hnp.arrays(np.float64, (m, n),
+                                     elements=st.floats(lower, upper)))
+        if fortran:
+            X = np.asfortranarray(X)
+        batch = f(X)
+        assert isinstance(batch, np.ndarray) and batch.shape == (m,)
+        rows = [f(X[i]) for i in range(m)]
+        assert all(isinstance(v, float) for v in rows)
+        assert [v.hex() for v in batch.tolist()] == [v.hex() for v in rows]
+        reference = [ONE_POINT[f](np.array(X[i])) for i in range(m)]
+        assert [v.hex() for v in rows] == [v.hex() for v in reference]
+
+    def test_registry_objectives_are_batched(self):
+        for spec in REGISTRY.values():
+            assert spec.func.batched is True
+
+    def test_wraps_keeps_batched(self):
+        @functools.wraps(f_sphere)
+        def traced(*args, **kwargs):
+            return f_sphere(*args, **kwargs)
+
+        assert traced.batched is True

@@ -1,5 +1,6 @@
 import io
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from copeda.eda import (
     critical_pop_size,
     eda_indep_runs,
     eda_run,
+    evaluate_objective,
     run_rng,
     seed_uniform,
     select_truncation,
@@ -175,6 +177,74 @@ class TestEdaRun:
 
         with pytest.raises(ObjectiveError, match="point"):
             eda_run(spec, bad, [0.0], [1.0], run_rng(0, 0))
+
+
+class TestEvaluateObjective:
+    X = np.arange(12.0).reshape(4, 3)
+
+    @staticmethod
+    def batched(fn):
+        fn.batched = True
+        return fn
+
+    def test_batched_objective_called_once(self):
+        calls = []
+
+        @self.batched
+        def f(X):
+            calls.append(X.shape)
+            return f_sphere(X)
+
+        values = evaluate_objective(f, self.X)
+        assert calls == [(4, 3)]
+        assert values.tolist() == [f_sphere(row) for row in self.X]
+
+    def test_scalar_objective_called_once_per_row(self):
+        calls = []
+        values = evaluate_objective(lambda x: calls.append(x) or 1.0, self.X)
+        assert len(calls) == 4
+        assert values.tolist() == [1.0] * 4
+
+    @pytest.mark.parametrize("result", [
+        np.zeros((4, 1)), np.zeros(3), np.zeros(5), 0.0, np.zeros((1, 4))])
+    def test_batched_wrong_shape(self, result):
+        f = self.batched(lambda X: result)
+        with pytest.raises(ObjectiveError, match=r"shape .*expected \(4,\)"):
+            evaluate_objective(f, self.X)
+
+    @pytest.mark.parametrize("is_batched", [True, False])
+    def test_non_finite_names_first_bad_row(self, is_batched):
+        values = [1.0, 2.0, float("inf"), float("nan")]
+
+        def f(X):
+            if X.ndim == 2:
+                return np.array(values)
+            return values[int(X[0]) // 3]
+
+        f.batched = is_batched
+        with pytest.raises(ObjectiveError) as info:
+            evaluate_objective(f, self.X)
+        assert str(info.value) == "objective returned inf at point [6.0, 7.0, 8.0]"
+
+
+class TestCpuTime:
+    def test_sleeping_objective_is_not_cpu_time(self):
+        # 20 rows sleeping 1 ms each: about 20 ms of wall time and no CPU
+        spec = umda_spec(pop_size=10, max_gen=2)
+
+        def sleepy(x):
+            time.sleep(0.001)
+            return f_sphere(x)
+
+        # BLAS worker threads spin for ~0.1 s of CPU after a matrix product
+        # of an earlier test; let them go idle so only the run is counted
+        time.sleep(0.25)
+        start = time.perf_counter()
+        result = eda_run(spec, sleepy, [-1.0] * 2, [1.0] * 2, run_rng(3, 3))
+        wall = time.perf_counter() - start
+        assert result.f_evals == 20
+        assert wall >= 0.02
+        assert result.cpu_time < wall - 0.01
 
 
 class TestIndepRuns:
