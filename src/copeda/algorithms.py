@@ -3,21 +3,23 @@
 UMDA couples fitted margins with the product copula, GCEDA with a
 multivariate normal copula whose correlation matrix comes from pairwise tau
 inversion plus positive-definite repair, CVEDA/DVEDA with a fitted vine,
-and the copula-chain variant of MIMIC with bivariate copulas along a
-greedily chosen permutation ordered by copula-entropy mutual information.
+and the copula-chain variant of MIMIC with closed-form ML normal or
+Brent-refined Frank bivariate copulas along a greedily chosen permutation
+ordered by copula-entropy mutual information.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 from scipy.optimize import minimize_scalar
 
 from .copulas import (
-    RHO_MAX,
     FRANK_THETA_MAX,
+    INTERIOR_EPS,
+    RHO_MAX,
     BivariateCopula,
     CopulaFamily,
     clip_tau,
@@ -40,17 +42,37 @@ from .margins import MarginKind, MarginModel, fit_margin
 from .vines import RVineModel, describe_vine, fit_vine, vine_sample
 
 
-def _ml_refine(family: CopulaFamily, start: BivariateCopula,
-               U2: np.ndarray) -> BivariateCopula:
-    """Bounded 1-D likelihood search; a failed search keeps the moment fit."""
-    if family is CopulaFamily.NORMAL:
-        bounds = (-RHO_MAX, RHO_MAX)
-        make = normal
-    else:
-        bounds = (-FRANK_THETA_MAX, FRANK_THETA_MAX)
+def _normal_ml_rho(U: np.ndarray) -> np.ndarray:
+    """ML normal-copula rho of every column pair of U, zero diagonal.
 
-        def make(theta):
-            return frank(theta) if abs(theta) > 1e-8 else product()
+    With x, y the ``ndtri`` of the interior-clipped columns, C = sum(xy) and
+    S = sum(x^2 + y^2), the likelihood's stationary points are the roots of
+    -m r^3 + C r^2 + (m - S) r + C (>= 0 at -1, <= 0 at 1).  One Gram matrix
+    gives every C and S, batched companion ``eigvals`` every root, and the
+    clipped real part with the highest likelihood wins.
+    """
+    m, n = U.shape
+    Z = special.ndtri(np.clip(U, INTERIOR_EPS, 1.0 - INTERIOR_EPS))
+    G = Z.T @ Z
+    i, j = np.tril_indices(n, -1)
+    C, S = G[i, j][:, None], (G[i, i] + G[j, j])[:, None]
+    companion = np.zeros((C.size, 3, 3))
+    companion[:, 0] = np.hstack([C, m - S, C]) / m
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    r = np.clip(np.linalg.eigvals(companion).real, -RHO_MAX, RHO_MAX)
+    loglik = (-0.5 * m * np.log1p(-r * r)
+              + (2.0 * r * C - r * r * S) / (2.0 * (1.0 - r * r)))
+    rho = np.zeros((n, n))
+    rho[i, j] = rho[j, i] = r[np.arange(C.size), np.argmax(loglik, axis=1)]
+    return rho
+
+
+def _ml_refine(start: BivariateCopula, U2: np.ndarray) -> BivariateCopula:
+    """Bounded 1-D Frank likelihood search; a failed search keeps the
+    moment fit."""
+
+    def make(theta):
+        return frank(theta) if abs(theta) > 1e-8 else product()
 
     def negloglik(param):
         try:
@@ -59,8 +81,9 @@ def _ml_refine(family: CopulaFamily, start: BivariateCopula,
             return np.inf
 
     try:
-        res = minimize_scalar(negloglik, bounds=bounds, method="bounded",
-                              options={"xatol": 1e-6})
+        res = minimize_scalar(negloglik,
+                              bounds=(-FRANK_THETA_MAX, FRANK_THETA_MAX),
+                              method="bounded", options={"xatol": 1e-6})
         if res.success and np.isfinite(res.fun):
             return make(float(res.x))
     except (ValueError, FloatingPointError):
@@ -188,28 +211,27 @@ class ChainDependence:
     def learn(cls, spec, X, margins, rng):
         """Chain structure over margin-CDF transforms of the selected rows.
 
-        Every pair copula is moment-fitted then refined by maximum
-        likelihood; pairwise mutual information comes from the copula
-        entropy (closed form for normal copulas, Monte Carlo otherwise).
+        Normal links are ``_normal_ml_rho`` with mutual information
+        -log(1 - rho^2)/2 and draw nothing from ``rng``; Frank links are a
+        tau start refined by a bounded Brent likelihood search, with a
+        Monte-Carlo copula-entropy mutual information.
         """
-        family = CopulaFamily(spec.copulas[0])
-        if family not in (CopulaFamily.NORMAL, CopulaFamily.FRANK):
-            raise ValueError(
-                "the chain algorithm supports normal or frank copulas")
         n = X.shape[1]
         U = np.column_stack([margins[j].cdf(X[:, j]) for j in range(n)])
+        if spec.copulas[0] is CopulaFamily.NORMAL:
+            rho = _normal_ml_rho(U)
+            perm = chain_permutation(-0.5 * np.log1p(-rho * rho))
+            return cls(perm, tuple(normal(float(rho[a, b]))
+                                   for a, b in zip(perm, perm[1:])))
         taus = kendall_tau_matrix(X)
         pair: dict[tuple[int, int], BivariateCopula] = {}
         mi = np.zeros((n, n))
         for i in range(1, n):
             for j in range(i):
                 tau = clip_tau(taus[i, j])
-                if family is CopulaFamily.NORMAL:
-                    start = normal(math.sin(math.pi * tau / 2.0))
-                else:
-                    start = (tau_to_parameter(CopulaFamily.FRANK, tau)
-                             if tau != 0.0 else frank(1e-4))
-                cop = _ml_refine(family, start, U[:, [i, j]])
+                start = (tau_to_parameter(CopulaFamily.FRANK, tau)
+                         if tau != 0.0 else frank(1e-4))
+                cop = _ml_refine(start, U[:, [i, j]])
                 mi[i, j] = mi[j, i] = copula_mutual_information(
                     cop, rng, samples=spec.mi_samples)
                 pair[(i, j)] = pair[(j, i)] = cop

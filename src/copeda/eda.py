@@ -113,6 +113,10 @@ class EdaSpec:
                 object.__setattr__(self, "vine_type", VineType(self.vine_type))
         except ValueError as exc:
             raise InputError(str(exc)) from exc
+        if self.algorithm == "copula-mimic" and self.copulas not in (
+                (CopulaFamily.NORMAL,), (CopulaFamily.FRANK,)):
+            raise InputError("copula-mimic takes exactly one copula family, "
+                             "normal or frank")
 
     @property
     def effective_margin(self) -> MarginKind:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
+from scipy.optimize import minimize_scalar
 
 from copeda.algorithms import (
     ChainDependence,
@@ -10,12 +12,20 @@ from copeda.algorithms import (
     ProductDependence,
     SearchModel,
     VineDependence,
+    _normal_ml_rho,
     chain_permutation,
     describe_search_model,
     learn_model,
     sample_model,
 )
-from copeda.copulas import CopulaFamily, clayton, student
+from copeda.copulas import (
+    RHO_MAX,
+    CopulaFamily,
+    clayton,
+    copula_loglik,
+    normal,
+    student,
+)
 from copeda.dependence import kendall_tau
 from copeda.eda import EdaSpec, Population, TerminationSpec, run_rng
 from copeda.margins import MarginKind, NormalMargin
@@ -284,6 +294,106 @@ class TestCopulaMimic:
         expected_tau = 2 * math.asin(0.8) / math.pi
         assert kendall_tau(out[:, 0], out[:, 1]) == pytest.approx(
             expected_tau, abs=0.06)
+
+
+def normal_pair(rho, m, seed, scale=1.0):
+    """(m, 2) margin-CDF values of a normal pair; scale != 1 makes the
+    margins wrong, so S differs from 2m."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((m, 2)) @ np.linalg.cholesky(
+        [[1.0, rho], [rho, 1.0]]).T
+    return special.ndtr(scale * z)
+
+
+def grid_max_loglik(U2, points=4001):
+    return max(copula_loglik(normal(r), U2)
+               for r in np.linspace(-RHO_MAX, RHO_MAX, points))
+
+
+def brent_rho(U2):
+    res = minimize_scalar(lambda r: -copula_loglik(normal(r), U2),
+                          bounds=(-RHO_MAX, RHO_MAX), method="bounded",
+                          options={"xatol": 1e-6})
+    return res.x
+
+
+def assert_admissible_max(U2, rho):
+    assert np.isfinite(rho) and -RHO_MAX <= rho <= RHO_MAX
+    best = copula_loglik(normal(rho), U2)
+    grid = grid_max_loglik(U2)
+    assert np.isfinite(best)
+    assert best >= grid - 1e-9 * max(1.0, abs(grid))
+
+
+class TestNormalClosedForm:
+    """The chain's normal links: one closed-form ML fit for every pair."""
+
+    @pytest.mark.parametrize("rho,m,seed,scale", [
+        (0.0, 52, 1, 1.0), (0.5, 52, 2, 1.0), (-0.8, 52, 3, 0.7),
+        (0.95, 30, 4, 1.4), (-0.999, 52, 5, 1.0), (0.3, 8, 6, 2.5),
+        (0.7, 500, 7, 0.4)])
+    def test_maximises_loglik_on_a_grid(self, rho, m, seed, scale):
+        U2 = normal_pair(rho, m, seed, scale)
+        assert_admissible_max(U2, _normal_ml_rho(U2)[1, 0])
+
+    def test_agrees_with_brent(self):
+        rng = np.random.default_rng(40)
+        for seed in range(60):
+            U2 = normal_pair(rng.uniform(-0.99, 0.99), 52, 100 + seed,
+                             rng.uniform(0.5, 1.5))
+            assert _normal_ml_rho(U2)[1, 0] == pytest.approx(
+                brent_rho(U2), abs=1e-6)
+
+    def test_every_pair_of_a_matrix(self):
+        U = special.ndtr(mvn_population(4, 0.6, 52, 41).solutions)
+        rho = _normal_ml_rho(U)
+        assert np.array_equal(rho, rho.T)
+        assert np.all(np.diag(rho) == 0.0)
+        for i, j in itertools.combinations(range(4), 2):
+            assert rho[i, j] == _normal_ml_rho(U[:, [i, j]])[1, 0]
+
+    def test_two_rows(self):
+        U2 = np.array([[0.2, 0.3], [0.9, 0.6]])
+        assert_admissible_max(U2, _normal_ml_rho(U2)[1, 0])
+
+    @pytest.mark.parametrize("x", [[0.3, 0.8, 0.6, 0.1],
+                                   [1e-6, 1 - 1e-6, 0.5, 1e-5]])
+    def test_zero_cross_product(self, x):
+        # v = 1/2 gives y = 0 exactly, so C = 0; the second sample has
+        # S > m, where the only real root is 0
+        U2 = np.column_stack([x, np.full(4, 0.5)])
+        assert_admissible_max(U2, _normal_ml_rho(U2)[1, 0])
+
+    def test_identical_columns(self):
+        u = normal_pair(0.0, 52, 42)[:, 0]
+        assert _normal_ml_rho(np.column_stack([u, u]))[1, 0] == RHO_MAX
+
+    def test_antithetic_columns(self):
+        u = normal_pair(0.0, 52, 43)[:, 0]
+        assert _normal_ml_rho(np.column_stack([u, 1.0 - u]))[1, 0] == -RHO_MAX
+
+    def test_boundary_values_are_clipped(self):
+        U2 = normal_pair(0.6, 52, 44)
+        U2[:3, 0] = 0.0
+        U2[3:6, 1] = 1.0
+        U2[6, :] = (0.0, 1.0)
+        rho = _normal_ml_rho(U2)[1, 0]
+        assert_admissible_max(U2, rho)
+        assert rho == _normal_ml_rho(np.clip(U2, 1e-10, 1 - 1e-10))[1, 0]
+
+    def test_learning_a_normal_chain_draws_nothing(self):
+        pop = mvn_population(4, 0.5, 60, 45)
+        rng = np.random.default_rng(46)
+        state = rng.bit_generator.state
+        model = learn_model(make_spec("copula-mimic"), pop, np.full(4, -10.0),
+                            np.full(4, 10.0), rng)
+        assert rng.bit_generator.state == state
+        dep = model.dependence
+        U = np.column_stack([m.cdf(pop.solutions[:, j])
+                             for j, m in enumerate(model.margins)])
+        rho = _normal_ml_rho(U)
+        assert [c.theta for c in dep.copulas] == [
+            rho[a, b] for a, b in zip(dep.perm, dep.perm[1:])]
 
 
 class TestDispatchAndIntrospection:

@@ -234,6 +234,15 @@ class TestEntryPoint:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: need lower < upper")
 
+    @pytest.mark.parametrize("copulas", ["clayton", "normal,frank"])
+    def test_chain_copula_family_checked_before_the_run(self, copulas):
+        proc = run_python("-m", "copeda.cli", "run", *FAST_RUN,
+                          "--algorithm", "copula-mimic", "--copula", copulas)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: copula-mimic takes exactly one copula "
+                               "family, normal or frank\n")
+
     @pytest.mark.parametrize("error", ["ParameterError", "UnsupportedTauError"])
     def test_numerical_failure_is_not_a_usage_error(self, error):
         # the copula layer raising mid-run must not read as exit 2

@@ -380,6 +380,12 @@ class TestInputError:
                         copulas=("joe",)),
         lambda: EdaSpec("cveda", 30, TerminationSpec(max_gen=5),
                         vine_type="rvine"),
+        lambda: EdaSpec("copula-mimic", 30, TerminationSpec(max_gen=5),
+                        copulas=("clayton",)),
+        lambda: EdaSpec("copula-mimic", 30, TerminationSpec(max_gen=5),
+                        copulas=("normal", "frank")),
+        lambda: EdaSpec("copula-mimic", 30, TerminationSpec(max_gen=5),
+                        copulas=()),
         lambda: TerminationSpec(),
         lambda: seed_uniform([1.0], [1.0], 5, np.random.default_rng(0)),
         lambda: eda_indep_runs(umda_spec(max_gen=2), f_sphere, [-1.0], [1.0],
