@@ -6,11 +6,9 @@ from .copulas import (
     ParameterError,
     UnsupportedTauError,
     clayton,
-    clip_tau,
     copula_cdf,
     copula_h,
     copula_hinv,
-    copula_logpdf,
     copula_loglik,
     copula_pdf,
     copula_sample,
@@ -24,10 +22,9 @@ from .copulas import (
     student,
     tau_to_parameter,
 )
-from .margins import MarginKind, MarginModel, fit_margin
+from .margins import MarginKind, fit_margin
 from .dependence import (
     DegenerateDataWarning,
-    IndepTestResult,
     copula_mutual_information,
     empirical_copula_at,
     gof_select_copula,
@@ -52,7 +49,6 @@ from .eda import (
     ObjectiveError,
     Population,
     RunResult,
-    RunsSummary,
     TerminationSpec,
     critical_pop_size,
     eda_indep_runs,
@@ -75,7 +71,6 @@ from .algorithms import (
     sample_model,
 )
 from .benchmarks import (
-    BenchmarkSpec,
     f_sphere,
     f_summation_cancellation,
     get_benchmark,

@@ -187,8 +187,7 @@ class VineDependence:
     def learn(cls, spec, X, margins, rng):
         return cls(fit_vine(pseudo_observations(X), spec.effective_vine_type,
                             spec.copulas, sig_level=spec.sig_level,
-                            criterion=spec.trunc_criterion, rng=rng,
-                            indep_replicates=spec.indep_replicates))
+                            criterion=spec.trunc_criterion, rng=rng))
 
     def sample(self, m: int, n: int, rng: np.random.Generator) -> np.ndarray:
         return vine_sample(self.vine, m, rng)
@@ -232,8 +231,7 @@ class ChainDependence:
                 start = (tau_to_parameter(CopulaFamily.FRANK, tau)
                          if tau != 0.0 else frank(1e-4))
                 cop = _ml_refine(start, U[:, [i, j]])
-                mi[i, j] = mi[j, i] = copula_mutual_information(
-                    cop, rng, samples=spec.mi_samples)
+                mi[i, j] = mi[j, i] = copula_mutual_information(cop, rng)
                 pair[(i, j)] = pair[(j, i)] = cop
         perm = chain_permutation(mi)
         return cls(perm, tuple(pair[(perm[k], perm[k + 1])]

@@ -230,6 +230,16 @@ def _emit(text: str, out_path, stream):
         stream.write(text + "\n")
 
 
+_PROGRESS_HEADER = (f"{'Generation':>12} {'Minimum':>12} "
+                    f"{'Mean':>12} {'Std. Dev.':>12}")
+
+
+def _progress_line(gen: int, evaluations: np.ndarray) -> str:
+    std = np.std(evaluations, ddof=1)  # EdaSpec keeps pop_size >= 2
+    return (f"{gen:>12d} {np.min(evaluations):>12.6e} "
+            f"{np.mean(evaluations):>12.6e} {std:>12.6e}")
+
+
 def _final_block(result) -> str:
     return "\n".join([
         f"Best function evaluation    {result.best_eval:.6g}",
@@ -242,35 +252,33 @@ def _final_block(result) -> str:
 def cmd_run(args, stream) -> int:
     cfg = _Resolved(args)
     spec, bench, lower, upper, _ = _resolve_experiment(cfg)
-    if args.report:
-        spec = replace(spec, report="simple")
-    trace_rows = []
-    last_model = [None]
+    families = [f.value for f in CopulaFamily]
+    trace_rows = ["generation," + ",".join(families)]
+    last_model = None
 
-    def sink(gen, model):
-        last_model[0] = model
-        if args.copula_trace:
-            trace_rows.append((gen, model.dependence.family_counts()))
+    def sink(gen, evaluations, model):
+        nonlocal last_model
+        last_model = model
+        if args.report:
+            if gen == 1:
+                stream.write(_PROGRESS_HEADER + "\n")
+            stream.write(_progress_line(gen, evaluations) + "\n")
+        if args.copula_trace and model is not None:
+            counts = model.dependence.family_counts()
+            trace_rows.append(f"{gen}," + ",".join(str(counts[f])
+                                                   for f in families))
 
-    wants_model = args.dump_model or args.copula_trace
     result = eda_run(spec, bench.func, lower, upper,
-                     run_rng(int(cfg.get("seed")), 0), report_stream=stream,
-                     model_sink=sink if wants_model else None)
+                     run_rng(int(cfg.get("seed")), 0), model_sink=sink)
     stream.write(_final_block(result) + "\n")
     if args.dump_model:
-        if last_model[0] is not None:
-            with open(args.dump_model, "w") as fh:
-                fh.write(describe_search_model(last_model[0]) + "\n")
+        if last_model is not None:
+            _emit(describe_search_model(last_model), args.dump_model, stream)
         else:
             stream.write("no model learned (run ended at generation 1); "
                          "nothing dumped\n")
     if args.copula_trace:
-        families = [f.value for f in CopulaFamily]
-        with open(args.copula_trace, "w") as fh:
-            fh.write("generation," + ",".join(families) + "\n")
-            for gen, counts in trace_rows:
-                fh.write(f"{gen}," + ",".join(str(counts[f]) for f in families)
-                         + "\n")
+        _emit("\n".join(trace_rows), args.copula_trace, stream)
     return 0
 
 

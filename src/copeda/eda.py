@@ -12,7 +12,6 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import pickle
-import sys
 import time
 from dataclasses import dataclass, replace
 
@@ -21,10 +20,6 @@ import numpy as np
 from .copulas import CopulaFamily
 from .margins import MarginKind
 from .vines import VineType
-
-REPORT_HEADER = (f"{'Generation':>12} {'Minimum':>12} "
-                 f"{'Mean':>12} {'Std. Dev.':>12}")
-
 
 class ObjectiveError(RuntimeError):
     """The objective returned a non-finite value, or a batched objective
@@ -88,9 +83,6 @@ class EdaSpec:
     sig_level: float = 0.01
     trunc_criterion: str = "aic"
     truncation_factor: float = 0.3
-    report: str = "none"
-    mi_samples: int = 100
-    indep_replicates: int = 100
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -102,8 +94,6 @@ class EdaSpec:
             raise InputError("truncation_factor must be in (0, 1]")
         if self.trunc_criterion not in ("aic", "bic", "none"):
             raise InputError("trunc_criterion must be aic, bic or none")
-        if self.report not in ("none", "simple"):
-            raise InputError("report must be none or simple")
         try:
             if self.margin is not None:
                 object.__setattr__(self, "margin", MarginKind(self.margin))
@@ -234,24 +224,25 @@ def evaluate_objective(f, solutions: np.ndarray) -> np.ndarray:
     return values
 
 
-def _report_line(stream, gen: int, evaluations: np.ndarray):
-    mean = float(np.mean(evaluations))
-    std = float(np.std(evaluations, ddof=1)) if evaluations.size > 1 else 0.0
-    stream.write(f"{gen:>12d} {np.min(evaluations):>12.6e} "
-                 f"{mean:>12.6e} {std:>12.6e}\n")
-
-
 def eda_run(spec: EdaSpec, f, lower, upper, rng: np.random.Generator,
-            report_stream=None, model_sink=None) -> RunResult:
+            model_sink=None) -> RunResult:
     """One optimization run; returns generations, evaluations, best and the
-    run's process CPU time."""
+    run's process CPU time.
+
+    ``model_sink``, if given, is the run's only output channel: once each
+    generation's population is evaluated it is called as
+    ``model_sink(gen, evaluations, model)`` for gen = 1, 2, ..., where
+    ``evaluations`` is that generation's ``(pop_size,)`` array and
+    ``model`` the ``SearchModel`` it was sampled from (``None`` for
+    generation 1, the uniform initial population).  It draws nothing from
+    ``rng``, so observing a run does not change it.  The name predates the
+    evaluations argument and is kept for callers that pass it by keyword.
+    """
     from .algorithms import learn_model, sample_model
 
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     start = time.process_time()
-    stream = report_stream if report_stream is not None else sys.stdout
-    reporting = spec.report == "simple"
 
     pop = seed_uniform(lower, upper, spec.pop_size, rng)
     evals = evaluate_objective(f, pop.solutions)
@@ -261,10 +252,8 @@ def eda_run(spec: EdaSpec, f, lower, upper, rng: np.random.Generator,
     best_idx = int(np.argmin(evals))
     best_eval = float(evals[best_idx])
     best_sol = pop.solutions[best_idx].copy()
-
-    if reporting:
-        stream.write(REPORT_HEADER + "\n")
-        _report_line(stream, gen, evals)
+    if model_sink is not None:
+        model_sink(gen, evals, None)
 
     def state():
         std = float(np.std(pop.evaluations, ddof=1)) if pop.size > 1 else 0.0
@@ -275,8 +264,6 @@ def eda_run(spec: EdaSpec, f, lower, upper, rng: np.random.Generator,
         gen += 1
         selected = select_truncation(pop, spec.truncation_factor)
         model = learn_model(spec, selected, lower, upper, rng)
-        if model_sink is not None:
-            model_sink(gen, model)
         sols = sample_model(model, spec.pop_size, lower, upper, rng)
         evals = evaluate_objective(f, sols)
         pop = Population(sols, evals)
@@ -285,8 +272,8 @@ def eda_run(spec: EdaSpec, f, lower, upper, rng: np.random.Generator,
         if evals[gen_best] < best_eval:
             best_eval = float(evals[gen_best])
             best_sol = sols[gen_best].copy()
-        if reporting:
-            _report_line(stream, gen, evals)
+        if model_sink is not None:
+            model_sink(gen, evals, model)
 
     return RunResult(gen, f_evals, best_sol, best_eval,
                      time.process_time() - start)
@@ -359,10 +346,8 @@ def _probe_size(spec, f, lower, upper, target, tol, size, total_runs,
                                         target_tol=tol))
     max_failures = total_runs - success_runs
     successes = failures = attempted = 0
-    results = []
     for i in range(total_runs):
         result = eda_run(sized, f, lower, upper, run_rng(base_seed, size, i))
-        results.append(result)
         attempted += 1
         if abs(result.best_eval - target) <= tol:
             successes += 1
@@ -370,7 +355,7 @@ def _probe_size(spec, f, lower, upper, target, tol, size, total_runs,
             failures += 1
             if failures > max_failures:
                 break
-    return successes, attempted, results
+    return successes, attempted
 
 
 def critical_pop_size(spec: EdaSpec, f, lower, upper, target: float,
@@ -400,7 +385,7 @@ def critical_pop_size(spec: EdaSpec, f, lower, upper, target: float,
             if probe is not None:
                 successes, attempted = probe(size)
             else:
-                successes, attempted, _ = _probe_size(
+                successes, attempted = _probe_size(
                     spec, f, lower, upper, target, tol, size, total_runs,
                     success_runs, base_seed)
             cache[size] = successes >= success_runs

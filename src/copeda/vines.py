@@ -122,9 +122,8 @@ def _criterion_penalty(criterion: str, k: int, m: int) -> float:
     raise ValueError(f"unknown criterion: {criterion}")
 
 
-def _fit_edge(u, v, candidates, sig_level, replicates, rng):
-    result = indep_test_cvm(u, v, replicates=replicates, rng=rng,
-                            sig_level=sig_level)
+def _fit_edge(u, v, candidates, sig_level, rng):
+    result = indep_test_cvm(u, v, rng=rng, sig_level=sig_level)
     if result.independent:
         return product()
     return gof_select_copula(u, v, candidates)
@@ -198,8 +197,8 @@ _TREES = {VineType.CVINE: _CVineTrees, VineType.DVINE: _DVineTrees}
 
 
 def fit_vine(U, vine_type: VineType, candidates, sig_level: float = 0.01,
-             criterion: str = "aic", rng: np.random.Generator | None = None,
-             indep_replicates: int = 100) -> RVineModel:
+             criterion: str = "aic", rng: np.random.Generator | None = None
+             ) -> RVineModel:
     """Fit a C-vine or D-vine tree by tree.
 
     Per edge, an independence test at ``sig_level`` decides between the
@@ -226,8 +225,7 @@ def fit_vine(U, vine_type: VineType, candidates, sig_level: float = 0.01,
     trunc_level = n - 1
     for level in range(n - 1):
         pairs = walk.pairs()
-        edges = [_fit_edge(u, v, candidates, sig_level, indep_replicates, rng)
-                 for u, v in pairs]
+        edges = [_fit_edge(u, v, candidates, sig_level, rng) for u, v in pairs]
         tree_ll = sum(copula_loglik(c, np.column_stack(pair))
                       for c, pair in zip(edges, pairs)
                       if c.family is not CopulaFamily.PRODUCT)

@@ -51,8 +51,15 @@ class TestRun:
     def test_report_prints_generations(self):
         status, out = run_cli(["run", *FAST_RUN, "--report"])
         assert status == 0
-        assert "Generation" in out
-        assert "Minimum" in out
+        lines = out.strip().splitlines()
+        num_gens = int(lines[-3].split()[-1])  # "No. of generations  N"
+        table = lines[:-4]  # the final block is four lines
+        assert table[0].split() == ["Generation", "Minimum", "Mean", "Std.",
+                                    "Dev."]
+        assert len(table) == num_gens + 1
+        assert [int(row.split()[0]) for row in table[1:]] == list(
+            range(1, num_gens + 1))
+        assert all("e" in tok for tok in table[1].split()[1:])
 
     def test_success_on_paper_setup(self):
         argv = ["run", "--algorithm", "gceda", "--function", "sphere",

@@ -1,4 +1,3 @@
-import io
 import math
 import time
 
@@ -6,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from copeda.algorithms import SearchModel
 from copeda.benchmarks import f_sphere
 from copeda.eda import (
+    ALGORITHMS,
     EdaSpec,
     InputError,
     ObjectiveError,
@@ -157,18 +158,6 @@ class TestEdaRun:
         assert result.best_eval <= 1e-6
         assert 25 <= result.num_gens <= 50
 
-    def test_report_stream_format(self):
-        stream = io.StringIO()
-        spec = EdaSpec("umda", 10, TerminationSpec(max_gen=3), report="simple")
-        eda_run(spec, f_sphere, [-1.0] * 2, [1.0] * 2, run_rng(5, 5),
-                report_stream=stream)
-        lines = stream.getvalue().strip().splitlines()
-        assert lines[0].split() == ["Generation", "Minimum", "Mean", "Std.", "Dev."]
-        assert len(lines) == 4
-        first = lines[1].split()
-        assert first[0] == "1"
-        assert all("e" in tok for tok in first[1:])
-
     def test_objective_error_names_point(self):
         spec = umda_spec(pop_size=5, max_gen=2)
 
@@ -177,6 +166,38 @@ class TestEdaRun:
 
         with pytest.raises(ObjectiveError, match="point"):
             eda_run(spec, bad, [0.0], [1.0], run_rng(0, 0))
+
+
+class TestModelSink:
+    """eda_run's one output channel: model_sink(gen, evaluations, model)."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_called_once_per_evaluated_generation(self, algorithm):
+        spec = EdaSpec(algorithm, 30, TerminationSpec(max_gen=4))
+        calls = []
+        result = eda_run(spec, f_sphere, [-5.0] * 3, [5.0] * 3, run_rng(3, 0),
+                         model_sink=lambda *args: calls.append(args))
+        assert [gen for gen, _, _ in calls] == list(
+            range(1, result.num_gens + 1))
+        assert calls[0][2] is None
+        assert all(isinstance(model, SearchModel) for _, _, model in calls[1:])
+        assert sum(len(evals) for _, evals, _ in calls) == result.f_evals
+        assert min(evals.min() for _, evals, _ in calls) == result.best_eval
+        # observing a run does not change it
+        bare = eda_run(spec, f_sphere, [-5.0] * 3, [5.0] * 3, run_rng(3, 0))
+        assert (bare.num_gens, bare.f_evals, bare.best_eval) == (
+            result.num_gens, result.f_evals, result.best_eval)
+
+    def test_run_ending_at_generation_one(self):
+        calls = []
+        result = eda_run(umda_spec(pop_size=10, max_gen=1), f_sphere,
+                         [-1.0] * 2, [1.0] * 2, run_rng(5, 5),
+                         model_sink=lambda *args: calls.append(args))
+        assert len(calls) == 1
+        gen, evals, model = calls[0]
+        assert (gen, model) == (1, None)
+        assert evals.shape == (10,)
+        assert evals.min() == result.best_eval
 
 
 class TestEvaluateObjective:
@@ -373,7 +394,6 @@ class TestInputError:
                         truncation_factor=0.0),
         lambda: EdaSpec("umda", 30, TerminationSpec(max_gen=5),
                         trunc_criterion="aicc"),
-        lambda: EdaSpec("umda", 30, TerminationSpec(max_gen=5), report="all"),
         lambda: EdaSpec("gceda", 30, TerminationSpec(max_gen=5),
                         margin="uniform"),
         lambda: EdaSpec("cveda", 30, TerminationSpec(max_gen=5),

@@ -69,7 +69,7 @@ for algorithm in ("cveda", "dveda"):
     spec = EdaSpec(algorithm, 40, TerminationSpec(max_gen=3),
                    trunc_criterion="none")
     run(spec, f_sphere, np.full(4, -5.0), np.full(4, 5.0), run_rng(1, 0),
-        model_sink=lambda gen, model: None)
+        model_sink=lambda *_: None)
 metrics, problems = tracer.summary()
 assert not problems, problems
 for layer in ("algorithms.learn", "algorithms.sample", "vines.fit",
