@@ -1,3 +1,4 @@
+import io
 import math
 import time
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from copeda.algorithms import SearchModel
 from copeda.benchmarks import f_sphere
+from copeda.cli import _PROGRESS_HEADER, _progress_line
 from copeda.eda import (
     ALGORITHMS,
     EdaSpec,
@@ -157,6 +159,25 @@ class TestEdaRun:
                          run_rng(12345, 0))
         assert result.best_eval <= 1e-6
         assert 25 <= result.num_gens <= 50
+
+    def test_report_stream_format(self):
+        # the progress table `copeda run --report` writes from the sink
+        stream = io.StringIO()
+
+        def sink(gen, evaluations, model):
+            if gen == 1:
+                stream.write(_PROGRESS_HEADER + "\n")
+            stream.write(_progress_line(gen, evaluations) + "\n")
+
+        spec = EdaSpec("umda", 10, TerminationSpec(max_gen=3))
+        eda_run(spec, f_sphere, [-1.0] * 2, [1.0] * 2, run_rng(5, 5),
+                model_sink=sink)
+        lines = stream.getvalue().strip().splitlines()
+        assert lines[0].split() == ["Generation", "Minimum", "Mean", "Std.", "Dev."]
+        assert len(lines) == 4
+        first = lines[1].split()
+        assert first[0] == "1"
+        assert all("e" in tok for tok in first[1:])
 
     def test_objective_error_names_point(self):
         spec = umda_spec(pop_size=5, max_gen=2)
