@@ -4,12 +4,17 @@ Kendall's tau, pseudo-observations, the empirical copula, a permutation
 Cramer-von Mises independence test, CvM goodness-of-fit copula selection,
 copula-entropy mutual information, and positive-definite repair of
 correlation matrices.
+
+The independence test draws all its permutations up front but evaluates
+their statistics only until the accept/reject decision is settled; the
+exact p-value is completed on first access.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -30,6 +35,8 @@ from .copulas import (
 EIG_FLOOR = 1e-8  # smallest eigenvalue kept by the PD repair
 # Booleans per chunk of the CvM replicate indicators (rows x m x replicates).
 _CVM_CHUNK_CELLS = 1 << 20
+# Replicates per CvM block before the last, which takes the rest.
+_CVM_BLOCKS = (8, 32)
 
 
 class DegenerateDataWarning(UserWarning):
@@ -128,11 +135,75 @@ def _empirical_copula_at_sample(le_u: np.ndarray, le_v: np.ndarray) -> np.ndarra
     return (le_u & le_v).mean(axis=1)
 
 
-@dataclass(frozen=True)
 class IndepTestResult:
-    statistic: float
-    p_value: float
-    independent: bool
+    """Outcome of :func:`indep_test_cvm`: a value of three fields.
+
+    ``statistic`` and ``independent`` are set when the test returns.
+    ``p_value`` may still owe the replicates the decision did not need;
+    its first access evaluates them from the stored arrays, so it is
+    always the exact permutation p-value.  ``==``, ``hash`` and ``repr``
+    use the three fields; the result pickles with its arrays.
+    """
+
+    def __init__(self, statistic: float, independent: bool, exceed: int,
+                 replicates: int, pending: tuple | None = None):
+        self.statistic = statistic
+        self.independent = independent
+        self._exceed = exceed
+        self._replicates = replicates
+        # (u, le_u, permuted v rows) of the replicates not yet evaluated
+        self._pending = pending
+
+    @property
+    def p_value(self) -> float:
+        if self._pending is not None:
+            rest = _cvm_stats(*self._pending)
+            self._exceed += int(np.count_nonzero(rest >= self.statistic))
+            self._pending = None
+        return (self._exceed + 1.0) / (self._replicates + 1.0)
+
+    def _key(self):
+        return self.statistic, self.p_value, self.independent
+
+    def __eq__(self, other):
+        if not isinstance(other, IndepTestResult):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"IndepTestResult(statistic={self.statistic!r}, "
+                f"p_value={self.p_value!r}, independent={self.independent!r})")
+
+
+def _cvm_stats(u: np.ndarray, le_u: np.ndarray, vp: np.ndarray) -> np.ndarray:
+    """CvM statistic of ``u`` against each row of ``vp`` (v reordered)."""
+    n, m = vp.shape
+    vt = vp.T.copy()  # replicates on the fast axis keep the inner loops long
+    counts = np.empty((n, m), dtype=np.int32)
+    rows = max(1, _CVM_CHUNK_CELLS // max(m * n, 1))
+    for lo in range(0, m, rows):
+        # le[i, k, b] = (vp_bk <= vp_bi): le_v[np.ix_(perm, perm)] per replicate
+        le = vt[None, :, :] <= vt[lo:lo + rows, None, :]
+        le &= le_u[lo:lo + rows, :, None]
+        counts[:, lo:lo + rows] = le.view(np.uint8).sum(axis=1, dtype=np.int32).T
+    # exact counts / m equal the indicator means of C_n, and each C-ordered
+    # row sums in the order np.sum gives one replicate's 1-D array
+    return np.sum((counts / m - u * vp) ** 2, axis=1)
+
+
+@functools.lru_cache(maxsize=64)
+def _exceed_needed(replicates: int, sig_level: float) -> int:
+    """Fewest exceedances e with ``(e + 1) / (B + 1) >= sig_level``.
+
+    The same float test as ``p_value >= sig_level``; the quotient grows
+    with e, so a bisection finds it.  B + 1 when no count passes.
+    """
+    return bisect.bisect_left(
+        range(replicates + 1), True,
+        key=lambda e: (e + 1.0) / (replicates + 1.0) >= sig_level)
 
 
 def indep_test_cvm(u, v, replicates: int = 100,
@@ -142,34 +213,43 @@ def indep_test_cvm(u, v, replicates: int = 100,
 
     The statistic is ``sum_i (C_n(u_i, v_i) - u_i v_i)^2``; the p-value is
     the fraction of replicates (one margin permuted) at least as large as
-    the observed statistic, with the (r + 1) / (B + 1) correction.
+    the observed statistic, with the (r + 1) / (B + 1) correction, and the
+    pair counts as independent when ``p_value >= sig_level``.
+
+    All ``replicates`` permutations are drawn up front, so the generator
+    advances as if every replicate ran.  Their statistics are evaluated in
+    blocks of 8, 32 and the rest, stopping once the count of replicates
+    at least as large as the observed one settles the decision either way.
+    ``p_value`` evaluates any replicates left over on first access.
     """
+    if replicates < 0:
+        raise ValueError(f"replicates must be >= 0, got {replicates}")
     if rng is None:
         rng = np.random.default_rng()
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     m = u.size
     le_u = u[None, :] <= u[:, None]   # le_u[i, k] = (u_k <= u_i)
-    le_v = v[None, :] <= v[:, None]
-    cn = _empirical_copula_at_sample(le_u, le_v)
-    observed = float(np.sum((cn - u * v) ** 2))
-    # the same draws, in the same order, as one rng.permutation(m) per replicate
-    vp = v[rng.permuted(np.tile(np.arange(m), (replicates, 1)), axis=1)]
-    vt = vp.T.copy()  # replicates on the fast axis keep the inner loops long
-    counts = np.empty((replicates, m), dtype=np.int32)
-    rows = max(1, _CVM_CHUNK_CELLS // max(m * replicates, 1))
-    for lo in range(0, m, rows):
-        # le[i, k, b] = (vp_bk <= vp_bi): le_v[np.ix_(perm, perm)] per replicate
-        le = vt[None, :, :] <= vt[lo:lo + rows, None, :]
-        le &= le_u[lo:lo + rows, :, None]
-        counts[:, lo:lo + rows] = le.view(np.uint8).sum(axis=1, dtype=np.int32).T
-    # exact counts / m equal the indicator means, and each C-ordered row
-    # sums in the order np.sum gives one replicate's 1-D array
-    cn_p = counts / m
-    replicate_stats = np.sum((cn_p - u * vp) ** 2, axis=1)
-    exceed = int(np.count_nonzero(replicate_stats >= observed))
-    p_value = (exceed + 1.0) / (replicates + 1.0)
-    return IndepTestResult(observed, p_value, p_value >= sig_level)
+    # row 0, the identity, gives the observed statistic; the rest are the
+    # same draws, in the same order, as one rng.permutation(m) per replicate
+    idx = np.empty((replicates + 1, m), dtype=np.intp)
+    idx[:] = np.arange(m)
+    rng.permuted(idx[1:], axis=1, out=idx[1:])
+    need = _exceed_needed(replicates, sig_level)
+    first = _cvm_stats(u, le_u, v[idx[:1 + _CVM_BLOCKS[0]]])
+    observed = float(first[0])
+    exceed = int(np.count_nonzero(first[1:] >= observed))
+    done = first.size  # rows of idx evaluated
+    for block in _CVM_BLOCKS[1:] + (replicates,):
+        # settled: enough exceedances, or too few replicates left for them
+        if exceed >= need or exceed + replicates + 1 - done < need:
+            break
+        more = _cvm_stats(u, le_u, v[idx[done:done + block]])
+        exceed += int(np.count_nonzero(more >= observed))
+        done += more.size
+    pending = (u, le_u, v[idx[done:]]) if done <= replicates else None
+    return IndepTestResult(observed, exceed >= need, exceed, replicates,
+                           pending)
 
 
 def gof_select_copula(u, v, candidates) -> BivariateCopula:

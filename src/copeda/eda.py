@@ -92,6 +92,8 @@ class EdaSpec:
             raise InputError("pop_size must be at least 2")
         if not 0.0 < self.truncation_factor <= 1.0:
             raise InputError("truncation_factor must be in (0, 1]")
+        if not 0.0 < self.sig_level < 1.0:  # also catches NaN
+            raise InputError("sig_level must be in (0, 1)")
         if self.trunc_criterion not in ("aic", "bic", "none"):
             raise InputError("trunc_criterion must be aic, bic or none")
         try:

@@ -241,6 +241,14 @@ class TestEntryPoint:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: need lower < upper")
 
+    @pytest.mark.parametrize("sig_level", ["2", "nan", "0"])
+    def test_sig_level_outside_unit_interval_exits_2(self, sig_level):
+        proc = run_python("-m", "copeda.cli", "run", *FAST_RUN,
+                          "--algorithm", "cveda", "--sig-level", sig_level)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: sig_level must be in (0, 1)\n"
+
     @pytest.mark.parametrize("copulas", ["clayton", "normal,frank"])
     def test_chain_copula_family_checked_before_the_run(self, copulas):
         proc = run_python("-m", "copeda.cli", "run", *FAST_RUN,

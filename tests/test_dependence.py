@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -259,6 +260,77 @@ class TestIndependenceTestMatchesLoop:
         assert same_bits(res.p_value, ref[1])
         assert res.independent == ref[2]
         assert rng_new.random() == rng_ref.random()
+
+
+class TestEarlyStopping:
+    """The test stops once its decision is settled; the decision, the
+    generator state and the exact p-value still match the full loop."""
+
+    @pytest.mark.parametrize("replicates", [0, 1, 7, 8, 9, 100, 400])
+    def test_decision_before_p_value(self, replicates):
+        for k, (m, _, u, v) in enumerate(CVM_CASES):
+            ref_rng = np.random.default_rng(25)
+            observed, p_value, _ = reference_indep_test_cvm(
+                u, v, replicates, ref_rng)
+            for sig_level in (0.005, 0.01, 0.05, 0.5, 0.999):
+                rng = np.random.default_rng(25)
+                res = indep_test_cvm(u, v, replicates=replicates, rng=rng,
+                                     sig_level=sig_level)
+                where = (k, sig_level)
+                assert res.independent == (p_value >= sig_level), where
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                assert same_bits(res.statistic, observed), where
+                assert same_bits(res.p_value, p_value), where
+
+    def test_null_data_evaluates_under_half_the_replicates(self, monkeypatch):
+        rows = []
+        kernel = dependence._cvm_stats
+
+        def counted(u, le_u, vp):
+            rows.append(vp.shape[0])
+            return kernel(u, le_u, vp)
+
+        monkeypatch.setattr(dependence, "_cvm_stats", counted)
+        data = np.random.default_rng(26)
+        for seed in range(50):
+            u, v = data.random(31), data.random(31)
+            res = indep_test_cvm(u, v, replicates=100,
+                                 rng=np.random.default_rng(seed))
+            ref = reference_indep_test_cvm(u, v, 100,
+                                           np.random.default_rng(seed))
+            assert res.independent == ref[2]
+        # one identity row per test gives the observed statistic
+        assert sum(rows) - 50 < 50 * 100 // 2
+
+    def test_negative_replicates_rejected(self):
+        with pytest.raises(ValueError, match="replicates"):
+            indep_test_cvm([0.2, 0.8], [0.6, 0.4], replicates=-1)
+
+
+class TestIndepTestResult:
+    def fresh(self, seed=27):
+        rng = np.random.default_rng(seed)
+        return indep_test_cvm(rng.random(31), rng.random(31), rng=rng)
+
+    def test_pickles_before_and_after_p_value(self):
+        res = self.fresh()
+        loaded = pickle.loads(pickle.dumps(res))
+        assert same_bits(loaded.p_value, res.p_value)
+        assert loaded == res
+        assert pickle.loads(pickle.dumps(res)) == res
+
+    def test_repr_shows_the_three_fields(self):
+        res = self.fresh()
+        assert repr(res) == (f"IndepTestResult(statistic={res.statistic!r}, "
+                             f"p_value={res.p_value!r}, "
+                             f"independent={res.independent!r})")
+
+    def test_equality_compares_the_three_fields(self):
+        assert self.fresh() == self.fresh()
+        assert hash(self.fresh()) == hash(self.fresh())
+        assert self.fresh(27) != self.fresh(28)
+        assert self.fresh() != (self.fresh().statistic, self.fresh().p_value,
+                                self.fresh().independent)
 
 
 class TestIndependenceTest:

@@ -436,6 +436,16 @@ class TestInputError:
         lambda: critical_pop_size(umda_spec(max_gen=2), f_sphere, [-1.0],
                                   [1.0], 0.0, 1e-6, 10, 20, total_runs=5,
                                   success_runs=6),
+        lambda: EdaSpec("cveda", 30, TerminationSpec(max_gen=5),
+                        sig_level=0.0),
+        lambda: EdaSpec("cveda", 30, TerminationSpec(max_gen=5),
+                        sig_level=1.0),
+        lambda: EdaSpec("cveda", 30, TerminationSpec(max_gen=5),
+                        sig_level=2.0),
+        lambda: EdaSpec("cveda", 30, TerminationSpec(max_gen=5),
+                        sig_level=-0.01),
+        lambda: EdaSpec("cveda", 30, TerminationSpec(max_gen=5),
+                        sig_level=float("nan")),
     ])
     def test_raised_by_input_checks(self, build):
         with pytest.raises(InputError):
