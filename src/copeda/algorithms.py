@@ -38,7 +38,7 @@ from .dependence import (
     pseudo_observations,
 )
 from .eda import EdaSpec, Population
-from .margins import MarginKind, MarginModel, fit_margin
+from .margins import KernelMargin, MarginKind, MarginModel, fit_margin
 from .vines import RVineModel, describe_vine, fit_vine, vine_sample
 
 
@@ -283,8 +283,12 @@ def learn_model(spec: EdaSpec, selected: Population, lower, upper,
 
 def sample_model(model: SearchModel, pop_size: int, lower, upper,
                  rng: np.random.Generator) -> np.ndarray:
-    """Uniforms from the dependence structure through margin quantiles."""
+    """Uniforms from the dependence structure through margin quantiles;
+    kernel margins solve all columns at once."""
     U = model.dependence.sample(pop_size, len(model.margins), rng)
+    if model.margins and all(isinstance(margin, KernelMargin)
+                             for margin in model.margins):
+        return KernelMargin.stack(model.margins).quantile(U)
     X = np.empty_like(U)
     for j, margin in enumerate(model.margins):
         X[:, j] = margin.quantile(U[:, j])

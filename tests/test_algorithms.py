@@ -131,6 +131,20 @@ class TestCedaLearn:
 
 
 class TestCedaSample:
+    def test_kernel_margins_solved_together_as_each_column(self):
+        pop = mvn_population(3, 0.5, 120, 81)
+        spec = make_spec("gceda", margin=MarginKind.KERNEL)
+        model = learn_model(spec, pop, *BOUNDS3, NO_DRAWS)
+        out = sample_model(model, 500, *BOUNDS3, np.random.default_rng(9))
+        U = model.dependence.sample(500, 3, np.random.default_rng(9))
+        for j, margin in enumerate(model.margins):
+            assert np.array_equal(out[:, j], margin.quantile(U[:, j]))
+
+    def test_no_margins_sample_empty_rows(self):
+        out = sample_model(SearchModel([], ProductDependence()), 5,
+                           np.zeros(0), np.zeros(0), np.random.default_rng(0))
+        assert out.shape == (5, 0)
+
     def test_product_independent_columns(self):
         pop = mvn_population(3, 0.9, 300, 6)
         model = learn_model(make_spec("umda"), pop, *BOUNDS3, NO_DRAWS)

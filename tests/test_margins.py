@@ -61,6 +61,22 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_margin(MarginKind.NORMAL, [1.0], 0.0, 1.0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", list(MarginKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    def test_non_finite_sample_rejected(self, kind, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_margin(kind, [0.0, 1.0, bad, 2.0], -5.0, 5.0)
+
+    def test_kernel_bandwidth_falls_back_to_sd_when_iqr_is_zero(self):
+        # R's bw.nrd0: 0.9 * sd * m^-0.2 when the IQR is 0, not the floor
+        sample = [0.0, 0.0, 0.0, 0.0, 1.0]
+        model = fit_margin(MarginKind.KERNEL, sample, -5.0, 5.0)
+        sd = np.std(sample, ddof=1)
+        assert model.bandwidth == pytest.approx(0.9 * sd * 5 ** -0.2,
+                                                rel=1e-12)
+        assert model.bandwidth == pytest.approx(0.29, abs=0.005)
+
 
 class TestCdf:
     def test_standard_normal_midpoint(self):
@@ -246,3 +262,79 @@ class TestKernelQuantile:
     @settings(max_examples=80, deadline=None)
     def test_random_samples_as_accurate_as_bisection(self, data, ps):
         assert_as_accurate_as_bisection(kernel(np.asarray(data)), ps)
+
+
+# one column of a stacked margin: m draws of one of four shapes
+COLUMN = st.tuples(
+    st.sampled_from(["normal", "ties", "constant", "clusters"]),
+    st.integers(0, 2 ** 32 - 1))
+
+
+def make_column(shape, seed, m):
+    rng = np.random.default_rng(seed)
+    if shape == "normal":
+        return rng.normal(rng.uniform(-5.0, 5.0), rng.uniform(0.1, 10.0), m)
+    if shape == "ties":
+        return np.round(rng.normal(0.0, 2.0, m))
+    if shape == "constant":
+        return np.full(m, rng.uniform(-5.0, 5.0))
+    big = m - m // 5
+    return np.concatenate([rng.normal(0.0, 1.0, big),
+                           rng.normal(1000.0, 1.0, m - big)])
+
+
+class TestStackedKernelQuantile:
+    @given(st.lists(COLUMN, min_size=1, max_size=6), st.integers(2, 60),
+           st.integers(0, 40), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_solve_equals_each_column(self, spec, m, rows, seed):
+        singles = [kernel(make_column(shape, s, m)) for shape, s in spec]
+        stacked = KernelMargin.stack(singles)
+        rng = np.random.default_rng(seed)
+        P = rng.random((rows, len(singles)))
+        P.flat[rng.integers(0, P.size, min(P.size, 3))] = np.nan
+        P.flat[rng.integers(0, P.size, min(P.size, 3))] = 0.0
+        P.flat[rng.integers(0, P.size, min(P.size, 3))] = 1.0
+        Q = stacked.quantile(P)
+        assert Q.shape == P.shape
+        for j, single in enumerate(singles):
+            assert np.array_equal(Q[:, j], single.quantile(P[:, j]),
+                                  equal_nan=True)
+        assert np.array_equal(stacked.cdf(Q[:4]),
+                              np.column_stack([single.cdf(Q[:4, j])
+                                               for j, single
+                                               in enumerate(singles)]),
+                              equal_nan=True)
+
+    def test_blocks_change_nothing(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        stacked = KernelMargin.stack(
+            [kernel(rng.normal(0.0, 1.0, 30)) for _ in range(3)])
+        P = rng.random((50, 3))
+        whole = stacked.quantile(P)
+        monkeypatch.setattr(margins, "_BLOCK", 7 * 30)  # 7 points a block
+        assert np.array_equal(stacked.quantile(P), whole)
+
+    def test_probabilities_must_have_one_column_per_margin(self):
+        stacked = KernelMargin.stack([kernel([0.0, 1.0, 2.0])] * 3)
+        with pytest.raises(ValueError, match="3 columns"):
+            stacked.quantile(np.full((4, 2), 0.5))
+
+    def test_about_one_cdf_row_per_point(self, monkeypatch):
+        # the knot table is one (m + 2, m) CDF call; the iteration after it
+        # needs little more than one CDF row per point
+        m, points = 60, 200
+        model = kernel(np.random.default_rng(11).normal(0.0, 1.0, m))
+        ps = np.random.default_rng(12).random(points)
+        rows = []
+        ndtr = special.ndtr
+
+        def counting_ndtr(z):
+            rows.append(math.prod(np.shape(z)[:-1]))
+            return ndtr(z)
+
+        monkeypatch.setattr(special, "ndtr", counting_ndtr)
+        model.quantile(ps)
+        monkeypatch.undo()
+        assert rows[0] == m + 2
+        assert sum(rows[1:]) <= 1.5 * points
