@@ -39,7 +39,8 @@ from .dependence import (
 )
 from .eda import EdaSpec, Population
 from .margins import KernelMargin, MarginKind, MarginModel, fit_margin
-from .vines import RVineModel, describe_vine, fit_vine, vine_sample
+from .vines import (RVineModel, VineType, describe_vine, fit_vine,
+                    vine_sample)
 
 
 def _normal_ml_rho(U: np.ndarray) -> np.ndarray:
@@ -185,7 +186,9 @@ class VineDependence:
 
     @classmethod
     def learn(cls, spec, X, margins, rng):
-        return cls(fit_vine(pseudo_observations(X), spec.effective_vine_type,
+        vine_type = (VineType.DVINE if spec.algorithm == "dveda"
+                     else VineType.CVINE)
+        return cls(fit_vine(pseudo_observations(X), vine_type,
                             spec.copulas, sig_level=spec.sig_level,
                             criterion=spec.trunc_criterion, rng=rng))
 

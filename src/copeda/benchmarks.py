@@ -8,21 +8,17 @@ from typing import Callable
 import numpy as np
 
 
-def _batch_result(values):
-    """A float for one point, the ``(m,)`` array for a population."""
-    return float(values) if values.ndim == 0 else values
-
-
 def f_sphere(x):
     """Sum of squares; global minimum 0 at the origin.
 
     Batched: a row-vector times column-vector product runs each row through
     the same dot kernel as ``np.dot(x, x)``, so every row's value is the
     one-point value bit for bit (``np.sum(x * x, -1)`` is not).  The kernel
-    sums a strided row in another order, hence the contiguous copy.
+    sums a strided row in another order, hence the contiguous copy.  The
+    trailing ``[()]`` turns one point's 0-d result into a float.
     """
     x = np.ascontiguousarray(x, dtype=float)
-    return _batch_result((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+    return (x[..., None, :] @ x[..., :, None])[..., 0, 0][()]
 
 
 def f_summation_cancellation(x):
@@ -35,7 +31,7 @@ def f_summation_cancellation(x):
     """
     x = np.ascontiguousarray(x, dtype=float)
     y = np.cumsum(x, axis=-1)
-    return _batch_result(-1.0 / (1e-5 + np.sum(np.abs(y), axis=-1)))
+    return -1.0 / (1e-5 + np.sum(np.abs(y), axis=-1))
 
 
 f_sphere.batched = True

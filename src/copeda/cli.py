@@ -26,7 +26,6 @@ from .eda import (
     run_rng,
 )
 from .margins import MarginKind
-from .vines import VineType
 
 CSV_HEADER = "run,generations,evaluations,best_evaluation,cpu_time_seconds"
 
@@ -70,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--copula",
                        help="comma-separated copula families "
                             "(normal,student,clayton,frank,gumbel)")
-        p.add_argument("--vine", choices=[v.value for v in VineType])
         p.add_argument("--sig-level", type=float)
         p.add_argument("--trunc-criterion", choices=["aic", "bic", "none"])
         p.add_argument("--max-gen", type=int)
@@ -162,7 +160,6 @@ def _resolve_experiment(cfg: _Resolved):
         termination=termination,
         margin=cfg.get("margin"),
         copulas=families,
-        vine_type=cfg.get("vine") or None,
         sig_level=float(cfg.get("sig_level")),
         trunc_criterion=cfg.get("trunc_criterion"),
     )

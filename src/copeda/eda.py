@@ -19,7 +19,6 @@ import numpy as np
 
 from .copulas import CopulaFamily
 from .margins import MarginKind
-from .vines import VineType
 
 class ObjectiveError(RuntimeError):
     """The objective returned a non-finite value, or a batched objective
@@ -79,7 +78,6 @@ class EdaSpec:
     termination: TerminationSpec
     margin: MarginKind | None = None
     copulas: tuple[CopulaFamily, ...] = (CopulaFamily.NORMAL,)
-    vine_type: VineType | None = None
     sig_level: float = 0.01
     trunc_criterion: str = "aic"
     truncation_factor: float = 0.3
@@ -101,8 +99,6 @@ class EdaSpec:
                 object.__setattr__(self, "margin", MarginKind(self.margin))
             object.__setattr__(self, "copulas",
                                tuple(CopulaFamily(c) for c in self.copulas))
-            if self.vine_type is not None:
-                object.__setattr__(self, "vine_type", VineType(self.vine_type))
         except ValueError as exc:
             raise InputError(str(exc)) from exc
         if self.algorithm == "copula-mimic" and self.copulas not in (
@@ -123,12 +119,6 @@ class EdaSpec:
         if self.algorithm == "copula-mimic":
             return MarginKind.BETA_RESCALED
         return MarginKind.NORMAL
-
-    @property
-    def effective_vine_type(self) -> VineType:
-        if self.vine_type is not None:
-            return self.vine_type
-        return VineType.DVINE if self.algorithm == "dveda" else VineType.CVINE
 
 
 @dataclass

@@ -6,8 +6,14 @@ the h-transformed data); the D-vine path approximately maximizes the summed
 absolute tau along consecutive pairs via cheapest insertion on edge costs
 1 - |tau|.  Per edge, an independence pre-test decides between the product
 copula and CvM goodness-of-fit selection among the candidate families, and
-fitting truncates when AIC or BIC stops improving.  Simulation uses the
-conditional distribution method.
+fitting truncates when AIC or BIC stops improving.
+
+Fitting, ``vine_loglik`` and ``vine_sample`` share one edge layout per vine
+type, stated in ``RVineModel``: the tree walkers ``_CVineTrees`` and
+``_DVineTrees`` h-transform the data tree by tree, and sampling by the
+conditional distribution method (Aas, Czado, Frigessi & Bakken 2009,
+Algorithms 1-2) inverts the same edges with h^-1.  The product copula's h
+and h^-1 are the identity; ``_h`` and ``_hinv`` skip them for every caller.
 """
 
 from __future__ import annotations
@@ -41,7 +47,14 @@ class RVineModel:
     ``order`` is the root sequence (C-vine) or path sequence (D-vine) over
     the original variable indices.  ``trees[j]`` holds the ``n - 1 - j``
     pair copulas of tree ``j + 1``; every tree past ``trunc_level`` (1-based)
-    is all product copulas.
+    is all product copulas.  With j counted from 0, the edges of tree j are:
+
+    - C-vine: root ``order[j]`` paired with each variable o of
+      ``order[j + 1:]`` in ascending index, the copula of
+      (F(x_o | x_order[:j]), F(x_root | x_order[:j]));
+    - D-vine: edge i pairs path positions i and i + j + 1, the copula of
+      (F(x_a | between), F(x_b | between)) for a = ``order[i]``,
+      b = ``order[i + j + 1]`` and the path variables between them.
     """
 
     vine_type: VineType
@@ -129,38 +142,50 @@ def _fit_edge(u, v, candidates, sig_level, rng):
     return gof_select_copula(u, v, candidates)
 
 
-class _CVineTrees:
-    """Tree j pairs every remaining variable with root j.
+# bound once: on CPython 3.11 an enum member lookup costs about ten global reads
+_PRODUCT = CopulaFamily.PRODUCT
 
-    Fitting picks each root as the variable with the largest summed
-    absolute tau to the others on the current pseudo-observations, ties to
-    the lowest index, and lists a tree's edges by ascending variable index.
-    Replaying a fitted ``order`` takes the roots and the edges in that
-    order, as ``vine_sample`` reads them.  Product edges leave their column
-    as is.
+
+def _h(c: BivariateCopula, u, v):
+    """h(u | v) of pair copula ``c``; the product copula's is ``u`` itself."""
+    return u if c.family is _PRODUCT else copula_h(c, u, v)
+
+
+def _hinv(c: BivariateCopula, p, v):
+    """Inverse of ``_h`` in its first argument."""
+    return p if c.family is _PRODUCT else copula_hinv(c, p, v)
+
+
+class _CVineTrees:
+    """Tree j pairs root j with every remaining variable, in ascending index.
+
+    The roots are ``order`` when one is given; fitting picks each as the
+    remaining variable with the largest summed absolute tau to the others
+    on the current pseudo-observations, ties to the lowest index.  After
+    tree j, ``cols[o]`` holds F(x_o | roots 0..j) and a root's column keeps
+    F(x_root | earlier roots).
     """
 
     def __init__(self, U, order=None):
-        self.Z = U.copy()
-        self.replay = order is not None
-        self.remaining = (list(order) if self.replay
-                          else list(range(U.shape[1])))
+        self.cols = list(U.T)
+        self.given = order
+        self.remaining = list(range(U.shape[1]))
         self.roots: list[int] = []
 
     def pairs(self):
-        if self.replay:
-            self.root = self.remaining[0]
+        if self.given is not None:
+            self.root = self.given[len(self.roots)]
         else:
-            taus = kendall_tau_matrix(self.Z[:, self.remaining])
+            taus = kendall_tau_matrix(
+                np.column_stack([self.cols[i] for i in self.remaining]))
             sums = np.abs(taus - np.eye(len(self.remaining))).sum(axis=1)
             self.root = self.remaining[int(np.argmax(sums))]
         self.others = [i for i in self.remaining if i != self.root]
-        return [(self.Z[:, o], self.Z[:, self.root]) for o in self.others]
+        return [(self.cols[o], self.cols[self.root]) for o in self.others]
 
     def advance(self, edges):
         for c, o in zip(edges, self.others):
-            if c.family is not CopulaFamily.PRODUCT:
-                self.Z[:, o] = copula_h(c, self.Z[:, o], self.Z[:, self.root])
+            self.cols[o] = _h(c, self.cols[o], self.cols[self.root])
         self.roots.append(self.root)
         self.remaining = self.others
 
@@ -172,8 +197,7 @@ class _CVineTrees:
 class _DVineTrees:
     """Tree j pairs path positions i and i + j + 1 given the nodes between.
 
-    ``a[i]`` is F(x_i | between) and ``b[i]`` is F(x_{i+j+1} | between);
-    every edge, product included, passes through ``copula_h``.
+    ``a[i]`` is F(x_i | between) and ``b[i]`` is F(x_{i+j+1} | between).
     """
 
     def __init__(self, U, order=None):
@@ -187,9 +211,8 @@ class _DVineTrees:
 
     def advance(self, edges):
         k = len(self.a) - 1
-        a = [copula_h(edges[i], self.a[i], self.b[i]) for i in range(k)]
-        b = [copula_h(edges[i + 1], self.b[i + 1], self.a[i + 1])
-             for i in range(k)]
+        a = [_h(edges[i], self.a[i], self.b[i]) for i in range(k)]
+        b = [_h(edges[i + 1], self.b[i + 1], self.a[i + 1]) for i in range(k)]
         self.a, self.b = a, b
 
 
@@ -270,42 +293,32 @@ def vine_sample(model: RVineModel, m: int, rng: np.random.Generator) -> np.ndarr
     W = rng.random((m, n))
     if n < 2:
         return W
-    X = np.empty_like(W)
+    # column k of W lands at variable order[k]
+    cols = dict(zip(model.order, W.T))
     if model.vine_type is VineType.CVINE:
-        # W[:, k] is F(x_k | x_0..x_{k-1}) by construction; invert outward
-        X[:, 0] = W[:, 0]
-        for i in range(1, n):
-            t = W[:, i]
-            for k in range(i - 1, -1, -1):
-                c = model.trees[k][i - k - 1]
-                if c.family is not CopulaFamily.PRODUCT:
-                    t = copula_hinv(c, t, W[:, k])
-            X[:, i] = t
+        # W[:, k] plays F(x_order[k] | x_order[:k]), the column the fitting
+        # walk leaves for order[k]; undo its trees last to first
+        later = [model.order[-1]]
+        for root, tree in zip(model.order[-2::-1], model.trees[::-1]):
+            for c, o in zip(tree, sorted(later)):
+                cols[o] = _hinv(c, cols[o], cols[root])
+            later.append(root)
     else:
-        X[:, 0] = W[:, 0]
-        # back[k] = F(x_k | x_{k+1}..x_{i-1}) for the already sampled prefix
-        back = [X[:, 0]]
+        # path positions: back[k] = F(x_k | x_{k+1}..x_{i-1}) for the
+        # already sampled prefix
+        back = [W[:, 0]]
         for i in range(1, n):
-            t = W[:, i]
-            inner = [t]  # inner[k+1] = F(x_i | x_{k+1}..x_{i-1}) after peel k
-            for k in range(i):
-                c = model.trees[i - k - 1][k]
-                if c.family is not CopulaFamily.PRODUCT:
-                    t = copula_hinv(c, t, back[k])
-                inner.append(t)
-            X[:, i] = t
+            edges = [model.trees[i - k - 1][k] for k in range(i)]
+            inner = [W[:, i]]  # inner[k+1] = F(x_i | x_{k+1}..x_{i-1})
+            for c, b in zip(edges, back):
+                inner.append(_hinv(c, inner[-1], b))
+            cols[model.order[i]] = inner[-1]
             if i < n - 1:
-                new_back = []
-                for k in range(i):
-                    c = model.trees[i - k - 1][k]
-                    if c.family is CopulaFamily.PRODUCT:
-                        new_back.append(back[k])
-                    else:
-                        new_back.append(copula_h(c, back[k], inner[k + 1]))
-                new_back.append(X[:, i])
-                back = new_back
-    out = np.empty_like(X)
-    out[:, list(model.order)] = X
+                back = [_h(c, b, u) for c, b, u in zip(edges, back, inner[1:])]
+                back.append(inner[-1])
+    out = np.empty_like(W)
+    for i, col in cols.items():
+        out[:, i] = col
     return out
 
 

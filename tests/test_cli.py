@@ -203,7 +203,7 @@ class TestConfigFile:
         assert _CONFIG_KEYS == {
             "algorithm": str, "function": str, "dim": int, "lower": float,
             "upper": float, "pop-size": int, "margin": str, "copula": str,
-            "vine": str, "sig-level": float, "trunc-criterion": str,
+            "sig-level": float, "trunc-criterion": str,
             "max-gen": int, "max-evals": int, "target": float, "tol": float,
             "stddev-floor": float, "runs": int, "seed": int, "jobs": int,
             "format": str, "out": str, "lower-pop": int, "upper-pop": int,

@@ -419,8 +419,6 @@ class TestInputError:
                         margin="uniform"),
         lambda: EdaSpec("cveda", 30, TerminationSpec(max_gen=5),
                         copulas=("joe",)),
-        lambda: EdaSpec("cveda", 30, TerminationSpec(max_gen=5),
-                        vine_type="rvine"),
         lambda: EdaSpec("copula-mimic", 30, TerminationSpec(max_gen=5),
                         copulas=("clayton",)),
         lambda: EdaSpec("copula-mimic", 30, TerminationSpec(max_gen=5),

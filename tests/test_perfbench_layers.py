@@ -64,10 +64,11 @@ from copeda.eda import EdaSpec, TerminationSpec, eda_run, run_rng
 tracer = spans.Tracer()
 spans.install(tracer)
 run = tracer.wrap("eda.run", eda_run)
-# untruncated D-vines pass every edge through copula_h, product edges too
+# product edges skip copula_h, so the pre-test at sig_level 0.999 keeps
+# nearly every edge, and trees are never truncated
 for algorithm in ("cveda", "dveda"):
     spec = EdaSpec(algorithm, 40, TerminationSpec(max_gen=3),
-                   trunc_criterion="none")
+                   sig_level=0.999, trunc_criterion="none")
     run(spec, f_sphere, np.full(4, -5.0), np.full(4, 5.0), run_rng(1, 0),
         model_sink=lambda *_: None)
 metrics, problems = tracer.summary()
