@@ -190,7 +190,7 @@ class VineDependence:
                      else VineType.CVINE)
         return cls(fit_vine(pseudo_observations(X), vine_type,
                             spec.copulas, sig_level=spec.sig_level,
-                            criterion=spec.trunc_criterion, rng=rng))
+                            criterion=spec.trunc_criterion))
 
     def sample(self, m: int, n: int, rng: np.random.Generator) -> np.ndarray:
         return vine_sample(self.vine, m, rng)

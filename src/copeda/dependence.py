@@ -1,20 +1,20 @@
 """Nonparametric dependence statistics and tests.
 
-Kendall's tau, pseudo-observations, the empirical copula, a permutation
-Cramer-von Mises independence test, CvM goodness-of-fit copula selection,
-copula-entropy mutual information, and positive-definite repair of
-correlation matrices.
+Kendall's tau, pseudo-observations, the empirical copula, the rank
+Cramer-von Mises independence test of Genest & Remillard (2004), CvM
+goodness-of-fit copula selection, copula-entropy mutual information, and
+positive-definite repair of correlation matrices.
 
-The independence test draws all its permutations up front but evaluates
-their statistics only until the accept/reject decision is settled; the
-exact p-value is completed on first access.
+The independence test's null distribution depends only on the sample size;
+it is simulated once per size from a fixed seed and cached, so no test
+draws from a caller's generator.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
@@ -33,10 +33,13 @@ from .copulas import (
 )
 
 EIG_FLOOR = 1e-8  # smallest eigenvalue kept by the PD repair
-# Booleans per chunk of the CvM replicate indicators (rows x m x replicates).
-_CVM_CHUNK_CELLS = 1 << 20
-# Replicates per CvM block before the last, which takes the rest.
-_CVM_BLOCKS = (8, 32)
+# CvM independence test: null draws per sample size and their seed, rank
+# cells held in one array (bounding memory), and the largest sample: the
+# statistic's integer sums reach ~m^5, which int64 holds up to m = 6207.
+CVM_NULL_DRAWS = 1000
+CVM_NULL_SEED = 20040413
+CVM_BLOCK_CELLS = 1 << 12
+CVM_MAX_M = 6000
 
 
 class DegenerateDataWarning(UserWarning):
@@ -130,126 +133,128 @@ def empirical_copula_at(U, u: float, v: float) -> float:
     return float(np.mean((U[:, 0] <= u) & (U[:, 1] <= v)))
 
 
-def _empirical_copula_at_sample(le_u: np.ndarray, le_v: np.ndarray) -> np.ndarray:
-    # C_n at the sample points from precomputed "<=" indicator matrices
-    return (le_u & le_v).mean(axis=1)
-
-
+@dataclass(frozen=True)
 class IndepTestResult:
-    """Outcome of :func:`indep_test_cvm`: a value of three fields.
+    """Outcome of :func:`indep_test_cvm`."""
 
-    ``statistic`` and ``independent`` are set when the test returns.
-    ``p_value`` may still owe the replicates the decision did not need;
-    its first access evaluates them from the stored arrays, so it is
-    always the exact permutation p-value.  ``==``, ``hash`` and ``repr``
-    use the three fields; the result pickles with its arrays.
+    statistic: float
+    p_value: float
+    independent: bool
+
+
+def _cvm_statistics(pairs, r, s) -> list[float]:
+    """CvM statistics of rank samples, given their pair sums.
+
+    ``r`` and ``s`` hold integer ranks along the last axis and ``pairs``
+    each sample's sum_ik (m + 1 - max(r_i, r_k)) (m + 1 - max(s_i, s_k)).
+    For U = r / (m + 1), V = s / (m + 1), m times the integral of
+    (C_n(a, b) - a b)^2 over the unit square (Genest & Remillard 2004) is
+
+        sum_ik (1 - max(U_i, U_k)) (1 - max(V_i, V_k)) / m
+        - sum_i (1 - U_i^2) (1 - V_i^2) / 2 + m / 9.
+
+    Times 2 m (m + 1)^4 its first two terms are an integer, formed exactly
+    and divided once, so equal statistics get equal bits whatever ranks
+    gave them: an observed statistic ties exactly with the null draws it
+    equals.
     """
-
-    def __init__(self, statistic: float, independent: bool, exceed: int,
-                 replicates: int, pending: tuple | None = None):
-        self.statistic = statistic
-        self.independent = independent
-        self._exceed = exceed
-        self._replicates = replicates
-        # (u, le_u, permuted v rows) of the replicates not yet evaluated
-        self._pending = pending
-
-    @property
-    def p_value(self) -> float:
-        if self._pending is not None:
-            rest = _cvm_stats(*self._pending)
-            self._exceed += int(np.count_nonzero(rest >= self.statistic))
-            self._pending = None
-        return (self._exceed + 1.0) / (self._replicates + 1.0)
-
-    def _key(self):
-        return self.statistic, self.p_value, self.independent
-
-    def __eq__(self, other):
-        if not isinstance(other, IndepTestResult):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"IndepTestResult(statistic={self.statistic!r}, "
-                f"p_value={self.p_value!r}, independent={self.independent!r})")
+    m = np.shape(r)[-1]
+    a = m + 1
+    diag = ((a * a - r * r) * (a * a - s * s)).sum(axis=-1)
+    return [(2 * a * a * p - m * d) / (2 * m * a ** 4) + m / 9.0
+            for p, d in zip(np.ravel(pairs).tolist(), np.ravel(diag).tolist())]
 
 
-def _cvm_stats(u: np.ndarray, le_u: np.ndarray, vp: np.ndarray) -> np.ndarray:
-    """CvM statistic of ``u`` against each row of ``vp`` (v reordered)."""
-    n, m = vp.shape
-    vt = vp.T.copy()  # replicates on the fast axis keep the inner loops long
-    counts = np.empty((n, m), dtype=np.int32)
-    rows = max(1, _CVM_CHUNK_CELLS // max(m * n, 1))
-    for lo in range(0, m, rows):
-        # le[i, k, b] = (vp_bk <= vp_bi): le_v[np.ix_(perm, perm)] per replicate
-        le = vt[None, :, :] <= vt[lo:lo + rows, None, :]
-        le &= le_u[lo:lo + rows, :, None]
-        counts[:, lo:lo + rows] = le.view(np.uint8).sum(axis=1, dtype=np.int32).T
-    # exact counts / m equal the indicator means of C_n, and each C-ordered
-    # row sums in the order np.sum gives one replicate's 1-D array
-    return np.sum((counts / m - u * vp) ** 2, axis=1)
+def _permutation_pair_sums(s: np.ndarray) -> np.ndarray:
+    """Pair sums of u ranks 1..m against each row of ``s``, a permutation.
+
+    With u in rank order, w_k = m - k (k from 0) and b = m + 1 - s, the
+    pair sum is sum_k w_k (b_k + 2 sum_{i<k} min(b_i, b_k)).  The inner
+    sums are taken over the sibling blocks of a bottom-up merge sort: each
+    value of a right half looks up the count and sum of the smaller values
+    in its sorted left half, in log2(m) array passes instead of m^2 pairs.
+    Rows are padded to a power of two with b = w = 0, which adds nothing.
+    """
+    rows, m = s.shape
+    size = 1 << (m - 1).bit_length()
+    b = np.zeros((rows, size), dtype=np.int64)
+    b[:, :m] = m + 1 - s
+    w = np.zeros(size, dtype=np.int64)
+    w[:m] = np.arange(m, 0, -1)
+    total = b @ w
+    h = 1
+    while h < size:
+        halves = b.reshape(-1, 2, h)
+        left, right = np.sort(halves[:, 0], axis=1), halves[:, 1]
+        # b lies in [0, m], so shifting block j by j (m + 1) sorts every
+        # left half as one array
+        block = np.arange(len(halves))[:, None]
+        below = np.searchsorted((left + (m + 1) * block).ravel(),
+                                (right + (m + 1) * block).ravel())
+        below = below.reshape(-1, h) - h * block
+        prefix = np.zeros((len(halves), h + 1), dtype=np.int64)
+        np.cumsum(left, axis=1, out=prefix[:, 1:])
+        mins = np.take_along_axis(prefix, below, axis=1) + right * (h - below)
+        total += 2 * (mins.reshape(rows, -1)
+                      @ w.reshape(-1, 2, h)[:, 1].ravel())
+        h *= 2
+    return total
 
 
 @functools.lru_cache(maxsize=64)
-def _exceed_needed(replicates: int, sig_level: float) -> int:
-    """Fewest exceedances e with ``(e + 1) / (B + 1) >= sig_level``.
+def _cvm_null(m: int) -> np.ndarray:
+    """Sorted statistics of ``CVM_NULL_DRAWS`` random rank permutations.
 
-    The same float test as ``p_value >= sig_level``; the quotient grows
-    with e, so a bisection finds it.  B + 1 when no count passes.
+    Under independence the ranks of v are a uniformly random permutation
+    of those of u whatever the margins, so one table per m serves every
+    test of that size.  The draws come from a generator seeded by
+    (``CVM_NULL_SEED``, m) alone, in blocks of at most ``CVM_BLOCK_CELLS``
+    padded cells.  The table is read-only.
     """
-    return bisect.bisect_left(
-        range(replicates + 1), True,
-        key=lambda e: (e + 1.0) / (replicates + 1.0) >= sig_level)
+    rng = np.random.default_rng([CVM_NULL_SEED, m])
+    ranks = np.arange(1, m + 1)
+    per_block = max(1, CVM_BLOCK_CELLS // (1 << (m - 1).bit_length()))
+    null = []
+    for lo in range(0, CVM_NULL_DRAWS, per_block):
+        s = rng.permuted(
+            np.tile(ranks, (min(per_block, CVM_NULL_DRAWS - lo), 1)), axis=1)
+        null += _cvm_statistics(_permutation_pair_sums(s), ranks, s)
+    null = np.sort(null)
+    null.flags.writeable = False
+    return null
 
 
-def indep_test_cvm(u, v, replicates: int = 100,
-                   rng: np.random.Generator | None = None,
-                   sig_level: float = 0.01) -> IndepTestResult:
-    """Cramer-von Mises independence test with a permutation p-value.
+def indep_test_cvm(u, v, sig_level: float = 0.01) -> IndepTestResult:
+    """Rank Cramer-von Mises independence test of two equally long vectors.
 
-    The statistic is ``sum_i (C_n(u_i, v_i) - u_i v_i)^2``; the p-value is
-    the fraction of replicates (one margin permuted) at least as large as
-    the observed statistic, with the (r + 1) / (B + 1) correction, and the
-    pair counts as independent when ``p_value >= sig_level``.
-
-    All ``replicates`` permutations are drawn up front, so the generator
-    advances as if every replicate ran.  Their statistics are evaluated in
-    blocks of 8, 32 and the rest, stopping once the count of replicates
-    at least as large as the observed one settles the decision either way.
-    ``p_value`` evaluates any replicates left over on first access.
+    The statistic is :func:`_cvm_statistics` on the ranks
+    R_i = #{k : u_k <= u_i} (ties share the largest rank, as the
+    empirical copula's ``<=`` does).  Its null distribution depends on m
+    alone and is simulated once per m (:func:`_cvm_null`), as the R copula
+    package's ``indepTestSim`` does, so the test draws nothing from any
+    run's generator.  The p-value is (#null >= statistic + 1) / (B + 1),
+    and the pair counts as independent when ``p_value >= sig_level``.
     """
-    if replicates < 0:
-        raise ValueError(f"replicates must be >= 0, got {replicates}")
-    if rng is None:
-        rng = np.random.default_rng()
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     m = u.size
-    le_u = u[None, :] <= u[:, None]   # le_u[i, k] = (u_k <= u_i)
-    # row 0, the identity, gives the observed statistic; the rest are the
-    # same draws, in the same order, as one rng.permutation(m) per replicate
-    idx = np.empty((replicates + 1, m), dtype=np.intp)
-    idx[:] = np.arange(m)
-    rng.permuted(idx[1:], axis=1, out=idx[1:])
-    need = _exceed_needed(replicates, sig_level)
-    first = _cvm_stats(u, le_u, v[idx[:1 + _CVM_BLOCKS[0]]])
-    observed = float(first[0])
-    exceed = int(np.count_nonzero(first[1:] >= observed))
-    done = first.size  # rows of idx evaluated
-    for block in _CVM_BLOCKS[1:] + (replicates,):
-        # settled: enough exceedances, or too few replicates left for them
-        if exceed >= need or exceed + replicates + 1 - done < need:
-            break
-        more = _cvm_stats(u, le_u, v[idx[done:done + block]])
-        exceed += int(np.count_nonzero(more >= observed))
-        done += more.size
-    pending = (u, le_u, v[idx[done:]]) if done <= replicates else None
-    return IndepTestResult(observed, exceed >= need, exceed, replicates,
-                           pending)
+    if u.shape != v.shape or u.ndim != 1 or not 2 <= m <= CVM_MAX_M:
+        raise ValueError("indep_test_cvm needs two equally long vectors, "
+                         f"2 <= m <= {CVM_MAX_M}")
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise ValueError("indep_test_cvm needs finite values")
+    r = np.searchsorted(np.sort(u), u, side="right")
+    s = np.searchsorted(np.sort(v), v, side="right")
+    # m + 1 - max(r_i, r_k) = min(m + 1 - r_i, m + 1 - r_k), in row blocks
+    ru, sv, rows = m + 1 - r, m + 1 - s, max(1, CVM_BLOCK_CELLS // m)
+    pairs = sum(int(np.sum(np.minimum.outer(ru[lo:lo + rows], ru)
+                           * np.minimum.outer(sv[lo:lo + rows], sv)))
+                for lo in range(0, m, rows))
+    statistic = _cvm_statistics(pairs, r, s)[0]
+    null = _cvm_null(m)
+    exceed = null.size - int(np.searchsorted(null, statistic, side="left"))
+    p_value = (exceed + 1.0) / (null.size + 1.0)
+    return IndepTestResult(statistic, p_value, bool(p_value >= sig_level))
 
 
 def gof_select_copula(u, v, candidates) -> BivariateCopula:
@@ -265,9 +270,7 @@ def gof_select_copula(u, v, candidates) -> BivariateCopula:
     U = pseudo_observations(np.column_stack([u, v]))
     u, v = U[:, 0], U[:, 1]
     tau = clip_tau(kendall_tau(u, v))
-    le_u = u[None, :] <= u[:, None]
-    le_v = v[None, :] <= v[:, None]
-    cn = _empirical_copula_at_sample(le_u, le_v)
+    cn = ((u[None, :] <= u[:, None]) & (v[None, :] <= v[:, None])).mean(axis=1)
     best: BivariateCopula | None = None
     best_stat = np.inf
     for family in candidates:

@@ -4,9 +4,10 @@ Structure selection is greedy on empirical Kendall tau weights: C-vine roots
 maximize the summed absolute tau to the other nodes (re-selected per tree on
 the h-transformed data); the D-vine path approximately maximizes the summed
 absolute tau along consecutive pairs via cheapest insertion on edge costs
-1 - |tau|.  Per edge, an independence pre-test decides between the product
-copula and CvM goodness-of-fit selection among the candidate families, and
-fitting truncates when AIC or BIC stops improving.
+1 - |tau|.  Per edge, the rank CvM independence test, which draws no random
+numbers, decides between the product copula and CvM goodness-of-fit
+selection among the candidate families, and fitting truncates when AIC or
+BIC stops improving.
 
 Fitting, ``vine_loglik`` and ``vine_sample`` share one edge layout per vine
 type, stated in ``RVineModel``: the tree walkers ``_CVineTrees`` and
@@ -135,13 +136,6 @@ def _criterion_penalty(criterion: str, k: int, m: int) -> float:
     raise ValueError(f"unknown criterion: {criterion}")
 
 
-def _fit_edge(u, v, candidates, sig_level, rng):
-    result = indep_test_cvm(u, v, rng=rng, sig_level=sig_level)
-    if result.independent:
-        return product()
-    return gof_select_copula(u, v, candidates)
-
-
 # bound once: on CPython 3.11 an enum member lookup costs about ten global reads
 _PRODUCT = CopulaFamily.PRODUCT
 
@@ -220,19 +214,16 @@ _TREES = {VineType.CVINE: _CVineTrees, VineType.DVINE: _DVineTrees}
 
 
 def fit_vine(U, vine_type: VineType, candidates, sig_level: float = 0.01,
-             criterion: str = "aic", rng: np.random.Generator | None = None
-             ) -> RVineModel:
+             criterion: str = "aic") -> RVineModel:
     """Fit a C-vine or D-vine tree by tree.
 
-    Per edge, an independence test at ``sig_level`` decides between the
+    Per edge, ``indep_test_cvm`` at ``sig_level`` decides between the
     product copula and CvM selection among ``candidates``.  With
     ``criterion`` "aic" or "bic" the cumulative information criterion is
     evaluated after each tree and fitting stops as soon as it fails to
     decrease strictly; the offending tree and all deeper trees become
     product copulas.  ``criterion="none"`` fits all trees.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     U = np.asarray(U, dtype=float)
     vine_type = VineType(vine_type)
     m, n = U.shape
@@ -248,7 +239,8 @@ def fit_vine(U, vine_type: VineType, candidates, sig_level: float = 0.01,
     trunc_level = n - 1
     for level in range(n - 1):
         pairs = walk.pairs()
-        edges = [_fit_edge(u, v, candidates, sig_level, rng) for u, v in pairs]
+        edges = [product() if indep_test_cvm(u, v, sig_level).independent
+                 else gof_select_copula(u, v, candidates) for u, v in pairs]
         tree_ll = sum(copula_loglik(c, np.column_stack(pair))
                       for c, pair in zip(edges, pairs)
                       if c.family is not CopulaFamily.PRODUCT)

@@ -289,7 +289,7 @@ def test_criterion_8_dependence_suite():
     for seed in range(100):
         rng = run_rng(BASE_SEED, 88, seed)
         u, v = rng.random(200), rng.random(200)
-        res = indep_test_cvm(u, v, replicates=100, rng=rng, sig_level=0.01)
+        res = indep_test_cvm(u, v, sig_level=0.01)
         false_positives += not res.independent
     assert false_positives <= 5
 

@@ -1,7 +1,12 @@
+import hashlib
 import itertools
 import math
+import os
 import pickle
+import subprocess
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -209,108 +214,126 @@ class TestEmpiricalCopula:
         assert np.all(np.diff(vals, axis=1) >= 0)
 
 
-def reference_indep_test_cvm(u, v, replicates, rng, sig_level=0.01):
-    # one rng.permutation and one gathered indicator matrix per replicate
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    m = u.size
-    le_u = u[None, :] <= u[:, None]
-    le_v = v[None, :] <= v[:, None]
-    observed = float(np.sum(((le_u & le_v).mean(axis=1) - u * v) ** 2))
-    exceed = 0
-    for _ in range(replicates):
-        perm = rng.permutation(m)
-        cn_p = (le_u & le_v[np.ix_(perm, perm)]).mean(axis=1)
-        exceed += float(np.sum((cn_p - u * v[perm]) ** 2)) >= observed
-    p_value = (exceed + 1.0) / (replicates + 1.0)
-    return observed, p_value, p_value >= sig_level
+def reference_cvm_statistic(u, v):
+    """m * integral of (C_n - st)^2, summed exactly over the rectangles on
+    which the empirical copula of the <=-rank pseudo-observations is
+    constant."""
+    m = len(u)
+    U = [Fraction(sum(x <= y for x in u), m + 1) for y in u]
+    V = [Fraction(sum(x <= y for x in v), m + 1) for y in v]
+    xs = sorted(set(U) | {Fraction(0), Fraction(1)})
+    ys = sorted(set(V) | {Fraction(0), Fraction(1)})
+    total = Fraction(0)
+    for x0, x1 in zip(xs, xs[1:]):
+        for y0, y1 in zip(ys, ys[1:]):
+            c = Fraction(sum(a <= x0 and b <= y0 for a, b in zip(U, V)), m)
+            # integral of (c - st)^2 over [x0, x1] x [y0, y1]
+            total += (c * c * (x1 - x0) * (y1 - y0)
+                      - c * (x1 ** 2 - x0 ** 2) * (y1 ** 2 - y0 ** 2) / 2
+                      + (x1 ** 3 - x0 ** 3) * (y1 ** 3 - y0 ** 3) / 9)
+    return m * total
 
 
 def cvm_cases():
     rng = np.random.default_rng(24)
-    for m in (1, 2, 3, 31, 33, 60, 290):
-        yield m, 100, rng.random(m), rng.random(m)
-    u = rng.random(52)
-    yield 52, 100, u, u + 0.05 * rng.random(52)
-    yield 40, 100, rng.integers(0, 5, 40) / 5.0, rng.integers(0, 5, 40) / 5.0
-    # constant u: every replicate's statistic sums the observed terms in
-    # another order, so only the same summation order gives the same ties
-    yield 31, 100, np.full(31, 0.5), rng.random(31)
-    yield 60, 100, np.full(60, 0.5), rng.random(60)
-    yield 31, 0, rng.random(31), rng.random(31)
-    yield 31, 7, rng.random(31), rng.random(31)
-    yield 200, 400, rng.random(200), rng.random(200)  # several row chunks
-    u = rng.random(20)
-    u[4] = np.nan
-    yield 20, 30, u, rng.random(20)
+    for m in (2, 3, 31, 60):
+        yield rng.random(m), rng.random(m)
+        yield rng.integers(0, 4, m) / 4.0, rng.integers(0, 3, m) / 3.0
+    u = rng.random(60)
+    yield u, u + 0.05 * rng.random(60)
+    yield np.full(31, 0.5), rng.random(31)
 
 
 CVM_CASES = list(cvm_cases())
 
 
-class TestIndependenceTestMatchesLoop:
-    @pytest.mark.parametrize(
-        "m, replicates, u, v", CVM_CASES,
-        ids=[f"{k}-m{c[0]}-B{c[1]}" for k, c in enumerate(CVM_CASES)])
-    def test_result_and_generator_state(self, m, replicates, u, v):
-        rng_new, rng_ref = np.random.default_rng(25), np.random.default_rng(25)
-        res = indep_test_cvm(u, v, replicates=replicates, rng=rng_new)
-        ref = reference_indep_test_cvm(u, v, replicates, rng_ref)
-        assert same_bits(res.statistic, ref[0])
-        assert same_bits(res.p_value, ref[1])
-        assert res.independent == ref[2]
-        assert rng_new.random() == rng_ref.random()
+class TestCvmStatistic:
+    @pytest.mark.parametrize("u, v", CVM_CASES,
+                             ids=[f"m{len(c[0])}-{k}"
+                                  for k, c in enumerate(CVM_CASES)])
+    def test_closed_form_matches_exact_integral(self, u, v):
+        statistic = indep_test_cvm(u, v).statistic
+        assert statistic == pytest.approx(
+            float(reference_cvm_statistic(u, v)), rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_equal_statistics_have_equal_bits(self, m):
+        # different permutations often give the same statistic exactly;
+        # the p-value compares them with >=, so each must round alike
+        u = np.arange(m, dtype=float)
+        by_value = {}
+        for perm in itertools.permutations(range(m)):
+            v = np.array(perm, dtype=float)
+            by_value.setdefault(reference_cvm_statistic(u, v), set()).add(
+                indep_test_cvm(u, v).statistic)
+        assert all(len(bits) == 1 for bits in by_value.values())
+        assert len(by_value) < math.factorial(m)
+
+    def test_invariant_under_increasing_transforms(self):
+        rng = np.random.default_rng(28)
+        u, v = rng.random(40), rng.random(40)
+        v[::4] = v[1::4]  # ties too
+        res = indep_test_cvm(u, v)
+        assert indep_test_cvm(np.exp(3.0 * u) - 7.0, v ** 3) == res
+        assert indep_test_cvm(u, np.floor(v * 1e6)) == res
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8, 9, 17, 31, 64, 70])
+    def test_null_statistics_match_the_test_on_each_permutation(self, m):
+        # the null's merge-sort pair sums against the test's m^2 pairs
+        rng = np.random.default_rng(29)
+        ranks = np.arange(1, m + 1)
+        S = rng.permuted(np.tile(ranks, (25, 1)), axis=1)
+        null = dependence._cvm_statistics(
+            dependence._permutation_pair_sums(S), ranks, S)
+        assert null == [indep_test_cvm(ranks, s).statistic for s in S]
 
 
-class TestEarlyStopping:
-    """The test stops once its decision is settled; the decision, the
-    generator state and the exact p-value still match the full loop."""
+NULL_DIGEST = (
+    "import hashlib\n"
+    "from copeda.dependence import _cvm_null\n"
+    "print(hashlib.sha256(b''.join(_cvm_null(m).tobytes()\n"
+    "                              for m in (2, 31, 60))).hexdigest())\n")
 
-    @pytest.mark.parametrize("replicates", [0, 1, 7, 8, 9, 100, 400])
-    def test_decision_before_p_value(self, replicates):
-        for k, (m, _, u, v) in enumerate(CVM_CASES):
-            ref_rng = np.random.default_rng(25)
-            observed, p_value, _ = reference_indep_test_cvm(
-                u, v, replicates, ref_rng)
-            for sig_level in (0.005, 0.01, 0.05, 0.5, 0.999):
-                rng = np.random.default_rng(25)
-                res = indep_test_cvm(u, v, replicates=replicates, rng=rng,
-                                     sig_level=sig_level)
-                where = (k, sig_level)
-                assert res.independent == (p_value >= sig_level), where
-                assert rng.bit_generator.state == ref_rng.bit_generator.state
-                assert same_bits(res.statistic, observed), where
-                assert same_bits(res.p_value, p_value), where
 
-    def test_null_data_evaluates_under_half_the_replicates(self, monkeypatch):
-        rows = []
-        kernel = dependence._cvm_stats
+class TestCvmNull:
+    def test_sorted_read_only_table_per_m(self):
+        null = dependence._cvm_null(31)
+        assert null.shape == (dependence.CVM_NULL_DRAWS,)
+        assert np.all(np.diff(null) >= 0)
+        assert not null.flags.writeable
 
-        def counted(u, le_u, vp):
-            rows.append(vp.shape[0])
-            return kernel(u, le_u, vp)
+    def test_same_bits_across_calls(self):
+        first = dependence._cvm_null(31).copy()
+        dependence._cvm_null.cache_clear()
+        assert same_bits(dependence._cvm_null(31), first)
 
-        monkeypatch.setattr(dependence, "_cvm_stats", counted)
-        data = np.random.default_rng(26)
-        for seed in range(50):
-            u, v = data.random(31), data.random(31)
-            res = indep_test_cvm(u, v, replicates=100,
-                                 rng=np.random.default_rng(seed))
-            ref = reference_indep_test_cvm(u, v, 100,
-                                           np.random.default_rng(seed))
-            assert res.independent == ref[2]
-        # one identity row per test gives the observed statistic
-        assert sum(rows) - 50 < 50 * 100 // 2
+    def test_same_bits_across_processes(self):
+        src = os.path.dirname(os.path.dirname(dependence.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        digests = [subprocess.run(
+            [sys.executable, "-c", NULL_DIGEST], capture_output=True,
+            text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path}).stdout
+            for _ in range(2)]
+        here = hashlib.sha256(b"".join(dependence._cvm_null(m).tobytes()
+                                       for m in (2, 31, 60))).hexdigest()
+        assert digests == [here + "\n"] * 2
 
-    def test_negative_replicates_rejected(self):
-        with pytest.raises(ValueError, match="replicates"):
-            indep_test_cvm([0.2, 0.8], [0.6, 0.4], replicates=-1)
+    def test_blocks_change_nothing(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        u, v = rng.random(60), rng.random(60)
+        table, res = dependence._cvm_null(60).copy(), indep_test_cvm(u, v)
+        dependence._cvm_null.cache_clear()
+        monkeypatch.setattr(dependence, "CVM_BLOCK_CELLS", 100)
+        assert same_bits(dependence._cvm_null(60), table)
+        assert indep_test_cvm(u, v) == res
+        dependence._cvm_null.cache_clear()
 
 
 class TestIndepTestResult:
     def fresh(self, seed=27):
         rng = np.random.default_rng(seed)
-        return indep_test_cvm(rng.random(31), rng.random(31), rng=rng)
+        return indep_test_cvm(rng.random(31), rng.random(31))
 
     def test_pickles_before_and_after_p_value(self):
         res = self.fresh()
@@ -339,22 +362,62 @@ class TestIndependenceTest:
         for seed in range(100):
             rng = np.random.default_rng(1000 + seed)
             u, v = rng.random(200), rng.random(200)
-            res = indep_test_cvm(u, v, replicates=100, rng=rng, sig_level=0.01)
+            res = indep_test_cvm(u, v, sig_level=0.01)
             hits += res.independent
         assert hits >= 95
 
     def test_comonotone_rejected(self):
         rng = np.random.default_rng(6)
         u = rng.random(200)
-        res = indep_test_cvm(u, u, replicates=100, rng=rng, sig_level=0.01)
-        assert res.p_value <= 0.01
+        res = indep_test_cvm(u, u, sig_level=0.01)
+        assert res.p_value == 1.0 / (dependence.CVM_NULL_DRAWS + 1)
         assert not res.independent
 
     def test_minimal_sample_is_valid(self):
-        rng = np.random.default_rng(7)
-        res = indep_test_cvm([0.2, 0.8], [0.6, 0.4], replicates=50, rng=rng)
-        assert res.p_value >= 1.0 / 51.0
-        assert 0.0 <= res.p_value <= 1.0
+        res = indep_test_cvm([0.2, 0.8], [0.6, 0.4])
+        assert 1.0 / (dependence.CVM_NULL_DRAWS + 1) <= res.p_value <= 1.0
+
+    def test_p_value_counts_the_null_at_or_above(self):
+        rng = np.random.default_rng(31)
+        samples = [(u, u + rng.uniform(0.0, 3.0) * rng.random(33))
+                   for u in rng.random((20, 33))]
+        # at m = 4 every statistic is one the null table holds
+        samples += [(np.arange(4.0), np.array(perm, dtype=float))
+                    for perm in itertools.permutations(range(4))]
+        for u, v in samples:
+            res = indep_test_cvm(u, v)
+            null = dependence._cvm_null(len(u))
+            exceed = int(np.count_nonzero(null >= res.statistic))
+            assert res.p_value == (exceed + 1.0) / (null.size + 1.0)
+            for sig_level in (0.005, 0.01, 0.05, 0.5):
+                assert (indep_test_cvm(u, v, sig_level).independent
+                        == (res.p_value >= sig_level))
+
+    def test_fields_are_plain_python_values(self):
+        res = indep_test_cvm(np.arange(10.0), np.arange(10.0) % 3)
+        assert (type(res.statistic), type(res.p_value),
+                type(res.independent)) == (float, float, bool)
+
+    @pytest.mark.parametrize("u, v", [
+        ([0.1, 0.2, 0.3], [0.1, 0.2]),
+        (np.zeros((3, 2)), np.zeros((3, 2))),
+    ])
+    def test_unequal_lengths_rejected(self, u, v):
+        with pytest.raises(ValueError, match="equally long"):
+            indep_test_cvm(u, v)
+
+    @pytest.mark.parametrize("m", [0, 1, dependence.CVM_MAX_M + 1])
+    def test_sample_size_out_of_range_rejected(self, m):
+        with pytest.raises(ValueError, match="m <="):
+            indep_test_cvm(np.zeros(m), np.zeros(m))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        u = np.linspace(0.0, 1.0, 20)
+        with pytest.raises(ValueError, match="finite"):
+            indep_test_cvm(np.where(u == u[4], bad, u), u)
+        with pytest.raises(ValueError, match="finite"):
+            indep_test_cvm(u, np.where(u == u[7], bad, u))
 
 
 CANDIDATES = [CopulaFamily.NORMAL, CopulaFamily.CLAYTON,
