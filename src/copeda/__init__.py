@@ -47,7 +47,6 @@ from .eda import (
     EdaSpec,
     InputError,
     ObjectiveError,
-    Population,
     RunResult,
     TerminationSpec,
     critical_pop_size,

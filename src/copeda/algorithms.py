@@ -3,9 +3,9 @@
 UMDA couples fitted margins with the product copula, GCEDA with a
 multivariate normal copula whose correlation matrix comes from pairwise tau
 inversion plus positive-definite repair, CVEDA/DVEDA with a fitted vine,
-and the copula-chain variant of MIMIC with closed-form ML normal or
-Brent-refined Frank bivariate copulas along a greedily chosen permutation
-ordered by copula-entropy mutual information.
+and the copula-chain variant of MIMIC with ML normal (closed form) or
+Frank (bounded Brent search) bivariate copulas along a greedily chosen
+permutation ordered by copula-entropy mutual information.
 """
 
 from __future__ import annotations
@@ -22,14 +22,12 @@ from .copulas import (
     RHO_MAX,
     BivariateCopula,
     CopulaFamily,
-    clip_tau,
     copula_hinv,
     copula_loglik,
     frank,
     mvnormal_copula_sample,
     normal,
     product,
-    tau_to_parameter,
 )
 from .dependence import (
     copula_mutual_information,
@@ -37,7 +35,6 @@ from .dependence import (
     make_positive_definite,
     pseudo_observations,
 )
-from .eda import EdaSpec, Population
 from .margins import KernelMargin, MarginKind, MarginModel, fit_margin
 from .vines import (RVineModel, VineType, describe_vine, fit_vine,
                     vine_sample)
@@ -68,9 +65,8 @@ def _normal_ml_rho(U: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _ml_refine(start: BivariateCopula, U2: np.ndarray) -> BivariateCopula:
-    """Bounded 1-D Frank likelihood search; a failed search keeps the
-    moment fit."""
+def _frank_ml(U2: np.ndarray) -> BivariateCopula:
+    """ML Frank copula of the two columns of U2 by bounded 1-D search."""
 
     def make(theta):
         return frank(theta) if abs(theta) > 1e-8 else product()
@@ -81,15 +77,10 @@ def _ml_refine(start: BivariateCopula, U2: np.ndarray) -> BivariateCopula:
         except (ValueError, FloatingPointError):
             return np.inf
 
-    try:
-        res = minimize_scalar(negloglik,
-                              bounds=(-FRANK_THETA_MAX, FRANK_THETA_MAX),
-                              method="bounded", options={"xatol": 1e-6})
-        if res.success and np.isfinite(res.fun):
-            return make(float(res.x))
-    except (ValueError, FloatingPointError):
-        pass
-    return start
+    res = minimize_scalar(negloglik,
+                          bounds=(-FRANK_THETA_MAX, FRANK_THETA_MAX),
+                          method="bounded", options={"xatol": 1e-6})
+    return make(float(res.x))
 
 
 def chain_permutation(mi: np.ndarray) -> tuple[int, ...]:
@@ -214,8 +205,8 @@ class ChainDependence:
         """Chain structure over margin-CDF transforms of the selected rows.
 
         Normal links are ``_normal_ml_rho`` with mutual information
-        -log(1 - rho^2)/2 and draw nothing from ``rng``; Frank links are a
-        tau start refined by a bounded Brent likelihood search, with a
+        -log(1 - rho^2)/2 and draw nothing from ``rng``; Frank links are the
+        ML parameter of a bounded Brent search (``_frank_ml``), with a
         Monte-Carlo copula-entropy mutual information.
         """
         n = X.shape[1]
@@ -225,15 +216,11 @@ class ChainDependence:
             perm = chain_permutation(-0.5 * np.log1p(-rho * rho))
             return cls(perm, tuple(normal(float(rho[a, b]))
                                    for a, b in zip(perm, perm[1:])))
-        taus = kendall_tau_matrix(X)
         pair: dict[tuple[int, int], BivariateCopula] = {}
         mi = np.zeros((n, n))
         for i in range(1, n):
             for j in range(i):
-                tau = clip_tau(taus[i, j])
-                start = (tau_to_parameter(CopulaFamily.FRANK, tau)
-                         if tau != 0.0 else frank(1e-4))
-                cop = _ml_refine(start, U[:, [i, j]])
+                cop = _frank_ml(U[:, [i, j]])
                 mi[i, j] = mi[j, i] = copula_mutual_information(cop, rng)
                 pair[(i, j)] = pair[(j, i)] = cop
         perm = chain_permutation(mi)
@@ -274,10 +261,10 @@ class SearchModel:
     dependence: Dependence
 
 
-def learn_model(spec: EdaSpec, selected: Population, lower, upper,
+def learn_model(spec, X: np.ndarray, lower, upper,
                 rng: np.random.Generator) -> SearchModel:
-    """Fit every margin, then the algorithm's dependence structure."""
-    X = selected.solutions
+    """Fit every margin to the selected ``(m, n)`` rows X, then the
+    dependence structure of ``spec`` (an ``EdaSpec``)."""
     margins = [fit_margin(spec.effective_margin, X[:, j], lower[j], upper[j])
                for j in range(X.shape[1])]
     dependence = _DEPENDENCE[spec.algorithm].learn(spec, X, margins, rng)

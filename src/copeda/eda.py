@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .algorithms import _DEPENDENCE, learn_model, sample_model
 from .copulas import CopulaFamily
 from .margins import MarginKind
 
@@ -29,25 +30,6 @@ class InputError(ValueError):
     """A study was configured with values it cannot run: a bad spec, bounds,
     run count or critical-population search, an objective that cannot be
     sent to worker processes, or a malformed config file."""
-
-
-@dataclass
-class Population:
-    """Candidate solutions and, once evaluated, their objective values."""
-
-    solutions: np.ndarray
-    evaluations: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.solutions = np.asarray(self.solutions, dtype=float)
-        if self.evaluations is not None:
-            self.evaluations = np.asarray(self.evaluations, dtype=float)
-            if self.evaluations.shape[0] != self.solutions.shape[0]:
-                raise ValueError("evaluations length must match population size")
-
-    @property
-    def size(self) -> int:
-        return self.solutions.shape[0]
 
 
 @dataclass(frozen=True)
@@ -66,7 +48,7 @@ class TerminationSpec:
             raise InputError("at least one termination criterion must be set")
 
 
-ALGORITHMS = ("umda", "gceda", "cveda", "dveda", "copula-mimic")
+ALGORITHMS = tuple(_DEPENDENCE)
 
 
 @dataclass(frozen=True)
@@ -152,24 +134,30 @@ class RunsSummary:
 
 
 def seed_uniform(lower, upper, pop_size: int,
-                 rng: np.random.Generator) -> Population:
-    """Initial population: each entry uniform on its coordinate interval."""
+                 rng: np.random.Generator) -> np.ndarray:
+    """Initial ``(pop_size, n)`` population: each entry uniform on its
+    coordinate interval."""
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     if lower.shape != upper.shape or np.any(lower >= upper):
         raise InputError("need lower < upper in every coordinate")
-    sols = rng.uniform(lower, upper, size=(pop_size, lower.size))
-    return Population(sols)
+    return rng.uniform(lower, upper, size=(pop_size, lower.size))
 
 
-def select_truncation(pop: Population, factor: float) -> Population:
-    """Keep the max(2, round(factor * popSize)) best rows (minimization)."""
-    if pop.evaluations is None:
-        raise ValueError("population must be evaluated before selection")
-    count = max(2, int(math.floor(factor * pop.size + 0.5)))
-    count = min(count, pop.size)
-    order = np.argsort(pop.evaluations, kind="stable")[:count]
-    return Population(pop.solutions[order].copy(), pop.evaluations[order].copy())
+def select_truncation(X: np.ndarray, evaluations: np.ndarray,
+                      factor: float) -> np.ndarray:
+    """The max(2, round(factor * m)) best of the m rows of X, best first
+    (minimization; ties keep row order)."""
+    m = X.shape[0]
+    if np.shape(evaluations) != (m,):
+        raise ValueError("need one evaluation per population row")
+    count = min(max(2, int(math.floor(factor * m + 0.5))), m)
+    return X[np.argsort(evaluations, kind="stable")[:count]]
+
+
+def _std(values: np.ndarray) -> float:
+    """Sample standard deviation (ddof 1); 0 for a single value."""
+    return float(np.std(values, ddof=1)) if values.size > 1 else 0.0
 
 
 def terminate_check(term: TerminationSpec, *, gen: int, evals: int,
@@ -230,40 +218,32 @@ def eda_run(spec: EdaSpec, f, lower, upper, rng: np.random.Generator,
     ``rng``, so observing a run does not change it.  The name predates the
     evaluations argument and is kept for callers that pass it by keyword.
     """
-    from .algorithms import learn_model, sample_model
-
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     start = time.process_time()
 
-    pop = seed_uniform(lower, upper, spec.pop_size, rng)
-    evals = evaluate_objective(f, pop.solutions)
-    pop = Population(pop.solutions, evals)
+    X = seed_uniform(lower, upper, spec.pop_size, rng)
+    evals = evaluate_objective(f, X)
     gen = 1
     f_evals = spec.pop_size
     best_idx = int(np.argmin(evals))
     best_eval = float(evals[best_idx])
-    best_sol = pop.solutions[best_idx].copy()
+    best_sol = X[best_idx].copy()
     if model_sink is not None:
         model_sink(gen, evals, None)
 
-    def state():
-        std = float(np.std(pop.evaluations, ddof=1)) if pop.size > 1 else 0.0
-        return dict(gen=gen, evals=f_evals, best_eval=best_eval,
-                    eval_stddev=std)
-
-    while not terminate_check(spec.termination, **state()):
+    while not terminate_check(spec.termination, gen=gen, evals=f_evals,
+                              best_eval=best_eval, eval_stddev=_std(evals)):
         gen += 1
-        selected = select_truncation(pop, spec.truncation_factor)
+        selected = select_truncation(X, evals, spec.truncation_factor)
         model = learn_model(spec, selected, lower, upper, rng)
-        sols = sample_model(model, spec.pop_size, lower, upper, rng)
-        evals = evaluate_objective(f, sols)
-        pop = Population(sols, evals)
+        X = sample_model(model, spec.pop_size, lower, upper, rng)
+        evals = evaluate_objective(f, X)
         f_evals += spec.pop_size
         gen_best = int(np.argmin(evals))
         if evals[gen_best] < best_eval:
             best_eval = float(evals[gen_best])
-            best_sol = sols[gen_best].copy()
+            best_sol = X[gen_best].copy()
         if model_sink is not None:
             model_sink(gen, evals, model)
 
@@ -309,9 +289,8 @@ def eda_indep_runs(spec: EdaSpec, f, lower, upper, runs: int,
 
 def _stats(values) -> Stats:
     arr = np.asarray(values, dtype=float)
-    std = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
     return Stats(float(arr.min()), float(np.median(arr)), float(arr.max()),
-                 float(arr.mean()), std)
+                 float(arr.mean()), _std(arr))
 
 
 def summarize_runs(results: list[RunResult]) -> RunsSummary:
@@ -370,20 +349,17 @@ def critical_pop_size(spec: EdaSpec, f, lower, upper, target: float,
     if success_runs > total_runs:
         raise InputError("success_runs cannot exceed total_runs")
 
-    cache: dict[int, bool] = {}
-
     def succeeded(size: int) -> bool:
-        if size not in cache:
-            if probe is not None:
-                successes, attempted = probe(size)
-            else:
-                successes, attempted = _probe_size(
-                    spec, f, lower, upper, target, tol, size, total_runs,
-                    success_runs, base_seed)
-            cache[size] = successes >= success_runs
-            if trace is not None:
-                trace(size, successes, attempted)
-        return cache[size]
+        # bisection never probes a size twice: every mid is inside (lo, hi)
+        if probe is not None:
+            successes, attempted = probe(size)
+        else:
+            successes, attempted = _probe_size(
+                spec, f, lower, upper, target, tol, size, total_runs,
+                success_runs, base_seed)
+        if trace is not None:
+            trace(size, successes, attempted)
+        return successes >= success_runs
 
     if not succeeded(upper_pop):
         return None

@@ -273,7 +273,9 @@ def _fit_beta(sample: np.ndarray, lower: float, upper: float) -> tuple[float, fl
     try:
         res = minimize(negloglik, x0=[1.0, 1.0], method="Nelder-Mead")
         a, b = res.x
-        if res.success and np.isfinite(negloglik(res.x)) and a > 0 and b > 0:
+        # keep the point also when Nelder-Mead stops at its iteration cap:
+        # on a tight sample that point is far nearer than uniform (1, 1)
+        if np.isfinite(negloglik(res.x)) and a > 0 and b > 0:
             return float(a), float(b)
     except (ValueError, FloatingPointError):
         pass

@@ -27,7 +27,7 @@ from copeda.copulas import (
     student,
 )
 from copeda.dependence import kendall_tau
-from copeda.eda import EdaSpec, Population, TerminationSpec, run_rng
+from copeda.eda import EdaSpec, TerminationSpec, run_rng
 from copeda.margins import MarginKind, NormalMargin
 from copeda.vines import RVineModel, VineType
 
@@ -58,8 +58,7 @@ def test_gceda_kernel_margins_use_tau_inversion():
     spec = make_spec("gceda", margin=MarginKind.KERNEL)
     model = learn_model(spec, pop, np.full(2, -10.0), np.full(2, 10.0),
                         NO_DRAWS)
-    expected = _math.sin(_math.pi * _kt(pop.solutions[:, 0],
-                                        pop.solutions[:, 1]) / 2.0)
+    expected = _math.sin(_math.pi * _kt(pop[:, 0], pop[:, 1]) / 2.0)
     assert model.dependence.correlation[0, 1] == pytest.approx(expected,
                                                                abs=1e-12)
 
@@ -69,20 +68,16 @@ def test_gceda_normal_margins_use_pearson():
     spec = make_spec("gceda", margin=MarginKind.NORMAL)
     model = learn_model(spec, pop, np.full(2, -10.0), np.full(2, 10.0),
                         NO_DRAWS)
-    expected = np.corrcoef(pop.solutions.T)[0, 1]
+    expected = np.corrcoef(pop.T)[0, 1]
     assert model.dependence.correlation[0, 1] == pytest.approx(expected,
                                                                abs=1e-12)
-
-
-def evaluated(solutions):
-    return Population(solutions, np.zeros(solutions.shape[0]))
 
 
 def mvn_population(n, rho, m, seed):
     rng = np.random.default_rng(seed)
     R = np.full((n, n), rho) + (1 - rho) * np.eye(n)
     chol = np.linalg.cholesky(R)
-    return evaluated(rng.standard_normal((m, n)) @ chol.T)
+    return rng.standard_normal((m, n)) @ chol.T
 
 
 BOUNDS3 = (np.array([-10.0] * 3), np.array([10.0] * 3))
@@ -97,7 +92,7 @@ class TestCedaLearn:
     def test_gceda_clips_comonotone_pair(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(100)
-        pop = evaluated(np.column_stack([x, 2.0 * x + 1.0, rng.standard_normal(100)]))
+        pop = np.column_stack([x, 2.0 * x + 1.0, rng.standard_normal(100)])
         model = learn_model(make_spec("gceda"), pop, *BOUNDS3, NO_DRAWS)
         R = model.dependence.correlation
         assert R[0, 1] < 1.0
@@ -117,7 +112,7 @@ class TestCedaLearn:
         mean = np.array([1.0, -2.0, 0.5])
         cov = np.array([[2.0, 0.8, 0.2], [0.8, 1.0, 0.4], [0.2, 0.4, 1.5]])
         data = rng.multivariate_normal(mean, cov, size=800)
-        model = learn_model(make_spec("gceda"), evaluated(data),
+        model = learn_model(make_spec("gceda"), data,
                             np.full(3, -50.0), np.full(3, 50.0), NO_DRAWS)
         out = sample_model(model, 2000, np.full(3, -50.0), np.full(3, 50.0),
                            np.random.default_rng(5))
@@ -177,7 +172,7 @@ class TestCedaSample:
 class TestVedaLearnSample:
     def test_independent_data_learns_product_vine(self):
         rng = np.random.default_rng(12)
-        pop = evaluated(rng.random((300, 4)))
+        pop = rng.random((300, 4))
         spec = make_spec("cveda")
         model = learn_model(spec, pop, np.zeros(4), np.ones(4), rng)
         vine = model.dependence.vine
@@ -215,7 +210,7 @@ class TestVedaLearnSample:
                             rng)
         out = sample_model(model, 1500, np.full(3, -10.0), np.full(3, 10.0),
                            rng)
-        refit = learn_model(spec, evaluated(out), np.full(3, -10.0),
+        refit = learn_model(spec, out, np.full(3, -10.0),
                             np.full(3, 10.0), rng)
         original = sorted(abs(c.theta) for c in model.dependence.vine.trees[0])
         recovered = sorted(abs(c.theta) for c in refit.dependence.vine.trees[0])
@@ -225,7 +220,7 @@ class TestVedaLearnSample:
 
     def test_truncnorm_margins_respect_bounds(self):
         rng = np.random.default_rng(20)
-        pop = evaluated(rng.uniform(-1.0, 1.0, size=(200, 3)))
+        pop = rng.uniform(-1.0, 1.0, size=(200, 3))
         spec = make_spec("cveda", margin=MarginKind.TRUNC_NORMAL)
         model = learn_model(spec, pop, np.full(3, -1.0), np.full(3, 1.0), rng)
         out = sample_model(model, 2000, np.full(3, -1.0), np.full(3, 1.0), rng)
@@ -278,7 +273,7 @@ class TestCopulaMimic:
         for j, c in enumerate(coeffs, start=1):
             x[:, j] = c * x[:, j - 1] + math.sqrt(1 - c * c) * rng.standard_normal(m)
         spec = make_spec("copula-mimic")
-        model = learn_model(spec, evaluated(x), np.full(4, -60.0),
+        model = learn_model(spec, x, np.full(4, -60.0),
                             np.full(4, 60.0), np.random.default_rng(24))
         perm = model.dependence.perm
         assert perm in ((0, 1, 2, 3), (3, 2, 1, 0))
@@ -359,7 +354,7 @@ class TestNormalClosedForm:
                 brent_rho(U2), abs=1e-6)
 
     def test_every_pair_of_a_matrix(self):
-        U = special.ndtr(mvn_population(4, 0.6, 52, 41).solutions)
+        U = special.ndtr(mvn_population(4, 0.6, 52, 41))
         rho = _normal_ml_rho(U)
         assert np.array_equal(rho, rho.T)
         assert np.all(np.diag(rho) == 0.0)
@@ -403,7 +398,7 @@ class TestNormalClosedForm:
                             np.full(4, 10.0), rng)
         assert rng.bit_generator.state == state
         dep = model.dependence
-        U = np.column_stack([m.cdf(pop.solutions[:, j])
+        U = np.column_stack([m.cdf(pop[:, j])
                              for j, m in enumerate(model.margins)])
         rho = _normal_ml_rho(U)
         assert [c.theta for c in dep.copulas] == [

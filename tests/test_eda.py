@@ -14,7 +14,6 @@ from copeda.eda import (
     EdaSpec,
     InputError,
     ObjectiveError,
-    Population,
     TerminationSpec,
     critical_pop_size,
     eda_indep_runs,
@@ -36,20 +35,21 @@ def umda_spec(pop_size=30, **term):
 class TestSeedUniform:
     def test_column_means(self):
         rng = np.random.default_rng(1)
-        pop = seed_uniform([0.0, 0.0], [1.0, 1.0], 1000, rng)
-        assert np.allclose(pop.solutions.mean(axis=0), 0.5, atol=0.05)
+        X = seed_uniform([0.0, 0.0], [1.0, 1.0], 1000, rng)
+        assert X.shape == (1000, 2)
+        assert np.allclose(X.mean(axis=0), 0.5, atol=0.05)
 
     def test_inside_bounds(self):
         rng = np.random.default_rng(2)
-        pop = seed_uniform([-300.0] * 5, [900.0] * 5, 200, rng)
-        assert np.all(pop.solutions >= -300.0)
-        assert np.all(pop.solutions <= 900.0)
+        X = seed_uniform([-300.0] * 5, [900.0] * 5, 200, rng)
+        assert np.all(X >= -300.0)
+        assert np.all(X <= 900.0)
 
     def test_single_row(self):
         rng = np.random.default_rng(3)
-        pop = seed_uniform([0.0], [1.0], 1, rng)
-        assert pop.solutions.shape == (1, 1)
-        assert 0.0 <= pop.solutions[0, 0] <= 1.0
+        X = seed_uniform([0.0], [1.0], 1, rng)
+        assert X.shape == (1, 1)
+        assert 0.0 <= X[0, 0] <= 1.0
 
     def test_invalid_bounds(self):
         rng = np.random.default_rng(4)
@@ -58,21 +58,31 @@ class TestSeedUniform:
 
 
 class TestSelectTruncation:
+    # each row holds its own evaluation, so the selected rows show which
+    # evaluations were kept
     def test_keeps_best_third(self):
-        pop = Population(np.arange(10.0)[:, None], np.arange(1.0, 11.0))
-        out = select_truncation(pop, 0.3)
-        assert sorted(out.evaluations) == [1.0, 2.0, 3.0]
+        evals = np.arange(1.0, 11.0)
+        out = select_truncation(evals[:, None], evals, 0.3)
+        assert out[:, 0].tolist() == [1.0, 2.0, 3.0]
 
     def test_factor_one_is_whole_population(self):
-        pop = Population(np.arange(4.0)[:, None], np.array([3.0, 1.0, 2.0, 0.0]))
-        out = select_truncation(pop, 1.0)
-        assert out.size == 4
+        evals = np.array([3.0, 1.0, 2.0, 0.0])
+        out = select_truncation(evals[:, None], evals, 1.0)
+        assert out[:, 0].tolist() == [0.0, 1.0, 2.0, 3.0]
 
     def test_minimum_of_two(self):
-        pop = Population(np.arange(3.0)[:, None], np.array([5.0, 1.0, 3.0]))
-        out = select_truncation(pop, 0.3)
-        assert out.size == 2
-        assert sorted(out.evaluations) == [1.0, 3.0]
+        evals = np.array([5.0, 1.0, 3.0])
+        out = select_truncation(evals[:, None], evals, 0.3)
+        assert out[:, 0].tolist() == [1.0, 3.0]
+
+    def test_ties_keep_row_order(self):
+        out = select_truncation(np.arange(4.0)[:, None],
+                                np.array([2.0, 1.0, 1.0, 0.0]), 0.75)
+        assert out[:, 0].tolist() == [3.0, 1.0, 2.0]
+
+    def test_evaluation_count_must_match_rows(self):
+        with pytest.raises(ValueError):
+            select_truncation(np.zeros((4, 2)), np.zeros(3), 0.5)
 
     @given(st.lists(st.floats(-1e5, 1e5), min_size=4, max_size=30, unique=True))
     @settings(max_examples=40, deadline=None)
@@ -81,10 +91,10 @@ class TestSelectTruncation:
         mapped = np.exp(evals / 2e5) * 7.0 + 1.0
         if len(np.unique(mapped)) < len(evals):
             return  # transform collapsed distinct values in float precision
-        pop = Population(np.arange(len(evals))[:, None].astype(float), evals)
-        a = select_truncation(pop, 0.3)
-        b = select_truncation(Population(pop.solutions, mapped), 0.3)
-        assert np.array_equal(a.solutions, b.solutions)
+        X = np.arange(len(evals))[:, None].astype(float)
+        a = select_truncation(X, evals, 0.3)
+        b = select_truncation(X, mapped, 0.3)
+        assert np.array_equal(a, b)
 
 
 class TestTerminateCheck:
@@ -373,7 +383,7 @@ class TestCriticalPopSize:
                                   50, 2000, 30, 30, 10.0, probe=probe)
         assert found is not None
         assert 100 <= found <= 110
-        assert len(probed) == len(set(probed))  # cached, no repeats
+        assert len(probed) == len(set(probed))  # no size probed twice
 
     def test_upper_bound_failure_returns_none(self):
         spec = umda_spec(pop_size=10, max_gen=1, target_eval=0.0)

@@ -48,6 +48,14 @@ class TestFit:
         assert 0.9 <= model.a <= 1.1
         assert 0.9 <= model.b <= 1.1
 
+    def test_beta_tight_sample_keeps_optimizer_point(self):
+        # Nelder-Mead stops at its iteration cap on this sample; its point
+        # must be kept rather than replaced by the uniform margin (1, 1)
+        sample = 0.3 + 1e-5 * np.linspace(-1.0, 1.0, 52)
+        model = fit_margin(MarginKind.BETA_RESCALED, sample, -1.0, 1.0)
+        assert (model.a, model.b) != (1.0, 1.0)
+        assert model.quantile(0.5) == pytest.approx(0.3, abs=0.01)
+
     def test_kernel_constant_sample(self):
         model = fit_margin(MarginKind.KERNEL, [5.0, 5.0, 5.0], 0.0, 10.0)
         assert model.bandwidth == pytest.approx(1e-8)
