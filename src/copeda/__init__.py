@@ -29,6 +29,7 @@ from .dependence import (
     empirical_copula_at,
     gof_select_copula,
     indep_test_cvm,
+    indep_tests_cvm,
     kendall_tau,
     kendall_tau_matrix,
     make_positive_definite,

@@ -7,7 +7,9 @@ positive-definite repair of correlation matrices.
 
 The independence test's null distribution depends only on the sample size;
 it is simulated once per size from a fixed seed and cached, so no test
-draws from a caller's generator.
+draws from a caller's generator.  ``indep_tests_cvm`` tests a stack of
+equally long pairs in one call (a vine fitter's whole tree);
+``indep_test_cvm`` is its one-pair form.
 """
 
 from __future__ import annotations
@@ -59,6 +61,15 @@ def _sign_kernel_pays(m: int, n: int) -> bool:
     return 2 <= m <= TAU_SIGN_MAX_M and m * m <= TAU_SIGN_M2_PER_COLUMN * (n - 1)
 
 
+@functools.lru_cache(maxsize=64)
+def _upper_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.triu_indices(size, 1)``: every (i, j) with i < j."""
+    pairs = np.triu_indices(size, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def _sign_tau(X: np.ndarray) -> np.ndarray:
     """tau-b of every column pair of a finite, nowhere-constant sample.
 
@@ -69,13 +80,13 @@ def _sign_tau(X: np.ndarray) -> np.ndarray:
     expression and clamp are scipy's, which keeps entry (i, j), i < j,
     equal to ``scipy.stats.kendalltau(X[:, i], X[:, j])`` bit for bit.
     """
-    first, second = np.triu_indices(X.shape[0], 1)
-    S = np.array([np.sign(col[first] - col[second]) for col in X.T])
+    first, second = _upper_pairs(X.shape[0])
+    S = np.sign(X[first] - X[second]).T
     G = S @ S.T
     root = np.sqrt(np.diag(G))
     T = np.clip(G / root[:, None] / root[None, :], -1.0, 1.0)
-    lower = np.tril_indices(X.shape[1], -1)
-    T[lower] = T.T[lower]  # keep scipy's (x = i, y = j) division order
+    i, j = _upper_pairs(X.shape[1])
+    T[j, i] = T[i, j]  # keep scipy's (x = i, y = j) division order
     np.fill_diagonal(T, 1.0)
     return T
 
@@ -121,10 +132,37 @@ def kendall_tau_matrix(X) -> np.ndarray:
     return out
 
 
+def _le_ranks(X: np.ndarray) -> np.ndarray:
+    """R[j, i] = #{l : X[j, l] <= X[j, i]}, row by row.
+
+    In sorted order a value's count is one past the position of the last
+    value equal to it, so ties share the largest rank.
+    """
+    k, m = X.shape
+    flat = np.argsort(X, axis=1) + m * np.arange(k)[:, None]
+    xs = X.ravel()[flat]
+    last = np.full((k, m), m)
+    last[:, :-1] = np.where(xs[:, 1:] != xs[:, :-1], np.arange(1, m), m)
+    R = np.empty(k * m, dtype=np.intp)
+    R[flat] = np.minimum.accumulate(last[:, ::-1], axis=1)[:, ::-1]
+    return R.reshape(k, m)
+
+
 def pseudo_observations(X) -> np.ndarray:
-    """Column-wise rank/(m+1) transform with average ranks on ties."""
+    """Column-wise rank/(m+1) transform with average ranks on ties.
+
+    A value with ``below`` values under it and ``upto`` at or under it in
+    its column averages the ranks below + 1 .. upto, (below + upto + 1) / 2,
+    which are the bits of ``scipy.stats.rankdata(method="average")``; as
+    there, a column holding a NaN is all NaN.  ``below`` is m minus the
+    ``upto`` count of -x.
+    """
     X = np.asarray(X, dtype=float)
-    return stats.rankdata(X, method="average", axis=0) / (X.shape[0] + 1.0)
+    m, n = X.shape
+    upto = _le_ranks(np.concatenate([X.T, -X.T]))
+    twice = (upto[:n] - upto[n:] + (m + 1)).T.astype(float)
+    twice[:, np.isnan(X).any(axis=0)] = np.nan
+    return twice / 2.0 / (m + 1.0)
 
 
 def empirical_copula_at(U, u: float, v: float) -> float:
@@ -135,7 +173,7 @@ def empirical_copula_at(U, u: float, v: float) -> float:
 
 @dataclass(frozen=True)
 class IndepTestResult:
-    """Outcome of :func:`indep_test_cvm`."""
+    """Outcome of the CvM independence test of one pair."""
 
     statistic: float
     p_value: float
@@ -224,37 +262,68 @@ def _cvm_null(m: int) -> np.ndarray:
     return null
 
 
-def indep_test_cvm(u, v, sig_level: float = 0.01) -> IndepTestResult:
-    """Rank Cramer-von Mises independence test of two equally long vectors.
+def _cvm_pair_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_ik min(a_i, a_k) min(b_i, b_k) of each row pair of (k, m) ints.
 
-    The statistic is :func:`_cvm_statistics` on the ranks
-    R_i = #{k : u_k <= u_i} (ties share the largest rank, as the
-    empirical copula's ``<=`` does).  Its null distribution depends on m
-    alone and is simulated once per m (:func:`_cvm_null`), as the R copula
-    package's ``indepTestSim`` does, so the test draws nothing from any
-    run's generator.  The p-value is (#null >= statistic + 1) / (B + 1),
-    and the pair counts as independent when ``p_value >= sig_level``.
+    The (edges, rows, m) products are formed in blocks of at most
+    ``CVM_BLOCK_CELLS`` cells: several whole edges at a time while m^2
+    fits, row blocks of one edge beyond.  Each sum is an exact integer.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    m = u.size
-    if u.shape != v.shape or u.ndim != 1 or not 2 <= m <= CVM_MAX_M:
-        raise ValueError("indep_test_cvm needs two equally long vectors, "
-                         f"2 <= m <= {CVM_MAX_M}")
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        raise ValueError("indep_test_cvm needs finite values")
-    r = np.searchsorted(np.sort(u), u, side="right")
-    s = np.searchsorted(np.sort(v), v, side="right")
-    # m + 1 - max(r_i, r_k) = min(m + 1 - r_i, m + 1 - r_k), in row blocks
-    ru, sv, rows = m + 1 - r, m + 1 - s, max(1, CVM_BLOCK_CELLS // m)
-    pairs = sum(int(np.sum(np.minimum.outer(ru[lo:lo + rows], ru)
-                           * np.minimum.outer(sv[lo:lo + rows], sv)))
-                for lo in range(0, m, rows))
-    statistic = _cvm_statistics(pairs, r, s)[0]
+    k, m = a.shape
+    rows = min(m, max(1, CVM_BLOCK_CELLS // m))
+    edges = max(1, CVM_BLOCK_CELLS // (rows * m))
+    pairs = np.zeros(k, dtype=np.int64)
+    for e in range(0, k, edges):
+        ae, be = a[e:e + edges], b[e:e + edges]
+        for lo in range(0, m, rows):
+            pairs[e:e + edges] += (
+                np.minimum(ae[:, lo:lo + rows, None], ae[:, None])
+                * np.minimum(be[:, lo:lo + rows, None], be[:, None])
+            ).sum(axis=(1, 2))
+    return pairs
+
+
+def indep_tests_cvm(U, V, sig_level: float = 0.01) -> list[IndepTestResult]:
+    """Rank Cramer-von Mises independence test of each row pair (U[j], V[j]).
+
+    ``U`` and ``V`` are (k, m) stacks of k equally long pairs, and the
+    result holds one :class:`IndepTestResult` per row.  The statistic is
+    :func:`_cvm_statistics` on the ranks R_i = #{k : u_k <= u_i} (ties
+    share the largest rank, as the empirical copula's ``<=`` does).  Its
+    null distribution depends on m alone and is simulated once per m
+    (:func:`_cvm_null`), as the R copula package's ``indepTestSim`` does,
+    so the test draws nothing from any run's generator.  The p-value is
+    (#null >= statistic + 1) / (B + 1), and the pair counts as
+    independent when ``p_value >= sig_level``.
+    """
+    U = np.asarray(U, dtype=float)
+    V = np.asarray(V, dtype=float)
+    if U.shape != V.shape or U.ndim != 2 or not 2 <= U.shape[1] <= CVM_MAX_M:
+        raise ValueError("the CvM independence test needs equally long "
+                         f"vectors, 2 <= m <= {CVM_MAX_M}")
+    if not (np.isfinite(U).all() and np.isfinite(V).all()):
+        raise ValueError("the CvM independence test needs finite values")
+    m = U.shape[1]
+    r, s = _le_ranks(U), _le_ranks(V)
+    # m + 1 - max(r_i, r_k) = min(m + 1 - r_i, m + 1 - r_k)
+    statistics = _cvm_statistics(_cvm_pair_sums(m + 1 - r, m + 1 - s), r, s)
     null = _cvm_null(m)
-    exceed = null.size - int(np.searchsorted(null, statistic, side="left"))
-    p_value = (exceed + 1.0) / (null.size + 1.0)
-    return IndepTestResult(statistic, p_value, bool(p_value >= sig_level))
+    below = np.searchsorted(null, statistics, side="left").tolist()
+    results = []
+    for statistic, n_below in zip(statistics, below):
+        p_value = (null.size - n_below + 1.0) / (null.size + 1.0)
+        results.append(
+            IndepTestResult(statistic, p_value, bool(p_value >= sig_level)))
+    return results
+
+
+def indep_test_cvm(u, v, sig_level: float = 0.01) -> IndepTestResult:
+    """:func:`indep_tests_cvm` of one pair of equally long vectors."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 1:
+        raise ValueError("indep_test_cvm needs two equally long vectors")
+    return indep_tests_cvm(u[None], np.asarray(v, dtype=float)[None],
+                           sig_level)[0]
 
 
 def gof_select_copula(u, v, candidates) -> BivariateCopula:

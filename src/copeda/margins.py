@@ -261,14 +261,32 @@ def _silverman_bandwidth(sample: np.ndarray, sd: float) -> float:
     return max(0.9 * spread * m ** (-0.2), BANDWIDTH_FLOOR)
 
 
+def _beta_loglik(y: np.ndarray):
+    """(a, b) -> sum_i log beta(y_i; a, b) of a sample inside (0, 1).
+
+    The sample enters only through m, sum log y and sum log(1 - y):
+    (a - 1) sum log y + (b - 1) sum log(1 - y) - m log B(a, b).
+    """
+    m = y.size
+    log_y, log_1my = float(np.log(y).sum()), float(np.log1p(-y).sum())
+
+    def loglik(a, b):
+        return ((a - 1.0) * log_y + (b - 1.0) * log_1my
+                - m * special.betaln(a, b))
+
+    return loglik
+
+
 def _fit_beta(sample: np.ndarray, lower: float, upper: float) -> tuple[float, float]:
+    # Nelder-Mead from (1, 1), as copulaedas's beta margin runs R's optim
     y = np.clip((sample - lower) / (upper - lower), 1e-6, 1.0 - 1e-6)
+    loglik = _beta_loglik(y)
 
     def negloglik(s):
         a, b = s
         if a <= 0 or b <= 0:
             return np.inf
-        return -float(np.sum(_beta.logpdf(y, a, b)))
+        return -float(loglik(a, b))
 
     try:
         res = minimize(negloglik, x0=[1.0, 1.0], method="Nelder-Mead")
@@ -295,17 +313,20 @@ def fit_margin(kind: MarginKind, sample, lower: float, upper: float) -> MarginMo
         raise ValueError("need at least two observations to fit a margin")
     if not lower < upper:
         raise ValueError(f"invalid bounds: [{lower}, {upper}]")
+    # the steps, and so the bits, of sample.mean() and sample.std(ddof=1);
     # a NaN or infinite entry makes the sd NaN (so does |x| > ~1e154)
-    sd = float(sample.std(ddof=1))
+    mean = float(np.add.reduce(sample, axis=None) / sample.size)
+    dev = sample - mean
+    sd = math.sqrt(np.add.reduce(dev * dev, axis=None) / (sample.size - 1))
     if not math.isfinite(sd):
         raise ValueError("cannot fit a margin to a non-finite sample "
                          "(a NaN or infinite value, or a variance overflow)")
     if kind is MarginKind.NORMAL:
-        return NormalMargin(float(sample.mean()), max(sd, SIGMA_FLOOR))
+        return NormalMargin(mean, max(sd, SIGMA_FLOOR))
     if kind is MarginKind.KERNEL:
         return KernelMargin(sample.copy(), _silverman_bandwidth(sample, sd))
     if kind is MarginKind.TRUNC_NORMAL:
-        return TruncNormalMargin(float(sample.mean()), max(sd, SIGMA_FLOOR),
+        return TruncNormalMargin(mean, max(sd, SIGMA_FLOOR),
                                  float(lower), float(upper))
     a, b = _fit_beta(sample, lower, upper)
     return BetaRescaledMargin(float(lower), float(upper), a, b)

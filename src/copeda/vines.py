@@ -4,10 +4,11 @@ Structure selection is greedy on empirical Kendall tau weights: C-vine roots
 maximize the summed absolute tau to the other nodes (re-selected per tree on
 the h-transformed data); the D-vine path approximately maximizes the summed
 absolute tau along consecutive pairs via cheapest insertion on edge costs
-1 - |tau|.  Per edge, the rank CvM independence test, which draws no random
-numbers, decides between the product copula and CvM goodness-of-fit
-selection among the candidate families, and fitting truncates when AIC or
-BIC stops improving.
+1 - |tau|.  For each edge, the rank CvM independence test, which draws no
+random numbers and runs once per tree over all of the tree's edges,
+decides between the product copula and CvM goodness-of-fit selection among
+the candidate families, and fitting truncates when AIC or BIC stops
+improving.
 
 Fitting, ``vine_loglik`` and ``vine_sample`` share one edge layout per vine
 type, stated in ``RVineModel``: the tree walkers ``_CVineTrees`` and
@@ -33,7 +34,7 @@ from .copulas import (
     copula_loglik,
     product,
 )
-from .dependence import gof_select_copula, indep_test_cvm, kendall_tau_matrix
+from .dependence import gof_select_copula, indep_tests_cvm, kendall_tau_matrix
 
 
 class VineType(str, Enum):
@@ -217,8 +218,9 @@ def fit_vine(U, vine_type: VineType, candidates, sig_level: float = 0.01,
              criterion: str = "aic") -> RVineModel:
     """Fit a C-vine or D-vine tree by tree.
 
-    Per edge, ``indep_test_cvm`` at ``sig_level`` decides between the
-    product copula and CvM selection among ``candidates``.  With
+    One ``indep_tests_cvm`` call per tree tests every edge at
+    ``sig_level``; an edge it finds independent gets the product copula,
+    every other edge CvM selection among ``candidates``.  With
     ``criterion`` "aic" or "bic" the cumulative information criterion is
     evaluated after each tree and fitting stops as soon as it fails to
     decrease strictly; the offending tree and all deeper trees become
@@ -239,8 +241,11 @@ def fit_vine(U, vine_type: VineType, candidates, sig_level: float = 0.01,
     trunc_level = n - 1
     for level in range(n - 1):
         pairs = walk.pairs()
-        edges = [product() if indep_test_cvm(u, v, sig_level).independent
-                 else gof_select_copula(u, v, candidates) for u, v in pairs]
+        tests = indep_tests_cvm([u for u, _ in pairs], [v for _, v in pairs],
+                                sig_level)
+        edges = [product() if test.independent
+                 else gof_select_copula(u, v, candidates)
+                 for test, (u, v) in zip(tests, pairs)]
         tree_ll = sum(copula_loglik(c, np.column_stack(pair))
                       for c, pair in zip(edges, pairs)
                       if c.family is not CopulaFamily.PRODUCT)

@@ -30,6 +30,7 @@ from copeda.dependence import (
     empirical_copula_at,
     gof_select_copula,
     indep_test_cvm,
+    indep_tests_cvm,
     kendall_tau,
     kendall_tau_matrix,
     make_positive_definite,
@@ -180,7 +181,10 @@ class TestPseudoObservations:
         rng = np.random.default_rng(23)
         for X in (rng.random((31, 10)), rng.integers(0, 3, (40, 5)) * 1.0,
                   np.array([[1.0, np.nan], [2.0, 0.5], [2.0, 0.1]]),
-                  rng.random((1, 3))):
+                  rng.random((1, 3)), rng.random((88, 10))[::2, ::3],
+                  np.array([[0.0, np.inf], [-0.0, -np.inf], [0.0, np.inf],
+                            [1.0, 0.0]]),
+                  np.zeros((0, 2)), np.zeros((4, 0))):
             ref = np.empty_like(X)
             for j in range(X.shape[1]):
                 ref[:, j] = stats.rankdata(X[:, j], method="average") / (X.shape[0] + 1.0)
@@ -418,6 +422,83 @@ class TestIndependenceTest:
             indep_test_cvm(np.where(u == u[4], bad, u), u)
         with pytest.raises(ValueError, match="finite"):
             indep_test_cvm(u, np.where(u == u[7], bad, u))
+
+
+def one_edge_reference(u, v, sig_level=0.01):
+    """The test of one pair by the plainest route: searchsorted ranks and
+    an outer-product pair sum, then the module's statistic and null."""
+    m = len(u)
+    r = np.searchsorted(np.sort(u), u, side="right")
+    s = np.searchsorted(np.sort(v), v, side="right")
+    ru, sv = m + 1 - r, m + 1 - s
+    pairs = int(np.sum(np.minimum.outer(ru, ru) * np.minimum.outer(sv, sv),
+                       dtype=np.int64))
+    statistic = dependence._cvm_statistics(pairs, r, s)[0]
+    null = dependence._cvm_null(m)
+    exceed = int(np.count_nonzero(null >= statistic))
+    p_value = (exceed + 1.0) / (null.size + 1.0)
+    return dependence.IndepTestResult(statistic, p_value,
+                                      bool(p_value >= sig_level))
+
+
+def batched_cases(m, k=5, seed=32):
+    rng = np.random.default_rng([seed, m])
+    u = rng.random((k, m))
+    yield "random", u, rng.random((k, m))
+    tied = rng.integers(0, 4, (2, k, m)) / np.array([4.0, 3.0])[:, None, None]
+    yield "tied", tied[0], tied[1]
+    yield "near comonotone", u, u + 1e-3 * rng.random((k, m))
+
+
+class TestBatchedIndepTest:
+    """``indep_tests_cvm`` gives each row exactly the one-pair result."""
+
+    @pytest.mark.parametrize("m", [2, 3, 31, 33, 88, 300, 1200])
+    def test_rows_equal_one_pair_tests(self, m):
+        for _, U, V in batched_cases(m):
+            results = indep_tests_cvm(U, V, 0.05)
+            assert len(results) == len(U)
+            for res, u, v in zip(results, U, V):
+                ref = one_edge_reference(u, v, 0.05)
+                assert res == ref == indep_test_cvm(u, v, 0.05)
+                assert same_bits(res.statistic, ref.statistic)
+
+    @pytest.mark.parametrize("m", [31, 88])
+    def test_block_boundaries_change_nothing(self, m, monkeypatch):
+        # nine edges across blocks of two edges, then of a few rows
+        U, V = np.random.default_rng(33).random((2, 9, m))
+        whole = indep_tests_cvm(U, V)
+        for cells in (2 * m * m, m * m - 1, 3 * m):
+            monkeypatch.setattr(dependence, "CVM_BLOCK_CELLS", cells)
+            assert indep_tests_cvm(U, V) == whole
+
+    def test_no_edges(self):
+        assert indep_tests_cvm(np.zeros((0, 5)), np.zeros((0, 5))) == []
+
+    @pytest.mark.parametrize("U, V", [
+        (np.zeros((2, 3)), np.zeros((2, 4))),
+        (np.zeros((2, 3)), np.zeros((3, 3))),
+        (np.zeros(3), np.zeros(3)),
+        (np.zeros((2, 3, 3)), np.zeros((2, 3, 3))),
+    ])
+    def test_unequal_shapes_rejected(self, U, V):
+        with pytest.raises(ValueError, match="equally long"):
+            indep_tests_cvm(U, V)
+
+    @pytest.mark.parametrize("m", [0, 1, dependence.CVM_MAX_M + 1])
+    def test_sample_size_out_of_range_rejected(self, m):
+        with pytest.raises(ValueError, match="m <="):
+            indep_tests_cvm(np.zeros((3, m)), np.zeros((3, m)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        U = np.tile(np.linspace(0.0, 1.0, 20), (3, 1))
+        V = U.copy()
+        U[2, 4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            indep_tests_cvm(U, V)
+        with pytest.raises(ValueError, match="finite"):
+            indep_tests_cvm(V, U)
 
 
 CANDIDATES = [CopulaFamily.NORMAL, CopulaFamily.CLAYTON,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import special
+from scipy import special, stats
 
 from copeda import margins
 from copeda.margins import (
@@ -84,6 +84,32 @@ class TestFit:
         assert model.bandwidth == pytest.approx(0.9 * sd * 5 ** -0.2,
                                                 rel=1e-12)
         assert model.bandwidth == pytest.approx(0.29, abs=0.005)
+
+
+class TestFitBits:
+    def test_normal_fit_has_the_bits_of_mean_and_std(self):
+        # strided columns of many sizes and scales, as the EDA loop fits them
+        rng = np.random.default_rng(41)
+        for m in (2, 3, 7, 31, 62, 129, 700):
+            for scale in (1e-8, 1e-3, 1.0, 1e3):
+                X = 5.0 + scale * rng.standard_normal((m, 4))
+                for j in range(4):
+                    col = X[:, j]
+                    for kind in (MarginKind.NORMAL, MarginKind.TRUNC_NORMAL):
+                        model = fit_margin(kind, col, -10.0, 20.0)
+                        assert model.mu.hex() == float(np.mean(col)).hex()
+                        assert (model.sigma.hex()
+                                == float(np.std(col, ddof=1)).hex())
+
+    def test_beta_loglik_matches_scipy(self):
+        rng = np.random.default_rng(42)
+        for _ in range(50):
+            y = np.clip(rng.beta(*rng.uniform(0.3, 8.0, 2), size=60),
+                        1e-6, 1.0 - 1e-6)
+            loglik = margins._beta_loglik(y)
+            for a, b in rng.uniform([0.05, 0.05], [50.0, 50.0], (4, 2)):
+                ref = float(np.sum(stats.beta.logpdf(y, a, b)))
+                assert loglik(a, b) == pytest.approx(ref, rel=1e-12)
 
 
 class TestCdf:

@@ -14,7 +14,7 @@ from copeda.copulas import (
     tau_to_parameter,
 )
 from copeda import vines
-from copeda.dependence import (indep_test_cvm, kendall_tau,
+from copeda.dependence import (indep_tests_cvm, kendall_tau,
                                kendall_tau_matrix, pseudo_observations)
 from copeda.vines import (
     RVineModel,
@@ -324,17 +324,19 @@ class TestFitRegression:
     def test_fit_and_loglik_bits(self, key, monkeypatch):
         vine_type, criterion = key
         order, trunc_level, edges, loglik, tests = VINE_REGRESSION[key]
-        p_values = []
+        p_values, tree_sizes = [], []
 
-        def recorded_test(*args, **kwargs):
-            result = indep_test_cvm(*args, **kwargs)
-            p_values.append(round(result.p_value * 1001))
-            return result
+        def recorded_tests(*args, **kwargs):
+            results = indep_tests_cvm(*args, **kwargs)
+            tree_sizes.append(len(results))
+            p_values.extend(round(r.p_value * 1001) for r in results)
+            return results
 
-        monkeypatch.setattr(vines, "indep_test_cvm", recorded_test)
+        monkeypatch.setattr(vines, "indep_tests_cvm", recorded_tests)
         U = regression_sample()
         model = fit_vine(U, vine_type, ALL_FAMILIES, 0.05, criterion)
         assert tuple(p_values) == tests
+        assert tree_sizes == [4, 3, 2, 1]  # one pre-test call per tree
         assert model.order == order
         assert model.trunc_level == trunc_level
         assert tuple("product" if c.family is CopulaFamily.PRODUCT
