@@ -26,7 +26,6 @@ from .margins import MarginKind, fit_margin
 from .dependence import (
     DegenerateDataWarning,
     copula_mutual_information,
-    empirical_copula_at,
     gof_select_copula,
     indep_test_cvm,
     indep_tests_cvm,

@@ -35,7 +35,7 @@ from .dependence import (
     make_positive_definite,
     pseudo_observations,
 )
-from .margins import KernelMargin, MarginKind, MarginModel, fit_margin
+from .margins import MarginKind, MarginModel, _columns, fit_margin
 from .vines import (RVineModel, VineType, describe_vine, fit_vine,
                     vine_sample)
 
@@ -210,7 +210,7 @@ class ChainDependence:
         Monte-Carlo copula-entropy mutual information.
         """
         n = X.shape[1]
-        U = np.column_stack([margins[j].cdf(X[:, j]) for j in range(n)])
+        U = margins.cdf(X)
         if spec.copulas[0] is CopulaFamily.NORMAL:
             rho = _normal_ml_rho(U)
             perm = chain_permutation(-0.5 * np.log1p(-rho * rho))
@@ -257,36 +257,29 @@ _DEPENDENCE = {"umda": ProductDependence, "gceda": NormalDependence,
 class SearchModel:
     """Margins plus a dependence structure; everything needed to sample."""
 
-    margins: list[MarginModel]
+    margins: MarginModel
     dependence: Dependence
 
 
 def learn_model(spec, X: np.ndarray, lower, upper,
                 rng: np.random.Generator) -> SearchModel:
-    """Fit every margin to the selected ``(m, n)`` rows X, then the
+    """Fit the margins to the selected ``(m, n)`` rows X, then the
     dependence structure of ``spec`` (an ``EdaSpec``)."""
-    margins = [fit_margin(spec.effective_margin, X[:, j], lower[j], upper[j])
-               for j in range(X.shape[1])]
+    margins = fit_margin(spec.effective_margin, X, lower, upper)
     dependence = _DEPENDENCE[spec.algorithm].learn(spec, X, margins, rng)
     return SearchModel(margins, dependence)
 
 
 def sample_model(model: SearchModel, pop_size: int, lower, upper,
                  rng: np.random.Generator) -> np.ndarray:
-    """Uniforms from the dependence structure through margin quantiles;
-    kernel margins solve all columns at once."""
-    U = model.dependence.sample(pop_size, len(model.margins), rng)
-    if model.margins and all(isinstance(margin, KernelMargin)
-                             for margin in model.margins):
-        return KernelMargin.stack(model.margins).quantile(U)
-    X = np.empty_like(U)
-    for j, margin in enumerate(model.margins):
-        X[:, j] = margin.quantile(U[:, j])
-    return X
+    """Uniforms from the dependence structure through the margins'
+    quantiles."""
+    return model.margins.quantile(
+        model.dependence.sample(pop_size, len(lower), rng))
 
 
 def describe_search_model(model: SearchModel) -> str:
     """Readable dump of the margins and the dependence structure."""
     return "\n".join([f"margin {j}: {margin}"
-                      for j, margin in enumerate(model.margins)]
+                      for j, margin in enumerate(_columns(model.margins))]
                      + ["dependence: " + model.dependence.describe()])

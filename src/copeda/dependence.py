@@ -1,9 +1,9 @@
 """Nonparametric dependence statistics and tests.
 
-Kendall's tau, pseudo-observations, the empirical copula, the rank
-Cramer-von Mises independence test of Genest & Remillard (2004), CvM
-goodness-of-fit copula selection, copula-entropy mutual information, and
-positive-definite repair of correlation matrices.
+Kendall's tau, pseudo-observations, the rank Cramer-von Mises independence
+test of Genest & Remillard (2004), CvM goodness-of-fit copula selection,
+copula-entropy mutual information, and positive-definite repair of
+correlation matrices.
 
 The independence test's null distribution depends only on the sample size;
 it is simulated once per size from a fixed seed and cached, so no test
@@ -165,12 +165,6 @@ def pseudo_observations(X) -> np.ndarray:
     return twice / 2.0 / (m + 1.0)
 
 
-def empirical_copula_at(U, u: float, v: float) -> float:
-    """Empirical copula of a two-column sample at the point (u, v)."""
-    U = np.asarray(U, dtype=float)
-    return float(np.mean((U[:, 0] <= u) & (U[:, 1] <= v)))
-
-
 @dataclass(frozen=True)
 class IndepTestResult:
     """Outcome of the CvM independence test of one pair."""
@@ -268,6 +262,13 @@ def _cvm_pair_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The (edges, rows, m) products are formed in blocks of at most
     ``CVM_BLOCK_CELLS`` cells: several whole edges at a time while m^2
     fits, row blocks of one edge beyond.  Each sum is an exact integer.
+
+    It scores the observed statistics, the merge-sort
+    ``_permutation_pair_sums`` the null.  A merge-sort version with per-row
+    weights gives bit-identical sums here, but on a 2-vCPU VM it was 4-6x
+    slower at a 10-D vine's tree sizes (9 edges: 228 against 52 us at
+    m = 31, 349 against 57 us at m = 33), and faster only on long samples
+    (1.7 against 17 ms at m = 2000), so each kernel keeps its own job.
     """
     k, m = a.shape
     rows = min(m, max(1, CVM_BLOCK_CELLS // m))
@@ -358,21 +359,19 @@ def gof_select_copula(u, v, candidates) -> BivariateCopula:
     return best if best is not None else product()
 
 
-def copula_mutual_information(c: BivariateCopula,
-                              rng: np.random.Generator | None = None,
+def copula_mutual_information(c: BivariateCopula, rng: np.random.Generator,
                               samples: int = 100) -> float:
     """Mutual information of the coupled pair via the copula entropy.
 
     The normal family has the closed form -log(1 - rho^2)/2; other families
-    are estimated by a Monte-Carlo average of the log density over draws
-    from the copula itself.  The estimate is floored at zero.
+    are estimated by a Monte-Carlo average of the log density over
+    ``samples`` draws from the copula itself, taken from ``rng``.  The
+    estimate is floored at zero.
     """
     if c.family is CopulaFamily.NORMAL:
         return float(-0.5 * np.log1p(-c.theta * c.theta))
     if c.family is CopulaFamily.PRODUCT:
         return 0.0
-    if rng is None:
-        rng = np.random.default_rng()
     U = copula_sample(c, samples, rng)
     mi = float(np.mean(copula_logpdf(c, U[:, 0], U[:, 1])))
     return max(mi, 0.0)

@@ -23,14 +23,18 @@ A point stops once its residual is at F's rounding level, once a small
 Halley step predicts that the next residual will be, or at the resolution
 of a 44-step bisection of the support, mostly after one CDF evaluation
 past the knots.  Probabilities at or beyond the CDF at either end of the
-support map to that end.  A ``KernelMargin`` may stack several columns;
-they are then solved together, each exactly as on its own.
+support map to that end.
+
+Every kind fits, evaluates and inverts stacked columns: fitted to (m, n)
+rows, a margin's parameters are (n,) arrays (the kernel's sample is
+(n, m)), and ``cdf`` and ``quantile`` map (..., n) arrays, each column bit
+for bit as its own (m,) fit, whose fields are floats, would.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -44,7 +48,7 @@ SIGMA_FLOOR = 1e-300      # anti-zero floor only; must not cap precision
 BANDWIDTH_FLOOR = 1e-8
 _P_EPS = 1e-12            # interior clamp for quantile probabilities
 _NEWTON_MAX_ITER = 100    # hard cap; midpoint steps alone converge in 46
-_BLOCK = 2 ** 17          # points x sample size a kernel-quantile block holds
+_BLOCK = 2 ** 17          # points x sample size a kernel cdf/quantile block holds
 _EPS = np.finfo(float).eps
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -56,10 +60,10 @@ class MarginKind(str, Enum):
     BETA_RESCALED = "beta"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalMargin:
-    mu: float
-    sigma: float
+    mu: float | np.ndarray
+    sigma: float | np.ndarray
     kind = MarginKind.NORMAL
 
     def cdf(self, x):
@@ -75,32 +79,35 @@ class NormalMargin:
 class KernelMargin:
     """Normal-kernel smoothed empirical distribution.
 
-    ``sample`` is one column's (m,) sample with a scalar ``bandwidth``, or
-    n columns stacked as (n, m) with an (n,) ``bandwidth`` (``stack``);
-    stacked, the last axis of x and p runs over the columns, and every
-    column gets exactly the result its own margin would give.
+    ``sample`` is one column's (m,) sample with a float ``bandwidth``, or
+    n columns' (n, m) samples with an (n,) ``bandwidth``; the last axis of
+    x and p then runs over the columns.
     """
 
     sample: np.ndarray
     bandwidth: float | np.ndarray
     kind = MarginKind.KERNEL
 
-    @classmethod
-    def stack(cls, margins) -> KernelMargin:
-        """One margin over the columns of ``margins``, for one solve."""
-        return cls(np.stack([k.sample for k in margins]),
-                   np.array([k.bandwidth for k in margins]))
-
     def cdf(self, x):
+        # in blocks of points: the whole (m, n, m) kernel table of m rows
+        # would take n times one column's memory
         x = np.asarray(x, float)
         h = np.asarray(self.bandwidth)[..., None]
-        z = (x[..., None] - self.sample) / h
-        return _as_result(special.ndtr(z).sum(axis=-1) / z.shape[-1], x)
+        points = math.prod(x.shape[:x.ndim - np.ndim(self.bandwidth)])
+        rows = x.reshape(points, *np.shape(self.bandwidth))
+        out = np.empty(rows.shape)
+        step = max(1, _BLOCK // max(self.sample.size, 1))
+        for s in range(0, points, step):
+            z = (rows[s:s + step, ..., None] - self.sample) / h
+            out[s:s + step] = special.ndtr(z).sum(axis=-1) / z.shape[-1]
+        return _as_result(out.reshape(x.shape), x)
 
     def quantile(self, p):
         # Each p's bracket [lo, hi] between adjacent knots, then a Hermite
         # start and the safeguarded Halley iteration of ``_kernel_solve``.
         p = np.clip(np.asarray(p, float), _P_EPS, 1.0 - _P_EPS)
+        if p.size == 0:  # no points, or a margin over no columns
+            return p
         S = self.sample.reshape(-1, self.sample.shape[-1])
         (n, m), h = S.shape, np.reshape(self.bandwidth, -1)
         if self.sample.ndim > 1 and p.shape[-1:] != (n,):
@@ -205,18 +212,18 @@ def _kernel_solve(S, h, span, col, target, lo, hi, cur):
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncNormalMargin:
-    mu: float
-    sigma: float
-    lower: float
-    upper: float
+    mu: float | np.ndarray
+    sigma: float | np.ndarray
+    lower: float | np.ndarray
+    upper: float | np.ndarray
     kind = MarginKind.TRUNC_NORMAL
 
     def _tails(self):
         zl = special.ndtr((self.lower - self.mu) / self.sigma)
         zu = special.ndtr((self.upper - self.mu) / self.sigma)
-        return zl, max(zu - zl, 1e-300)
+        return zl, np.maximum(zu - zl, 1e-300)
 
     def cdf(self, x):
         x = np.asarray(x, float)
@@ -231,12 +238,12 @@ class TruncNormalMargin:
         return _as_result(np.clip(x, self.lower, self.upper), p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BetaRescaledMargin:
-    lower: float
-    upper: float
-    a: float
-    b: float
+    lower: float | np.ndarray
+    upper: float | np.ndarray
+    a: float | np.ndarray
+    b: float | np.ndarray
     kind = MarginKind.BETA_RESCALED
 
     def cdf(self, x):
@@ -252,13 +259,26 @@ class BetaRescaledMargin:
 MarginModel = NormalMargin | KernelMargin | TruncNormalMargin | BetaRescaledMargin
 
 
-def _silverman_bandwidth(sample: np.ndarray, sd: float) -> float:
-    m = sample.size
-    q25, q75 = np.percentile(sample, [25, 75])
-    iqr = float(q75 - q25)
+def _columns(margin: MarginModel) -> list[MarginModel]:
+    """A margin with float fields per column; fitted to n columns, every
+    field is an array with the columns on its first axis."""
+    values = [getattr(margin, f.name) for f in fields(margin)]
+    if any(np.ndim(v) == 0 for v in values):
+        return [margin]
+    return [type(margin)(*(float(v) if np.ndim(v) == 0 else v for v in column))
+            for column in zip(*values)]
+
+
+def _silverman_bandwidth(S: np.ndarray, sd):
+    """R's bw.nrd0 of each sample along the last axis of S."""
+    m = S.shape[-1]
+    q25, q75 = np.percentile(S, [25, 75], axis=-1)
     # R's bw.nrd0: the sd alone when the IQR is 0; a constant sample floors
-    spread = min(sd, iqr / 1.34) or sd
-    return max(0.9 * spread * m ** (-0.2), BANDWIDTH_FLOOR)
+    spread = np.minimum(sd, (q75 - q25) / 1.34)
+    # m ** -0.2 as a Python int power: numpy's power differs from it in the
+    # last bit at some m (51, 70, 79, ...)
+    return np.maximum(0.9 * np.where(spread, spread, sd) * m ** -0.2,
+                      BANDWIDTH_FLOOR)
 
 
 def _beta_loglik(y: np.ndarray):
@@ -300,33 +320,44 @@ def _fit_beta(sample: np.ndarray, lower: float, upper: float) -> tuple[float, fl
     return 1.0, 1.0
 
 
-def fit_margin(kind: MarginKind, sample, lower: float, upper: float) -> MarginModel:
-    """Fit a marginal model of the given kind to a sample.
+def fit_margin(kind: MarginKind, sample, lower, upper) -> MarginModel:
+    """Fit a marginal model of the given kind to each column of a sample.
 
-    ``lower`` and ``upper`` are the problem bounds of the variable; the
-    normal and kernel kinds ignore them, the truncated normal and rescaled
-    beta attach them as the support.
+    (m, n) rows give one margin with (n,) parameter arrays, and an (m,)
+    sample its one column, with float fields.  ``lower`` and ``upper`` are
+    the problem bounds, scalars or (n,); the normal and kernel kinds ignore
+    them, the truncated normal and rescaled beta attach them as the support.
     """
     kind = MarginKind(kind)
-    sample = np.asarray(sample, dtype=float)
-    if sample.size < 2:
-        raise ValueError("need at least two observations to fit a margin")
-    if not lower < upper:
+    X = np.asarray(sample, dtype=float)
+    if X.ndim == 1:
+        return _columns(fit_margin(kind, X[:, None], lower, upper))[0]
+    if X.ndim != 2 or len(X) < 2:
+        raise ValueError("need (m,) or (m, n) observations with m >= 2")
+    m = len(X)
+    # one contiguous row per column: numpy's pairwise sums along it give
+    # each column the bits of its own (m,) fit
+    S = np.array(X.T, order="C")
+    lower = np.array(np.broadcast_to(lower, len(S)), dtype=float)
+    upper = np.array(np.broadcast_to(upper, len(S)), dtype=float)
+    if not np.all(lower < upper):
         raise ValueError(f"invalid bounds: [{lower}, {upper}]")
-    # the steps, and so the bits, of sample.mean() and sample.std(ddof=1);
-    # a NaN or infinite entry makes the sd NaN (so does |x| > ~1e154)
-    mean = float(np.add.reduce(sample, axis=None) / sample.size)
-    dev = sample - mean
-    sd = math.sqrt(np.add.reduce(dev * dev, axis=None) / (sample.size - 1))
-    if not math.isfinite(sd):
+    # the steps, and so the bits, of x.mean() and x.std(ddof=1) of each
+    # column; a NaN or infinite entry makes the sd NaN (so does |x| > ~1e154)
+    mean = np.add.reduce(S, axis=1) / m
+    dev = S - mean[:, None]
+    sd = np.sqrt(np.add.reduce(dev * dev, axis=1) / (m - 1))
+    if not np.all(np.isfinite(sd)):
         raise ValueError("cannot fit a margin to a non-finite sample "
                          "(a NaN or infinite value, or a variance overflow)")
+    sigma = np.maximum(sd, SIGMA_FLOOR)
     if kind is MarginKind.NORMAL:
-        return NormalMargin(mean, max(sd, SIGMA_FLOOR))
+        return NormalMargin(mean, sigma)
     if kind is MarginKind.KERNEL:
-        return KernelMargin(sample.copy(), _silverman_bandwidth(sample, sd))
+        return KernelMargin(S, _silverman_bandwidth(S, sd))
     if kind is MarginKind.TRUNC_NORMAL:
-        return TruncNormalMargin(mean, max(sd, SIGMA_FLOOR),
-                                 float(lower), float(upper))
-    a, b = _fit_beta(sample, lower, upper)
-    return BetaRescaledMargin(float(lower), float(upper), a, b)
+        return TruncNormalMargin(mean, sigma, lower, upper)
+    # scipy's Nelder-Mead takes one objective: one run per column
+    a, b = np.reshape([_fit_beta(*column) for column in zip(S, lower, upper)],
+                      (-1, 2)).T
+    return BetaRescaledMargin(lower, upper, a, b)

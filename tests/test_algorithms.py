@@ -28,7 +28,7 @@ from copeda.copulas import (
 )
 from copeda.dependence import kendall_tau
 from copeda.eda import EdaSpec, TerminationSpec, run_rng
-from copeda.margins import MarginKind, NormalMargin
+from copeda.margins import MarginKind, NormalMargin, fit_margin
 from copeda.vines import RVineModel, VineType
 
 
@@ -48,7 +48,7 @@ def test_chain_algorithm_defaults_to_beta_margins():
     pop = mvn_population(2, 0.5, 80, 77)
     model = learn_model(spec, pop, np.full(2, -10.0), np.full(2, 10.0),
                         np.random.default_rng(78))
-    assert all(isinstance(m, BetaRescaledMargin) for m in model.margins)
+    assert isinstance(model.margins, BetaRescaledMargin)
 
 
 def test_gceda_kernel_margins_use_tau_inversion():
@@ -132,13 +132,19 @@ class TestCedaSample:
         model = learn_model(spec, pop, *BOUNDS3, NO_DRAWS)
         out = sample_model(model, 500, *BOUNDS3, np.random.default_rng(9))
         U = model.dependence.sample(500, 3, np.random.default_rng(9))
-        for j, margin in enumerate(model.margins):
+        for j in range(3):
+            margin = fit_margin(MarginKind.KERNEL, pop[:, j],
+                                BOUNDS3[0][j], BOUNDS3[1][j])
             assert np.array_equal(out[:, j], margin.quantile(U[:, j]))
 
     def test_no_margins_sample_empty_rows(self):
-        out = sample_model(SearchModel([], ProductDependence()), 5,
-                           np.zeros(0), np.zeros(0), np.random.default_rng(0))
-        assert out.shape == (5, 0)
+        for kind in MarginKind:
+            margins = fit_margin(kind, np.zeros((4, 0)), np.zeros(0),
+                                 np.zeros(0))
+            out = sample_model(SearchModel(margins, ProductDependence()), 5,
+                               np.zeros(0), np.zeros(0),
+                               np.random.default_rng(0))
+            assert out.shape == (5, 0)
 
     def test_product_independent_columns(self):
         pop = mvn_population(3, 0.9, 300, 6)
@@ -398,8 +404,7 @@ class TestNormalClosedForm:
                             np.full(4, 10.0), rng)
         assert rng.bit_generator.state == state
         dep = model.dependence
-        U = np.column_stack([m.cdf(pop[:, j])
-                             for j, m in enumerate(model.margins)])
+        U = model.margins.cdf(pop)
         rho = _normal_ml_rho(U)
         assert [c.theta for c in dep.copulas] == [
             rho[a, b] for a, b in zip(dep.perm, dep.perm[1:])]
@@ -433,7 +438,7 @@ class TestDispatchAndIntrospection:
         assert "margin 0" in text
 
     def test_describe_and_counts_of_each_structure(self):
-        margins = [NormalMargin(0.0, 1.0), NormalMargin(2.0, 0.5)]
+        margins = NormalMargin(np.array([0.0, 2.0]), np.array([1.0, 0.5]))
         head = ("margin 0: NormalMargin(mu=0.0, sigma=1.0)\n"
                 "margin 1: NormalMargin(mu=2.0, sigma=0.5)\n")
         vine = RVineModel(VineType.DVINE, (1, 0),

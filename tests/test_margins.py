@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -100,6 +101,51 @@ class TestFitBits:
                         assert model.mu.hex() == float(np.mean(col)).hex()
                         assert (model.sigma.hex()
                                 == float(np.std(col, ddof=1)).hex())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", list(MarginKind), ids=lambda k: k.value)
+    def test_matrix_fit_equals_column_fits(self, kind):
+        # one fit of a strided (m, n) matrix against n fits of its columns:
+        # every field, cdf and quantile bit for bit; the last column is
+        # constant
+        rng = np.random.default_rng(43)
+        lower, upper = np.array([-10.0, -9.0, -11.0, -8.0]), np.full(4, 20.0)
+        for m in (2, 3, 31, 51, 70, 700):
+            for scale in (1e-8, 1e-3, 1.0, 1e3):
+                X = (5.0 + scale * rng.standard_normal((m, 8)))[:, ::2]
+                X[:, 3] = 4.0
+                model = fit_margin(kind, X, lower, upper)
+                singles = [fit_margin(kind, X[:, j], lower[j], upper[j])
+                           for j in range(4)]
+                for j, (column, single) in enumerate(
+                        zip(margins._columns(model), singles)):
+                    assert type(column) is type(single)
+                    for field in dataclasses.fields(single):
+                        mine = getattr(column, field.name)
+                        theirs = getattr(single, field.name)
+                        assert type(mine) is type(theirs), field.name
+                        assert np.array_equal(mine, theirs), (m, scale, j)
+                P = rng.random((9, 4))
+                P[0], P[1, :2], P[1, 2:] = np.nan, 0.0, 1.0
+                Q = model.quantile(P)
+                assert np.array_equal(
+                    Q, np.column_stack([single.quantile(P[:, j])
+                                        for j, single in enumerate(singles)]),
+                    equal_nan=True)
+                x = np.vstack([X[:5], Q[2:]])
+                assert np.array_equal(
+                    model.cdf(x),
+                    np.column_stack([single.cdf(x[:, j])
+                                     for j, single in enumerate(singles)]),
+                    equal_nan=True)
+
+    def test_one_column_fit_has_float_fields(self):
+        for kind in MarginKind:
+            model = fit_margin(kind, [0.5, 1.0, 2.0], 0.0, 3.0)
+            assert len(margins._columns(model)) == 1
+            for field in dataclasses.fields(model):
+                if field.name != "sample":
+                    assert type(getattr(model, field.name)) is float
 
     def test_beta_loglik_matches_scipy(self):
         rng = np.random.default_rng(42)
@@ -322,8 +368,9 @@ class TestStackedKernelQuantile:
            st.integers(0, 40), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_stacked_solve_equals_each_column(self, spec, m, rows, seed):
-        singles = [kernel(make_column(shape, s, m)) for shape, s in spec]
-        stacked = KernelMargin.stack(singles)
+        columns = [make_column(shape, s, m) for shape, s in spec]
+        singles = [kernel(column) for column in columns]
+        stacked = kernel(np.column_stack(columns))
         rng = np.random.default_rng(seed)
         P = rng.random((rows, len(singles)))
         P.flat[rng.integers(0, P.size, min(P.size, 3))] = np.nan
@@ -342,15 +389,17 @@ class TestStackedKernelQuantile:
 
     def test_blocks_change_nothing(self, monkeypatch):
         rng = np.random.default_rng(13)
-        stacked = KernelMargin.stack(
-            [kernel(rng.normal(0.0, 1.0, 30)) for _ in range(3)])
+        stacked = kernel(
+            np.column_stack([rng.normal(0.0, 1.0, 30) for _ in range(3)]))
         P = rng.random((50, 3))
         whole = stacked.quantile(P)
+        F = stacked.cdf(whole)
         monkeypatch.setattr(margins, "_BLOCK", 7 * 30)  # 7 points a block
         assert np.array_equal(stacked.quantile(P), whole)
+        assert np.array_equal(stacked.cdf(whole), F)  # 2 rows of 3 a block
 
     def test_probabilities_must_have_one_column_per_margin(self):
-        stacked = KernelMargin.stack([kernel([0.0, 1.0, 2.0])] * 3)
+        stacked = kernel(np.tile([[0.0], [1.0], [2.0]], 3))
         with pytest.raises(ValueError, match="3 columns"):
             stacked.quantile(np.full((4, 2), 0.5))
 
