@@ -87,19 +87,18 @@ def chain_permutation(mi: np.ndarray) -> tuple[int, ...]:
     """Greedy chain: start at the strongest pair, then prepend the unused
     variable with the highest mutual information to the current head."""
     n = mi.shape[0]
+    if n < 2:
+        return tuple(range(n))
     best = (-np.inf, 1, 0)
     for i in range(1, n):
         for j in range(i):
             if mi[i, j] > best[0]:
                 best = (mi[i, j], i, j)
     perm = [best[1], best[2]]
-    used = set(perm)
     while len(perm) < n:
         head = perm[0]
-        candidates = [k for k in range(n) if k not in used]
-        k = max(candidates, key=lambda c: (mi[c, head], -c))
-        perm.insert(0, k)
-        used.add(k)
+        candidates = [k for k in range(n) if k not in perm]
+        perm.insert(0, max(candidates, key=lambda c: (mi[c, head], -c)))
     return tuple(perm)
 
 
@@ -150,7 +149,7 @@ class NormalDependence:
         """
         if spec.effective_margin is MarginKind.NORMAL:
             with np.errstate(invalid="ignore"):
-                rho = np.corrcoef(X.T)
+                rho = np.atleast_2d(np.corrcoef(X.T))
             rho = np.nan_to_num(rho, nan=0.0)
         else:
             rho = np.sin(np.pi * kendall_tau_matrix(X) / 2.0)
@@ -270,10 +269,10 @@ def learn_model(spec, X: np.ndarray, lower, upper,
     return SearchModel(margins, dependence)
 
 
-def sample_model(model: SearchModel, pop_size: int, lower, upper,
+def sample_model(model: SearchModel, pop_size: int, lower,
                  rng: np.random.Generator) -> np.ndarray:
-    """Uniforms from the dependence structure through the margins'
-    quantiles."""
+    """``pop_size`` rows of ``len(lower)`` columns: uniforms from the
+    dependence structure through the margins' quantiles."""
     return model.margins.quantile(
         model.dependence.sample(pop_size, len(lower), rng))
 

@@ -18,7 +18,6 @@ import numpy as np
 from scipy import special
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.stats import t as _tdist
 
 INTERIOR_EPS = 1e-10       # clamp for (0,1) arguments of densities and h
 RHO_MAX = 1.0 - 1e-8       # largest admissible |rho| for normal/Student
@@ -138,8 +137,8 @@ def _normal_logpdf(rho, u, v):
 
 
 def _student_logpdf(rho, nu, u, v):
-    x = _tdist.ppf(u, nu)
-    y = _tdist.ppf(v, nu)
+    x = special.stdtrit(nu, u)
+    y = special.stdtrit(nu, v)
     r2 = 1.0 - rho * rho
     q = (x * x - 2.0 * rho * x * y + y * y) / r2
     const = (special.gammaln((nu + 2.0) / 2.0) + special.gammaln(nu / 2.0)
@@ -308,17 +307,17 @@ def _normal_hinv(rho, p, v):
 
 
 def _student_h(rho, nu, u, v):
-    x = _tdist.ppf(u, nu)
-    y = _tdist.ppf(v, nu)
+    x = special.stdtrit(nu, u)
+    y = special.stdtrit(nu, v)
     denom = np.sqrt((nu + y * y) * (1.0 - rho * rho) / (nu + 1.0))
-    return _tdist.cdf((x - rho * y) / denom, nu + 1.0)
+    return special.stdtr(nu + 1.0, (x - rho * y) / denom)
 
 
 def _student_hinv(rho, nu, p, v):
-    y = _tdist.ppf(v, nu)
+    y = special.stdtrit(nu, v)
     denom = np.sqrt((nu + y * y) * (1.0 - rho * rho) / (nu + 1.0))
-    x = _tdist.ppf(p, nu + 1.0) * denom + rho * y
-    return _tdist.cdf(x, nu)
+    x = special.stdtrit(nu + 1.0, p) * denom + rho * y
+    return special.stdtr(nu, x)
 
 
 def _clayton_h(theta, u, v):

@@ -3,7 +3,9 @@
 Kendall's tau, pseudo-observations, the rank Cramer-von Mises independence
 test of Genest & Remillard (2004), CvM goodness-of-fit copula selection,
 copula-entropy mutual information, and positive-definite repair of
-correlation matrices.
+correlation matrices.  Both tau functions share one dispatch, whose
+per-pair fallback for long or non-finite samples is copeda's only use of
+``scipy.stats``: it imports the module on first use, not at import.
 
 The independence test's null distribution depends only on the sample size;
 it is simulated once per size from a fixed seed and cached, so no test
@@ -19,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .copulas import (
     BivariateCopula,
@@ -57,10 +58,6 @@ TAU_SIGN_MAX_M = 300
 TAU_SIGN_M2_PER_COLUMN = 30_000
 
 
-def _sign_kernel_pays(m: int, n: int) -> bool:
-    return 2 <= m <= TAU_SIGN_MAX_M and m * m <= TAU_SIGN_M2_PER_COLUMN * (n - 1)
-
-
 @functools.lru_cache(maxsize=64)
 def _upper_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only ``np.triu_indices(size, 1)``: every (i, j) with i < j."""
@@ -91,45 +88,48 @@ def _sign_tau(X: np.ndarray) -> np.ndarray:
     return T
 
 
-def kendall_tau(x, y) -> float:
-    """Tie-corrected Kendall tau-b of two equally long vectors."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1 or x.size < 2:
-        raise ValueError("kendall_tau needs two equally long vectors, m >= 2")
-    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
-        warnings.warn("constant input vector; tau set to 0",
-                      DegenerateDataWarning, stacklevel=2)
-        return 0.0
-    if (_sign_kernel_pays(x.size, 2) and np.isfinite(x).all()
-            and np.isfinite(y).all()):
-        return float(_sign_tau(np.column_stack([x, y]))[0, 1])
-    tau = stats.kendalltau(x, y).statistic
-    return float(tau) if np.isfinite(tau) else 0.0
-
-
-def kendall_tau_matrix(X) -> np.ndarray:
-    """Symmetric matrix of pairwise tau-b values with unit diagonal.
-
-    Finite, non-constant columns share one pair-sign kernel where it beats
-    scipy (see ``TAU_SIGN_M2_PER_COLUMN``); every other pair goes through
-    :func:`kendall_tau` (a constant column: warning and 0; NaN: 0).
-    """
+def _tau_matrix(X) -> np.ndarray:
+    """:func:`kendall_tau_matrix`, which :func:`kendall_tau` shares."""
     X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] < 2:
+        raise ValueError("Kendall's tau needs an (m, n) sample, m >= 2")
     m, n = X.shape
-    fast = np.zeros(n, dtype=bool)
-    if m >= 2:
-        fast = np.isfinite(X).all(axis=0) & (np.ptp(X, axis=0) != 0.0)
-        if not _sign_kernel_pays(m, np.count_nonzero(fast)):
-            fast[:] = False
+    constant = np.ptp(X, axis=0) == 0.0
+    fast = np.isfinite(X).all(axis=0) & ~constant
+    if m > TAU_SIGN_MAX_M or m * m > TAU_SIGN_M2_PER_COLUMN * (fast.sum() - 1):
+        fast[:] = False
     out = np.eye(n)
     if fast.any():
         out[np.ix_(fast, fast)] = _sign_tau(X[:, fast])
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not (fast[i] and fast[j]):
-                out[i, j] = out[j, i] = kendall_tau(X[:, i], X[:, j])
+    for i, j in zip(*_upper_pairs(n)):
+        if constant[i] or constant[j]:
+            warnings.warn("constant input vector; tau set to 0",
+                          DegenerateDataWarning, stacklevel=3)
+        elif not (fast[i] and fast[j]):
+            from scipy import stats  # loaded on first use only
+            tau = stats.kendalltau(X[:, i], X[:, j]).statistic
+            out[i, j] = out[j, i] = tau if np.isfinite(tau) else 0.0
     return out
+
+
+def kendall_tau(x, y) -> float:
+    """Tau-b of two equally long vectors; see :func:`kendall_tau_matrix`."""
+    if np.ndim(x) != 1 or np.shape(x) != np.shape(y):
+        raise ValueError("kendall_tau needs two equally long vectors, m >= 2")
+    return float(_tau_matrix(np.column_stack([x, y]))[0, 1])
+
+
+def kendall_tau_matrix(X) -> np.ndarray:
+    """Symmetric matrix of the tau-b values of the column pairs of an
+    (m, n) sample, m >= 2, with unit diagonal.
+
+    Entry (i, j) has the bits of ``scipy.stats.kendalltau(X[:, i],
+    X[:, j]).statistic``; a pair with a constant column gives 0 and a
+    ``DegenerateDataWarning``, and a NaN tau gives 0.  Finite, non-constant
+    columns share a pair-sign kernel where it beats scipy's merge count
+    (``TAU_SIGN_M2_PER_COLUMN``), and every other pair goes to scipy.
+    """
+    return _tau_matrix(X)
 
 
 def _le_ranks(X: np.ndarray) -> np.ndarray:

@@ -237,7 +237,7 @@ def eda_run(spec: EdaSpec, f, lower, upper, rng: np.random.Generator,
         gen += 1
         selected = select_truncation(X, evals, spec.truncation_factor)
         model = learn_model(spec, selected, lower, upper, rng)
-        X = sample_model(model, spec.pop_size, lower, upper, rng)
+        X = sample_model(model, spec.pop_size, lower, rng)
         evals = evaluate_objective(f, X)
         f_evals += spec.pop_size
         gen_best = int(np.argmin(evals))

@@ -40,7 +40,6 @@ from enum import Enum
 import numpy as np
 from scipy import special
 from scipy.optimize import minimize
-from scipy.stats import beta as _beta
 
 from .copulas import _as_result
 
@@ -248,11 +247,11 @@ class BetaRescaledMargin:
 
     def cdf(self, x):
         y = (np.asarray(x, float) - self.lower) / (self.upper - self.lower)
-        return _as_result(_beta.cdf(np.clip(y, 0.0, 1.0), self.a, self.b), x)
+        return _as_result(special.betainc(self.a, self.b, np.clip(y, 0.0, 1.0)), x)
 
     def quantile(self, p):
         p = np.clip(np.asarray(p, float), _P_EPS, 1.0 - _P_EPS)
-        y = _beta.ppf(p, self.a, self.b)
+        y = special.betaincinv(self.a, self.b, p)
         return _as_result(self.lower + y * (self.upper - self.lower), p)
 
 

@@ -230,6 +230,13 @@ class TestConfigFile:
 
 
 class TestEntryPoint:
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats takes longer to import than the rest of copeda; only
+        # the long-sample Kendall tau fallback loads it, on first use
+        proc = run_python("-c", "import sys, copeda, copeda.cli; "
+                                "print('scipy.stats' in sys.modules)")
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
+
     def test_module_invocation(self):
         proc = run_python("-m", "copeda.cli", "run", *FAST_RUN)
         assert proc.returncode == 0

@@ -4,9 +4,11 @@ import zlib
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special, stats
 from scipy.integrate import quad
 from scipy.stats import kendalltau, kstest, multivariate_normal
 
+from copeda import copulas
 from copeda.copulas import (
     BivariateCopula,
     CopulaFamily,
@@ -17,6 +19,7 @@ from copeda.copulas import (
     copula_h,
     copula_hinv,
     copula_loglik,
+    copula_logpdf,
     copula_pdf,
     copula_sample,
     fit_student_dof,
@@ -196,6 +199,80 @@ class TestHInverse:
     def test_gumbel_bisection_tolerance(self):
         u = copula_hinv(gumbel(2.0), 0.3, 0.6)
         assert abs(copula_h(gumbel(2.0), u, 0.6) - 0.3) <= 1e-10
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# The Student log density, h and h-inverse written on scipy.stats.t, whose
+# ppf and cdf the copula module's scipy.special calls must reproduce bit for
+# bit.  Arguments are already clipped as copula_logpdf/_h/_hinv clip them.
+def reference_student_logpdf(rho, nu, u, v):
+    x, y = stats.t.ppf(u, nu), stats.t.ppf(v, nu)
+    r2 = 1.0 - rho * rho
+    q = (x * x - 2.0 * rho * x * y + y * y) / r2
+    const = (special.gammaln((nu + 2.0) / 2.0) + special.gammaln(nu / 2.0)
+             - 2.0 * special.gammaln((nu + 1.0) / 2.0))
+    return (const - 0.5 * np.log(r2)
+            - 0.5 * (nu + 2.0) * np.log1p(q / nu)
+            + 0.5 * (nu + 1.0) * (np.log1p(x * x / nu) + np.log1p(y * y / nu)))
+
+
+def reference_student_h(rho, nu, u, v):
+    x, y = stats.t.ppf(u, nu), stats.t.ppf(v, nu)
+    denom = np.sqrt((nu + y * y) * (1.0 - rho * rho) / (nu + 1.0))
+    return stats.t.cdf((x - rho * y) / denom, nu + 1.0)
+
+
+def reference_student_hinv(rho, nu, p, v):
+    y = stats.t.ppf(v, nu)
+    denom = np.sqrt((nu + y * y) * (1.0 - rho * rho) / (nu + 1.0))
+    return stats.t.cdf(stats.t.ppf(p, nu + 1.0) * denom + rho * y, nu)
+
+
+def student_points(seed):
+    """Random (p, u, v) points, then every pair of the clip edges."""
+    rng = np.random.default_rng(seed)
+    edges = np.array([0.0, 1e-300, 1e-20, 1e-10, 0.5, 1.0 - 1e-10,
+                      1.0 - 1e-16, 1.0])
+    p, u, v = rng.random((3, 20000))
+    eu, ev = np.meshgrid(edges, edges)
+    return (np.concatenate([p, eu.ravel()]), np.concatenate([u, eu.ravel()]),
+            np.concatenate([v, ev.ravel()]))
+
+
+class TestStudentMatchesScipyBitwise:
+    @pytest.mark.parametrize("rho, nu", [(0.5, 4.0), (-0.93, 1.0),
+                                         (0.2, 37.5), (0.99, 100.0)])
+    def test_copula_functions(self, rho, nu):
+        c = student(rho, nu)
+        p, u, v = student_points(61)
+        lo, hi = copulas.INTERIOR_EPS, 1.0 - copulas.INTERIOR_EPS
+        uu, vv = np.clip(u, lo, hi), np.clip(v, lo, hi)
+        pp = np.clip(p, 1e-300, 1.0 - 1e-16)
+        assert same_bits(copula_logpdf(c, u, v),
+                         reference_student_logpdf(rho, nu, uu, vv))
+        assert same_bits(copula_h(c, u, v),
+                         np.clip(reference_student_h(rho, nu, uu, vv), 0, 1))
+        assert same_bits(copula_hinv(c, p, v), np.clip(
+            reference_student_hinv(rho, nu, pp, vv), lo, hi))
+        assert same_bits(copula_h(c, 0.3, 0.8),
+                         reference_student_h(rho, nu, 0.3, 0.8))
+
+    def test_array_nu(self):
+        p, u, v = student_points(62)
+        lo, hi = copulas.INTERIOR_EPS, 1.0 - copulas.INTERIOR_EPS
+        u, v = np.clip(u, lo, hi), np.clip(v, lo, hi)
+        p = np.clip(p, 1e-300, 1.0 - 1e-16)
+        nu = np.random.default_rng(63).uniform(1.0, 100.0, p.size)
+        for ours, reference, args in [
+                (copulas._student_logpdf, reference_student_logpdf, (u, v)),
+                (copulas._student_h, reference_student_h, (u, v)),
+                (copulas._student_hinv, reference_student_hinv, (p, v))]:
+            assert same_bits(ours(0.6, nu, *args),
+                             reference(0.6, nu, *args))
 
 
 class TestSampling:

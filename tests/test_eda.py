@@ -189,6 +189,14 @@ class TestEdaRun:
         assert first[0] == "1"
         assert all("e" in tok for tok in first[1:])
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_one_dimensional_problem(self, algorithm):
+        spec = EdaSpec(algorithm, 10, TerminationSpec(max_gen=5))
+        result = eda_run(spec, f_sphere, [-5.0], [5.0], run_rng(1, 0))
+        assert (result.num_gens, result.f_evals) == (5, 50)
+        assert result.best_sol.shape == (1,)
+        assert result.best_eval == f_sphere(result.best_sol)
+
     def test_objective_error_names_point(self):
         spec = umda_spec(pop_size=5, max_gen=2)
 

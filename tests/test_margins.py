@@ -184,6 +184,42 @@ class TestCdf:
         assert model.cdf(hi) > 1.0 - 1e-6
 
 
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBetaMatchesScipyBitwise:
+    """The beta margin's scipy.special calls against scipy.stats.beta."""
+
+    def test_stacked_columns_and_clip_edges(self):
+        rng = np.random.default_rng(71)
+        lower, upper = np.array([-5.0, 0.0, -600.0, 2.0]), np.array(
+            [5.0, 1.0, 300.0, 2.5])
+        a, b = rng.uniform(0.05, 60.0, (2, 4))
+        model = BetaRescaledMargin(lower, upper, a, b)
+        edges = np.array([0.0, 1e-300, 1e-12, 1e-10, 0.5, 1.0 - 1e-10,
+                          1.0 - 1e-12, 1.0])
+        p = np.concatenate([rng.random((20000, 4)),
+                            np.repeat(edges, 4).reshape(-1, 4)])
+        x = lower + (upper - lower) * np.concatenate([
+            rng.uniform(-0.1, 1.1, (20000, 4)), p[-8:]])
+        y = np.clip((x - lower) / (upper - lower), 0.0, 1.0)
+        assert same_bits(model.cdf(x), stats.beta.cdf(y, a, b))
+        q = stats.beta.ppf(np.clip(p, 1e-12, 1.0 - 1e-12), a, b)
+        assert same_bits(model.quantile(p),
+                              lower + q * (upper - lower))
+
+    def test_scalar_fields(self):
+        model = BetaRescaledMargin(-2.0, 3.0, 0.7, 4.2)
+        for x in (-2.0, -1.3, 0.0, 2.9, 3.0):
+            ref = stats.beta.cdf((x + 2.0) / 5.0, 0.7, 4.2)
+            assert same_bits(model.cdf(x), ref)
+        for p in (1e-12, 0.01, 0.5, 0.99, 1.0 - 1e-12):
+            ref = -2.0 + stats.beta.ppf(p, 0.7, 4.2) * 5.0
+            assert same_bits(model.quantile(p), ref)
+
+
 class TestQuantile:
     def test_standard_normal_median(self):
         assert NormalMargin(0.0, 1.0).quantile(0.5) == pytest.approx(0.0)
