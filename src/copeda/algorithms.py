@@ -153,7 +153,7 @@ class NormalDependence:
             rho = np.nan_to_num(rho, nan=0.0)
         else:
             rho = np.sin(np.pi * kendall_tau_matrix(X) / 2.0)
-        rho = np.clip(rho, -(1.0 - 1e-8), 1.0 - 1e-8)
+        rho = np.clip(rho, -RHO_MAX, RHO_MAX)
         np.fill_diagonal(rho, 1.0)
         return cls(make_positive_definite(rho))
 

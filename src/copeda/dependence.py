@@ -331,18 +331,18 @@ def gof_select_copula(u, v, candidates) -> BivariateCopula:
     """Moment-fit each candidate family and keep the CvM-closest one.
 
     Each feasible candidate is fitted by tau inversion (the Student family
-    additionally gets a profile-likelihood degrees-of-freedom fit) and
-    scored by ``sum_i (C_n(u_i, v_i) - C_theta(u_i, v_i))^2`` evaluated at
-    the pseudo-observations of the input, which removes marginal noise from
-    the comparison.  Families that cannot represent the observed tau are
-    skipped; if every candidate is skipped the product copula is returned.
+    additionally gets a profile-likelihood degrees-of-freedom fit).  Families
+    that cannot represent the observed tau are skipped; if every candidate is
+    skipped the product copula is returned, and if one fit is left it is
+    returned unscored.  Otherwise each fit is scored by
+    ``sum_i (C_n(u_i, v_i) - C_theta(u_i, v_i))^2`` at the pseudo-observations
+    of the input, which removes marginal noise from the comparison, and the
+    first lowest score wins.
     """
     U = pseudo_observations(np.column_stack([u, v]))
     u, v = U[:, 0], U[:, 1]
     tau = clip_tau(kendall_tau(u, v))
-    cn = ((u[None, :] <= u[:, None]) & (v[None, :] <= v[:, None])).mean(axis=1)
-    best: BivariateCopula | None = None
-    best_stat = np.inf
+    fits = []
     for family in candidates:
         family = CopulaFamily(family)
         if family is CopulaFamily.PRODUCT:
@@ -352,11 +352,12 @@ def gof_select_copula(u, v, candidates) -> BivariateCopula:
         except UnsupportedTauError:
             continue
         if family is CopulaFamily.STUDENT and cop.family is CopulaFamily.STUDENT:
-            cop = fit_student_dof(np.column_stack([u, v]), cop.theta)
-        stat = float(np.sum((cn - copula_cdf(cop, u, v)) ** 2))
-        if stat < best_stat:
-            best, best_stat = cop, stat
-    return best if best is not None else product()
+            cop = fit_student_dof(U, cop.theta)
+        fits.append(cop)
+    if len(fits) < 2:
+        return fits[0] if fits else product()
+    cn = ((u[None, :] <= u[:, None]) & (v[None, :] <= v[:, None])).mean(axis=1)
+    return min(fits, key=lambda c: float(np.sum((cn - copula_cdf(c, u, v)) ** 2)))
 
 
 def copula_mutual_information(c: BivariateCopula, rng: np.random.Generator,

@@ -223,22 +223,12 @@ def eda_run(spec: EdaSpec, f, lower, upper, rng: np.random.Generator,
     start = time.process_time()
 
     X = seed_uniform(lower, upper, spec.pop_size, rng)
-    evals = evaluate_objective(f, X)
-    gen = 1
-    f_evals = spec.pop_size
-    best_idx = int(np.argmin(evals))
-    best_eval = float(evals[best_idx])
-    best_sol = X[best_idx].copy()
-    if model_sink is not None:
-        model_sink(gen, evals, None)
-
-    while not terminate_check(spec.termination, gen=gen, evals=f_evals,
-                              best_eval=best_eval, eval_stddev=_std(evals)):
-        gen += 1
-        selected = select_truncation(X, evals, spec.truncation_factor)
-        model = learn_model(spec, selected, lower, upper, rng)
-        X = sample_model(model, spec.pop_size, lower, rng)
+    model = None
+    gen = f_evals = 0
+    best_eval, best_sol = math.inf, None
+    while True:
         evals = evaluate_objective(f, X)
+        gen += 1
         f_evals += spec.pop_size
         gen_best = int(np.argmin(evals))
         if evals[gen_best] < best_eval:
@@ -246,6 +236,12 @@ def eda_run(spec: EdaSpec, f, lower, upper, rng: np.random.Generator,
             best_sol = X[gen_best].copy()
         if model_sink is not None:
             model_sink(gen, evals, model)
+        if terminate_check(spec.termination, gen=gen, evals=f_evals,
+                           best_eval=best_eval, eval_stddev=_std(evals)):
+            break
+        selected = select_truncation(X, evals, spec.truncation_factor)
+        model = learn_model(spec, selected, lower, upper, rng)
+        X = sample_model(model, spec.pop_size, lower, rng)
 
     return RunResult(gen, f_evals, best_sol, best_eval,
                      time.process_time() - start)

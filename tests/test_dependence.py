@@ -16,11 +16,13 @@ from scipy import stats
 from copeda.copulas import (
     CopulaFamily,
     clayton,
+    clip_tau,
     copula_sample,
     frank,
     mvnormal_copula_sample,
     normal,
     product,
+    tau_to_parameter,
 )
 from copeda import dependence
 from copeda.dependence import (
@@ -512,6 +514,23 @@ class TestGofSelection:
             sel = gof_select_copula(uv[:, 0], uv[:, 1], CANDIDATES)
             # constructing the copula revalidates the domain; no exception means ok
             assert sel.family in set(CANDIDATES) | {CopulaFamily.PRODUCT}
+
+    @pytest.mark.parametrize("family", [CopulaFamily.NORMAL,
+                                        CopulaFamily.FRANK])
+    def test_single_family_is_not_scored(self, family, monkeypatch):
+        calls = []
+        real = dependence.copula_cdf
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(dependence, "copula_cdf", counting)
+        uv = copula_sample(normal(0.5), 200, np.random.default_rng(11))
+        sel = gof_select_copula(uv[:, 0], uv[:, 1], [family])
+        assert calls == []
+        assert sel == tau_to_parameter(
+            family, clip_tau(kendall_tau(uv[:, 0], uv[:, 1])))
 
 
 class TestMutualInformation:
