@@ -29,8 +29,13 @@ from .margins import MarginKind
 
 CSV_HEADER = "run,generations,evaluations,best_evaluation,cpu_time_seconds"
 
-def _read_config_file(path: str) -> dict:
-    """Flat key=value pairs, one per line, '#' comments."""
+
+def _read_config_file(path: str, command: argparse.ArgumentParser) -> dict:
+    """Flat key=value pairs, one per line, '#' comments.  A key is any option
+    of ``command`` that takes a value, except --config; its value goes
+    through the option's type and choices."""
+    options = {a.option_strings[-1][2:]: a for a in command._actions
+               if a.option_strings and a.nargs != 0 and a.dest != "config"}
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -41,48 +46,67 @@ def _read_config_file(path: str) -> dict:
                 raise InputError(f"{path}:{lineno}: expected key=value")
             key, _, val = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in options:
                 raise InputError(f"{path}:{lineno}: unknown key {key!r}")
+            action = options[key]
             try:
-                values[key.replace("-", "_")] = _CONFIG_KEYS[key](val.strip())
+                value = (action.type or str)(val.strip())
+                if action.choices and value not in action.choices:
+                    raise ValueError(f"{value!r} is not one of "
+                                     f"{', '.join(action.choices)}")
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: {key}: {exc}") from exc
+            values[action.dest] = value
     return values
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="copeda",
         description="Copula-based estimation-of-distribution algorithms")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="key=value config file")
-        p.add_argument("--algorithm", choices=ALGORITHMS)
-        p.add_argument("--function", help="benchmark name from the registry")
-        p.add_argument("--dim", type=int)
-        p.add_argument("--lower", type=float, help="scalar lower bound")
-        p.add_argument("--upper", type=float, help="scalar upper bound")
-        p.add_argument("--pop-size", type=int)
+    def experiment(name, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config",
+                       help="key=value file of this command's options")
+        p.add_argument("--algorithm", choices=ALGORITHMS, default="gceda")
+        p.add_argument("--function", default="sphere",
+                       help="benchmark name from the registry")
+        p.add_argument("--dim", type=int, default=10)
+        p.add_argument("--lower", type=float,
+                       help="scalar lower bound (default: the benchmark's)")
+        p.add_argument("--upper", type=float,
+                       help="scalar upper bound (default: the benchmark's)")
+        p.add_argument("--pop-size", type=int, default=100)
         p.add_argument("--margin",
                        choices=[k.value for k in MarginKind])
-        p.add_argument("--copula",
+        p.add_argument("--copula", default="normal",
                        help="comma-separated copula families "
                             "(normal,student,clayton,frank,gumbel)")
-        p.add_argument("--sig-level", type=float)
-        p.add_argument("--trunc-criterion", choices=["aic", "bic", "none"])
+        p.add_argument("--sig-level", type=float, default=0.01)
+        p.add_argument("--trunc-criterion", choices=["aic", "bic", "none"],
+                       default="aic")
         p.add_argument("--max-gen", type=int)
         p.add_argument("--max-evals", type=int)
-        p.add_argument("--target", type=float)
-        p.add_argument("--tol", type=float)
+        p.add_argument("--target", type=float,
+                       help="target evaluation (default: the benchmark's)")
+        p.add_argument("--tol", type=float, default=1e-6)
         p.add_argument("--stddev-floor", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--jobs", type=int)
-        p.add_argument("--format", choices=["table", "csv", "json"])
-        p.add_argument("--out", help="write output to this path")
+        p.add_argument("--seed", type=int, default=12345)
+        return p
 
-    run_p = sub.add_parser("run", help="single optimization run")
-    common(run_p)
+    def study(name, help):
+        p = experiment(name, help)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for independent runs")
+        p.add_argument("--format", choices=["table", "csv", "json"],
+                       default="table")
+        p.add_argument("--out", help="write output to this path")
+        return p
+
+    run_p = experiment("run", "single optimization run")
     run_p.add_argument("--report", action="store_true",
                        help="print per-generation progress")
     run_p.add_argument("--dump-model",
@@ -90,80 +114,57 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--copula-trace",
                        help="write per-generation copula family counts (CSV)")
 
-    indep_p = sub.add_parser("indep-runs", help="independent replications")
-    common(indep_p)
-    indep_p.add_argument("--runs", type=int)
+    indep_p = study("indep-runs", "independent replications")
+    indep_p.add_argument("--runs", type=int, default=30)
 
-    crit_p = sub.add_parser("critpop", help="critical population size search")
-    common(crit_p)
-    crit_p.add_argument("--lower-pop", type=int)
-    crit_p.add_argument("--upper-pop", type=int)
-    crit_p.add_argument("--total-runs", type=int)
-    crit_p.add_argument("--success-runs", type=int)
-    crit_p.add_argument("--stop-percent", type=float)
-    return parser
+    crit_p = study("critpop", "critical population size search")
+    crit_p.add_argument("--lower-pop", type=int, default=50)
+    crit_p.add_argument("--upper-pop", type=int, default=2000)
+    crit_p.add_argument("--total-runs", type=int, default=30)
+    crit_p.add_argument("--success-runs", type=int, default=30)
+    crit_p.add_argument("--stop-percent", type=float, default=10.0)
+    return parser, {"run": run_p, "indep-runs": indep_p, "critpop": crit_p}
 
 
-def _config_keys() -> dict[str, type]:
-    """Config-file keys and their types, read off the parser: every option
-    of the study commands (indep-runs, critpop) except --config.  The run
-    command's own options only shape one run's output and stay flags."""
-    commands = _build_parser()._subparsers._group_actions[0].choices
-    return {a.option_strings[-1][2:]: a.type or str
-            for name in ("indep-runs", "critpop")
-            for a in commands[name]._actions
-            if a.dest not in ("help", "config")}
+def _parse(argv) -> argparse.Namespace:
+    """Flag > config file > default: the file's values become the command's
+    defaults, and the command line is parsed again over them."""
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        command = commands[args.command]
+        command.set_defaults(**_read_config_file(args.config, command))
+        args = parser.parse_args(argv)
+    return args
 
 
-_CONFIG_KEYS = _config_keys()
-
-_DEFAULTS = dict(algorithm="gceda", function="sphere", dim=10,
-                 copula="normal", sig_level=0.01, trunc_criterion="aic",
-                 tol=1e-6, seed=12345, jobs=1, format="table", runs=30,
-                 lower_pop=50, upper_pop=2000, total_runs=30, success_runs=30,
-                 stop_percent=10.0)
-
-
-class _Resolved:
-    """Flag > config-file > defaults precedence, resolved once."""
-
-    def __init__(self, args: argparse.Namespace):
-        file_values = _read_config_file(args.config) if args.config else {}
-        self._layers = (vars(args), file_values, _DEFAULTS)
-
-    def get(self, key, fallback=None):
-        for layer in self._layers:
-            if layer.get(key) is not None:
-                return layer[key]
-        return fallback
-
-
-def _resolve_experiment(cfg: _Resolved):
-    bench = get_benchmark(cfg.get("function"))
-    dim = int(cfg.get("dim"))
-    lower = np.full(dim, float(cfg.get("lower", bench.default_lower)))
-    upper = np.full(dim, float(cfg.get("upper", bench.default_upper)))
-    target = cfg.get("target")
-    target = bench.target_eval if target is None else float(target)
+def _resolve_experiment(args: argparse.Namespace):
+    if args.dim < 1:
+        raise InputError("dim must be at least 1")
+    bench = get_benchmark(args.function)
+    lower = bench.default_lower if args.lower is None else args.lower
+    upper = bench.default_upper if args.upper is None else args.upper
+    target = bench.target_eval if args.target is None else args.target
     termination = TerminationSpec(
-        max_gen=cfg.get("max_gen"),
-        max_evals=cfg.get("max_evals"),
+        max_gen=args.max_gen,
+        max_evals=args.max_evals,
         target_eval=target,
-        target_tol=float(cfg.get("tol")),
-        eval_stddev_floor=cfg.get("stddev_floor"),
+        target_tol=args.tol,
+        eval_stddev_floor=args.stddev_floor,
     )
     families = tuple(tok.strip()
-                     for tok in str(cfg.get("copula")).split(",") if tok.strip())
+                     for tok in args.copula.split(",") if tok.strip())
     spec = EdaSpec(
-        algorithm=cfg.get("algorithm"),
-        pop_size=int(cfg.get("pop_size", 100)),
+        algorithm=args.algorithm,
+        pop_size=args.pop_size,
         termination=termination,
-        margin=cfg.get("margin"),
+        margin=args.margin,
         copulas=families,
-        sig_level=float(cfg.get("sig_level")),
-        trunc_criterion=cfg.get("trunc_criterion"),
+        sig_level=args.sig_level,
+        trunc_criterion=args.trunc_criterion,
     )
-    return spec, bench, lower, upper, target
+    return (spec, bench, np.full(args.dim, float(lower)),
+            np.full(args.dim, float(upper)), target)
 
 
 def _fmt(x) -> str:
@@ -227,6 +228,16 @@ def _emit(text: str, out_path, stream):
         stream.write(text + "\n")
 
 
+def _write_runs(args, results, summary: RunsSummary, stream):
+    if args.format == "csv":
+        text = _runs_csv(results)
+    elif args.format == "json":
+        text = _runs_json(results, summary)
+    else:
+        text = _runs_table(results) + "\n\n" + _summary_table(summary)
+    _emit(text, args.out, stream)
+
+
 _PROGRESS_HEADER = (f"{'Generation':>12} {'Minimum':>12} "
                     f"{'Mean':>12} {'Std. Dev.':>12}")
 
@@ -247,8 +258,7 @@ def _final_block(result) -> str:
 
 
 def cmd_run(args, stream) -> int:
-    cfg = _Resolved(args)
-    spec, bench, lower, upper, _ = _resolve_experiment(cfg)
+    spec, bench, lower, upper, _ = _resolve_experiment(args)
     families = [f.value for f in CopulaFamily]
     trace_rows = ["generation," + ",".join(families)]
     last_model = None
@@ -265,8 +275,8 @@ def cmd_run(args, stream) -> int:
             trace_rows.append(f"{gen}," + ",".join(str(counts[f])
                                                    for f in families))
 
-    result = eda_run(spec, bench.func, lower, upper,
-                     run_rng(int(cfg.get("seed")), 0), model_sink=sink)
+    result = eda_run(spec, bench.func, lower, upper, run_rng(args.seed, 0),
+                     model_sink=sink)
     stream.write(_final_block(result) + "\n")
     if args.dump_model:
         if last_model is not None:
@@ -280,53 +290,36 @@ def cmd_run(args, stream) -> int:
 
 
 def cmd_indep_runs(args, stream) -> int:
-    cfg = _Resolved(args)
-    spec, bench, lower, upper, _ = _resolve_experiment(cfg)
-    runs = int(cfg.get("runs"))
-    results, summary = eda_indep_runs(spec, bench.func, lower, upper, runs,
-                                      base_seed=int(cfg.get("seed")),
-                                      jobs=int(cfg.get("jobs")))
-    fmt = cfg.get("format")
-    if fmt == "csv":
-        _emit(_runs_csv(results), cfg.get("out"), stream)
-    elif fmt == "json":
-        _emit(_runs_json(results, summary), cfg.get("out"), stream)
-    else:
-        text = _runs_table(results) + "\n\n" + _summary_table(summary)
-        _emit(text, cfg.get("out"), stream)
+    spec, bench, lower, upper, _ = _resolve_experiment(args)
+    results, summary = eda_indep_runs(spec, bench.func, lower, upper,
+                                      args.runs, base_seed=args.seed,
+                                      jobs=args.jobs)
+    _write_runs(args, results, summary, stream)
     return 0
 
 
 def cmd_critpop(args, stream) -> int:
-    cfg = _Resolved(args)
-    spec, bench, lower, upper, target = _resolve_experiment(cfg)
-    lower_pop = int(cfg.get("lower_pop"))
-    upper_pop = int(cfg.get("upper_pop"))
-    total_runs = int(cfg.get("total_runs"))
-    success_runs = int(cfg.get("success_runs"))
-    stop_percent = float(cfg.get("stop_percent"))
-    tol = float(cfg.get("tol"))
-    seed = int(cfg.get("seed"))
-    stream.write(f"critical population size search in [{lower_pop}, "
-                 f"{upper_pop}], stop at {stop_percent:g}% width, "
-                 f"{success_runs}/{total_runs} successes required\n")
+    spec, bench, lower, upper, target = _resolve_experiment(args)
+    stream.write(f"critical population size search in [{args.lower_pop}, "
+                 f"{args.upper_pop}], stop at {args.stop_percent:g}% width, "
+                 f"{args.success_runs}/{args.total_runs} successes required\n")
 
     def trace(size, successes, attempted):
         stream.write(f"pop {size:>6}: {successes}/{attempted} successful runs\n")
 
-    found = critical_pop_size(spec, bench.func, lower, upper, target, tol,
-                              lower_pop, upper_pop, total_runs, success_runs,
-                              stop_percent, base_seed=seed, trace=trace)
+    found = critical_pop_size(spec, bench.func, lower, upper, target, args.tol,
+                              args.lower_pop, args.upper_pop, args.total_runs,
+                              args.success_runs, args.stop_percent,
+                              base_seed=args.seed, trace=trace)
     if found is None:
         stream.write(f"critical population size not found in "
-                     f"[{lower_pop}, {upper_pop}]\n")
-        stream.write(f"falling back to {total_runs} runs at the upper bound "
-                     f"{upper_pop}\n")
+                     f"[{args.lower_pop}, {args.upper_pop}]\n")
+        stream.write(f"falling back to {args.total_runs} runs at the upper "
+                     f"bound {args.upper_pop}\n")
         results, summary = eda_indep_runs(
-            replace(spec, pop_size=upper_pop), bench.func, lower, upper,
-            total_runs, base_seed=seed, jobs=int(cfg.get("jobs")))
-        _emit(_runs_table(results) + "\n\n" + _summary_table(summary),
-              cfg.get("out"), stream)
+            replace(spec, pop_size=args.upper_pop), bench.func, lower, upper,
+            args.total_runs, base_seed=args.seed, jobs=args.jobs)
+        _write_runs(args, results, summary, stream)
     else:
         stream.write(f"critical population size: {found}\n")
     return 0
@@ -334,13 +327,12 @@ def cmd_critpop(args, stream) -> int:
 
 def main(argv=None, stream=None) -> int:
     stream = stream if stream is not None else sys.stdout
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     handlers = {"run": cmd_run, "indep-runs": cmd_indep_runs,
                 "critpop": cmd_critpop}
     # Only bad input is a usage error (exit 2); a ValueError raised by the
     # numerics inside a run propagates with its traceback (exit 1).
     try:
+        args = _parse(argv)
         return handlers[args.command](args, stream)
     except (UnknownBenchmarkError, InputError) as exc:
         message = exc.args[0] if exc.args else exc

@@ -389,33 +389,29 @@ def _factorizes(M: np.ndarray) -> bool:
 def make_positive_definite(R) -> np.ndarray:
     """Repair a correlation matrix so a Cholesky factorization exists.
 
-    A matrix that already factorizes is returned unchanged.  Otherwise the
-    eigenvalues are floored at 1e-8, the matrix is reconstructed and
-    rescaled back to unit diagonal.  If 20 such passes still do not
-    factorize, the input is shrunk toward the identity, (1 - a) R + a I
-    for a = 2^-30, 2^-29, ..., 1, and the first that factorizes is
-    returned; a = 1 is the identity, so the repair always ends.  A matrix
-    with a NaN or infinite entry raises ``LinAlgError``.
+    A matrix that already factorizes is returned unchanged.  Otherwise one
+    pass floors the eigenvalues at 1e-8, reconstructs the matrix and
+    rescales it back to unit diagonal.  If that does not factorize, the
+    input is shrunk toward the identity, (1 - a) R + a I for a = 2^-30,
+    2^-29, ..., 1, and the first that factorizes is returned; a = 1 is the
+    identity, so the repair always ends.  A matrix with a NaN or infinite
+    entry raises ``LinAlgError``.
     """
     R = np.asarray(R, dtype=float)
     if not np.all(np.isfinite(R)):
         raise np.linalg.LinAlgError("correlation matrix has non-finite entries")
     R = 0.5 * (R + R.T)
     np.fill_diagonal(R, 1.0)
-    current = R
-    for _ in range(20):
-        if _factorizes(current):
-            return current
-        eigval, eigvec = np.linalg.eigh(current)
-        eigval = np.maximum(eigval, EIG_FLOOR)
-        rebuilt = (eigvec * eigval) @ eigvec.T
-        d = np.sqrt(np.diag(rebuilt))
-        rebuilt = rebuilt / np.outer(d, d)
-        rebuilt = 0.5 * (rebuilt + rebuilt.T)
-        np.fill_diagonal(rebuilt, 1.0)
-        current = rebuilt
-    if _factorizes(current):
-        return current
+    if _factorizes(R):
+        return R
+    eigval, eigvec = np.linalg.eigh(R)
+    rebuilt = (eigvec * np.maximum(eigval, EIG_FLOOR)) @ eigvec.T
+    d = np.sqrt(np.diag(rebuilt))
+    rebuilt = rebuilt / np.outer(d, d)
+    rebuilt = 0.5 * (rebuilt + rebuilt.T)
+    np.fill_diagonal(rebuilt, 1.0)
+    if _factorizes(rebuilt):
+        return rebuilt
     identity = np.eye(R.shape[0])
     for k in range(30, 0, -1):
         shrunk = (1.0 - 2.0 ** -k) * R + 2.0 ** -k * identity

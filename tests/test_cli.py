@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import copeda
-from copeda.cli import _CONFIG_KEYS, CSV_HEADER, main
+from copeda.cli import CSV_HEADER, main
 
 
 def run_cli(argv):
@@ -91,6 +91,20 @@ class TestRun:
         first = trace_lines[1].split(",")
         assert first[0] == "2"
         assert sum(int(x) for x in first[1:]) == 3  # all pair copulas, n=3
+
+    @pytest.mark.parametrize("flag", [["--jobs", "4"], ["--format", "json"],
+                                      ["--out", "x.json"]])
+    def test_study_output_flags_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", *FAST_RUN, *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_dim_below_one_exits_2(self, dim, capsys):
+        status, out = run_cli(["run", *FAST_RUN, "--dim", dim])
+        assert (status, out) == (2, "")
+        assert capsys.readouterr().err == "error: dim must be at least 1\n"
 
 
 class TestIndepRuns:
@@ -178,6 +192,18 @@ class TestCritpop:
         assert "falling back" in out
         assert "Run 1" in out
 
+    def test_fallback_runs_take_the_format(self):
+        argv = ["critpop", "--algorithm", "umda", "--function", "sphere",
+                "--dim", "2", "--lower", "-1", "--upper", "1",
+                "--max-gen", "2", "--target", "-1", "--lower-pop", "4",
+                "--upper-pop", "8", "--total-runs", "2", "--success-runs", "2",
+                "--format", "csv"]
+        status, out = run_cli(argv)
+        assert status == 0
+        lines = out.strip().splitlines()
+        assert lines[-3] == CSV_HEADER
+        assert [row.split(",")[0] for row in lines[-2:]] == ["1", "2"]
+
 
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path):
@@ -199,18 +225,24 @@ class TestConfigFile:
         assert "Run 2" in out
         assert "Run 3" not in out
 
-    def test_keys_are_the_study_flags(self):
-        assert _CONFIG_KEYS == {
-            "algorithm": str, "function": str, "dim": int, "lower": float,
-            "upper": float, "pop-size": int, "margin": str, "copula": str,
-            "sig-level": float, "trunc-criterion": str,
-            "max-gen": int, "max-evals": int, "target": float, "tol": float,
-            "stddev-floor": float, "runs": int, "seed": int, "jobs": int,
-            "format": str, "out": str, "lower-pop": int, "upper-pop": int,
-            "total-runs": int, "success-runs": int, "stop-percent": float,
-        }
-        for flag_only in ("config", "report", "dump-model", "copula-trace"):
-            assert flag_only not in _CONFIG_KEYS
+    @pytest.mark.parametrize("line", ["runs=3", "jobs=2", "report=1",
+                                      "config=x"])
+    def test_run_config_takes_only_the_run_options(self, tmp_path, line,
+                                                   capsys):
+        # a key is a valued option of the invoked command, never --config
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"function=sphere\n{line}\n")
+        status, out = run_cli(["run", "--config", str(cfg), "--max-gen", "2"])
+        assert (status, out) == (2, "")
+        assert "unknown key" in capsys.readouterr().err
+
+    def test_indep_runs_config_rejects_critpop_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("lower-pop=4\n")
+        status, _ = run_cli(["indep-runs", "--config", str(cfg), *FAST_RUN,
+                             "--runs", "1"])
+        assert status == 2
+        assert "unknown key 'lower-pop'" in capsys.readouterr().err
 
     def test_bad_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
