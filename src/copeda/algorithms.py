@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.optimize import minimize_scalar
 
 from .copulas import (
     FRANK_THETA_MAX,
@@ -67,6 +66,7 @@ def _normal_ml_rho(U: np.ndarray) -> np.ndarray:
 
 def _frank_ml(U2: np.ndarray) -> BivariateCopula:
     """ML Frank copula of the two columns of U2 by bounded 1-D search."""
+    from scipy.optimize import minimize_scalar  # loaded on first use only
 
     def make(theta):
         return frank(theta) if abs(theta) > 1e-8 else product()

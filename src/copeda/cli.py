@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, replace
 
@@ -36,27 +37,33 @@ def _read_config_file(path: str, command: argparse.ArgumentParser) -> dict:
     through the option's type and choices."""
     options = {a.option_strings[-1][2:]: a for a in command._actions
                if a.option_strings and a.nargs != 0 and a.dest != "config"}
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: {exc.reason}") from exc
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InputError(f"{path}:{lineno}: expected key=value")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in options:
-                raise InputError(f"{path}:{lineno}: unknown key {key!r}")
-            action = options[key]
-            try:
-                value = (action.type or str)(val.strip())
-                if action.choices and value not in action.choices:
-                    raise ValueError(f"{value!r} is not one of "
-                                     f"{', '.join(action.choices)}")
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {key}: {exc}") from exc
-            values[action.dest] = value
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InputError(f"{path}:{lineno}: expected key=value")
+        key, _, val = line.partition("=")
+        key = key.strip()
+        if key not in options:
+            raise InputError(f"{path}:{lineno}: unknown key {key!r}")
+        action = options[key]
+        try:
+            value = (action.type or str)(val.strip())
+            if action.choices and value not in action.choices:
+                raise ValueError(f"{value!r} is not one of "
+                                 f"{', '.join(action.choices)}")
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {key}: {exc}") from exc
+        values[action.dest] = value
     return values
 
 
@@ -136,6 +143,25 @@ def _parse(argv) -> argparse.Namespace:
         command.set_defaults(**_read_config_file(args.config, command))
         args = parser.parse_args(argv)
     return args
+
+
+def _check_before_runs(args: argparse.Namespace):
+    """Exit 2 on a bad --jobs or output path before the first run, not
+    after a finished study (critpop passes --jobs only to its fallback).
+    A file made only to check the path is removed again."""
+    if getattr(args, "jobs", 1) < 1:
+        raise InputError("jobs must be >= 1")
+    for dest in ("out", "dump_model", "copula_trace"):
+        path = getattr(args, dest, None)
+        if not path:
+            continue
+        existed = os.path.exists(path)
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc.strerror}") from exc
+        if not existed:
+            os.remove(path)
 
 
 def _resolve_experiment(args: argparse.Namespace):
@@ -333,6 +359,7 @@ def main(argv=None, stream=None) -> int:
     # numerics inside a run propagates with its traceback (exit 1).
     try:
         args = _parse(argv)
+        _check_before_runs(args)
         return handlers[args.command](args, stream)
     except (UnknownBenchmarkError, InputError) as exc:
         message = exc.args[0] if exc.args else exc

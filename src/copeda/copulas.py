@@ -21,8 +21,6 @@ from functools import partial
 
 import numpy as np
 from scipy import special
-from scipy.integrate import quad
-from scipy.optimize import brentq, minimize_scalar
 
 INTERIOR_EPS = 1e-10       # clamp for (0,1) arguments of densities and h
 RHO_MAX = 1.0 - 1e-8       # largest admissible |rho| for normal/Student
@@ -229,6 +227,7 @@ def _bvn_cdf(x, y, rho):
 @partial(np.vectorize, otypes=[float])
 def _student_cdf(rho, nu, u, v):
     # C(u, v) = int_0^v h(u | t) dt; the integrand is smooth and bounded
+    from scipy.integrate import quad  # loaded on first use only
     val, _ = quad(lambda t: _student_h(rho, nu, u, t), 0.0, v,
                   epsabs=1e-6, epsrel=1e-8, limit=200)
     return min(max(val, 0.0), 1.0)
@@ -458,6 +457,7 @@ def clip_tau(tau: float) -> float:
 
 def _debye1(theta: float) -> float:
     """First Debye function D1(theta) = (1/theta) * int_0^theta t/(e^t - 1) dt."""
+    from scipy.integrate import quad  # loaded on first use only
 
     def integrand(t):
         if abs(t) < 1e-12:
@@ -505,6 +505,7 @@ def tau_to_parameter(family: CopulaFamily, tau: float) -> BivariateCopula:
     if target >= _frank_tau(FRANK_THETA_MAX):
         theta = FRANK_THETA_MAX
     else:
+        from scipy.optimize import brentq  # loaded on first use only
         theta = brentq(lambda t: _frank_tau(t) - target, 1e-10, FRANK_THETA_MAX,
                        xtol=1e-12, rtol=8.9e-16)
     return frank(math.copysign(theta, tau))
@@ -540,6 +541,7 @@ def fit_student_dof(U: np.ndarray, rho: float) -> BivariateCopula:
     Bounded Brent search on log(nu) over [1, 100] with the correlation held
     fixed, to 1e-5 in log(nu); about a dozen likelihood evaluations.
     """
+    from scipy.optimize import minimize_scalar  # loaded on first use only
     rho = float(np.clip(rho, -RHO_MAX, RHO_MAX))
     res = minimize_scalar(
         lambda log_nu: -copula_loglik(student(rho, math.exp(log_nu)), U),

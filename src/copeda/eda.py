@@ -46,6 +46,9 @@ class TerminationSpec:
         if (self.max_gen is None and self.max_evals is None
                 and self.target_eval is None and self.eval_stddev_floor is None):
             raise InputError("at least one termination criterion must be set")
+        for name in ("max_gen", "max_evals"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise InputError(f"{name} must be >= 1")
 
 
 ALGORITHMS = tuple(_DEPENDENCE)
@@ -267,6 +270,8 @@ def eda_indep_runs(spec: EdaSpec, f, lower, upper, runs: int,
     """Independent replications with per-run streams derived from the seed."""
     if runs < 1:
         raise InputError("runs must be >= 1")
+    if jobs < 1:
+        raise InputError("jobs must be >= 1")
     tasks = [(spec, f, lower, upper, base_seed, i) for i in range(runs)]
     if jobs > 1:
         try:

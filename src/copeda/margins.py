@@ -39,7 +39,6 @@ from enum import Enum
 
 import numpy as np
 from scipy import special
-from scipy.optimize import minimize
 
 from .copulas import _as_result
 
@@ -298,6 +297,7 @@ def _beta_loglik(y: np.ndarray):
 
 def _fit_beta(sample: np.ndarray, lower: float, upper: float) -> tuple[float, float]:
     # Nelder-Mead from (1, 1), as copulaedas's beta margin runs R's optim
+    from scipy.optimize import minimize  # loaded on first use only
     y = np.clip((sample - lower) / (upper - lower), 1e-6, 1.0 - 1e-6)
     loglik = _beta_loglik(y)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import copeda
+from copeda import cli
 from copeda.cli import CSV_HEADER, main
 
 
@@ -24,6 +25,10 @@ def run_python(*args):
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path})
 
+
+# scipy subpackages that ``import copeda`` must not load
+LAZY_SCIPY = ("scipy.stats", "scipy.optimize", "scipy.integrate",
+              "scipy.linalg", "scipy.sparse")
 
 FAST_RUN = ["--algorithm", "umda", "--function", "sphere", "--dim", "2",
             "--lower", "-5", "--upper", "5", "--pop-size", "30",
@@ -106,6 +111,26 @@ class TestRun:
         assert (status, out) == (2, "")
         assert capsys.readouterr().err == "error: dim must be at least 1\n"
 
+    @pytest.mark.parametrize("flag", ["--max-gen", "--max-evals"])
+    def test_zero_generation_or_evaluation_budget_exits_2(self, flag, capsys):
+        status, out = run_cli(["run", *FAST_RUN, flag, "0"])
+        assert (status, out) == (2, "")
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {name} must be >= 1\n"
+
+    @pytest.mark.parametrize("flag", ["--dump-model", "--copula-trace"])
+    def test_unwritable_output_exits_2_before_the_run(self, flag, tmp_path,
+                                                      monkeypatch, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "eda_run", no_run)
+        path = tmp_path / "no" / "such" / "dir" / "x.txt"
+        status, out = run_cli(["run", *FAST_RUN, flag, str(path)])
+        assert (status, out) == (2, "")
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot write {path}: ")
+
 
 class TestIndepRuns:
     def test_table_and_summary(self):
@@ -164,6 +189,37 @@ class TestIndepRuns:
         assert out == ""
         assert out_path.read_text().startswith(CSV_HEADER)
 
+    @pytest.mark.parametrize("target", ["missing-dir", "a-directory"])
+    def test_unwritable_out_exits_2_before_any_run(self, target, tmp_path,
+                                                   monkeypatch, capsys):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("the study started")
+
+        monkeypatch.setattr(cli, "eda_indep_runs", no_runs)
+        path = (tmp_path / "no" / "x.csv" if target == "missing-dir"
+                else tmp_path)
+        status, out = run_cli(["indep-runs", *FAST_RUN, "--runs", "30",
+                               "--out", str(path)])
+        assert (status, out) == (2, "")
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot write {path}: ")
+
+    def test_writable_check_leaves_no_file(self, tmp_path):
+        # the path is checked before the runs; a later input error must not
+        # leave an empty file behind
+        out_path = tmp_path / "runs.csv"
+        status, _ = run_cli(["indep-runs", *FAST_RUN, "--dim", "0",
+                             "--out", str(out_path)])
+        assert status == 2
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_2(self, jobs, capsys):
+        status, out = run_cli(["indep-runs", *FAST_RUN, "--runs", "2",
+                               "--jobs", jobs])
+        assert (status, out) == (2, "")
+        assert capsys.readouterr().err == "error: jobs must be >= 1\n"
+
 
 class TestCritpop:
     def test_easy_problem_completes(self):
@@ -203,6 +259,17 @@ class TestCritpop:
         lines = out.strip().splitlines()
         assert lines[-3] == CSV_HEADER
         assert [row.split(",")[0] for row in lines[-2:]] == ["1", "2"]
+
+    def test_jobs_below_one_exits_2_before_the_search(self, monkeypatch,
+                                                      capsys):
+        # --jobs reaches only the fallback runs, so it is checked up front
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(cli, "critical_pop_size", no_search)
+        status, out = run_cli(["critpop", *FAST_RUN, "--jobs", "0"])
+        assert (status, out) == (2, "")
+        assert capsys.readouterr().err == "error: jobs must be >= 1\n"
 
 
 class TestConfigFile:
@@ -244,6 +311,20 @@ class TestConfigFile:
         assert status == 2
         assert "unknown key 'lower-pop'" in capsys.readouterr().err
 
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "missing.cfg"
+        status, out = run_cli(["run", "--config", str(path)])
+        assert (status, out) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: cannot read {path}: No such file or directory\n")
+
+    def test_undecodable_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "binary.cfg"
+        path.write_bytes(b"dim=\xff\xfe\n")
+        status, out = run_cli(["run", "--config", str(path)])
+        assert (status, out) == (2, "")
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
     def test_bad_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("no-such-key=1\n")
@@ -262,12 +343,42 @@ class TestConfigFile:
 
 
 class TestEntryPoint:
-    def test_import_leaves_scipy_stats_unloaded(self):
-        # scipy.stats takes longer to import than the rest of copeda; only
-        # the long-sample Kendall tau fallback loads it, on first use
+    def test_import_loads_scipy_special_alone(self):
+        # each of these takes longer to import than copeda itself; the
+        # functions that call them load them on first use
         proc = run_python("-c", "import sys, copeda, copeda.cli; "
-                                "print('scipy.stats' in sys.modules)")
-        assert (proc.returncode, proc.stdout) == (0, "False\n")
+                                f"print([m for m in {LAZY_SCIPY} "
+                                "if m in sys.modules])")
+        assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+    def test_lazy_import_sites_work_in_a_fresh_process(self):
+        # every function that imports scipy.optimize or scipy.integrate on
+        # first use, each called with neither module loaded yet
+        script = (
+            "import math, sys\n"
+            "import numpy as np\n"
+            "import copeda as c\n"
+            f"assert not [m for m in {LAZY_SCIPY} if m in sys.modules]\n"
+            "rng = np.random.default_rng(0)\n"
+            "beta = c.fit_margin(c.MarginKind.BETA_RESCALED, rng.random((30, 2)), "
+            "np.zeros(2), np.ones(2))\n"
+            "assert np.all(beta.a > 0) and np.all(beta.b > 0)\n"
+            "fr = c.tau_to_parameter(c.CopulaFamily.FRANK, 0.4)\n"
+            "assert math.isclose(c.parameter_to_tau(fr), 0.4, abs_tol=1e-9)\n"
+            "U = c.copula_sample(c.student(0.5, 4.0), 200, rng)\n"
+            "assert 1.0 <= c.fit_student_dof(U, 0.5).nu <= 100.0\n"
+            "assert 0.25 < c.copula_cdf(c.student(0.5, 4.0), 0.5, 0.5) < 0.5\n"
+            "spec = c.EdaSpec('copula-mimic', 40, "
+            "c.TerminationSpec(max_gen=2), copulas=('frank',))\n"
+            "X = rng.random((40, 3))\n"
+            "model = c.learn_model(spec, X, np.zeros(3), np.ones(3), rng)\n"
+            "assert model.dependence.family_counts()['frank'] "
+            "+ model.dependence.family_counts()['product'] == 2\n"
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') "
+            "if m in sys.modules))\n")
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "['scipy.integrate', 'scipy.optimize']\n"
 
     def test_module_invocation(self):
         proc = run_python("-m", "copeda.cli", "run", *FAST_RUN)

@@ -462,6 +462,13 @@ class TestInputError:
                         sig_level=-0.01),
         lambda: EdaSpec("cveda", 30, TerminationSpec(max_gen=5),
                         sig_level=float("nan")),
+        lambda: TerminationSpec(max_gen=0),
+        lambda: TerminationSpec(max_gen=-1, target_eval=0.0),
+        lambda: TerminationSpec(max_evals=0),
+        lambda: eda_indep_runs(umda_spec(max_gen=2), f_sphere, [-1.0], [1.0],
+                               runs=2, jobs=0),
+        lambda: eda_indep_runs(umda_spec(max_gen=2), f_sphere, [-1.0], [1.0],
+                               runs=2, jobs=-1),
     ])
     def test_raised_by_input_checks(self, build):
         with pytest.raises(InputError):
