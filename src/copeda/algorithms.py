@@ -29,6 +29,7 @@ from .copulas import (
     product,
 )
 from .dependence import (
+    _upper_pairs,
     copula_mutual_information,
     kendall_tau_matrix,
     make_positive_definite,
@@ -51,7 +52,7 @@ def _normal_ml_rho(U: np.ndarray) -> np.ndarray:
     m, n = U.shape
     Z = special.ndtri(np.clip(U, INTERIOR_EPS, 1.0 - INTERIOR_EPS))
     G = Z.T @ Z
-    i, j = np.tril_indices(n, -1)
+    j, i = _upper_pairs(n)  # every (i, j) with i > j
     C, S = G[i, j][:, None], (G[i, i] + G[j, j])[:, None]
     companion = np.zeros((C.size, 3, 3))
     companion[:, 0] = np.hstack([C, m - S, C]) / m
@@ -228,11 +229,12 @@ class ChainDependence:
 
     def sample(self, m: int, n: int, rng: np.random.Generator) -> np.ndarray:
         """Last permutation slot uniform, the rest conditional on the next."""
+        # one draw, in the order of a draw per slot: row n - 1 - k for link k
+        W = rng.random((n, m))
         U = np.empty((m, n))
-        U[:, self.perm[-1]] = rng.random(m)
+        U[:, self.perm[-1]] = W[0]
         for k in range(n - 2, -1, -1):
-            w = rng.random(m)
-            U[:, self.perm[k]] = copula_hinv(self.copulas[k], w,
+            U[:, self.perm[k]] = copula_hinv(self.copulas[k], W[n - 1 - k],
                                              U[:, self.perm[k + 1]])
         return U
 

@@ -27,11 +27,14 @@ def f_summation_cancellation(x):
     With y_1 = x_1 and y_i = y_{i-1} + x_i the value is
     -1 / (1e-5 + sum |y_i|); the global minimum is -1e5 at the origin.
     Batched over the last axis; contiguous rows keep each row's sum in the
-    one-point summation order whatever the input's memory layout.
+    one-point summation order whatever the input's memory layout.  The
+    prefix sums add column i - 1 into column i of a C-order copy: the
+    additions of ``np.cumsum``, in its order, one column for all rows.
     """
-    x = np.ascontiguousarray(x, dtype=float)
-    y = np.cumsum(x, axis=-1)
-    return -1.0 / (1e-5 + np.sum(np.abs(y), axis=-1))
+    y = np.array(x, dtype=float, order="C")
+    for i in range(1, y.shape[-1]):
+        y[..., i] += y[..., i - 1]
+    return -1.0 / (1e-5 + np.sum(np.abs(y, out=y), axis=-1))
 
 
 f_sphere.batched = True

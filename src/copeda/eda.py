@@ -19,7 +19,7 @@ import numpy as np
 
 from .algorithms import _DEPENDENCE, learn_model, sample_model
 from .copulas import CopulaFamily
-from .margins import MarginKind
+from .margins import MarginKind, _mean_sd
 
 class ObjectiveError(RuntimeError):
     """The objective returned a non-finite value, or a batched objective
@@ -150,17 +150,30 @@ def seed_uniform(lower, upper, pop_size: int,
 def select_truncation(X: np.ndarray, evaluations: np.ndarray,
                       factor: float) -> np.ndarray:
     """The max(2, round(factor * m)) best of the m rows of X, best first
-    (minimization; ties keep row order)."""
+    (minimization).
+
+    The rows of ``np.argsort(evaluations, kind="stable")[:count]``, in that
+    order: a linear-time partition (``np.partition``, Hoare's FIND) finds
+    the count-th smallest evaluation, and only the rows at or below it are
+    stable-sorted.  Ties keep row order, so of the rows tied at the cut the
+    earliest are kept.  Raises ``ValueError`` on a NaN evaluation.
+    """
     m = X.shape[0]
-    if np.shape(evaluations) != (m,):
+    evaluations = np.asarray(evaluations)
+    if evaluations.shape != (m,):
         raise ValueError("need one evaluation per population row")
+    if np.isnan(evaluations).any():
+        raise ValueError("cannot select on a NaN evaluation")
     count = min(max(2, int(math.floor(factor * m + 0.5))), m)
-    return X[np.argsort(evaluations, kind="stable")[:count]]
+    cut = np.partition(evaluations, count - 1)[count - 1]
+    rows = np.flatnonzero(evaluations <= cut)
+    return X[rows[np.argsort(evaluations[rows], kind="stable")[:count]]]
 
 
 def _std(values: np.ndarray) -> float:
-    """Sample standard deviation (ddof 1); 0 for a single value."""
-    return float(np.std(values, ddof=1)) if values.size > 1 else 0.0
+    """Sample standard deviation (ddof 1), with the bits of
+    ``np.std(values, ddof=1)``; 0 for a single value."""
+    return float(_mean_sd(values)[1]) if values.size > 1 else 0.0
 
 
 def terminate_check(term: TerminationSpec, *, gen: int, evals: int,

@@ -319,6 +319,18 @@ def _fit_beta(sample: np.ndarray, lower: float, upper: float) -> tuple[float, fl
     return 1.0, 1.0
 
 
+def _mean_sd(S: np.ndarray):
+    """Mean and sample standard deviation (ddof 1) along the last axis.
+
+    These are the steps, and so the bits, of ``x.mean()`` and
+    ``x.std(ddof=1)`` of each contiguous row, without their wrappers.
+    """
+    m = S.shape[-1]
+    mean = np.add.reduce(S, axis=-1) / m
+    dev = S - mean[..., None]
+    return mean, np.sqrt(np.add.reduce(dev * dev, axis=-1) / (m - 1))
+
+
 def fit_margin(kind: MarginKind, sample, lower, upper) -> MarginModel:
     """Fit a marginal model of the given kind to each column of a sample.
 
@@ -333,7 +345,6 @@ def fit_margin(kind: MarginKind, sample, lower, upper) -> MarginModel:
         return _columns(fit_margin(kind, X[:, None], lower, upper))[0]
     if X.ndim != 2 or len(X) < 2:
         raise ValueError("need (m,) or (m, n) observations with m >= 2")
-    m = len(X)
     # one contiguous row per column: numpy's pairwise sums along it give
     # each column the bits of its own (m,) fit
     S = np.array(X.T, order="C")
@@ -341,11 +352,8 @@ def fit_margin(kind: MarginKind, sample, lower, upper) -> MarginModel:
     upper = np.array(np.broadcast_to(upper, len(S)), dtype=float)
     if not np.all(lower < upper):
         raise ValueError(f"invalid bounds: [{lower}, {upper}]")
-    # the steps, and so the bits, of x.mean() and x.std(ddof=1) of each
-    # column; a NaN or infinite entry makes the sd NaN (so does |x| > ~1e154)
-    mean = np.add.reduce(S, axis=1) / m
-    dev = S - mean[:, None]
-    sd = np.sqrt(np.add.reduce(dev * dev, axis=1) / (m - 1))
+    # a NaN or infinite entry makes the sd NaN (so does |x| > ~1e154)
+    mean, sd = _mean_sd(S)
     if not np.all(np.isfinite(sd)):
         raise ValueError("cannot fit a margin to a non-finite sample "
                          "(a NaN or infinite value, or a variance overflow)")

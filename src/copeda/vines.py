@@ -100,12 +100,14 @@ def select_dvine_order(U) -> tuple[int, ...]:
         return tuple(range(n))
     cost = 1.0 - np.abs(kendall_tau_matrix(U))
     np.fill_diagonal(cost, np.inf)
+    # Python floats: the same IEEE sums as numpy scalars, indexed faster
+    cost = cost.tolist()
     # initial edge: cheapest cost, ties by lowest (i, j)
     best = (np.inf, 0, 1)
     for i in range(n):
         for j in range(i + 1, n):
-            if cost[i, j] < best[0]:
-                best = (cost[i, j], i, j)
+            if cost[i][j] < best[0]:
+                best = (cost[i][j], i, j)
     path = [best[1], best[2]]
     unplaced = [k for k in range(n) if k not in path]
     while unplaced:
@@ -113,12 +115,12 @@ def select_dvine_order(U) -> tuple[int, ...]:
         for node in unplaced:
             for pos in range(len(path) + 1):
                 if pos == 0:
-                    delta = cost[node, path[0]]
+                    delta = cost[node][path[0]]
                 elif pos == len(path):
-                    delta = cost[path[-1], node]
+                    delta = cost[path[-1]][node]
                 else:
-                    delta = (cost[path[pos - 1], node] + cost[node, path[pos]]
-                             - cost[path[pos - 1], path[pos]])
+                    delta = (cost[path[pos - 1]][node] + cost[node][path[pos]]
+                             - cost[path[pos - 1]][path[pos]])
                 if choice is None or delta < choice[0] - 1e-15:
                     choice = (delta, node, pos)
         _, node, pos = choice

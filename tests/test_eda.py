@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from copeda.algorithms import SearchModel
 from copeda.benchmarks import f_sphere
@@ -15,6 +15,7 @@ from copeda.eda import (
     InputError,
     ObjectiveError,
     TerminationSpec,
+    _std,
     critical_pop_size,
     eda_indep_runs,
     eda_run,
@@ -84,6 +85,27 @@ class TestSelectTruncation:
         with pytest.raises(ValueError):
             select_truncation(np.zeros((4, 2)), np.zeros(3), 0.5)
 
+    def test_nan_evaluation_raises(self):
+        evals = np.array([1.0, np.nan, 0.0, 2.0])
+        with pytest.raises(ValueError, match="NaN"):
+            select_truncation(evals[:, None], evals, 0.5)
+
+    # values from a small pool tie heavily (levels 1: all equal), and the
+    # pool mixes -0.0 with 0.0 and infinities with finite values
+    @given(m=st.integers(2, 3000), factor=st.floats(0.0, 1.0, exclude_min=True),
+           levels=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+    @example(m=2000, factor=0.3, levels=1, seed=0)
+    @example(m=3000, factor=1.0, levels=2, seed=1)
+    @example(m=2, factor=1e-9, levels=7, seed=2)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_stable_argsort(self, m, factor, levels, seed):
+        pool = np.array([0.0, -1.0, 2.5, -0.0, np.inf, -np.inf, 1e-300])
+        evals = np.random.default_rng(seed).choice(pool[:levels], m)
+        X = np.arange(m)[:, None]
+        count = min(max(2, int(math.floor(factor * m + 0.5))), m)
+        expected = X[np.argsort(evals, kind="stable")[:count]]
+        assert np.array_equal(select_truncation(X, evals, factor), expected)
+
     @given(st.lists(st.floats(-1e5, 1e5), min_size=4, max_size=30, unique=True))
     @settings(max_examples=40, deadline=None)
     def test_invariant_under_increasing_transform(self, evals):
@@ -95,6 +117,15 @@ class TestSelectTruncation:
         a = select_truncation(X, evals, 0.3)
         b = select_truncation(X, mapped, 0.3)
         assert np.array_equal(a, b)
+
+
+class TestStd:
+    @pytest.mark.parametrize("size", [2, 3, 10, 172, 2000])
+    def test_bits_of_numpy_std(self, size):
+        rng = np.random.default_rng(size)
+        for scale in (1e-8, 1.0, 1e5):
+            values = rng.normal(3.0 * scale, scale, size)
+            assert _std(values).hex() == float(np.std(values, ddof=1)).hex()
 
 
 class TestTerminateCheck:
