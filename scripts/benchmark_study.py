@@ -12,40 +12,13 @@ writes one CSV per algorithm/function pair plus a summary table to stdout.
 """
 
 import argparse
-import csv
 import pathlib
 import sys
 import time
 
-import numpy as np
-
-from copeda import EdaSpec, TerminationSpec, critical_pop_size, eda_indep_runs
-from copeda.benchmarks import get_benchmark
-
-# population sizes found by bisection in the reference study
-STUDY = {
-    ("umda", "sphere"): 81,
-    ("gceda", "sphere"): 310,
-    ("cveda", "sphere"): 104,
-    ("dveda", "sphere"): 111,
-    ("copula-mimic", "sphere"): 172,
-    ("umda", "summation-cancellation"): 2000,
-    ("gceda", "summation-cancellation"): 325,
-    ("cveda", "summation-cancellation"): 294,
-    ("dveda", "summation-cancellation"): 965,
-    ("copula-mimic", "summation-cancellation"): 2000,
-}
-
-
-def make_spec(algorithm, pop_size, target, max_evals=300000):
-    return EdaSpec(
-        algorithm=algorithm,
-        pop_size=pop_size,
-        termination=TerminationSpec(target_eval=target, target_tol=1e-6,
-                                    max_evals=max_evals,
-                                    eval_stddev_floor=1e-8),
-        sig_level=0.01,
-    )
+from copeda import critical_pop_size, eda_indep_runs
+from copeda.benchmarks import STUDY, study_cell
+from copeda.cli import _runs_csv
 
 
 def main(argv=None):
@@ -70,39 +43,31 @@ def main(argv=None):
     outdir.mkdir(parents=True, exist_ok=True)
     print(f"{'algorithm':<14}{'function':<26}{'pop':>6}{'success':>9}"
           f"{'evals':>12}{'best':>14}{'time':>8}")
-    for (algorithm, function), pop in STUDY.items():
-        bench = get_benchmark(function)
-        lower = np.full(args.dim, bench.default_lower)
-        upper = np.full(args.dim, bench.default_upper)
-        if args.quick:
-            pop = min(pop, 150)
-        spec = make_spec(algorithm, pop, bench.target_eval, max_evals)
+    for algorithm, function in STUDY:
+        pop = min(STUDY[algorithm, function], 150) if args.quick else None
+        spec, func, lower, upper = study_cell(algorithm, function, args.dim,
+                                              pop, max_evals)
+        target = spec.termination.target_eval
+        tol = spec.termination.target_tol
         if args.critpop:
             found = critical_pop_size(
-                spec, bench.func, lower, upper, bench.target_eval, 1e-6,
+                spec, func, lower, upper, target, tol,
                 lower_pop=50, upper_pop=2000, total_runs=args.runs,
                 success_runs=args.runs, stop_percent=10.0,
                 base_seed=args.seed,
                 trace=lambda s, ok, att: print(f"  pop {s}: {ok}/{att}",
                                                file=sys.stderr))
-            pop = found if found is not None else 2000
-            spec = make_spec(algorithm, pop, bench.target_eval, max_evals)
+            spec = study_cell(algorithm, function, args.dim, found or 2000,
+                              max_evals)[0]
         start = time.perf_counter()
-        results, summary = eda_indep_runs(spec, bench.func, lower, upper,
+        results, summary = eda_indep_runs(spec, func, lower, upper,
                                           args.runs, base_seed=args.seed,
                                           jobs=args.jobs)
         elapsed = time.perf_counter() - start
-        successes = sum(abs(r.best_eval - bench.target_eval) <= 1e-6
-                        for r in results)
-        path = outdir / f"{algorithm}_{function}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["run", "generations", "evaluations",
-                             "best_evaluation", "cpu_time_seconds"])
-            for i, r in enumerate(results, start=1):
-                writer.writerow([i, r.num_gens, r.f_evals,
-                                 f"{r.best_eval:.6e}", f"{r.cpu_time:.6e}"])
-        print(f"{algorithm:<14}{function:<26}{pop:>6}"
+        successes = sum(abs(r.best_eval - target) <= tol for r in results)
+        (outdir / f"{algorithm}_{function}.csv").write_text(
+            _runs_csv(results) + "\n")
+        print(f"{algorithm:<14}{function:<26}{spec.pop_size:>6}"
               f"{successes:>5}/{args.runs:<3}"
               f"{summary.evaluations.mean:>12.1f}"
               f"{summary.best_evaluation.mean:>14.3e}{elapsed:>8.1f}")

@@ -86,6 +86,8 @@ class EdaSpec:
                                tuple(CopulaFamily(c) for c in self.copulas))
         except ValueError as exc:
             raise InputError(str(exc)) from exc
+        if not self.copulas:
+            raise InputError("copulas must name at least one family")
         if self.algorithm == "copula-mimic" and self.copulas not in (
                 (CopulaFamily.NORMAL,), (CopulaFamily.FRANK,)):
             raise InputError("copula-mimic takes exactly one copula family, "

@@ -17,12 +17,13 @@ end with a finite best evaluation.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import binom
 
-from copeda.benchmarks import f_sphere, f_summation_cancellation
+from copeda.benchmarks import f_sphere, study_cell
 from copeda.copulas import (
     CopulaFamily,
     clayton,
@@ -54,8 +55,6 @@ from copeda.margins import MarginKind
 pytestmark = pytest.mark.slow
 
 BASE_SEED = 12345
-FULL_TERM = TerminationSpec(target_eval=0.0, target_tol=1e-6,
-                            max_evals=300000, eval_stddev_floor=1e-8)
 
 # lower 95% confidence bound on the per-run success probability implied by
 # the reference's 30 successes in 30 runs
@@ -120,9 +119,8 @@ def test_criterion_1_gceda_kernel_sphere():
 
 
 def test_criterion_2_umda_sphere():
-    spec = EdaSpec("umda", 81, FULL_TERM)
-    results, summary, successes, elapsed = study(
-        spec, f_sphere, [-600.0] * 10, [600.0] * 10)
+    spec, *problem = study_cell("umda", "sphere")
+    results, summary, successes, elapsed = study(spec, *problem)
     mean_evals = summary.evaluations.mean
     missed = missed_runs(results, spec)
     ok = not_below_reference(successes) \
@@ -141,11 +139,8 @@ def test_criterion_2_umda_sphere():
 
 
 def test_criterion_3_gceda_summation_cancellation():
-    spec = EdaSpec("gceda", 325,
-                   TerminationSpec(target_eval=-1e5, target_tol=1e-6,
-                                   max_evals=300000, eval_stddev_floor=1e-8))
     results, summary, successes, elapsed = study(
-        spec, f_summation_cancellation, [-0.16] * 10, [0.16] * 10)
+        *study_cell("gceda", "summation-cancellation"))
     mean_evals = summary.evaluations.mean
     ok = successes >= 29 and abs(mean_evals - 38913.0) <= 0.2 * 38913.0 \
         and elapsed < 180
@@ -158,11 +153,8 @@ def test_criterion_3_gceda_summation_cancellation():
 
 
 def test_criterion_4_umda_summation_cancellation_fails():
-    spec = EdaSpec("umda", 2000,
-                   TerminationSpec(target_eval=-1e5, target_tol=1e-6,
-                                   max_evals=300000, eval_stddev_floor=1e-8))
     results, summary, successes, elapsed = study(
-        spec, f_summation_cancellation, [-0.16] * 10, [0.16] * 10)
+        *study_cell("umda", "summation-cancellation"))
     mean_best = summary.best_evaluation.mean
     ok = successes == 0 and mean_best > -1e4 and elapsed < 600
     report(4, ok, f"{successes}/30 success (need 0), mean best evaluation "
@@ -172,15 +164,13 @@ def test_criterion_4_umda_summation_cancellation_fails():
     assert elapsed < 600
 
 
-@pytest.mark.parametrize("algorithm,pop_size,target_evals", [
-    ("cveda", 104, 4805.0),
-    ("dveda", 111, 5080.0),
+@pytest.mark.parametrize("algorithm,target_evals", [
+    ("cveda", 4805.0),
+    ("dveda", 5080.0),
 ])
-def test_criterion_5_vine_edas_sphere(algorithm, pop_size, target_evals):
-    spec = EdaSpec(algorithm, pop_size, FULL_TERM,
-                   copulas=(CopulaFamily.NORMAL,), sig_level=0.01)
+def test_criterion_5_vine_edas_sphere(algorithm, target_evals):
     results, summary, successes, elapsed = study(
-        spec, f_sphere, [-600.0] * 10, [600.0] * 10)
+        *study_cell(algorithm, "sphere"))
     mean_evals = summary.evaluations.mean
     ok = successes == 30 and abs(mean_evals - target_evals) <= 0.25 * target_evals \
         and elapsed < 600
@@ -193,10 +183,9 @@ def test_criterion_5_vine_edas_sphere(algorithm, pop_size, target_evals):
 
 
 def test_criterion_6_copula_mimic_sphere():
-    spec = EdaSpec("copula-mimic", 172, FULL_TERM,
-                   copulas=(CopulaFamily.NORMAL,), margin=MarginKind.NORMAL)
+    spec, *problem = study_cell("copula-mimic", "sphere")
     results, summary, successes, elapsed = study(
-        spec, f_sphere, [-600.0] * 10, [600.0] * 10)
+        replace(spec, margin=MarginKind.NORMAL), *problem)
     mean_evals = summary.evaluations.mean
     ok = successes >= 27 and abs(mean_evals - 7442.0) <= 0.3 * 7442.0 \
         and elapsed < 300

@@ -1,4 +1,8 @@
 import functools
+import importlib.util
+import pathlib
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +15,12 @@ from copeda.benchmarks import (
     f_sphere,
     f_summation_cancellation,
     get_benchmark,
+    study_cell,
 )
+from copeda.margins import MarginKind
+
+WORKLOADS = (pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+             / "workloads.py")
 
 
 class TestSphere:
@@ -70,6 +79,46 @@ class TestRegistry:
     def test_functions_are_registered_callables(self):
         for spec in REGISTRY.values():
             assert spec.func(np.zeros(3)) == pytest.approx(spec.target_eval)
+
+
+class TestStudyCell:
+    def test_arguments_override_the_published_cell(self):
+        spec, func, lower, upper = study_cell(
+            "cveda", "summation-cancellation", dim=3, pop_size=40,
+            max_evals=500)
+        assert (spec.algorithm, spec.pop_size) == ("cveda", 40)
+        assert spec.termination.max_evals == 500
+        assert spec.termination.target_eval == -1e5
+        assert func is f_summation_cancellation
+        assert lower.tolist() == [-0.16] * 3 and upper.tolist() == [0.16] * 3
+
+    @pytest.mark.skipif(not WORKLOADS.exists(),
+                        reason="perfbench/ is not in this checkout")
+    def test_benchmark_workloads_are_study_cells(self, monkeypatch):
+        # the benchmark builds its own specs; they must stay the table's
+        spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                      WORKLOADS)
+        module = importlib.util.module_from_spec(spec)
+        # dataclasses resolve the module's annotations through sys.modules
+        monkeypatch.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+        workloads = module.build_workloads()
+        cmimic, *sphere10 = study_cell("copula-mimic", "sphere")
+        expected = {
+            "vine-sphere10": [study_cell("cveda", "sphere"),
+                              study_cell("dveda", "sphere")],
+            "umda-sumcan10": [study_cell("umda", "summation-cancellation")],
+            # acceptance criterion 6's margins
+            "cmimic-sphere10": [(replace(cmimic, margin=MarginKind.NORMAL),
+                                 *sphere10)],
+        }
+        for name, cells in expected.items():
+            workload = workloads[name]
+            assert workload.specs == tuple(cell[0] for cell in cells), name
+            for _, func, lower, upper in cells:
+                assert workload.objective is func, name
+                np.testing.assert_array_equal(workload.lower, lower)
+                np.testing.assert_array_equal(workload.upper, upper)
 
 
 def sphere_point(x):

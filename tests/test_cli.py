@@ -332,8 +332,8 @@ class TestConfigFile:
         assert status == 2
 
     @pytest.mark.parametrize("line", ["dim=ten", "copula=normal,joe",
-                                      "margin=uniform", "vine=rvine",
-                                      "just-a-word"])
+                                      "copula=,", "margin=uniform",
+                                      "vine=rvine", "just-a-word"])
     def test_bad_value_is_a_usage_error(self, tmp_path, line, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"function=sphere\n{line}\n")

@@ -500,6 +500,8 @@ class TestInputError:
                                runs=2, jobs=0),
         lambda: eda_indep_runs(umda_spec(max_gen=2), f_sphere, [-1.0], [1.0],
                                runs=2, jobs=-1),
+        lambda: EdaSpec("cveda", 30, TerminationSpec(max_gen=5),
+                        copulas=()),
     ])
     def test_raised_by_input_checks(self, build):
         with pytest.raises(InputError):
