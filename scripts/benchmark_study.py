@@ -20,6 +20,9 @@ from copeda import critical_pop_size, eda_indep_runs
 from copeda.benchmarks import STUDY, study_cell
 from copeda.cli import _runs_csv
 
+# the --critpop bisection's bracket
+LOWER_POP, UPPER_POP = 50, 2000
+
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -32,7 +35,8 @@ def main(argv=None):
                         help="5 runs in dimension 5 for a fast smoke study")
     parser.add_argument("--critpop", action="store_true",
                         help="bisect the critical population size in "
-                             "[50, 2000] instead of using the published one")
+                             f"[{LOWER_POP}, {UPPER_POP}] instead of using "
+                             "the published one")
     args = parser.parse_args(argv)
     max_evals = 300000
     if args.quick:
@@ -49,15 +53,21 @@ def main(argv=None):
                                               pop, max_evals)
         target = spec.termination.target_eval
         tol = spec.termination.target_tol
+        note = ""
         if args.critpop:
             found = critical_pop_size(
                 spec, func, lower, upper, target, tol,
-                lower_pop=50, upper_pop=2000, total_runs=args.runs,
-                success_runs=args.runs, stop_percent=10.0,
-                base_seed=args.seed,
+                lower_pop=LOWER_POP, upper_pop=UPPER_POP,
+                total_runs=args.runs, success_runs=args.runs,
+                stop_percent=10.0, base_seed=args.seed,
                 trace=lambda s, ok, att: print(f"  pop {s}: {ok}/{att}",
                                                file=sys.stderr))
-            spec = study_cell(algorithm, function, args.dim, found or 2000,
+            if found is None:
+                note = (f"  no size found in [{LOWER_POP}, {UPPER_POP}];"
+                        f" ran at {UPPER_POP}")
+                print(note, file=sys.stderr)
+                found = UPPER_POP
+            spec = study_cell(algorithm, function, args.dim, found,
                               max_evals)[0]
         start = time.perf_counter()
         results, summary = eda_indep_runs(spec, func, lower, upper,
@@ -70,7 +80,7 @@ def main(argv=None):
         print(f"{algorithm:<14}{function:<26}{spec.pop_size:>6}"
               f"{successes:>5}/{args.runs:<3}"
               f"{summary.evaluations.mean:>12.1f}"
-              f"{summary.best_evaluation.mean:>14.3e}{elapsed:>8.1f}")
+              f"{summary.best_evaluation.mean:>14.3e}{elapsed:>8.1f}{note}")
     print(f"per-run CSVs written to {outdir}/")
     return 0
 

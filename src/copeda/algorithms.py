@@ -21,7 +21,9 @@ from .copulas import (
     RHO_MAX,
     BivariateCopula,
     CopulaFamily,
-    copula_hinv,
+    _clip_p,
+    _hinv,
+    _interior,
     copula_loglik,
     frank,
     mvnormal_copula_sample,
@@ -90,16 +92,18 @@ def chain_permutation(mi: np.ndarray) -> tuple[int, ...]:
     n = mi.shape[0]
     if n < 2:
         return tuple(range(n))
+    # Python floats: the same IEEE comparisons as numpy scalars, indexed faster
+    mi = mi.tolist()
     best = (-np.inf, 1, 0)
     for i in range(1, n):
         for j in range(i):
-            if mi[i, j] > best[0]:
-                best = (mi[i, j], i, j)
+            if mi[i][j] > best[0]:
+                best = (mi[i][j], i, j)
     perm = [best[1], best[2]]
     while len(perm) < n:
         head = perm[0]
         candidates = [k for k in range(n) if k not in perm]
-        perm.insert(0, max(candidates, key=lambda c: (mi[c, head], -c)))
+        perm.insert(0, max(candidates, key=lambda c: (mi[c][head], -c)))
     return tuple(perm)
 
 
@@ -228,14 +232,24 @@ class ChainDependence:
                                for k in range(n - 1)))
 
     def sample(self, m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Last permutation slot uniform, the rest conditional on the next."""
+        """Last permutation slot uniform, the rest conditional on the next.
+
+        The clipping ``copula_hinv`` would repeat per link happens once
+        here: the draws against exact 0/1 and the last slot's uniforms to
+        the interior. Each link then inverts through ``copulas._hinv``,
+        whose interior output is the next link's conditioning value as it
+        stands, so every bit matches a loop of ``copula_hinv`` calls.
+        """
+        if n == 0:
+            return np.empty((m, 0))
         # one draw, in the order of a draw per slot: row n - 1 - k for link k
         W = rng.random((n, m))
         U = np.empty((m, n))
         U[:, self.perm[-1]] = W[0]
+        P = _clip_p(W)
+        v = _interior(W[0])
         for k in range(n - 2, -1, -1):
-            U[:, self.perm[k]] = copula_hinv(self.copulas[k], W[n - 1 - k],
-                                             U[:, self.perm[k + 1]])
+            v = U[:, self.perm[k]] = _hinv(self.copulas[k], P[n - 1 - k], v)
         return U
 
     def describe(self) -> str:

@@ -404,17 +404,26 @@ def copula_h(c: BivariateCopula, u, v):
     return _as_result(np.clip(out, 0.0, 1.0), u, v)
 
 
+def _clip_p(p):
+    return np.clip(np.asarray(p, dtype=float), 1e-300, 1.0 - 1e-16)
+
+
+def _hinv(c: BivariateCopula, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """h⁻¹ of already clipped arrays: ``p`` by ``_clip_p``, ``v`` to the
+    interior. The result is interior too, so it can be the next ``v``."""
+    ops, c = _row(c)
+    return np.clip(ops.hinv(c, p, v), INTERIOR_EPS, 1.0 - INTERIOR_EPS)
+
+
 def copula_hinv(c: BivariateCopula, p, v):
     """Inverse of the h-function in its first argument.
 
-    The probability ``p`` is guarded against exact 0/1 only: conditional
-    probabilities far below the interior clamp are meaningful (strong
-    dependence pushes h to ~1e-25 at grid corners) and must invert exactly.
+    Clips here, then inverts through ``_hinv``: ``v`` to the interior and
+    the probability ``p`` against exact 0/1 only. Conditional probabilities
+    far below the interior clamp are meaningful (strong dependence pushes h
+    to ~1e-25 at grid corners) and must invert exactly.
     """
-    pp = np.clip(np.asarray(p, dtype=float), 1e-300, 1.0 - 1e-16)
-    ops, c = _row(c)
-    out = ops.hinv(c, pp, _interior(v))
-    return _as_result(np.clip(out, INTERIOR_EPS, 1.0 - INTERIOR_EPS), p, v)
+    return _as_result(_hinv(c, _clip_p(p), _interior(v)), p, v)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special
 from scipy.optimize import minimize_scalar
 
@@ -22,7 +23,10 @@ from copeda.copulas import (
     RHO_MAX,
     CopulaFamily,
     clayton,
+    copula_hinv,
     copula_loglik,
+    frank,
+    gumbel,
     normal,
     student,
 )
@@ -252,6 +256,78 @@ class TestChainPermutation:
     def test_two_variables(self):
         mi = np.array([[0.0, 0.3], [0.3, 0.0]])
         assert sorted(chain_permutation(mi)) == [0, 1]
+
+    @staticmethod
+    def numpy_scalar_permutation(mi):
+        """The greedy chain indexing numpy scalars: the reference."""
+        n = mi.shape[0]
+        if n < 2:
+            return tuple(range(n))
+        best = (-np.inf, 1, 0)
+        for i in range(1, n):
+            for j in range(i):
+                if mi[i, j] > best[0]:
+                    best = (mi[i, j], i, j)
+        perm = [best[1], best[2]]
+        while len(perm) < n:
+            head = perm[0]
+            candidates = [k for k in range(n) if k not in perm]
+            perm.insert(0, max(candidates, key=lambda c: (mi[c, head], -c)))
+        return tuple(perm)
+
+    @given(data=st.data(), n=st.integers(0, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_numpy_scalar_reference_on_ties(self, data, n):
+        # entries from {0, 0.5, 1}, so ties decide most choices
+        upper = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
+                                   min_size=n * (n - 1) // 2,
+                                   max_size=n * (n - 1) // 2))
+        mi = np.zeros((n, n))
+        i, j = np.triu_indices(n, 1)
+        mi[i, j] = mi[j, i] = upper
+        assert chain_permutation(mi) == self.numpy_scalar_permutation(mi)
+
+
+class FixedUniforms:
+    """Stands in for a Generator whose ``random`` returns set values."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, shape):
+        assert shape == self.values.shape
+        return self.values.copy()
+
+
+class TestChainSample:
+    @staticmethod
+    def copula_hinv_loop(dep, W):
+        """The chain sampler as a loop of public ``copula_hinv`` calls,
+        each clipping its own inputs: the reference."""
+        n, m = W.shape
+        U = np.empty((m, n))
+        U[:, dep.perm[-1]] = W[0]
+        for k in range(n - 2, -1, -1):
+            U[:, dep.perm[k]] = copula_hinv(dep.copulas[k], W[n - 1 - k],
+                                            U[:, dep.perm[k + 1]])
+        return U
+
+    @pytest.mark.parametrize("copulas", [
+        (normal(0.7), frank(5.0), frank(-4.0), clayton(2.0), gumbel(3.0)),
+        (gumbel(15.0), frank(30.0), frank(-30.0), clayton(20.0),
+         normal(-0.999)),
+    ], ids=["moderate", "strong"])
+    def test_matches_copula_hinv_loop_bit_for_bit(self, copulas):
+        n, m = 6, 64
+        W = np.random.default_rng(31).random((n, m))
+        # exact 0, the largest double below 1 and the smallest subnormal in
+        # every row, so the p clip binds; row 0, the last slot's uniforms,
+        # also straddles the interior clip
+        W[:, :3] = [0.0, 1.0 - 2.0**-53, 5e-324]
+        W[0, 3:6] = [1e-12, 1.0 - 1e-12, 0.5]
+        dep = ChainDependence((3, 0, 5, 1, 4, 2), copulas)
+        U = dep.sample(m, n, FixedUniforms(W))
+        assert U.tobytes() == self.copula_hinv_loop(dep, W).tobytes()
 
 
 class TestCopulaMimic:

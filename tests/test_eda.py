@@ -228,6 +228,14 @@ class TestEdaRun:
         assert result.best_sol.shape == (1,)
         assert result.best_eval == f_sphere(result.best_sol)
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_zero_dimensional_problem(self, algorithm):
+        spec = EdaSpec(algorithm, 10, TerminationSpec(max_gen=5))
+        result = eda_run(spec, f_sphere, [], [], run_rng(1, 0))
+        assert (result.num_gens, result.f_evals) == (5, 50)
+        assert result.best_sol.shape == (0,)
+        assert result.best_eval == f_sphere(result.best_sol)
+
     def test_objective_error_names_point(self):
         spec = umda_spec(pop_size=5, max_gen=2)
 
