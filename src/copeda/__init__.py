@@ -12,6 +12,7 @@ from .copulas import (
     copula_loglik,
     copula_pdf,
     copula_sample,
+    fit_frank,
     fit_student_dof,
     frank,
     gumbel,

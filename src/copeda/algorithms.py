@@ -16,7 +16,6 @@ import numpy as np
 from scipy import special
 
 from .copulas import (
-    FRANK_THETA_MAX,
     INTERIOR_EPS,
     RHO_MAX,
     BivariateCopula,
@@ -24,11 +23,9 @@ from .copulas import (
     _clip_p,
     _hinv,
     _interior,
-    copula_loglik,
-    frank,
+    fit_frank,
     mvnormal_copula_sample,
     normal,
-    product,
 )
 from .dependence import (
     _upper_pairs,
@@ -65,25 +62,6 @@ def _normal_ml_rho(U: np.ndarray) -> np.ndarray:
     rho = np.zeros((n, n))
     rho[i, j] = rho[j, i] = r[np.arange(C.size), np.argmax(loglik, axis=1)]
     return rho
-
-
-def _frank_ml(U2: np.ndarray) -> BivariateCopula:
-    """ML Frank copula of the two columns of U2 by bounded 1-D search."""
-    from scipy.optimize import minimize_scalar  # loaded on first use only
-
-    def make(theta):
-        return frank(theta) if abs(theta) > 1e-8 else product()
-
-    def negloglik(param):
-        try:
-            return -copula_loglik(make(param), U2)
-        except (ValueError, FloatingPointError):
-            return np.inf
-
-    res = minimize_scalar(negloglik,
-                          bounds=(-FRANK_THETA_MAX, FRANK_THETA_MAX),
-                          method="bounded", options={"xatol": 1e-6})
-    return make(float(res.x))
 
 
 def chain_permutation(mi: np.ndarray) -> tuple[int, ...]:
@@ -210,7 +188,7 @@ class ChainDependence:
 
         Normal links are ``_normal_ml_rho`` with mutual information
         -log(1 - rho^2)/2 and draw nothing from ``rng``; Frank links are the
-        ML parameter of a bounded Brent search (``_frank_ml``), with a
+        ML parameter of a bounded Brent search (``fit_frank``), with a
         Monte-Carlo copula-entropy mutual information.
         """
         n = X.shape[1]
@@ -224,7 +202,7 @@ class ChainDependence:
         mi = np.zeros((n, n))
         for i in range(1, n):
             for j in range(i):
-                cop = _frank_ml(U[:, [i, j]])
+                cop = fit_frank(U[:, [i, j]])
                 mi[i, j] = mi[j, i] = copula_mutual_information(cop, rng)
                 pair[(i, j)] = pair[(j, i)] = cop
         perm = chain_permutation(mi)

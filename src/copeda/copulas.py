@@ -121,13 +121,6 @@ def _interior(u):
     return np.clip(np.asarray(u, dtype=float), INTERIOR_EPS, 1.0 - INTERIOR_EPS)
 
 
-def _as_result(x, *inputs):
-    """Return a float when every input was scalar, else the array."""
-    if all(np.ndim(i) == 0 for i in inputs):
-        return float(x)
-    return x
-
-
 # ---------------------------------------------------------------------------
 # log densities
 
@@ -333,7 +326,7 @@ def _rotated(ops: _Ops) -> _Ops:
 
 _FAMILY_OPS = {
     CopulaFamily.PRODUCT: _Ops(
-        lambda c, u, v: np.zeros(np.broadcast(u, v).shape),
+        lambda c, u, v: np.zeros(np.broadcast(u, v).shape)[()],
         lambda c, u, v: u * v,
         lambda c, u, v: u * np.ones_like(v),
         lambda c, p, v: p * np.ones_like(v)),
@@ -377,12 +370,12 @@ def _row(c: BivariateCopula) -> tuple[_Ops, BivariateCopula]:
 def copula_logpdf(c: BivariateCopula, u, v):
     """Log density of the copula at interior-clamped ``(u, v)``."""
     ops, c = _row(c)
-    return _as_result(ops.logpdf(c, _interior(u), _interior(v)), u, v)
+    return ops.logpdf(c, _interior(u), _interior(v))
 
 
 def copula_pdf(c: BivariateCopula, u, v):
     """Copula density c(u, v); finite at interior points."""
-    return _as_result(np.exp(copula_logpdf(c, u, v)), u, v)
+    return np.exp(copula_logpdf(c, u, v))
 
 
 def copula_cdf(c: BivariateCopula, u, v):
@@ -394,14 +387,13 @@ def copula_cdf(c: BivariateCopula, u, v):
     res = np.where(va >= 1.0, np.clip(ua, 0.0, 1.0), res)
     res = np.where(ua >= 1.0, np.clip(va, 0.0, 1.0), res)
     res = np.where((ua <= 0.0) | (va <= 0.0), 0.0, res)
-    return _as_result(np.clip(res, 0.0, 1.0), u, v)
+    return np.clip(res, 0.0, 1.0)
 
 
 def copula_h(c: BivariateCopula, u, v):
     """Conditional CDF of U given V = v (the partial derivative of C in v)."""
     ops, c = _row(c)
-    out = ops.h(c, _interior(u), _interior(v))
-    return _as_result(np.clip(out, 0.0, 1.0), u, v)
+    return np.clip(ops.h(c, _interior(u), _interior(v)), 0.0, 1.0)
 
 
 def _clip_p(p):
@@ -423,7 +415,7 @@ def copula_hinv(c: BivariateCopula, p, v):
     far below the interior clamp are meaningful (strong dependence pushes h
     to ~1e-25 at grid corners) and must invert exactly.
     """
-    return _as_result(_hinv(c, _clip_p(p), _interior(v)), p, v)
+    return _hinv(c, _clip_p(p), _interior(v))
 
 
 # ---------------------------------------------------------------------------
@@ -544,16 +536,38 @@ def copula_loglik(c: BivariateCopula, U: np.ndarray) -> float:
     return float(np.sum(copula_logpdf(c, U[:, 0], U[:, 1])))
 
 
+def _bounded_ml(make, U: np.ndarray, bounds, xatol: float) -> BivariateCopula:
+    """``make(x)`` at the x in ``bounds`` that maximizes the log-likelihood
+    on U, by bounded Brent search to ``xatol``; a copula that ``make`` or
+    the likelihood rejects scores -inf."""
+    from scipy.optimize import minimize_scalar  # loaded on first use only
+
+    def negloglik(x):
+        try:
+            return -copula_loglik(make(x), U)
+        except (ValueError, FloatingPointError):
+            return np.inf
+
+    res = minimize_scalar(negloglik, bounds=bounds, method="bounded",
+                          options={"xatol": xatol})
+    return make(float(res.x))
+
+
+def fit_frank(U: np.ndarray) -> BivariateCopula:
+    """ML Frank copula of the two columns of U, theta in [-300, 300] to
+    1e-6; the product copula where |theta| <= 1e-8."""
+    return _bounded_ml(
+        lambda theta: frank(theta) if abs(theta) > 1e-8 else product(), U,
+        (-FRANK_THETA_MAX, FRANK_THETA_MAX), 1e-6)
+
+
 def fit_student_dof(U: np.ndarray, rho: float) -> BivariateCopula:
     """Profile-likelihood fit of the Student degrees of freedom.
 
     Bounded Brent search on log(nu) over [1, 100] with the correlation held
     fixed, to 1e-5 in log(nu); about a dozen likelihood evaluations.
     """
-    from scipy.optimize import minimize_scalar  # loaded on first use only
     rho = float(np.clip(rho, -RHO_MAX, RHO_MAX))
-    res = minimize_scalar(
-        lambda log_nu: -copula_loglik(student(rho, math.exp(log_nu)), U),
-        bounds=(math.log(STUDENT_NU_MIN), math.log(STUDENT_NU_MAX)),
-        method="bounded", options={"xatol": 1e-5})
-    return student(rho, math.exp(res.x))
+    return _bounded_ml(
+        lambda log_nu: student(rho, math.exp(log_nu)), U,
+        (math.log(STUDENT_NU_MIN), math.log(STUDENT_NU_MAX)), 1e-5)

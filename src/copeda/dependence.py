@@ -88,8 +88,16 @@ def _sign_tau(X: np.ndarray) -> np.ndarray:
     return T
 
 
-def _tau_matrix(X) -> np.ndarray:
-    """:func:`kendall_tau_matrix`, which :func:`kendall_tau` shares."""
+def kendall_tau_matrix(X) -> np.ndarray:
+    """Symmetric matrix of the tau-b values of the column pairs of an
+    (m, n) sample, m >= 2, with unit diagonal.
+
+    Entry (i, j) has the bits of ``scipy.stats.kendalltau(X[:, i],
+    X[:, j]).statistic``; a pair with a constant column gives 0 and a
+    ``DegenerateDataWarning``, and a NaN tau gives 0.  Finite, non-constant
+    columns share a pair-sign kernel where it beats scipy's merge count
+    (``TAU_SIGN_M2_PER_COLUMN``), and every other pair goes to scipy.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("Kendall's tau needs an (m, n) sample, m >= 2")
@@ -104,7 +112,7 @@ def _tau_matrix(X) -> np.ndarray:
     for i, j in zip(*_upper_pairs(n)):
         if constant[i] or constant[j]:
             warnings.warn("constant input vector; tau set to 0",
-                          DegenerateDataWarning, stacklevel=3)
+                          DegenerateDataWarning, stacklevel=2)
         elif not (fast[i] and fast[j]):
             from scipy import stats  # loaded on first use only
             tau = stats.kendalltau(X[:, i], X[:, j]).statistic
@@ -116,20 +124,7 @@ def kendall_tau(x, y) -> float:
     """Tau-b of two equally long vectors; see :func:`kendall_tau_matrix`."""
     if np.ndim(x) != 1 or np.shape(x) != np.shape(y):
         raise ValueError("kendall_tau needs two equally long vectors, m >= 2")
-    return float(_tau_matrix(np.column_stack([x, y]))[0, 1])
-
-
-def kendall_tau_matrix(X) -> np.ndarray:
-    """Symmetric matrix of the tau-b values of the column pairs of an
-    (m, n) sample, m >= 2, with unit diagonal.
-
-    Entry (i, j) has the bits of ``scipy.stats.kendalltau(X[:, i],
-    X[:, j]).statistic``; a pair with a constant column gives 0 and a
-    ``DegenerateDataWarning``, and a NaN tau gives 0.  Finite, non-constant
-    columns share a pair-sign kernel where it beats scipy's merge count
-    (``TAU_SIGN_M2_PER_COLUMN``), and every other pair goes to scipy.
-    """
-    return _tau_matrix(X)
+    return float(kendall_tau_matrix(np.column_stack([x, y]))[0, 1])
 
 
 def _le_ranks(X: np.ndarray) -> np.ndarray:

@@ -146,6 +146,8 @@ def seed_uniform(lower, upper, pop_size: int,
     upper = np.asarray(upper, dtype=float)
     if lower.shape != upper.shape or np.any(lower >= upper):
         raise InputError("need lower < upper in every coordinate")
+    if not np.isfinite(upper - lower).all():  # NaN, an infinity or overflow
+        raise InputError("need finite bounds with a finite upper - lower")
     return rng.uniform(lower, upper, size=(pop_size, lower.size))
 
 
@@ -360,10 +362,10 @@ def critical_pop_size(spec: EdaSpec, f, lower, upper, target: float,
     the per-size success probe (used by tests and custom studies); ``trace``
     receives (size, successes, attempted) after each probe.
     """
-    if not lower_pop < upper_pop:
-        raise InputError("need lower_pop < upper_pop")
-    if success_runs > total_runs:
-        raise InputError("success_runs cannot exceed total_runs")
+    if not 1 <= lower_pop < upper_pop:
+        raise InputError("need 1 <= lower_pop < upper_pop")
+    if not 1 <= success_runs <= total_runs:
+        raise InputError("need 1 <= success_runs <= total_runs")
 
     def succeeded(size: int) -> bool:
         # bisection never probes a size twice: every mid is inside (lo, hi)

@@ -40,8 +40,6 @@ from enum import Enum
 import numpy as np
 from scipy import special
 
-from .copulas import _as_result
-
 SIGMA_FLOOR = 1e-300      # anti-zero floor only; must not cap precision
 BANDWIDTH_FLOOR = 1e-8
 _P_EPS = 1e-12            # interior clamp for quantile probabilities
@@ -65,12 +63,11 @@ class NormalMargin:
     kind = MarginKind.NORMAL
 
     def cdf(self, x):
-        return _as_result(
-            special.ndtr((np.asarray(x, float) - self.mu) / self.sigma), x)
+        return special.ndtr((np.asarray(x, float) - self.mu) / self.sigma)
 
     def quantile(self, p):
         p = np.clip(np.asarray(p, float), _P_EPS, 1.0 - _P_EPS)
-        return _as_result(self.mu + self.sigma * special.ndtri(p), p)
+        return self.mu + self.sigma * special.ndtri(p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +95,7 @@ class KernelMargin:
         for s in range(0, points, step):
             z = (rows[s:s + step, ..., None] - self.sample) / h
             out[s:s + step] = special.ndtr(z).sum(axis=-1) / z.shape[-1]
-        return _as_result(out.reshape(x.shape), x)
+        return out.reshape(x.shape)[()]
 
     def quantile(self, p):
         # Each p's bracket [lo, hi] between adjacent knots, then a Hermite
@@ -146,7 +143,7 @@ class KernelMargin:
             b = slice(s, s + rows)
             out[todo[b]] = _kernel_solve(S, h, span, col[b], target[b],
                                          lo[b], hi[b], cur[b])
-        return _as_result(out.reshape(p.shape), p)
+        return out.reshape(p.shape)[()]
 
 
 def _kernel_solve(S, h, span, col, target, lo, hi, cur):
@@ -227,13 +224,13 @@ class TruncNormalMargin:
         x = np.asarray(x, float)
         zl, span = self._tails()
         raw = (special.ndtr((x - self.mu) / self.sigma) - zl) / span
-        return _as_result(np.clip(raw, 0.0, 1.0), x)
+        return np.clip(raw, 0.0, 1.0)
 
     def quantile(self, p):
         p = np.clip(np.asarray(p, float), _P_EPS, 1.0 - _P_EPS)
         zl, span = self._tails()
         x = self.mu + self.sigma * special.ndtri(np.clip(zl + p * span, 1e-300, 1.0))
-        return _as_result(np.clip(x, self.lower, self.upper), p)
+        return np.clip(x, self.lower, self.upper)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,12 +243,12 @@ class BetaRescaledMargin:
 
     def cdf(self, x):
         y = (np.asarray(x, float) - self.lower) / (self.upper - self.lower)
-        return _as_result(special.betainc(self.a, self.b, np.clip(y, 0.0, 1.0)), x)
+        return special.betainc(self.a, self.b, np.clip(y, 0.0, 1.0))
 
     def quantile(self, p):
         p = np.clip(np.asarray(p, float), _P_EPS, 1.0 - _P_EPS)
         y = special.betaincinv(self.a, self.b, p)
-        return _as_result(self.lower + y * (self.upper - self.lower), p)
+        return self.lower + y * (self.upper - self.lower)
 
 
 MarginModel = NormalMargin | KernelMargin | TruncNormalMargin | BetaRescaledMargin

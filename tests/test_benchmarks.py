@@ -21,6 +21,7 @@ from copeda.margins import MarginKind
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 STUDY_SCRIPT = ROOT / "scripts" / "benchmark_study.py"
 
 
@@ -96,16 +97,21 @@ class TestStudyCell:
     @pytest.mark.skipif(not WORKLOADS.exists(),
                         reason="perfbench/ is not in this checkout")
     def test_benchmark_workloads_are_study_cells(self, monkeypatch):
-        # the benchmark builds its own specs; they must stay the table's
-        spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                      WORKLOADS)
-        module = importlib.util.module_from_spec(spec)
-        # dataclasses resolve the module's annotations through sys.modules
-        monkeypatch.setitem(sys.modules, spec.name, module)
-        spec.loader.exec_module(module)
-        workloads = module.build_workloads()
+        # the benchmark builds its own specs; they must stay the table's,
+        # and criterion 1's
+        modules = {}
+        for name, path in [("perfbench_workloads", WORKLOADS),
+                           ("acceptance_criteria", ACCEPTANCE)]:
+            spec = importlib.util.spec_from_file_location(name, path)
+            modules[name] = importlib.util.module_from_spec(spec)
+            # dataclasses resolve the module's annotations through sys.modules
+            monkeypatch.setitem(sys.modules, name, modules[name])
+            spec.loader.exec_module(modules[name])
+        workloads = modules["perfbench_workloads"].build_workloads()
         cmimic, *sphere10 = study_cell("copula-mimic", "sphere")
         expected = {
+            "gceda-kernel-sphere5": [
+                modules["acceptance_criteria"].CRITERION_1],
             "vine-sphere10": [study_cell("cveda", "sphere"),
                               study_cell("dveda", "sphere")],
             "umda-sumcan10": [study_cell("umda", "summation-cancellation")],

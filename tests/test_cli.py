@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import copeda
-from copeda import cli
+from copeda import cli, eda
 from copeda.cli import CSV_HEADER, main
 
 
@@ -272,6 +272,25 @@ class TestCritpop:
         assert capsys.readouterr().err == "error: jobs must be >= 1\n"
 
 
+    @pytest.mark.parametrize("counts", [
+        ["--total-runs", "0", "--success-runs", "0"],
+        ["--total-runs", "2", "--success-runs", "-1"],
+        ["--lower-pop", "0", "--upper-pop", "3"],
+    ])
+    def test_bad_search_exits_2_before_any_run(self, counts, monkeypatch,
+                                               capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(eda, "eda_run", no_run)
+        argv = ["critpop", "--algorithm", "umda", "--function", "sphere",
+                "--dim", "2", "--lower", "-1", "--upper", "1", "--max-gen",
+                "2", "--lower-pop", "4", "--upper-pop", "64", *counts]
+        status, _ = run_cli(argv)
+        assert status == 2
+        assert capsys.readouterr().err.startswith("error: need 1 <= ")
+
+
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -333,7 +352,8 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("line", ["dim=ten", "copula=normal,joe",
                                       "copula=,", "margin=uniform",
-                                      "vine=rvine", "just-a-word"])
+                                      "vine=rvine", "just-a-word",
+                                      "lower=nan", "upper=inf"])
     def test_bad_value_is_a_usage_error(self, tmp_path, line, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"function=sphere\n{line}\n")

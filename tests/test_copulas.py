@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special, stats
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 from scipy.stats import kendalltau, kstest, multivariate_normal
 
 from copeda import copulas
@@ -23,6 +24,7 @@ from copeda.copulas import (
     copula_logpdf,
     copula_pdf,
     copula_sample,
+    fit_frank,
     fit_student_dof,
     frank,
     gumbel,
@@ -446,6 +448,50 @@ class TestFitStudentDof:
         U = np.column_stack([grid, grid[::-1] if False else grid])
         mod.fit_student_dof(U, 0.3)
         assert calls["n"] <= 100
+
+
+def reference_frank_ml(U2):
+    """copula-MIMIC's Frank fit as it was before ``fit_frank`` took over."""
+    def make(theta):
+        return frank(theta) if abs(theta) > 1e-8 else product()
+
+    def negloglik(param):
+        try:
+            return -copula_loglik(make(param), U2)
+        except (ValueError, FloatingPointError):
+            return np.inf
+
+    res = minimize_scalar(negloglik, bounds=(-300.0, 300.0),
+                          method="bounded", options={"xatol": 1e-6})
+    return make(float(res.x))
+
+
+def mirrored_sample(seed):
+    """Pairs on a 1/64 grid plus their mirror images (1 - u, v): 1 - u is
+    exact, so the Frank likelihood is even in theta, maximal at 0."""
+    rng = np.random.default_rng(seed)
+    S = rng.integers(1, 64, size=(19, 2)) / 64.0
+    return np.vstack([S, np.column_stack([1.0 - S[:, 0], S[:, 1]])])
+
+
+class TestFitFrank:
+    @pytest.mark.parametrize("source, m", [
+        (frank(5.0), 80), (frank(-3.0), 80), (clayton(4.0), 60),
+        (normal(0.95), 40), (product(), 50)])
+    def test_matches_the_old_search_bit_for_bit(self, source, m):
+        U = copula_sample(source, m, np.random.default_rng(7))
+        fit, ref = fit_frank(U), reference_frank_ml(U)
+        assert fit.family is ref.family is CopulaFamily.FRANK
+        assert same_bits(fit.theta, ref.theta)
+
+    def test_near_independent_samples(self):
+        # seed 0 fits the product copula, seeds 1 and 2 a |theta| < 1e-5
+        for seed in range(3):
+            U = mirrored_sample(seed)
+            fit, ref = fit_frank(U), reference_frank_ml(U)
+            assert fit.family is ref.family
+            assert same_bits(fit.theta, ref.theta)
+            assert (fit == product()) is (seed == 0)
 
 
 class TestMultivariateNormalCopula:

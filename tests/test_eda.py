@@ -33,6 +33,16 @@ def umda_spec(pop_size=30, **term):
     return EdaSpec("umda", pop_size, TerminationSpec(**term))
 
 
+def no_probe(size):
+    raise AssertionError(f"probed pop {size} before checking the inputs")
+
+
+def checked_search(lower_pop, upper_pop, total_runs, success_runs):
+    return critical_pop_size(umda_spec(max_gen=2), f_sphere, [-1.0], [1.0],
+                             0.0, 1e-6, lower_pop, upper_pop, total_runs,
+                             success_runs, probe=no_probe)
+
+
 class TestSeedUniform:
     def test_column_means(self):
         rng = np.random.default_rng(1)
@@ -510,6 +520,11 @@ class TestInputError:
                                runs=2, jobs=-1),
         lambda: EdaSpec("cveda", 30, TerminationSpec(max_gen=5),
                         copulas=()),
+        lambda: seed_uniform([math.nan], [1.0], 5, np.random.default_rng(0)),
+        lambda: seed_uniform([-5.0], [math.inf], 5, np.random.default_rng(0)),
+        lambda: checked_search(4, 64, total_runs=0, success_runs=0),
+        lambda: checked_search(4, 64, total_runs=2, success_runs=-1),
+        lambda: checked_search(0, 3, total_runs=2, success_runs=2),
     ])
     def test_raised_by_input_checks(self, build):
         with pytest.raises(InputError):

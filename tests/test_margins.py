@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,19 @@ from hypothesis import given, settings, strategies as st
 from scipy import special, stats
 
 from copeda import margins
+from copeda.copulas import (
+    clayton,
+    copula_cdf,
+    copula_h,
+    copula_hinv,
+    copula_logpdf,
+    copula_pdf,
+    frank,
+    gumbel,
+    normal,
+    product,
+    student,
+)
 from copeda.margins import (
     BetaRescaledMargin,
     KernelMargin,
@@ -30,6 +44,27 @@ def all_kind_models():
         fit_margin(MarginKind.TRUNC_NORMAL, sample, -8.0, 11.0),
         fit_margin(MarginKind.BETA_RESCALED, sample, -8.0, 11.0),
     ]
+
+
+# every margin kind's cdf and quantile, and every public copula operation
+# of each family row, negative-theta Frank included
+COPULA_ROWS = {"product": product(), "normal": normal(0.5),
+               "student": student(0.5, 4.0), "clayton": clayton(2.0),
+               "frank": frank(5.0), "frank-negative": frank(-5.0),
+               "gumbel": gumbel(2.0)}
+SCALAR_RULE_CASES = (
+    [pytest.param((m.cdf, m.quantile), 1, id=m.kind.value)
+     for m in all_kind_models()]
+    + [pytest.param(tuple(functools.partial(op, c) for op in (
+        copula_logpdf, copula_pdf, copula_cdf, copula_h, copula_hinv)), 2,
+        id=f"copula-{name}") for name, c in COPULA_ROWS.items()])
+# by arity: the scalar arguments, then array arguments whose first
+# broadcast entry is those scalars
+SCALAR_RULE_ARGS = {
+    1: ((0.3,), [(np.array([0.3]),), ([0.3],), (np.array([[0.3], [0.6]]),)]),
+    2: ((0.3, 0.6), [([0.3], 0.6), (0.3, np.array([0.6])),
+                     (np.array([[0.3], [0.6]]), np.array([0.6, 0.9, 0.2]))]),
+}
 
 
 class TestFit:
@@ -247,14 +282,18 @@ class TestQuantile:
         for p, q in zip(ps, vec):
             assert model.quantile(p) == pytest.approx(q, abs=1e-12)
 
-    @pytest.mark.parametrize("model", all_kind_models(),
-                             ids=lambda m: m.kind.value)
-    def test_only_scalar_input_gives_float(self, model):
-        assert isinstance(model.quantile(0.3), float)
-        for p in (np.array([0.3]), [0.3], np.array([[0.3], [0.6]])):
-            q = model.quantile(p)
-            assert isinstance(q, np.ndarray) and q.shape == np.shape(p)
-            assert q.flat[0] == model.quantile(0.3)
+    @pytest.mark.parametrize("functions, arity", SCALAR_RULE_CASES)
+    def test_only_scalar_input_gives_float(self, functions, arity):
+        # numpy's rule: scalars give an np.float64, which is a float, and
+        # any array argument gives an array of the broadcast shape
+        scalar, arrays = SCALAR_RULE_ARGS[arity]
+        for f in functions:
+            assert isinstance(f(*scalar), float)
+            for args in arrays:
+                out = f(*args)
+                assert isinstance(out, np.ndarray)
+                assert out.shape == np.broadcast_shapes(*map(np.shape, args))
+                assert out.flat[0] == f(*scalar)
 
 
 class TestProperties:
