@@ -93,8 +93,12 @@ class BivariateCopula:
         return f"{self.family.value}(theta={self.theta:.6g})"
 
 
+_PRODUCT_COPULA = BivariateCopula(CopulaFamily.PRODUCT)
+
+
 def product() -> BivariateCopula:
-    return BivariateCopula(CopulaFamily.PRODUCT)
+    """The independence copula; every call returns the one frozen instance."""
+    return _PRODUCT_COPULA
 
 
 def normal(rho: float) -> BivariateCopula:

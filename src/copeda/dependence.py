@@ -92,11 +92,14 @@ def kendall_tau_matrix(X) -> np.ndarray:
     """Symmetric matrix of the tau-b values of the column pairs of an
     (m, n) sample, m >= 2, with unit diagonal.
 
-    Entry (i, j) has the bits of ``scipy.stats.kendalltau(X[:, i],
-    X[:, j]).statistic``; a pair with a constant column gives 0 and a
-    ``DegenerateDataWarning``, and a NaN tau gives 0.  Finite, non-constant
-    columns share a pair-sign kernel where it beats scipy's merge count
-    (``TAU_SIGN_M2_PER_COLUMN``), and every other pair goes to scipy.
+    Entry (i, j), i < j, has the bits of ``scipy.stats.kendalltau(X[:, i],
+    X[:, j]).statistic``, and entry (j, i) repeats it: where the columns'
+    tie counts differ, ``kendall_tau(X[:, j], X[:, i])`` divides by their
+    tie terms in the other order and can differ in the last bit.  A pair
+    with a constant column gives 0 and a ``DegenerateDataWarning``, and a
+    NaN tau gives 0.  Finite, non-constant columns share a pair-sign kernel
+    where it beats scipy's merge count (``TAU_SIGN_M2_PER_COLUMN``), and
+    every other pair goes to scipy.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -106,6 +109,8 @@ def kendall_tau_matrix(X) -> np.ndarray:
     fast = np.isfinite(X).all(axis=0) & ~constant
     if m > TAU_SIGN_MAX_M or m * m > TAU_SIGN_M2_PER_COLUMN * (fast.sum() - 1):
         fast[:] = False
+    if n and fast.all():
+        return _sign_tau(X)
     out = np.eye(n)
     if fast.any():
         out[np.ix_(fast, fast)] = _sign_tau(X[:, fast])
@@ -299,8 +304,9 @@ def indep_tests_cvm(U, V, sig_level: float = 0.01) -> list[IndepTestResult]:
                          f"vectors, 2 <= m <= {CVM_MAX_M}")
     if not (np.isfinite(U).all() and np.isfinite(V).all()):
         raise ValueError("the CvM independence test needs finite values")
-    m = U.shape[1]
-    r, s = _le_ranks(U), _le_ranks(V)
+    k, m = U.shape
+    ranks = _le_ranks(np.concatenate([U, V]))
+    r, s = ranks[:k], ranks[k:]
     # m + 1 - max(r_i, r_k) = min(m + 1 - r_i, m + 1 - r_k)
     statistics = _cvm_statistics(_cvm_pair_sums(m + 1 - r, m + 1 - s), r, s)
     null = _cvm_null(m)
@@ -322,35 +328,42 @@ def indep_test_cvm(u, v, sig_level: float = 0.01) -> IndepTestResult:
                            sig_level)[0]
 
 
-def gof_select_copula(u, v, candidates) -> BivariateCopula:
+def gof_select_copula(u, v, candidates, tau=None) -> BivariateCopula:
     """Moment-fit each candidate family and keep the CvM-closest one.
 
-    Each feasible candidate is fitted by tau inversion (the Student family
-    additionally gets a profile-likelihood degrees-of-freedom fit).  Families
-    that cannot represent the observed tau are skipped; if every candidate is
-    skipped the product copula is returned, and if one fit is left it is
-    returned unscored.  Otherwise each fit is scored by
-    ``sum_i (C_n(u_i, v_i) - C_theta(u_i, v_i))^2`` at the pseudo-observations
-    of the input, which removes marginal noise from the comparison, and the
-    first lowest score wins.
+    ``tau`` is the pair's Kendall tau, ``kendall_tau(u, v)``; a caller that
+    already has it passes it in, and without it the tau is computed here.
+    Tau depends on ranks alone, so it is the same on the pair and on its
+    pseudo-observations.  Each feasible candidate is fitted by tau
+    inversion (the Student family additionally gets a profile-likelihood
+    degrees-of-freedom fit).  Families that cannot represent the tau are
+    skipped; if every candidate is skipped the product copula is returned,
+    and if one fit is left it is returned unscored.  Otherwise each fit is
+    scored by ``sum_i (C_n(u_i, v_i) - C_theta(u_i, v_i))^2`` at the
+    pseudo-observations of the input, which removes marginal noise from
+    the comparison, and the first lowest score wins.  The pair is ranked
+    only to fit a Student nu or to score two or more fits.
     """
-    U = pseudo_observations(np.column_stack([u, v]))
-    u, v = U[:, 0], U[:, 1]
-    tau = clip_tau(kendall_tau(u, v))
+    tau = clip_tau(kendall_tau(u, v) if tau is None else tau)
     fits = []
     for family in candidates:
         family = CopulaFamily(family)
         if family is CopulaFamily.PRODUCT:
             continue
         try:
-            cop = tau_to_parameter(family, tau)
+            fits.append(tau_to_parameter(family, tau))
         except UnsupportedTauError:
             continue
-        if family is CopulaFamily.STUDENT and cop.family is CopulaFamily.STUDENT:
-            cop = fit_student_dof(U, cop.theta)
-        fits.append(cop)
-    if len(fits) < 2:
-        return fits[0] if fits else product()
+    if not fits:
+        return product()
+    if len(fits) == 1 and fits[0].family is not CopulaFamily.STUDENT:
+        return fits[0]
+    U = pseudo_observations(np.column_stack([u, v]))
+    fits = [fit_student_dof(U, c.theta) if c.family is CopulaFamily.STUDENT
+            else c for c in fits]
+    if len(fits) == 1:
+        return fits[0]
+    u, v = U[:, 0], U[:, 1]
     cn = ((u[None, :] <= u[:, None]) & (v[None, :] <= v[:, None])).mean(axis=1)
     return min(fits, key=lambda c: float(np.sum((cn - copula_cdf(c, u, v)) ** 2)))
 

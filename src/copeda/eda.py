@@ -366,6 +366,8 @@ def critical_pop_size(spec: EdaSpec, f, lower, upper, target: float,
         raise InputError("need 1 <= lower_pop < upper_pop")
     if not 1 <= success_runs <= total_runs:
         raise InputError("need 1 <= success_runs <= total_runs")
+    if not 0.0 <= stop_percent < math.inf:
+        raise InputError("need a finite stop_percent >= 0")
 
     def succeeded(size: int) -> bool:
         # bisection never probes a size twice: every mid is inside (lo, hi)

@@ -8,7 +8,11 @@ absolute tau along consecutive pairs via cheapest insertion on edge costs
 random numbers and runs once per tree over all of the tree's edges,
 decides between the product copula and CvM goodness-of-fit selection among
 the candidate families, and fitting truncates when AIC or BIC stops
-improving.
+improving.  GoF moment-fits each edge from a tau the structure selection
+already has: each C-vine tree's root-selection matrix holds that tree's
+edge taus, and the D-vine path's matrix holds tree 1's.  GoF computes its
+own for deeper D-vine trees and for an edge whose matrix entry lacks the
+bits of the edge's own orientation (``_edge_taus``).
 
 Fitting, ``vine_loglik`` and ``vine_sample`` share one edge layout per vine
 type, stated in ``RVineModel``: the tree walkers ``_CVineTrees`` and
@@ -98,7 +102,13 @@ def select_dvine_order(U) -> tuple[int, ...]:
     n = U.shape[1]
     if n < 2:
         return tuple(range(n))
-    cost = 1.0 - np.abs(kendall_tau_matrix(U))
+    return _dvine_path(kendall_tau_matrix(U))
+
+
+def _dvine_path(taus: np.ndarray) -> tuple[int, ...]:
+    """:func:`select_dvine_order` of a sample with tau matrix ``taus``."""
+    n = taus.shape[0]
+    cost = 1.0 - np.abs(taus)
     np.fill_diagonal(cost, np.inf)
     # Python floats: the same IEEE sums as numpy scalars, indexed faster
     cost = cost.tolist()
@@ -139,6 +149,21 @@ def _criterion_penalty(criterion: str, k: int, m: int) -> float:
     raise ValueError(f"unknown criterion: {criterion}")
 
 
+def _edge_taus(taus: np.ndarray, X: np.ndarray, edges) -> list:
+    """``kendall_tau(X[:, a], X[:, b])`` of each edge (a, b), read from
+    ``taus = kendall_tau_matrix(X)``, or None where it cannot be read.
+
+    Entry (a, b) has those bits when a < b.  Below the diagonal the matrix
+    repeats entry (b, a), whose tau-b divides by the two columns' tie terms
+    in the other order; that is the same division when neither column has
+    ties, and otherwise the edge gets None.
+    """
+    s = np.sort(X, axis=0)
+    untied = (s[1:] != s[:-1]).all(axis=0).tolist()
+    return [taus[a, b] if a < b or untied[a] and untied[b] else None
+            for a, b in edges]
+
+
 # bound once: on CPython 3.11 an enum member lookup costs about ten global reads
 _PRODUCT = CopulaFamily.PRODUCT
 
@@ -158,9 +183,10 @@ class _CVineTrees:
 
     The roots are ``order`` when one is given; fitting picks each as the
     remaining variable with the largest summed absolute tau to the others
-    on the current pseudo-observations, ties to the lowest index.  After
-    tree j, ``cols[o]`` holds F(x_o | roots 0..j) and a root's column keeps
-    F(x_root | earlier roots).
+    on the current pseudo-observations, ties to the lowest index, and
+    keeps each edge's tau from that matrix in ``taus`` (see
+    :func:`_edge_taus`).  After tree j, ``cols[o]`` holds
+    F(x_o | roots 0..j) and a root's column keeps F(x_root | earlier roots).
     """
 
     def __init__(self, U, order=None):
@@ -170,13 +196,17 @@ class _CVineTrees:
         self.roots: list[int] = []
 
     def pairs(self):
+        k = len(self.remaining)
         if self.given is not None:
             self.root = self.given[len(self.roots)]
+            self.taus = [None] * (k - 1)
         else:
-            taus = kendall_tau_matrix(
-                np.column_stack([self.cols[i] for i in self.remaining]))
-            sums = np.abs(taus - np.eye(len(self.remaining))).sum(axis=1)
-            self.root = self.remaining[int(np.argmax(sums))]
+            X = np.column_stack([self.cols[i] for i in self.remaining])
+            taus = kendall_tau_matrix(X)
+            r = int(np.argmax(np.abs(taus - np.eye(k)).sum(axis=1)))
+            self.root = self.remaining[r]
+            self.taus = _edge_taus(taus, X,
+                                   [(a, r) for a in range(k) if a != r])
         self.others = [i for i in self.remaining if i != self.root]
         return [(self.cols[o], self.cols[self.root]) for o in self.others]
 
@@ -195,13 +225,23 @@ class _DVineTrees:
     """Tree j pairs path positions i and i + j + 1 given the nodes between.
 
     ``a[i]`` is F(x_i | between) and ``b[i]`` is F(x_{i+j+1} | between).
+    Fitting selects the path from the tau matrix of ``U``
+    (:func:`select_dvine_order`) and keeps tree 1's edge taus from it in
+    ``taus`` (see :func:`_edge_taus`); deeper trees have none.
     """
 
     def __init__(self, U, order=None):
-        self.order = select_dvine_order(U) if order is None else order
-        cols = U[:, list(self.order)]
-        self.a = [cols[:, i] for i in range(U.shape[1] - 1)]
-        self.b = [cols[:, i + 1] for i in range(U.shape[1] - 1)]
+        n = U.shape[1]
+        if order is None:
+            taus = kendall_tau_matrix(U)
+            order = _dvine_path(taus)
+            self.taus = _edge_taus(taus, U, zip(order[:-1], order[1:]))
+        else:
+            self.taus = [None] * (n - 1)
+        self.order = order
+        cols = U[:, list(order)]
+        self.a = [cols[:, i] for i in range(n - 1)]
+        self.b = [cols[:, i + 1] for i in range(n - 1)]
 
     def pairs(self):
         return list(zip(self.a, self.b))
@@ -211,6 +251,7 @@ class _DVineTrees:
         a = [_h(edges[i], self.a[i], self.b[i]) for i in range(k)]
         b = [_h(edges[i + 1], self.b[i + 1], self.a[i + 1]) for i in range(k)]
         self.a, self.b = a, b
+        self.taus = [None] * k
 
 
 _TREES = {VineType.CVINE: _CVineTrees, VineType.DVINE: _DVineTrees}
@@ -222,7 +263,11 @@ def fit_vine(U, vine_type: VineType, candidates, sig_level: float = 0.01,
 
     One ``indep_tests_cvm`` call per tree tests every edge at
     ``sig_level``; an edge it finds independent gets the product copula,
-    every other edge CvM selection among ``candidates``.  With
+    every other edge CvM selection among ``candidates``
+    (``gof_select_copula``).  GoF gets the edge's tau from the tree walk
+    when the walk has it: from each C-vine tree's root-selection matrix
+    and from the D-vine path's matrix on tree 1, with the bits of
+    ``kendall_tau(u, v)`` in the edge's orientation.  With
     ``criterion`` "aic" or "bic" the cumulative information criterion is
     evaluated after each tree and fitting stops as soon as it fails to
     decrease strictly; the offending tree and all deeper trees become
@@ -246,8 +291,8 @@ def fit_vine(U, vine_type: VineType, candidates, sig_level: float = 0.01,
         tests = indep_tests_cvm([u for u, _ in pairs], [v for _, v in pairs],
                                 sig_level)
         edges = [product() if test.independent
-                 else gof_select_copula(u, v, candidates)
-                 for test, (u, v) in zip(tests, pairs)]
+                 else gof_select_copula(u, v, candidates, tau)
+                 for test, (u, v), tau in zip(tests, pairs, walk.taus)]
         tree_ll = sum(copula_loglik(c, np.column_stack(pair))
                       for c, pair in zip(edges, pairs)
                       if c.family is not CopulaFamily.PRODUCT)

@@ -290,6 +290,19 @@ class TestCritpop:
         assert status == 2
         assert capsys.readouterr().err.startswith("error: need 1 <= ")
 
+    @pytest.mark.parametrize("stop_percent", ["nan", "inf", "-1"])
+    def test_bad_stop_percent_exits_2_before_any_run(self, stop_percent,
+                                                     monkeypatch, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(eda, "eda_run", no_run)
+        status, _ = run_cli(["critpop", *FAST_RUN,
+                             "--stop-percent", stop_percent])
+        assert status == 2
+        assert (capsys.readouterr().err
+                == "error: need a finite stop_percent >= 0\n")
+
 
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path):

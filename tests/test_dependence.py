@@ -533,6 +533,58 @@ class TestGofSelection:
             family, clip_tau(kendall_tau(uv[:, 0], uv[:, 1])))
 
 
+def gof_cases():
+    # name, pair, candidates, whether GoF must rank the pair
+    rng = np.random.default_rng(12)
+    uv = copula_sample(clayton(2.0), 150, rng)
+    yield "one candidate", uv, [CopulaFamily.NORMAL], False
+    yield "several candidates", uv, CANDIDATES, True
+    yield "student", uv, [CopulaFamily.STUDENT], True
+    yield "student among others", uv, [CopulaFamily.CLAYTON,
+                                       CopulaFamily.STUDENT], True
+    negative = copula_sample(normal(-0.5), 150, rng)
+    yield "negative tau", negative, CANDIDATES, True
+    yield "one feasible candidate", negative, [CopulaFamily.CLAYTON,
+                                               CopulaFamily.NORMAL], False
+    yield "ties", np.round(copula_sample(frank(4.0), 80, rng), 1), \
+        [*CANDIDATES, CopulaFamily.STUDENT], True
+    constant = rng.random((60, 2))
+    constant[:, 0] = 0.25
+    yield "constant column", constant, CANDIDATES, True
+    yield "constant column, one candidate", constant, [CopulaFamily.NORMAL], \
+        False
+
+
+GOF_CASES = {case[0]: case[1:] for case in gof_cases()}
+
+
+def copula_bits(c):
+    return c.family, c.theta.hex(), c.nu.hex()
+
+
+class TestGofPassedTau:
+    """A caller's tau gives the fit GoF gets by computing it, and the pair
+    is ranked only to fit a Student nu or to score two or more fits."""
+
+    @pytest.mark.parametrize("name", GOF_CASES)
+    def test_same_fit_as_without_tau(self, name, monkeypatch):
+        uv, families, ranks = GOF_CASES[name]
+        u, v = uv[:, 0], uv[:, 1]
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always", DegenerateDataWarning)
+            tau = kendall_tau(u, v)
+            own = gof_select_copula(u, v, families)
+        # a constant column warns once per computed tau, GoF's own included
+        assert len(record) == (2 if np.ptp(u) == 0.0 else 0)
+        ranked = []
+        real = dependence.pseudo_observations
+        monkeypatch.setattr(dependence, "pseudo_observations",
+                            lambda X: ranked.append(X) or real(X))
+        passed = gof_select_copula(u, v, families, tau)
+        assert copula_bits(passed) == copula_bits(own)
+        assert len(ranked) == ranks
+
+
 class TestMutualInformation:
     def test_normal_zero(self):
         rng = np.random.default_rng(10)

@@ -37,10 +37,11 @@ def no_probe(size):
     raise AssertionError(f"probed pop {size} before checking the inputs")
 
 
-def checked_search(lower_pop, upper_pop, total_runs, success_runs):
+def checked_search(lower_pop, upper_pop, total_runs, success_runs,
+                   stop_percent=10.0):
     return critical_pop_size(umda_spec(max_gen=2), f_sphere, [-1.0], [1.0],
                              0.0, 1e-6, lower_pop, upper_pop, total_runs,
-                             success_runs, probe=no_probe)
+                             success_runs, stop_percent, probe=no_probe)
 
 
 class TestSeedUniform:
@@ -525,6 +526,9 @@ class TestInputError:
         lambda: checked_search(4, 64, total_runs=0, success_runs=0),
         lambda: checked_search(4, 64, total_runs=2, success_runs=-1),
         lambda: checked_search(0, 3, total_runs=2, success_runs=2),
+        lambda: checked_search(4, 64, 2, 2, stop_percent=math.nan),
+        lambda: checked_search(4, 64, 2, 2, stop_percent=math.inf),
+        lambda: checked_search(4, 64, 2, 2, stop_percent=-1.0),
     ])
     def test_raised_by_input_checks(self, build):
         with pytest.raises(InputError):

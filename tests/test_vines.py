@@ -346,6 +346,74 @@ class TestFitRegression:
         assert vine_loglik(model, U).hex() == loglik
 
 
+def tied_sample(seed):
+    """60 rows, 5 columns rounded to 0.1 on scales 0.2 to 3, so the
+    columns have ties, the narrower ones more."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((5, 5))
+    Z = rng.standard_normal((60, 5)) @ A.T
+    return np.round(Z * np.geomspace(0.2, 3.0, 5) / Z.std(axis=0), 1)
+
+
+def model_bits(model):
+    return (model.order, model.trunc_level,
+            [(c.family, c.theta.hex(), c.nu.hex())
+             for tree in model.trees for c in tree])
+
+
+FIVE_FAMILIES = ("normal", "student", "clayton", "frank", "gumbel")
+
+
+class TestWalkTaus:
+    """``fit_vine`` hands GoF the taus of its tree walk's matrices.  On tied
+    data the symmetric matrix's entry below the diagonal can differ in the
+    last bit from the edge's own ``kendall_tau(u, v)``; each sample below
+    has such an edge that decides a fitted bit, so reading it would change
+    the fit."""
+
+    @pytest.mark.parametrize("vine_type, families, seed", [
+        pytest.param("cvine", FIVE_FAMILIES, 29, id="cvine-five"),
+        pytest.param("dvine", FIVE_FAMILIES, 29, id="dvine-five"),
+        pytest.param("cvine", ("normal",), 73, id="cvine-normal"),
+        pytest.param("dvine", ("normal",), 53, id="dvine-normal")])
+    def test_fit_equals_gof_computing_its_own_tau(self, vine_type, families,
+                                                  seed, monkeypatch):
+        U = tied_sample(seed)
+        gof = vines.gof_select_copula
+        passed = []
+
+        def walk_tau(u, v, candidates, tau=None):
+            passed.append(tau is not None)
+            return gof(u, v, candidates, tau)
+
+        monkeypatch.setattr(vines, "gof_select_copula", walk_tau)
+        model = fit_vine(U, vine_type, families)
+        monkeypatch.setattr(vines, "gof_select_copula",
+                            lambda u, v, candidates, tau=None:
+                            gof(u, v, candidates))
+        assert model_bits(model) == model_bits(
+            fit_vine(U, vine_type, families))
+        assert any(passed)
+
+    def test_tied_lower_entries_are_not_read(self):
+        # entry (a, b) below the diagonal is read only when neither column
+        # has ties; on tied columns it is the (b, a) division order
+        X = tied_sample(29)
+        taus = kendall_tau_matrix(X)
+        edges = list(itertools.permutations(range(5), 2))
+        read = vines._edge_taus(taus, X, edges)
+        for (a, b), tau in zip(edges, read):
+            assert (tau is None) == (a > b)
+            if tau is not None:
+                assert tau.hex() == kendall_tau(X[:, a], X[:, b]).hex()
+        assert any(taus[a, b] != kendall_tau(X[:, a], X[:, b])
+                   for a, b in edges if a > b)
+        untied = X + np.arange(60)[:, None] * 1e-3
+        read = vines._edge_taus(kendall_tau_matrix(untied), untied, edges)
+        assert [tau.hex() for tau in read] == [
+            kendall_tau(untied[:, a], untied[:, b]).hex() for a, b in edges]
+
+
 class TestFittedVineOnItsSample:
     """Fitting, log-likelihood and sampling read the same edges: a vine
     fitted to a sample scores it at least as well as the independence vine
