@@ -3,13 +3,16 @@
 UMDA couples fitted margins with the product copula, GCEDA with a
 multivariate normal copula whose correlation matrix comes from pairwise tau
 inversion plus positive-definite repair, CVEDA/DVEDA with a fitted vine,
-and the copula-chain variant of MIMIC with ML normal (closed form) or
-Frank (bounded Brent search) bivariate copulas along a greedily chosen
-permutation ordered by copula-entropy mutual information.
+and the copula-chain variant of MIMIC with ML normal (closed-form cubic
+roots) or Frank (bounded Brent search) bivariate copulas along a greedily
+chosen permutation ordered by copula-entropy mutual information.  An
+all-normal chain is a Gaussian Markov chain and samples in normal scores;
+any other chain inverts its links' h-functions one by one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,24 +42,51 @@ from .vines import (RVineModel, VineType, describe_vine, fit_vine,
                     vine_sample)
 
 
+def _cubic_real_parts(b, c, d):
+    """Real parts of the three roots of r^3 + b r^2 + c r + d, in closed
+    form (arrays of one shape in, one more trailing axis of 3 out).
+
+    With r = t - b/3 the cubic is t^3 + p t + q.  Three real roots (Delta =
+    q^2/4 + p^3/27 < 0) come from the trigonometric form; otherwise the one
+    real root is Cardano's, taken without cancellation, and the complex (or
+    double) pair shares the real part -t/2, so it is listed twice.
+    """
+    shift = b / 3.0
+    q = (2.0 * shift * shift - c) * shift + d
+    h2 = shift * shift - c / 3.0  # -p/3
+    delta = 0.25 * q * q - h2 * h2 * h2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        # three real roots: h2 > 0 wherever delta < 0
+        h = np.sqrt(h2)
+        angle = np.arccos(np.clip(-0.5 * q / (h * h2), -1.0, 1.0))
+        trig = (2.0 * h)[..., None] * np.cos(
+            angle[..., None] / 3.0 - np.array([0.0, 2.0, 4.0]) * np.pi / 3.0)
+        # one real root t = a - p/(3a); a = 0 only at the triple root t = 0
+        a = -np.copysign(np.cbrt(0.5 * np.abs(q) + np.sqrt(delta)), q)
+        t = a + np.divide(h2, a, out=np.zeros_like(a), where=a != 0.0)
+    t = np.where((delta < 0.0)[..., None], trig,
+                 t[..., None] * np.array([1.0, -0.5, -0.5]))
+    return t - shift[..., None]
+
+
 def _normal_ml_rho(U: np.ndarray) -> np.ndarray:
     """ML normal-copula rho of every column pair of U, zero diagonal.
 
     With x, y the ``ndtri`` of the interior-clipped columns, C = sum(xy) and
     S = sum(x^2 + y^2), the likelihood's stationary points are the roots of
     -m r^3 + C r^2 + (m - S) r + C (>= 0 at -1, <= 0 at 1).  One Gram matrix
-    gives every C and S, batched companion ``eigvals`` every root, and the
-    clipped real part with the highest likelihood wins.
+    gives every C and S, ``_cubic_real_parts`` the real part of every root
+    in closed form, and the clipped real part with the highest likelihood
+    wins.
     """
     m, n = U.shape
     Z = special.ndtri(np.clip(U, INTERIOR_EPS, 1.0 - INTERIOR_EPS))
     G = Z.T @ Z
     j, i = _upper_pairs(n)  # every (i, j) with i > j
-    C, S = G[i, j][:, None], (G[i, i] + G[j, j])[:, None]
-    companion = np.zeros((C.size, 3, 3))
-    companion[:, 0] = np.hstack([C, m - S, C]) / m
-    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
-    r = np.clip(np.linalg.eigvals(companion).real, -RHO_MAX, RHO_MAX)
+    C, S = G[i, j], G[i, i] + G[j, j]
+    r = np.clip(_cubic_real_parts(-C / m, (S - m) / m, -C / m),
+                -RHO_MAX, RHO_MAX)
+    C, S = C[:, None], S[:, None]
     loglik = (-0.5 * m * np.log1p(-r * r)
               + (2.0 * r * C - r * r * S) / (2.0 * (1.0 - r * r)))
     rho = np.zeros((n, n))
@@ -212,20 +242,34 @@ class ChainDependence:
     def sample(self, m: int, n: int, rng: np.random.Generator) -> np.ndarray:
         """Last permutation slot uniform, the rest conditional on the next.
 
-        The clipping ``copula_hinv`` would repeat per link happens once
-        here: the draws against exact 0/1 and the last slot's uniforms to
-        the interior. Each link then inverts through ``copulas._hinv``,
-        whose interior output is the next link's conditioning value as it
-        stands, so every bit matches a loop of ``copula_hinv`` calls.
+        One ``rng.random((n, m))`` draw, in the order of a draw per slot:
+        row n - 1 - k drives link k. The draws are clipped against exact 0/1
+        and the last slot's uniforms to the interior, once. An all-normal
+        chain is a Gaussian Markov chain: in normal scores each link is
+        y <- sqrt(1 - rho^2) g + rho y, so the chain takes one ``ndtri``,
+        the scalar-array recurrence and one ``ndtr``, and its values match
+        a loop of ``copula_hinv`` calls up to rounding (the loop also clamps
+        every conditioning score to the interior). Any other chain inverts
+        link by link through ``copulas._hinv``, whose interior output is the
+        next link's conditioning value as it stands, so every bit matches a
+        loop of ``copula_hinv`` calls.
         """
         if n == 0:
             return np.empty((m, 0))
-        # one draw, in the order of a draw per slot: row n - 1 - k for link k
         W = rng.random((n, m))
         U = np.empty((m, n))
         U[:, self.perm[-1]] = W[0]
         P = _clip_p(W)
-        v = _interior(W[0])
+        P[0] = _interior(W[0])
+        if all(c.family is CopulaFamily.NORMAL for c in self.copulas):
+            Y = special.ndtri(P, out=P)
+            for r in range(1, n):
+                rho = self.copulas[n - 1 - r].theta
+                Y[r] *= math.sqrt(1.0 - rho * rho)
+                Y[r] += rho * Y[r - 1]
+            U[:, list(self.perm[-2::-1])] = _interior(special.ndtr(Y[1:])).T
+            return U
+        v = P[0]
         for k in range(n - 2, -1, -1):
             v = U[:, self.perm[k]] = _hinv(self.copulas[k], P[n - 1 - k], v)
         return U

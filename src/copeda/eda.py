@@ -19,6 +19,7 @@ import numpy as np
 
 from .algorithms import _DEPENDENCE, learn_model, sample_model
 from .copulas import CopulaFamily
+from .dependence import CVM_MAX_M
 from .margins import MarginKind, _mean_sd
 
 class ObjectiveError(RuntimeError):
@@ -75,6 +76,12 @@ class EdaSpec:
             raise InputError("pop_size must be at least 2")
         if not 0.0 < self.truncation_factor <= 1.0:
             raise InputError("truncation_factor must be in (0, 1]")
+        selected = _truncation_count(self.truncation_factor, self.pop_size)
+        if self.algorithm in ("cveda", "dveda") and selected > CVM_MAX_M:
+            raise InputError(
+                f"{self.algorithm}'s CvM independence pre-test takes at most "
+                f"{CVM_MAX_M} selected rows; pop_size {self.pop_size} "
+                f"selects {selected}")
         if not 0.0 < self.sig_level < 1.0:  # also catches NaN
             raise InputError("sig_level must be in (0, 1)")
         if self.trunc_criterion not in ("aic", "bic", "none"):
@@ -151,6 +158,11 @@ def seed_uniform(lower, upper, pop_size: int,
     return rng.uniform(lower, upper, size=(pop_size, lower.size))
 
 
+def _truncation_count(factor: float, m: int) -> int:
+    """How many of m rows ``select_truncation`` keeps."""
+    return min(max(2, int(math.floor(factor * m + 0.5))), m)
+
+
 def select_truncation(X: np.ndarray, evaluations: np.ndarray,
                       factor: float) -> np.ndarray:
     """The max(2, round(factor * m)) best of the m rows of X, best first
@@ -168,7 +180,7 @@ def select_truncation(X: np.ndarray, evaluations: np.ndarray,
         raise ValueError("need one evaluation per population row")
     if np.isnan(evaluations).any():
         raise ValueError("cannot select on a NaN evaluation")
-    count = min(max(2, int(math.floor(factor * m + 0.5))), m)
+    count = _truncation_count(factor, m)
     cut = np.partition(evaluations, count - 1)[count - 1]
     rows = np.flatnonzero(evaluations <= cut)
     return X[rows[np.argsort(evaluations[rows], kind="stable")[:count]]]

@@ -13,6 +13,7 @@ from copeda.algorithms import (
     ProductDependence,
     SearchModel,
     VineDependence,
+    _cubic_real_parts,
     _normal_ml_rho,
     chain_permutation,
     describe_search_model,
@@ -329,6 +330,72 @@ class TestChainSample:
         U = dep.sample(m, n, FixedUniforms(W))
         assert U.tobytes() == self.copula_hinv_loop(dep, W).tobytes()
 
+    @staticmethod
+    def clip_binding_draws(n=6, m=64):
+        """The draws of ``test_matches_copula_hinv_loop_bit_for_bit``:
+        exact 0, the largest double below 1 and the smallest subnormal in
+        every row, and row 0 straddling the interior clip."""
+        W = np.random.default_rng(31).random((n, m))
+        W[:, :3] = [0.0, 1.0 - 2.0**-53, 5e-324]
+        W[0, 3:6] = [1e-12, 1.0 - 1e-12, 0.5]
+        return W
+
+    @staticmethod
+    def score_recurrence(dep, W):
+        """The all-normal chain in normal scores, a row at a time: the
+        reference of the Gaussian path."""
+        n, m = W.shape
+        U = np.empty((m, n))
+        U[:, dep.perm[-1]] = W[0]
+        y = special.ndtri(np.clip(W[0], 1e-10, 1.0 - 1e-10))
+        for k in range(n - 2, -1, -1):
+            rho = dep.copulas[k].theta
+            g = special.ndtri(np.clip(W[n - 1 - k], 1e-300, 1.0 - 1e-16))
+            y = g * math.sqrt(1.0 - rho * rho) + rho * y
+            U[:, dep.perm[k]] = np.clip(special.ndtr(y), 1e-10, 1.0 - 1e-10)
+        return U
+
+    NORMAL_CHAINS = pytest.mark.parametrize("rhos", [
+        (0.7, -0.4, 0.2, -0.9, 0.5),
+        (0.999, -0.999, 0.999, 0.999, -0.999),
+        (0.999, 0.3, -0.999, -0.6, 0.999),
+    ], ids=["moderate", "strong", "mixed"])
+
+    @NORMAL_CHAINS
+    def test_normal_chain_matches_score_recurrence_bit_for_bit(self, rhos):
+        W = self.clip_binding_draws()
+        dep = ChainDependence((3, 0, 5, 1, 4, 2), tuple(map(normal, rhos)))
+        U = dep.sample(64, 6, FixedUniforms(W))
+        assert U.tobytes() == self.score_recurrence(dep, W).tobytes()
+
+    @NORMAL_CHAINS
+    def test_normal_chain_draws_once_and_stays_interior(self, rhos):
+        n, m = 6, 64
+        dep = ChainDependence((3, 0, 5, 1, 4, 2), tuple(map(normal, rhos)))
+        rng, twin = np.random.default_rng(32), np.random.default_rng(32)
+        U = dep.sample(m, n, rng)
+        W = twin.random((n, m))
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert U.tobytes() == dep.sample(m, n, FixedUniforms(W)).tobytes()
+        assert np.array_equal(U[:, 2], W[0])
+        links = U[:, [3, 0, 5, 1, 4]]
+        assert np.all((links >= 1e-10) & (links <= 1.0 - 1e-10))
+
+    @NORMAL_CHAINS
+    def test_normal_chain_close_to_copula_hinv_loop(self, rhos):
+        # The loop also rounds every score through ndtr and ndtri, and it
+        # clamps a score past +-6.36 (the ndtri of the interior clip) where
+        # the recurrence keeps it.  Samples whose loop outputs are strictly
+        # interior never clamp and agree within 1e-12; the fixture's
+        # extreme samples clamp and may not.
+        W = self.clip_binding_draws()
+        dep = ChainDependence((3, 0, 5, 1, 4, 2), tuple(map(normal, rhos)))
+        U = dep.sample(64, 6, FixedUniforms(W))
+        loop = self.copula_hinv_loop(dep, W)
+        unclamped = np.all((loop > 1e-10) & (loop < 1.0 - 1e-10), axis=1)
+        assert unclamped.sum() >= 56
+        assert np.allclose(U[unclamped], loop[unclamped], rtol=0.0,
+                           atol=1e-12)
 
 class TestCopulaMimic:
     def test_two_variable_model(self):
@@ -483,6 +550,66 @@ class TestNormalClosedForm:
         rho = _normal_ml_rho(U)
         assert [c.theta for c in dep.copulas] == [
             rho[a, b] for a, b in zip(dep.perm, dep.perm[1:])]
+
+
+def companion_real_parts(C, S, m):
+    """Real parts of the roots of -m r^3 + C r^2 + (m - S) r + C from
+    batched companion-matrix ``eigvals``: the reference, sorted."""
+    companion = np.zeros((C.size, 3, 3))
+    companion[:, 0] = np.column_stack([C, m - S, C]) / m
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    return np.sort(np.linalg.eigvals(companion).real, axis=1)
+
+
+def closed_form_real_parts(C, S, m):
+    return np.sort(_cubic_real_parts(-C / m, (S - m) / m, -C / m), axis=1)
+
+
+class TestCubicRoots:
+    """The closed-form roots of ``_normal_ml_rho``'s cubic against the
+    companion-matrix eigenvalues."""
+
+    @pytest.mark.parametrize("m", [2, 8, 52, 500])
+    def test_random_coefficients(self, m):
+        # S >= 2|C| holds for every sample: sum(x^2 + y^2) >= 2|sum(xy)|
+        rng = np.random.default_rng(m)
+        C = rng.uniform(-40.0, 40.0, 2000) * m
+        S = 2.0 * np.abs(C) + rng.exponential(m, 2000) * rng.uniform(0, 3)
+        assert np.allclose(closed_form_real_parts(C, S, m),
+                           companion_real_parts(C, S, m),
+                           rtol=1e-12, atol=1e-12)
+
+    def test_zero_cross_product(self):
+        # C = 0: roots 0 and +-sqrt(1 - S/m), real when S < m
+        S = np.array([0.0, 10.0, 51.0, 52.0, 53.0, 200.0])
+        C = np.zeros_like(S)
+        assert np.allclose(closed_form_real_parts(C, S, 52),
+                           companion_real_parts(C, S, 52), rtol=0.0,
+                           atol=1e-12)
+
+    def test_identical_or_antithetic_columns(self):
+        # S = 2|C|: r = sign(C) is a root
+        C = np.array([-5000.0, -52.0, -3.0, 1e-9, 7.0, 26.0, 52.0, 5000.0])
+        r = closed_form_real_parts(C, 2.0 * np.abs(C), 52)
+        assert np.allclose(r, companion_real_parts(C, 2.0 * np.abs(C), 52),
+                           rtol=0.0, atol=1e-9)
+        assert np.allclose(np.abs(r - np.sign(C)[:, None]).min(axis=1), 0.0,
+                           atol=1e-9)
+
+    @pytest.mark.parametrize("double", [-3.0, -1.5, 0.5, 2.0, 4.0])
+    @pytest.mark.parametrize("nudge", [0.0, 1e-12, -1e-12, 1e-7, -1e-7])
+    def test_near_double_roots(self, double, nudge):
+        # roots (double, double, single) need sum = product, so single =
+        # 2 double / (double^2 - 1); C/m is the sum, S/m - 1 the pairwise
+        # products.  A double root is exact to sqrt(eps) in either form.
+        m = 52
+        single = 2.0 * double / (double * double - 1.0)
+        C = np.array([m * (2.0 * double + single)])
+        S = m * (1.0 + double * double + 2.0 * double * single) * (1.0 + nudge)
+        S = np.array([S])
+        assert np.allclose(closed_form_real_parts(C, S, m),
+                           companion_real_parts(C, S, m), rtol=0.0,
+                           atol=1e-6 * max(1.0, abs(double)))
 
 
 class TestDispatchAndIntrospection:

@@ -432,6 +432,19 @@ class TestEntryPoint:
         assert proc.stdout == ""
         assert proc.stderr == "error: sig_level must be in (0, 1)\n"
 
+    @pytest.mark.parametrize("algorithm", ["cveda", "dveda"])
+    def test_vine_selection_past_the_cvm_limit_exits_2(self, algorithm):
+        # pop 20010 selects 6003 rows; the CvM pre-test takes at most 6000
+        proc = run_python("-m", "copeda.cli", "run", "--algorithm", algorithm,
+                          "--function", "sphere", "--dim", "2", "--lower",
+                          "-5", "--upper", "5", "--pop-size", "20010",
+                          "--max-gen", "2")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: {algorithm}'s CvM independence pre-test takes at most "
+            "6000 selected rows; pop_size 20010 selects 6003\n")
+
     @pytest.mark.parametrize("copulas", ["clayton", "normal,frank"])
     def test_chain_copula_family_checked_before_the_run(self, copulas):
         proc = run_python("-m", "copeda.cli", "run", *FAST_RUN,

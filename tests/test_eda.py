@@ -529,10 +529,23 @@ class TestInputError:
         lambda: checked_search(4, 64, 2, 2, stop_percent=math.nan),
         lambda: checked_search(4, 64, 2, 2, stop_percent=math.inf),
         lambda: checked_search(4, 64, 2, 2, stop_percent=-1.0),
+        # round(0.3 * 20010) = 6003 selected rows, past the CvM test's 6000
+        lambda: EdaSpec("cveda", 20010, TerminationSpec(max_gen=2)),
+        lambda: EdaSpec("dveda", 6001, TerminationSpec(max_gen=2),
+                        truncation_factor=1.0),
     ])
     def test_raised_by_input_checks(self, build):
         with pytest.raises(InputError):
             build()
+
+    def test_vine_selection_at_the_cvm_limit_is_accepted(self):
+        # 6000 selected rows is the CvM test's largest sample; non-vine
+        # algorithms run no CvM test
+        EdaSpec("cveda", 20000, TerminationSpec(max_gen=2))
+        EdaSpec("dveda", 6000, TerminationSpec(max_gen=2),
+                truncation_factor=1.0)
+        for algorithm in ("umda", "gceda", "copula-mimic"):
+            EdaSpec(algorithm, 20010, TerminationSpec(max_gen=2))
 
     def test_is_a_value_error(self):
         assert issubclass(InputError, ValueError)
