@@ -5,9 +5,11 @@ multivariate normal copula whose correlation matrix comes from pairwise tau
 inversion plus positive-definite repair, CVEDA/DVEDA with a fitted vine,
 and the copula-chain variant of MIMIC with ML normal (closed-form cubic
 roots) or Frank (bounded Brent search) bivariate copulas along a greedily
-chosen permutation ordered by copula-entropy mutual information.  An
-all-normal chain is a Gaussian Markov chain and samples in normal scores;
-any other chain inverts its links' h-functions one by one.
+chosen permutation ordered by copula-entropy mutual information.  The
+Gaussian structures (product, normal copula, and the all-normal chain, a
+Gaussian Markov chain) draw normal scores and hand them to the margins'
+``from_scores``; vines and every other chain, which inverts its links'
+h-functions one by one, hand uniforms to the margins' ``quantile``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .copulas import (
     _hinv,
     _interior,
     fit_frank,
-    mvnormal_copula_sample,
+    mvnormal_score_sample,
     normal,
 )
 from .dependence import (
@@ -123,21 +125,25 @@ def _family_counts(copulas) -> dict[str, int]:
 
 
 # Every dependence structure has the same four methods: the classmethod
-# learn(spec, X, margins, rng) fits it to the selected rows X; sample(m, n,
-# rng) draws m rows of n uniforms; describe() is the text after
+# learn(spec, X, margins, rng) fits it to the selected rows X;
+# sample(margins, m, rng) returns m rows, its draw pushed through the
+# margins (normal scores into from_scores if the structure is Gaussian,
+# uniforms into quantile otherwise); describe() is the text after
 # "dependence: "; family_counts() maps each pair-copula family to its edges.
 
 
 @dataclass(frozen=True)
 class ProductDependence:
-    """UMDA: independent variables."""
+    """UMDA: ``n`` independent variables."""
+
+    n: int
 
     @classmethod
     def learn(cls, spec, X, margins, rng):
-        return cls()
+        return cls(X.shape[1])
 
-    def sample(self, m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.random((m, n))
+    def sample(self, margins, m: int, rng: np.random.Generator) -> np.ndarray:
+        return margins.from_scores(rng.standard_normal((m, self.n)))
 
     def describe(self) -> str:
         return "product"
@@ -170,8 +176,9 @@ class NormalDependence:
         np.fill_diagonal(rho, 1.0)
         return cls(make_positive_definite(rho))
 
-    def sample(self, m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        return mvnormal_copula_sample(self.correlation, m, rng)
+    def sample(self, margins, m: int, rng: np.random.Generator) -> np.ndarray:
+        return margins.from_scores(
+            mvnormal_score_sample(self.correlation, m, rng))
 
     def describe(self) -> str:
         return ("normal copula, correlation=\n"
@@ -195,8 +202,8 @@ class VineDependence:
                             spec.copulas, sig_level=spec.sig_level,
                             criterion=spec.trunc_criterion))
 
-    def sample(self, m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        return vine_sample(self.vine, m, rng)
+    def sample(self, margins, m: int, rng: np.random.Generator) -> np.ndarray:
+        return margins.quantile(vine_sample(self.vine, m, rng))
 
     def describe(self) -> str:
         return describe_vine(self.vine)
@@ -239,26 +246,27 @@ class ChainDependence:
         return cls(perm, tuple(pair[(perm[k], perm[k + 1])]
                                for k in range(n - 1)))
 
-    def sample(self, m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, margins, m: int, rng: np.random.Generator) -> np.ndarray:
         """Last permutation slot uniform, the rest conditional on the next.
 
         One ``rng.random((n, m))`` draw, in the order of a draw per slot:
         row n - 1 - k drives link k. The draws are clipped against exact 0/1
         and the last slot's uniforms to the interior, once. An all-normal
         chain is a Gaussian Markov chain: in normal scores each link is
-        y <- sqrt(1 - rho^2) g + rho y, so the chain takes one ``ndtri``,
-        the scalar-array recurrence and one ``ndtr``, and its values match
+        y <- sqrt(1 - rho^2) g + rho y, so the chain takes one ``ndtri``
+        and the scalar-array recurrence, and hands the scores, the last
+        slot's included, to ``margins.from_scores``. Their ``ndtr`` matches
         a loop of ``copula_hinv`` calls up to rounding (the loop also clamps
         every conditioning score to the interior). Any other chain inverts
         link by link through ``copulas._hinv``, whose interior output is the
-        next link's conditioning value as it stands, so every bit matches a
-        loop of ``copula_hinv`` calls.
+        next link's conditioning value as it stands, so every bit of the
+        uniforms it hands to ``margins.quantile`` matches a loop of
+        ``copula_hinv`` calls.
         """
+        n = len(self.perm)
         if n == 0:
             return np.empty((m, 0))
         W = rng.random((n, m))
-        U = np.empty((m, n))
-        U[:, self.perm[-1]] = W[0]
         P = _clip_p(W)
         P[0] = _interior(W[0])
         if all(c.family is CopulaFamily.NORMAL for c in self.copulas):
@@ -267,12 +275,15 @@ class ChainDependence:
                 rho = self.copulas[n - 1 - r].theta
                 Y[r] *= math.sqrt(1.0 - rho * rho)
                 Y[r] += rho * Y[r - 1]
-            U[:, list(self.perm[-2::-1])] = _interior(special.ndtr(Y[1:])).T
-            return U
+            Z = np.empty((m, n))
+            Z[:, list(self.perm[::-1])] = Y.T
+            return margins.from_scores(Z)
+        U = np.empty((m, n))
+        U[:, self.perm[-1]] = W[0]
         v = P[0]
         for k in range(n - 2, -1, -1):
             v = U[:, self.perm[k]] = _hinv(self.copulas[k], P[n - 1 - k], v)
-        return U
+        return margins.quantile(U)
 
     def describe(self) -> str:
         return "\n".join(["chain perm=" + ",".join(map(str, self.perm))]
@@ -307,12 +318,12 @@ def learn_model(spec, X: np.ndarray, lower, upper,
     return SearchModel(margins, dependence)
 
 
-def sample_model(model: SearchModel, pop_size: int, lower,
+def sample_model(model: SearchModel, pop_size: int,
                  rng: np.random.Generator) -> np.ndarray:
-    """``pop_size`` rows of ``len(lower)`` columns: uniforms from the
-    dependence structure through the margins' quantiles."""
-    return model.margins.quantile(
-        model.dependence.sample(pop_size, len(lower), rng))
+    """``pop_size`` rows: the dependence structure's draw pushed through
+    the margins, as normal scores or uniforms (see the structure's
+    ``sample``)."""
+    return model.dependence.sample(model.margins, pop_size, rng)
 
 
 def describe_search_model(model: SearchModel) -> str:

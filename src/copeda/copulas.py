@@ -438,13 +438,18 @@ def copula_sample(c: BivariateCopula, m: int, rng: np.random.Generator) -> np.nd
     return np.column_stack([u, v])
 
 
+def mvnormal_score_sample(correlation: np.ndarray, m: int,
+                          rng: np.random.Generator) -> np.ndarray:
+    """``m`` rows of normal scores with the given correlation matrix."""
+    corr = np.asarray(correlation, dtype=float)
+    chol = np.linalg.cholesky(corr)
+    return rng.standard_normal((m, corr.shape[0])) @ chol.T
+
+
 def mvnormal_copula_sample(correlation: np.ndarray, m: int,
                            rng: np.random.Generator) -> np.ndarray:
     """Sample from the multivariate normal copula with the given correlation."""
-    corr = np.asarray(correlation, dtype=float)
-    chol = np.linalg.cholesky(corr)
-    z = rng.standard_normal((m, corr.shape[0])) @ chol.T
-    return special.ndtr(z)
+    return special.ndtr(mvnormal_score_sample(correlation, m, rng))
 
 
 # ---------------------------------------------------------------------------

@@ -273,7 +273,7 @@ def eda_run(spec: EdaSpec, f, lower, upper, rng: np.random.Generator,
             break
         selected = select_truncation(X, evals, spec.truncation_factor)
         model = learn_model(spec, selected, lower, upper, rng)
-        X = sample_model(model, spec.pop_size, lower, rng)
+        X = sample_model(model, spec.pop_size, rng)
 
     return RunResult(gen, f_evals, best_sol, best_eval,
                      time.process_time() - start)

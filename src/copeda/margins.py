@@ -1,4 +1,4 @@
-"""Univariate marginal models: fit, CDF and quantile.
+"""Univariate marginal models: fit, CDF, quantile and normal scores.
 
 Four kinds are supported: a normal fitted by sample mean and (n - 1)
 standard deviation, a normal-kernel smoothed empirical distribution with
@@ -29,6 +29,12 @@ Every kind fits, evaluates and inverts stacked columns: fitted to (m, n)
 rows, a margin's parameters are (n,) arrays (the kernel's sample is
 (n, m)), and ``cdf`` and ``quantile`` map (..., n) arrays, each column bit
 for bit as its own (m,) fit, whose fields are floats, would.
+
+A dependence structure hands the margins its draw in the form it samples:
+uniforms to ``quantile``, or, from a Gaussian structure, normal scores z to
+``from_scores``, which is ``quantile(ndtr(z))``: mu + sigma z in closed
+form for the normal kind, with no ``ndtr``, clip or ``ndtri``, and exactly
+that computation, bit for bit, for every other kind.
 """
 
 from __future__ import annotations
@@ -69,9 +75,19 @@ class NormalMargin:
         p = np.clip(np.asarray(p, float), _P_EPS, 1.0 - _P_EPS)
         return self.mu + self.sigma * special.ndtri(p)
 
+    def from_scores(self, z):
+        return self.mu + self.sigma * z
+
+
+class _ScoresViaQuantile:
+    """``from_scores`` of a margin with no closed form in normal scores."""
+
+    def from_scores(self, z):
+        return self.quantile(special.ndtr(z))
+
 
 @dataclass(frozen=True, eq=False)
-class KernelMargin:
+class KernelMargin(_ScoresViaQuantile):
     """Normal-kernel smoothed empirical distribution.
 
     ``sample`` is one column's (m,) sample with a float ``bandwidth``, or
@@ -208,7 +224,7 @@ def _kernel_solve(S, h, span, col, target, lo, hi, cur):
 
 
 @dataclass(frozen=True, eq=False)
-class TruncNormalMargin:
+class TruncNormalMargin(_ScoresViaQuantile):
     mu: float | np.ndarray
     sigma: float | np.ndarray
     lower: float | np.ndarray
@@ -234,7 +250,7 @@ class TruncNormalMargin:
 
 
 @dataclass(frozen=True, eq=False)
-class BetaRescaledMargin:
+class BetaRescaledMargin(_ScoresViaQuantile):
     lower: float | np.ndarray
     upper: float | np.ndarray
     a: float | np.ndarray

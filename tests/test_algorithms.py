@@ -78,6 +78,22 @@ def test_gceda_normal_margins_use_pearson():
                                                                abs=1e-12)
 
 
+class Raw:
+    """Margins whose ``quantile`` and ``from_scores`` return their input,
+    so a structure's ``sample`` returns its draw: uniforms or scores."""
+
+    @staticmethod
+    def quantile(p):
+        return p
+
+    @staticmethod
+    def from_scores(z):
+        return z
+
+
+RAW = Raw()
+
+
 def mvn_population(n, rho, m, seed):
     rng = np.random.default_rng(seed)
     R = np.full((n, n), rho) + (1 - rho) * np.eye(n)
@@ -119,8 +135,7 @@ class TestCedaLearn:
         data = rng.multivariate_normal(mean, cov, size=800)
         model = learn_model(make_spec("gceda"), data,
                             np.full(3, -50.0), np.full(3, 50.0), NO_DRAWS)
-        out = sample_model(model, 2000, np.full(3, -50.0),
-                           np.random.default_rng(5))
+        out = sample_model(model, 2000, np.random.default_rng(5))
         assert np.allclose(out.mean(axis=0), data.mean(axis=0),
                            atol=0.1 * np.sqrt(np.diag(cov)))
         sample_cov = np.cov(out.T)
@@ -135,26 +150,26 @@ class TestCedaSample:
         pop = mvn_population(3, 0.5, 120, 81)
         spec = make_spec("gceda", margin=MarginKind.KERNEL)
         model = learn_model(spec, pop, *BOUNDS3, NO_DRAWS)
-        out = sample_model(model, 500, BOUNDS3[0], np.random.default_rng(9))
-        U = model.dependence.sample(500, 3, np.random.default_rng(9))
+        out = sample_model(model, 500, np.random.default_rng(9))
+        Z = model.dependence.sample(RAW, 500, np.random.default_rng(9))
         for j in range(3):
             margin = fit_margin(MarginKind.KERNEL, pop[:, j],
                                 BOUNDS3[0][j], BOUNDS3[1][j])
-            assert np.array_equal(out[:, j], margin.quantile(U[:, j]))
+            assert np.array_equal(out[:, j],
+                                  margin.quantile(special.ndtr(Z[:, j])))
 
     def test_no_margins_sample_empty_rows(self):
         for kind in MarginKind:
             margins = fit_margin(kind, np.zeros((4, 0)), np.zeros(0),
                                  np.zeros(0))
-            out = sample_model(SearchModel(margins, ProductDependence()), 5,
-                               np.zeros(0),
+            out = sample_model(SearchModel(margins, ProductDependence(0)), 5,
                                np.random.default_rng(0))
             assert out.shape == (5, 0)
 
     def test_product_independent_columns(self):
         pop = mvn_population(3, 0.9, 300, 6)
         model = learn_model(make_spec("umda"), pop, *BOUNDS3, NO_DRAWS)
-        out = sample_model(model, 2000, BOUNDS3[0], np.random.default_rng(7))
+        out = sample_model(model, 2000, np.random.default_rng(7))
         for i, j in itertools.combinations(range(3), 2):
             assert abs(kendall_tau(out[:, i], out[:, j])) <= 0.05
 
@@ -164,8 +179,7 @@ class TestCedaSample:
                               np.full(2, -10.0), np.full(2, 10.0),
                               NO_DRAWS).margins
         model = SearchModel(margins, NormalDependence(np.eye(2)))
-        out = sample_model(model, 2000, np.full(2, -10.0),
-                           np.random.default_rng(9))
+        out = sample_model(model, 2000, np.random.default_rng(9))
         assert abs(kendall_tau(out[:, 0], out[:, 1])) <= 0.05
 
     def test_pearson_correlation_transfers(self):
@@ -175,9 +189,64 @@ class TestCedaSample:
                               NO_DRAWS).margins
         R = np.array([[1.0, 0.707], [0.707, 1.0]])
         model = SearchModel(margins, NormalDependence(R))
-        out = sample_model(model, 2000, np.full(2, -10.0),
-                           np.random.default_rng(11))
+        out = sample_model(model, 2000, np.random.default_rng(11))
         assert np.corrcoef(out.T)[0, 1] == pytest.approx(0.707, abs=0.07)
+
+
+GAUSSIAN_STRUCTURES = pytest.mark.parametrize("dependence", [
+    ProductDependence(3),
+    NormalDependence(np.array([[1.0, 0.6, -0.3], [0.6, 1.0, 0.2],
+                               [-0.3, 0.2, 1.0]])),
+    ChainDependence((2, 0, 1), (normal(0.8), normal(-0.5))),
+], ids=["product", "normal-copula", "normal-chain"])
+
+
+class TestScoreRoute:
+    """Gaussian structures hand normal scores to ``margins.from_scores``."""
+
+    @GAUSSIAN_STRUCTURES
+    @pytest.mark.parametrize("kind", [MarginKind.KERNEL,
+                                      MarginKind.TRUNC_NORMAL,
+                                      MarginKind.BETA_RESCALED])
+    def test_other_margins_take_the_quantile_of_ndtr(self, dependence, kind):
+        margins = fit_margin(kind, mvn_population(3, 0.5, 120, 35), *BOUNDS3)
+        out = sample_model(SearchModel(margins, dependence), 300,
+                           np.random.default_rng(36))
+        Z = dependence.sample(RAW, 300, np.random.default_rng(36))
+        assert out.tobytes() == margins.quantile(special.ndtr(Z)).tobytes()
+
+    @pytest.mark.parametrize("mu,sigma", [(0.0, 1.0), (3.0, 0.5),
+                                          (-250.0, 1e-3), (1e3, 40.0)])
+    def test_normal_margin_skips_the_uniform_round_trip(self, mu, sigma):
+        # mu + sigma z against the mu + sigma ndtri(clip(ndtr(z))) that
+        # quantile gives, for |z| <= 7, inside the 1e-12 clip: the round
+        # trip moves z by ndtr's rounding at z, about eps / phi(z), so the
+        # two agree within 2 (sigma eps / phi(z) + one ulp of the result).
+        rng = np.random.default_rng(37)
+        z = np.concatenate([np.linspace(-7.0, 7.0, 20001),
+                            rng.standard_normal(20000)])
+        z = z[np.abs(z) <= 7.0]
+        margin = NormalMargin(mu, sigma)
+        new = margin.from_scores(z)
+        old = margin.quantile(special.ndtr(z))
+        phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(new - old)
+                      <= 2.0 * (sigma * eps / phi + np.spacing(np.abs(new))))
+
+    def test_umda_columns_have_the_margin_moments(self):
+        # m normal draws per column: the sample mean is within 4.5 standard
+        # errors sigma / sqrt(m) of mu, and the sample sd within 4.5 of its
+        # standard error, about sigma / sqrt(2 (m - 1))
+        mu, sigma = np.array([1.0, -2.0, 0.0]), np.array([0.5, 2.0, 1e-3])
+        m = 40000
+        out = sample_model(SearchModel(NormalMargin(mu, sigma),
+                                       ProductDependence(3)),
+                           m, np.random.default_rng(38))
+        assert np.all(np.abs(out.mean(axis=0) - mu)
+                      <= 4.5 * sigma / math.sqrt(m))
+        assert np.all(np.abs(out.std(axis=0, ddof=1) - sigma)
+                      <= 4.5 * sigma / math.sqrt(2.0 * (m - 1)))
 
 
 class TestVedaLearnSample:
@@ -190,8 +259,7 @@ class TestVedaLearnSample:
         products = sum(c.family is CopulaFamily.PRODUCT
                        for tree in vine.trees for c in tree)
         assert products >= 5  # out of 6 edges
-        out = sample_model(model, 2000, np.zeros(4),
-                           np.random.default_rng(13))
+        out = sample_model(model, 2000, np.random.default_rng(13))
         for i, j in itertools.combinations(range(4), 2):
             assert abs(kendall_tau(out[:, i], out[:, j])) <= 0.06
 
@@ -219,7 +287,7 @@ class TestVedaLearnSample:
         rng = np.random.default_rng(19)
         model = learn_model(spec, pop, np.full(3, -10.0), np.full(3, 10.0),
                             rng)
-        out = sample_model(model, 1500, np.full(3, -10.0), rng)
+        out = sample_model(model, 1500, rng)
         refit = learn_model(spec, out, np.full(3, -10.0),
                             np.full(3, 10.0), rng)
         original = sorted(abs(c.theta) for c in model.dependence.vine.trees[0])
@@ -233,7 +301,7 @@ class TestVedaLearnSample:
         pop = rng.uniform(-1.0, 1.0, size=(200, 3))
         spec = make_spec("cveda", margin=MarginKind.TRUNC_NORMAL)
         model = learn_model(spec, pop, np.full(3, -1.0), np.full(3, 1.0), rng)
-        out = sample_model(model, 2000, np.full(3, -1.0), rng)
+        out = sample_model(model, 2000, rng)
         assert np.all(out >= -1.0)
         assert np.all(out <= 1.0)
 
@@ -327,7 +395,7 @@ class TestChainSample:
         W[:, :3] = [0.0, 1.0 - 2.0**-53, 5e-324]
         W[0, 3:6] = [1e-12, 1.0 - 1e-12, 0.5]
         dep = ChainDependence((3, 0, 5, 1, 4, 2), copulas)
-        U = dep.sample(m, n, FixedUniforms(W))
+        U = dep.sample(RAW, m, FixedUniforms(W))
         assert U.tobytes() == self.copula_hinv_loop(dep, W).tobytes()
 
     @staticmethod
@@ -342,18 +410,17 @@ class TestChainSample:
 
     @staticmethod
     def score_recurrence(dep, W):
-        """The all-normal chain in normal scores, a row at a time: the
+        """The all-normal chain's normal scores, a row at a time: the
         reference of the Gaussian path."""
         n, m = W.shape
-        U = np.empty((m, n))
-        U[:, dep.perm[-1]] = W[0]
-        y = special.ndtri(np.clip(W[0], 1e-10, 1.0 - 1e-10))
+        Z = np.empty((m, n))
+        y = Z[:, dep.perm[-1]] = special.ndtri(np.clip(W[0], 1e-10,
+                                                       1.0 - 1e-10))
         for k in range(n - 2, -1, -1):
             rho = dep.copulas[k].theta
             g = special.ndtri(np.clip(W[n - 1 - k], 1e-300, 1.0 - 1e-16))
-            y = g * math.sqrt(1.0 - rho * rho) + rho * y
-            U[:, dep.perm[k]] = np.clip(special.ndtr(y), 1e-10, 1.0 - 1e-10)
-        return U
+            y = Z[:, dep.perm[k]] = g * math.sqrt(1.0 - rho * rho) + rho * y
+        return Z
 
     NORMAL_CHAINS = pytest.mark.parametrize("rhos", [
         (0.7, -0.4, 0.2, -0.9, 0.5),
@@ -365,32 +432,34 @@ class TestChainSample:
     def test_normal_chain_matches_score_recurrence_bit_for_bit(self, rhos):
         W = self.clip_binding_draws()
         dep = ChainDependence((3, 0, 5, 1, 4, 2), tuple(map(normal, rhos)))
-        U = dep.sample(64, 6, FixedUniforms(W))
-        assert U.tobytes() == self.score_recurrence(dep, W).tobytes()
+        Z = dep.sample(RAW, 64, FixedUniforms(W))
+        assert Z.tobytes() == self.score_recurrence(dep, W).tobytes()
 
     @NORMAL_CHAINS
     def test_normal_chain_draws_once_and_stays_interior(self, rhos):
         n, m = 6, 64
         dep = ChainDependence((3, 0, 5, 1, 4, 2), tuple(map(normal, rhos)))
         rng, twin = np.random.default_rng(32), np.random.default_rng(32)
-        U = dep.sample(m, n, rng)
+        Z = dep.sample(RAW, m, rng)
         W = twin.random((n, m))
         assert rng.bit_generator.state == twin.bit_generator.state
-        assert U.tobytes() == dep.sample(m, n, FixedUniforms(W)).tobytes()
-        assert np.array_equal(U[:, 2], W[0])
-        links = U[:, [3, 0, 5, 1, 4]]
-        assert np.all((links >= 1e-10) & (links <= 1.0 - 1e-10))
+        assert Z.tobytes() == dep.sample(RAW, m, FixedUniforms(W)).tobytes()
+        # the last slot's score is that of its interior-clipped uniform
+        assert np.array_equal(Z[:, 2], special.ndtri(
+            np.clip(W[0], 1e-10, 1.0 - 1e-10)))
+        assert np.all(np.isfinite(Z))
 
     @NORMAL_CHAINS
     def test_normal_chain_close_to_copula_hinv_loop(self, rhos):
         # The loop also rounds every score through ndtr and ndtri, and it
         # clamps a score past +-6.36 (the ndtri of the interior clip) where
         # the recurrence keeps it.  Samples whose loop outputs are strictly
-        # interior never clamp and agree within 1e-12; the fixture's
-        # extreme samples clamp and may not.
+        # interior never clamp, and the ndtr of their scores agrees with
+        # the loop within 1e-12; the fixture's extreme samples clamp and
+        # may not.
         W = self.clip_binding_draws()
         dep = ChainDependence((3, 0, 5, 1, 4, 2), tuple(map(normal, rhos)))
-        U = dep.sample(64, 6, FixedUniforms(W))
+        U = special.ndtr(dep.sample(RAW, 64, FixedUniforms(W)))
         loop = self.copula_hinv_loop(dep, W)
         unclamped = np.all((loop > 1e-10) & (loop < 1.0 - 1e-10), axis=1)
         assert unclamped.sum() >= 56
@@ -446,8 +515,7 @@ class TestCopulaMimic:
         spec = make_spec("copula-mimic")
         model = learn_model(spec, pop, np.full(2, -10.0), np.full(2, 10.0),
                             np.random.default_rng(30))
-        out = sample_model(model, 2000, np.full(2, -10.0),
-                           np.random.default_rng(31))
+        out = sample_model(model, 2000, np.random.default_rng(31))
         expected_tau = 2 * math.asin(0.8) / math.pi
         assert kendall_tau(out[:, 0], out[:, 1]) == pytest.approx(
             expected_tau, abs=0.06)
@@ -620,7 +688,7 @@ class TestDispatchAndIntrospection:
         spec = make_spec(algorithm, pop_size=40)
         model = learn_model(spec, pop, *BOUNDS3, run_rng(1, 2))
         for pop_size in (1, 7):
-            out = sample_model(model, pop_size, BOUNDS3[0], run_rng(3, 4))
+            out = sample_model(model, pop_size, run_rng(3, 4))
             assert out.shape == (pop_size, 3)
             assert np.all(np.isfinite(out))
 
@@ -646,7 +714,7 @@ class TestDispatchAndIntrospection:
         vine = RVineModel(VineType.DVINE, (1, 0),
                           ((student(0.5, 4.0),),), 1)
         cases = [
-            (ProductDependence(), "dependence: product", {}),
+            (ProductDependence(2), "dependence: product", {}),
             (NormalDependence(np.array([[1.0, 0.25], [0.25, 1.0]])),
              "dependence: normal copula, correlation=\n"
              "[[1.   0.25]\n [0.25 1.  ]]", {}),

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from copeda.copulas import (
     CopulaFamily,
@@ -435,3 +435,79 @@ class TestFittedVineOnItsSample:
         draws = vine_sample(model, 20000, np.random.default_rng(21))
         gap = np.abs(kendall_tau_matrix(draws) - kendall_tau_matrix(U))
         assert gap.max() <= 0.3
+
+
+def implied_correlation(model):
+    """The correlation matrix of an all-normal or product vine, filled in
+    tree order from its edges' partial correlations (Bedford & Cooke 2002):
+    edge (a, b | S) with partial correlation rho gives
+    r_a' R_S^-1 r_b + rho sqrt((1 - r_a' R_S^-1 r_a)(1 - r_b' R_S^-1 r_b)),
+    r_x = R[S, x], and a product edge has rho = 0."""
+    n, o = model.dim, model.order
+    R = np.eye(n)
+    for j, tree in enumerate(model.trees):
+        if model.vine_type is VineType.CVINE:
+            edges = [(v, o[j], list(o[:j])) for v in sorted(o[j + 1:])]
+        else:
+            edges = [(o[i], o[i + j + 1], list(o[i + 1:i + j + 1]))
+                     for i in range(n - 1 - j)]
+        for c, (a, b, S) in zip(tree, edges):
+            assert c.family in (CopulaFamily.NORMAL, CopulaFamily.PRODUCT)
+            rho = c.theta if c.family is CopulaFamily.NORMAL else 0.0
+            inv = np.linalg.inv(R[np.ix_(S, S)]) if S else np.zeros((0, 0))
+            ra, rb = R[S, a], R[S, b]
+            R[a, b] = R[b, a] = ra @ inv @ rb + rho * math.sqrt(
+                (1.0 - ra @ inv @ ra) * (1.0 - rb @ inv @ rb))
+    return R
+
+
+def gaussian_copula_loglik(R, U):
+    """-1/2 sum over rows of log det R + z'(R^-1 - I) z, z = ndtri(U)."""
+    z = ndtri(U)
+    quad = np.einsum("ij,jk,ik->", z, np.linalg.inv(R) - np.eye(len(R)), z)
+    return -0.5 * (len(U) * np.linalg.slogdet(R)[1] + quad)
+
+
+def random_gaussian_sample(n, m, seed):
+    """Pseudo-observations of m rows of a normal vector with a random
+    correlation matrix."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n)) * rng.uniform(0.0, 2.0, n)
+    return pseudo_observations(
+        rng.standard_normal((m, n)) @ (A + np.eye(n)).T)
+
+
+# (vine type, n, m, truncation criterion, seed): n = 3-8 and m = 40-400,
+# AIC-truncated (so trees end in product edges) and full
+GAUSSIAN_VINES = [(vine_type, n, m, criterion, 100 + 10 * n + k)
+                  for k, vine_type in enumerate(VineType)
+                  for n, m, criterion in [(3, 40, "none"), (4, 400, "aic"),
+                                          (5, 120, "none"), (6, 80, "aic"),
+                                          (7, 250, "aic"), (8, 200, "none")]]
+
+
+class TestGaussianVineOracle:
+    """A vine of normal and product edges is the Gaussian copula of the
+    correlation matrix its partial correlations imply."""
+
+    @pytest.fixture(scope="class", params=GAUSSIAN_VINES,
+                    ids=lambda p: f"{p[0].value}-n{p[1]}-m{p[2]}-{p[3]}")
+    def fitted(self, request):
+        vine_type, n, m, criterion, seed = request.param
+        U = random_gaussian_sample(n, m, seed)
+        model = fit_vine(U, vine_type, NORMAL_ONLY, 0.01, criterion)
+        return U, model, implied_correlation(model)
+
+    def test_loglik_is_the_gaussian_copula_loglik(self, fitted):
+        U, model, R = fitted
+        assert vine_loglik(model, U) == pytest.approx(
+            gaussian_copula_loglik(R, U), rel=1e-10, abs=1e-10 * len(U))
+
+    def test_sample_is_the_cholesky_map_of_the_same_draw(self, fitted):
+        _, model, R = fitted
+        m, o = 500, list(model.order)
+        W = np.random.default_rng(22).random((m, model.dim))
+        expected = np.empty_like(W)
+        expected[:, o] = ndtr(ndtri(W) @ np.linalg.cholesky(R[np.ix_(o, o)]).T)
+        draws = vine_sample(model, m, np.random.default_rng(22))
+        assert np.allclose(draws, expected, rtol=0.0, atol=1e-9)
