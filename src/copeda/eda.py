@@ -50,6 +50,12 @@ class TerminationSpec:
         for name in ("max_gen", "max_evals"):
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise InputError(f"{name} must be >= 1")
+        if not self.target_tol >= 0.0:
+            raise InputError("target_tol must be >= 0")
+        if not (self.target_eval is None or math.isfinite(self.target_eval)):
+            raise InputError("target_eval must be finite")
+        if not (self.eval_stddev_floor is None or self.eval_stddev_floor > 0):
+            raise InputError("eval_stddev_floor must be > 0")
 
 
 ALGORITHMS = tuple(_DEPENDENCE)

@@ -43,6 +43,17 @@ class TestRun:
         assert "sphere" in err
         assert "summation-cancellation" in err
 
+    @pytest.mark.parametrize("option", [("--tol", "nan"), ("--tol", "-1"),
+                                        ("--target", "nan"),
+                                        ("--stddev-floor", "0")])
+    def test_unreachable_stop_exits_2(self, option, capsys):
+        # a NaN target or tolerance is a run with no stop, not a long run
+        status, out = run_cli(["run", "--algorithm", "umda", "--function",
+                               "sphere", "--dim", "2", "--pop-size", "20",
+                               *option])
+        assert (status, out) == (2, "")
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_final_block_without_report(self):
         status, out = run_cli(["run", *FAST_RUN])
         assert status == 0
@@ -393,9 +404,6 @@ class TestEntryPoint:
             "import copeda as c\n"
             f"assert not [m for m in {LAZY_SCIPY} if m in sys.modules]\n"
             "rng = np.random.default_rng(0)\n"
-            "beta = c.fit_margin(c.MarginKind.BETA_RESCALED, rng.random((30, 2)), "
-            "np.zeros(2), np.ones(2))\n"
-            "assert np.all(beta.a > 0) and np.all(beta.b > 0)\n"
             "fr = c.tau_to_parameter(c.CopulaFamily.FRANK, 0.4)\n"
             "assert math.isclose(c.parameter_to_tau(fr), 0.4, abs_tol=1e-9)\n"
             "U = c.copula_sample(c.student(0.5, 4.0), 200, rng)\n"
@@ -412,6 +420,19 @@ class TestEntryPoint:
         proc = run_python("-c", script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "['scipy.integrate', 'scipy.optimize']\n"
+
+    def test_beta_margin_fit_loads_no_optimizer(self):
+        # the beta fit solves its likelihood equations with scipy.special
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import copeda as c\n"
+            "X = np.random.default_rng(0).random((30, 2))\n"
+            "beta = c.fit_margin(c.MarginKind.BETA_RESCALED, X, 0.0, 1.0)\n"
+            "assert np.all(beta.a > 0) and np.all(beta.b > 0)\n"
+            f"print([m for m in {LAZY_SCIPY} if m in sys.modules])\n")
+        proc = run_python("-c", script)
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
     def test_module_invocation(self):
         proc = run_python("-m", "copeda.cli", "run", *FAST_RUN)

@@ -515,6 +515,12 @@ class TestInputError:
         lambda: TerminationSpec(max_gen=0),
         lambda: TerminationSpec(max_gen=-1, target_eval=0.0),
         lambda: TerminationSpec(max_evals=0),
+        lambda: TerminationSpec(target_eval=0.0, target_tol=math.nan),
+        lambda: TerminationSpec(target_eval=0.0, target_tol=-1.0),
+        lambda: TerminationSpec(target_eval=math.nan),
+        lambda: TerminationSpec(max_gen=5, target_eval=-math.inf),
+        lambda: TerminationSpec(eval_stddev_floor=math.nan),
+        lambda: TerminationSpec(eval_stddev_floor=0.0),
         lambda: eda_indep_runs(umda_spec(max_gen=2), f_sphere, [-1.0], [1.0],
                                runs=2, jobs=0),
         lambda: eda_indep_runs(umda_spec(max_gen=2), f_sphere, [-1.0], [1.0],

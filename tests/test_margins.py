@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,13 +85,48 @@ class TestFit:
         assert 0.9 <= model.a <= 1.1
         assert 0.9 <= model.b <= 1.1
 
-    def test_beta_tight_sample_keeps_optimizer_point(self):
-        # Nelder-Mead stops at its iteration cap on this sample; its point
-        # must be kept rather than replaced by the uniform margin (1, 1)
+    def test_beta_tight_sample_keeps_its_moments(self):
+        # moment a + b ~ 3e10: the fit keeps the moment estimate, far nearer
+        # than the uniform margin (1, 1)
         sample = 0.3 + 1e-5 * np.linspace(-1.0, 1.0, 52)
         model = fit_margin(MarginKind.BETA_RESCALED, sample, -1.0, 1.0)
         assert (model.a, model.b) != (1.0, 1.0)
         assert model.quantile(0.5) == pytest.approx(0.3, abs=0.01)
+
+    def test_beta_solves_the_score_equations(self):
+        # psi(a) - psi(a + b) = mean log y, psi(b) - psi(a + b) = mean
+        # log(1 - y), at the rounding level of the digamma values
+        rng = np.random.default_rng(17)
+        X = np.column_stack([rng.beta(a, b, 60)
+                             for a, b in ((0.5, 3.0), (2.0, 2.0), (8.0, 0.7))])
+        model = fit_margin(MarginKind.BETA_RESCALED, X, 0.0, 1.0)
+        Y = np.clip(X, 1e-6, 1.0 - 1e-6)
+        a, b = model.a, model.b
+        total = special.digamma(a + b)
+        assert np.all(np.abs(special.digamma(a) - total
+                             - np.log(Y).mean(axis=0)) <= 1e-12)
+        assert np.all(np.abs(special.digamma(b) - total
+                             - np.log1p(-Y).mean(axis=0)) <= 1e-12)
+
+    def test_beta_converged_sample_fits_its_moments(self):
+        # a Sphere population near the optimum: a + b ~ 6e12, where the
+        # beta is normal and its ML point is the sample's mean and variance
+        sample = 2.4e-4 * np.random.default_rng(5).standard_normal(52)
+        model = fit_margin(MarginKind.BETA_RESCALED, sample, -600.0, 600.0)
+        a, b, span = model.a, model.b, 1200.0
+        mean = -600.0 + span * a / (a + b)
+        var = span ** 2 * a * b / ((a + b) ** 2 * (a + b + 1.0))
+        assert abs(mean - sample.mean()) <= 0.01 * sample.std()
+        assert var / sample.var() == pytest.approx(1.0, rel=0.01)
+
+    def test_beta_constant_column(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_margin(MarginKind.BETA_RESCALED, np.full(10, 0.25),
+                               -1.0, 1.0)
+        assert 0.0 < model.a < np.inf and 0.0 < model.b < np.inf
+        assert -1.0 + 2.0 * model.a / (model.a + model.b) == \
+            pytest.approx(0.25, rel=1e-12)
 
     def test_kernel_constant_sample(self):
         model = fit_margin(MarginKind.KERNEL, [5.0, 5.0, 5.0], 0.0, 10.0)
@@ -141,13 +177,14 @@ class TestFitBits:
     @pytest.mark.parametrize("kind", list(MarginKind), ids=lambda k: k.value)
     def test_matrix_fit_equals_column_fits(self, kind):
         # one fit of a strided (m, n) matrix against n fits of its columns:
-        # every field, cdf and quantile bit for bit; the last column is
-        # constant
+        # every field, cdf and quantile bit for bit; the third column is
+        # tight (a beta keeps its moments) and the last constant
         rng = np.random.default_rng(43)
         lower, upper = np.array([-10.0, -9.0, -11.0, -8.0]), np.full(4, 20.0)
         for m in (2, 3, 31, 51, 70, 700):
             for scale in (1e-8, 1e-3, 1.0, 1e3):
                 X = (5.0 + scale * rng.standard_normal((m, 8)))[:, ::2]
+                X[:, 2] = 5.0 + 1e-4 * rng.standard_normal(m)
                 X[:, 3] = 4.0
                 model = fit_margin(kind, X, lower, upper)
                 singles = [fit_margin(kind, X[:, j], lower[j], upper[j])
@@ -181,16 +218,6 @@ class TestFitBits:
             for field in dataclasses.fields(model):
                 if field.name != "sample":
                     assert type(getattr(model, field.name)) is float
-
-    def test_beta_loglik_matches_scipy(self):
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            y = np.clip(rng.beta(*rng.uniform(0.3, 8.0, 2), size=60),
-                        1e-6, 1.0 - 1e-6)
-            loglik = margins._beta_loglik(y)
-            for a, b in rng.uniform([0.05, 0.05], [50.0, 50.0], (4, 2)):
-                ref = float(np.sum(stats.beta.logpdf(y, a, b)))
-                assert loglik(a, b) == pytest.approx(ref, rel=1e-12)
 
 
 class TestCdf:
