@@ -25,9 +25,7 @@ from .copulas import (
     RHO_MAX,
     BivariateCopula,
     CopulaFamily,
-    _clip_p,
-    _hinv,
-    _interior,
+    copula_hinv,
     fit_frank,
     mvnormal_score_sample,
     normal,
@@ -228,49 +226,38 @@ class ChainDependence:
         ML parameter of a bounded Brent search (``fit_frank``), with a
         Monte-Carlo copula-entropy mutual information.
         """
-        n = X.shape[1]
         U = margins.cdf(X)
         if spec.copulas[0] is CopulaFamily.NORMAL:
             rho = _normal_ml_rho(U)
-            perm = chain_permutation(-0.5 * np.log1p(-rho * rho))
-            return cls(perm, tuple(normal(float(rho[a, b]))
-                                   for a, b in zip(perm, perm[1:])))
-        pair: dict[tuple[int, int], BivariateCopula] = {}
-        mi = np.zeros((n, n))
-        for i in range(1, n):
-            for j in range(i):
-                cop = fit_frank(U[:, [i, j]])
-                mi[i, j] = mi[j, i] = copula_mutual_information(cop, rng)
-                pair[(i, j)] = pair[(j, i)] = cop
+            mi = -0.5 * np.log1p(-rho * rho)
+            link = lambda a, b: normal(float(rho[a, b]))
+        else:
+            n = X.shape[1]
+            pair: dict[tuple[int, int], BivariateCopula] = {}
+            mi = np.zeros((n, n))
+            for i in range(1, n):
+                for j in range(i):
+                    cop = fit_frank(U[:, [i, j]])
+                    mi[i, j] = mi[j, i] = copula_mutual_information(cop, rng)
+                    pair[(i, j)] = pair[(j, i)] = cop
+            link = lambda a, b: pair[(a, b)]
         perm = chain_permutation(mi)
-        return cls(perm, tuple(pair[(perm[k], perm[k + 1])]
-                               for k in range(n - 1)))
+        return cls(perm, tuple(link(a, b) for a, b in zip(perm, perm[1:])))
 
     def sample(self, margins, m: int, rng: np.random.Generator) -> np.ndarray:
-        """Last permutation slot uniform, the rest conditional on the next.
+        """Last permutation slot first, each other slot conditional on the
+        next; row n - 1 - k of the one ``(n, m)`` draw drives link k.
 
-        One ``rng.random((n, m))`` draw, in the order of a draw per slot:
-        row n - 1 - k drives link k. The draws are clipped against exact 0/1
-        and the last slot's uniforms to the interior, once. An all-normal
-        chain is a Gaussian Markov chain: in normal scores each link is
-        y <- sqrt(1 - rho^2) g + rho y, so the chain takes one ``ndtri``
-        and the scalar-array recurrence, and hands the scores, the last
-        slot's included, to ``margins.from_scores``. Their ``ndtr`` matches
-        a loop of ``copula_hinv`` calls up to rounding (the loop also clamps
-        every conditioning score to the interior). Any other chain inverts
-        link by link through ``copulas._hinv``, whose interior output is the
-        next link's conditioning value as it stands, so every bit of the
-        uniforms it hands to ``margins.quantile`` matches a loop of
-        ``copula_hinv`` calls.
+        An all-normal chain, a Gaussian Markov chain, draws
+        ``standard_normal`` scores, runs y <- sqrt(1 - rho^2) g + rho y along
+        them and hands them to ``margins.from_scores``. Any other chain
+        draws uniforms, inverts link by link with ``copula_hinv`` (whose
+        interior output is the next link's conditioning value) and hands
+        them to ``margins.quantile``.
         """
         n = len(self.perm)
-        if n == 0:
-            return np.empty((m, 0))
-        W = rng.random((n, m))
-        P = _clip_p(W)
-        P[0] = _interior(W[0])
         if all(c.family is CopulaFamily.NORMAL for c in self.copulas):
-            Y = special.ndtri(P, out=P)
+            Y = rng.standard_normal((n, m))
             for r in range(1, n):
                 rho = self.copulas[n - 1 - r].theta
                 Y[r] *= math.sqrt(1.0 - rho * rho)
@@ -278,11 +265,12 @@ class ChainDependence:
             Z = np.empty((m, n))
             Z[:, list(self.perm[::-1])] = Y.T
             return margins.from_scores(Z)
+        W = rng.random((n, m))
         U = np.empty((m, n))
-        U[:, self.perm[-1]] = W[0]
-        v = P[0]
+        v = U[:, self.perm[-1]] = W[0]
         for k in range(n - 2, -1, -1):
-            v = U[:, self.perm[k]] = _hinv(self.copulas[k], P[n - 1 - k], v)
+            v = U[:, self.perm[k]] = copula_hinv(self.copulas[k],
+                                                 W[n - 1 - k], v)
         return margins.quantile(U)
 
     def describe(self) -> str:

@@ -400,26 +400,19 @@ def copula_h(c: BivariateCopula, u, v):
     return np.clip(ops.h(c, _interior(u), _interior(v)), 0.0, 1.0)
 
 
-def _clip_p(p):
-    return np.clip(np.asarray(p, dtype=float), 1e-300, 1.0 - 1e-16)
-
-
-def _hinv(c: BivariateCopula, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """h⁻¹ of already clipped arrays: ``p`` by ``_clip_p``, ``v`` to the
-    interior. The result is interior too, so it can be the next ``v``."""
-    ops, c = _row(c)
-    return np.clip(ops.hinv(c, p, v), INTERIOR_EPS, 1.0 - INTERIOR_EPS)
-
-
 def copula_hinv(c: BivariateCopula, p, v):
     """Inverse of the h-function in its first argument.
 
-    Clips here, then inverts through ``_hinv``: ``v`` to the interior and
-    the probability ``p`` against exact 0/1 only. Conditional probabilities
-    far below the interior clamp are meaningful (strong dependence pushes h
-    to ~1e-25 at grid corners) and must invert exactly.
+    ``v`` is clipped to the interior and the probability ``p`` against
+    exact 0/1 only. Conditional probabilities far below the interior clamp
+    are meaningful (strong dependence pushes h to ~1e-25 at grid corners)
+    and must invert exactly. The result is interior, so it passes through
+    as the next call's ``v`` unchanged.
     """
-    return _hinv(c, _clip_p(p), _interior(v))
+    ops, c = _row(c)
+    p = np.clip(np.asarray(p, dtype=float), 1e-300, 1.0 - 1e-16)
+    return np.clip(ops.hinv(c, p, _interior(v)), INTERIOR_EPS,
+                   1.0 - INTERIOR_EPS)
 
 
 # ---------------------------------------------------------------------------

@@ -368,6 +368,18 @@ class FixedUniforms:
         return self.values.copy()
 
 
+class FixedNormals:
+    """Stands in for a Generator whose ``standard_normal`` returns set
+    values."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def standard_normal(self, shape):
+        assert shape == self.values.shape
+        return self.values.copy()
+
+
 class TestChainSample:
     @staticmethod
     def copula_hinv_loop(dep, W):
@@ -399,27 +411,27 @@ class TestChainSample:
         assert U.tobytes() == self.copula_hinv_loop(dep, W).tobytes()
 
     @staticmethod
-    def clip_binding_draws(n=6, m=64):
-        """The draws of ``test_matches_copula_hinv_loop_bit_for_bit``:
-        exact 0, the largest double below 1 and the smallest subnormal in
-        every row, and row 0 straddling the interior clip."""
-        W = np.random.default_rng(31).random((n, m))
-        W[:, :3] = [0.0, 1.0 - 2.0**-53, 5e-324]
-        W[0, 3:6] = [1e-12, 1.0 - 1e-12, 0.5]
-        return W
+    def fixed_scores(n=6, m=64):
+        """Normal scores for the all-normal chain: row 0, the last slot's,
+        straddles +-6.36, the ``ndtri`` of the interior clip, and column 2
+        sits deep in the lower tail, where ``ndtr`` is still exact enough
+        for the loop's round trip."""
+        G = np.random.default_rng(31).standard_normal((n, m))
+        G[0, :2] = [-6.5, 6.5]
+        G[:, 2] = -8.0
+        return G
 
     @staticmethod
-    def score_recurrence(dep, W):
+    def score_recurrence(dep, G):
         """The all-normal chain's normal scores, a row at a time: the
         reference of the Gaussian path."""
-        n, m = W.shape
+        n, m = G.shape
         Z = np.empty((m, n))
-        y = Z[:, dep.perm[-1]] = special.ndtri(np.clip(W[0], 1e-10,
-                                                       1.0 - 1e-10))
+        y = Z[:, dep.perm[-1]] = G[0]
         for k in range(n - 2, -1, -1):
             rho = dep.copulas[k].theta
-            g = special.ndtri(np.clip(W[n - 1 - k], 1e-300, 1.0 - 1e-16))
-            y = Z[:, dep.perm[k]] = g * math.sqrt(1.0 - rho * rho) + rho * y
+            y = Z[:, dep.perm[k]] = (G[n - 1 - k] * math.sqrt(1.0 - rho * rho)
+                                     + rho * y)
         return Z
 
     NORMAL_CHAINS = pytest.mark.parametrize("rhos", [
@@ -430,39 +442,37 @@ class TestChainSample:
 
     @NORMAL_CHAINS
     def test_normal_chain_matches_score_recurrence_bit_for_bit(self, rhos):
-        W = self.clip_binding_draws()
+        G = self.fixed_scores()
         dep = ChainDependence((3, 0, 5, 1, 4, 2), tuple(map(normal, rhos)))
-        Z = dep.sample(RAW, 64, FixedUniforms(W))
-        assert Z.tobytes() == self.score_recurrence(dep, W).tobytes()
+        Z = dep.sample(RAW, 64, FixedNormals(G))
+        assert Z.tobytes() == self.score_recurrence(dep, G).tobytes()
 
     @NORMAL_CHAINS
-    def test_normal_chain_draws_once_and_stays_interior(self, rhos):
+    def test_normal_chain_draws_one_score_block(self, rhos):
         n, m = 6, 64
         dep = ChainDependence((3, 0, 5, 1, 4, 2), tuple(map(normal, rhos)))
         rng, twin = np.random.default_rng(32), np.random.default_rng(32)
         Z = dep.sample(RAW, m, rng)
-        W = twin.random((n, m))
+        G = twin.standard_normal((n, m))
         assert rng.bit_generator.state == twin.bit_generator.state
-        assert Z.tobytes() == dep.sample(RAW, m, FixedUniforms(W)).tobytes()
-        # the last slot's score is that of its interior-clipped uniform
-        assert np.array_equal(Z[:, 2], special.ndtri(
-            np.clip(W[0], 1e-10, 1.0 - 1e-10)))
-        assert np.all(np.isfinite(Z))
+        assert Z.tobytes() == dep.sample(RAW, m, FixedNormals(G)).tobytes()
+        # the last slot's scores are the block's first row as drawn
+        assert np.array_equal(Z[:, 2], G[0])
 
     @NORMAL_CHAINS
     def test_normal_chain_close_to_copula_hinv_loop(self, rhos):
-        # The loop also rounds every score through ndtr and ndtri, and it
-        # clamps a score past +-6.36 (the ndtri of the interior clip) where
-        # the recurrence keeps it.  Samples whose loop outputs are strictly
-        # interior never clamp, and the ndtr of their scores agrees with
-        # the loop within 1e-12; the fixture's extreme samples clamp and
-        # may not.
-        W = self.clip_binding_draws()
+        # The loop, fed W = ndtr(G), also rounds every score through ndtr
+        # and ndtri, and it clamps a score past +-6.36 (the ndtri of the
+        # interior clip) where the recurrence keeps it.  Samples whose loop
+        # outputs are strictly interior never clamp, and the ndtr of their
+        # scores agrees with the loop within 1e-12; the fixture's extreme
+        # samples clamp and may not.
+        G = self.fixed_scores()
         dep = ChainDependence((3, 0, 5, 1, 4, 2), tuple(map(normal, rhos)))
-        U = special.ndtr(dep.sample(RAW, 64, FixedUniforms(W)))
-        loop = self.copula_hinv_loop(dep, W)
+        U = special.ndtr(dep.sample(RAW, 64, FixedNormals(G)))
+        loop = self.copula_hinv_loop(dep, special.ndtr(G))
         unclamped = np.all((loop > 1e-10) & (loop < 1.0 - 1e-10), axis=1)
-        assert unclamped.sum() >= 56
+        assert unclamped.sum() >= 60
         assert np.allclose(U[unclamped], loop[unclamped], rtol=0.0,
                            atol=1e-12)
 
@@ -519,6 +529,20 @@ class TestCopulaMimic:
         expected_tau = 2 * math.asin(0.8) / math.pi
         assert kendall_tau(out[:, 0], out[:, 1]) == pytest.approx(
             expected_tau, abs=0.06)
+
+    def test_sampled_chain_is_markov(self):
+        # A Gaussian Markov chain: the correlation of any two slots is the
+        # product of the link rhos between them, unlinked pairs included.
+        rhos = (0.8, -0.6, 0.9, 0.5)
+        perm = (2, 4, 0, 3, 1)
+        dep = ChainDependence(perm, tuple(map(normal, rhos)))
+        m = 200_000
+        X = dep.sample(NormalMargin(0.0, 1.0), m, np.random.default_rng(33))
+        R = np.corrcoef(X.T)
+        for a, b in itertools.combinations(range(5), 2):
+            rho = math.prod(rhos[a:b])
+            se = (1.0 - rho * rho) / math.sqrt(m)
+            assert abs(R[perm[a], perm[b]] - rho) < 5.0 * se, (a, b)
 
 
 def normal_pair(rho, m, seed, scale=1.0):

@@ -53,7 +53,7 @@ def test_eda_run_accepts_model_sink():
     assert "model_sink" in inspect.signature(eda_run).parameters
 
 
-TRACED_RUN = """
+TRACED_HEAD = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
@@ -64,6 +64,33 @@ from copeda.eda import EdaSpec, TerminationSpec, eda_run, run_rng
 tracer = spans.Tracer()
 spans.install(tracer)
 run = tracer.wrap("eda.run", eda_run)
+"""
+
+TRACED_TAIL = """
+metrics, problems = tracer.summary()
+assert not problems, problems
+for layer in LAYERS:
+    print(layer, metrics[layer + ".calls"])
+"""
+
+
+def traced_calls(body):
+    """The ``name count`` lines of a traced pass: ``body`` runs between
+    the tracer's install and its summary, may print lines of its own and
+    names in LAYERS the layers whose calls the pass prints."""
+    src = os.path.dirname(os.path.dirname(copeda.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_HEAD + body + TRACED_TAIL,
+         str(SPANS.parent)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    return {layer: int(count) for layer, count in
+            (line.split() for line in done.stdout.splitlines())}
+
+
+def test_traced_pass_counts_the_vine_layers():
+    calls = traced_calls("""
 # product edges skip copula_h, so the pre-test at sig_level 0.999 keeps
 # nearly every edge, and trees are never truncated
 for algorithm in ("cveda", "dveda"):
@@ -71,22 +98,28 @@ for algorithm in ("cveda", "dveda"):
                    sig_level=0.999, trunc_criterion="none")
     run(spec, f_sphere, np.full(4, -5.0), np.full(4, 5.0), run_rng(1, 0),
         model_sink=lambda *_: None)
-metrics, problems = tracer.summary()
-assert not problems, problems
-for layer in ("algorithms.learn", "algorithms.sample", "vines.fit",
-              "vines.sample", "copulas.h", "margins.quantile"):
-    print(layer, metrics[layer + ".calls"])
-"""
-
-
-def test_traced_pass_counts_the_vine_layers():
-    src = os.path.dirname(os.path.dirname(copeda.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", TRACED_RUN, str(SPANS.parent)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
-    assert done.returncode == 0, done.stderr
-    calls = dict(line.split() for line in done.stdout.splitlines())
+LAYERS = ("algorithms.learn", "algorithms.sample", "vines.fit",
+          "vines.sample", "copulas.h", "margins.quantile")
+""")
     assert len(calls) == 6
     for layer, count in calls.items():
-        assert int(count) > 0, layer
+        assert count > 0, layer
+
+
+def test_traced_pass_counts_the_frank_chain_hinv():
+    # learning calls copula_hinv too (copula_sample, under the mutual
+    # information), so count the calls made by the sampler itself
+    calls = traced_calls("""
+spec = EdaSpec("copula-mimic", 30, TerminationSpec(max_gen=3),
+               copulas=("frank",))
+run(spec, f_sphere, np.full(3, -5.0), np.full(3, 5.0), run_rng(1, 0),
+    model_sink=lambda *_: None)
+trace = tracer.arrays()
+names = np.array(tracer.layers)[trace["layer"]]
+parents = trace["parent"][names == "copulas.hinv"]
+print("sample>copulas.hinv",
+      np.count_nonzero(names[parents[parents >= 0]] == "algorithms.sample"))
+LAYERS = ("algorithms.sample", "copulas.hinv")
+""")
+    assert calls["algorithms.sample"] > 0
+    assert calls["sample>copulas.hinv"] > 0
