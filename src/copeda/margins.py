@@ -9,21 +9,31 @@ systematically underestimates the spread of small selected populations,
 which compounds over generations and causes premature convergence at the
 population sizes the benchmark studies pin down.
 
-The kernel quantile has no closed form.  The CDF F and density f at the
-knots [min - 4h, sorted sample, max + 4h] give each probability a bracket
-between adjacent knots and a start: the inverse cubic Hermite interpolant
-of x as a function of F across the bracket, with end slopes 1/f clipped at
-three times the secant's (Fritsch & Carlson 1980), so that the start is
-monotone in p and inside the bracket.  From there, one pass over the
-sample per iteration gives F and its first three derivatives for a Halley
-step (Newton's where Halley's correction is large) inside the bracket,
-which every residual narrows; a step that would leave it is replaced by
-its midpoint, so the iteration cannot diverge where the density is tiny.
-A point stops once its residual is at F's rounding level, once a small
-Halley step predicts that the next residual will be, or at the resolution
-of a 44-step bisection of the support, mostly after one CDF evaluation
-past the knots.  Probabilities at or beyond the CDF at either end of the
-support map to that end.
+The kernel quantile has no closed form.  One table at the knots [min - 4h,
+sorted sample, max + 4h], from one ndtr and one exp over the (knot, sample)
+pairs, holds F's Taylor coefficients in t = (x - knot)/h up to degree 14:
+c_0 = F and c_q = (-1)^(q-1) mean(He_(q-1)(z) phi(z)) / q! over the sample,
+He being the probabilists' Hermite polynomials, the expansion of the fast
+Gauss transform (Greengard & Strain 1991).  F at the knots gives each
+probability a bracket between adjacent knots and a start: the inverse
+cubic Hermite interpolant of x in normal scores y = ndtri(F), with end
+slopes dx/dy = phi(y)/f clipped at three times the secant's (Fritsch &
+Carlson 1980), so that the start is monotone in p and inside the bracket.
+Two Newton steps on the polynomial of the knot nearer the start (the
+sample's end in an outer interval) then need no pass over the sample.  A
+point's iterate is kept where Newton's error bound and the remainder bound,
+from Cramer's inequality |He_n(z)| exp(-z^2/4) <= 1.0865 sqrt(n!), hold its
+residual at F's rounding level.  The others, mostly in the outer intervals
+and wide gaps, go on from the iterate, or from the start where the iterate
+left the bracket.  One pass over the sample per iteration gives F and its
+first three derivatives for a Halley step (Newton's where Halley's
+correction is large) inside the bracket, which every residual narrows; a
+step that would leave it is replaced by its midpoint, so the iteration
+cannot diverge where the density is tiny.  A point stops once its residual
+is at F's rounding level, once a small Halley step predicts that the next
+residual will be, or at the resolution of a 44-step bisection of the
+support, mostly after one pass.  Probabilities at or beyond the CDF at
+either end of the support map to that end.
 
 Every kind fits, evaluates and inverts stacked columns: fitted to (m, n)
 rows, a margin's parameters are (n,) arrays (the kernel's sample is
@@ -56,6 +66,21 @@ _BETA_MAX_ITER = 50       # hard cap; most columns take 3 to 6 Newton steps
 _BLOCK = 2 ** 17          # points x sample size a kernel cdf/quantile block holds
 _EPS = np.finfo(float).eps
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+_TAYLOR_DEGREE = 14       # Q: degree of F's polynomial at a knot
+_TAYLOR_STEPS = 2         # Newton steps on it before a point goes exact
+# row q - 1 maps the sums of z^j phi(z)/phi(0) over the sample to m c_q:
+# He_(q-1)'s power coefficients times (-1)^(q-1) / (sqrt(2 pi) q!)
+_TAYLOR_ROWS = np.array([
+    np.pad(np.polynomial.hermite_e.herme2poly([0] * q + [1]),
+           (0, _TAYLOR_DEGREE - 1 - q))
+    * (-1.0) ** q / (_SQRT_2PI * math.factorial(q + 1))
+    for q in range(_TAYLOR_DEGREE)])
+# bounds on F's derivatives in t = (x - knot)/h: max|F''| / 2, and
+# max|F^(Q+1)| / (Q+1)!, which bounds the Taylor remainder over |t|^(Q+1),
+# by Cramer's inequality |He_n(z)| exp(-z^2/4) <= 1.0865 sqrt(n!)
+_CURVE_MAX = 0.5 / math.sqrt(2.0 * math.pi * math.e)
+_TAYLOR_BOUND = (1.0865 * math.sqrt(math.factorial(_TAYLOR_DEGREE))
+                 / (_SQRT_2PI * math.factorial(_TAYLOR_DEGREE + 1)))
 
 
 class MarginKind(str, Enum):
@@ -117,22 +142,22 @@ class KernelMargin(_ScoresViaQuantile):
         return out.reshape(x.shape)[()]
 
     def quantile(self, p):
-        # Each p's bracket [lo, hi] between adjacent knots, then a Hermite
-        # start and the safeguarded Halley iteration of ``_kernel_solve``.
+        # Each p's bracket [lo, hi] between adjacent knots and a start;
+        # then Newton on the Taylor polynomial of a knot of the bracket,
+        # and the safeguarded Halley iteration of ``_kernel_solve`` for the
+        # points that polynomial cannot certify.
         p = np.clip(np.asarray(p, float), _P_EPS, 1.0 - _P_EPS)
         if p.size == 0:  # no points, or a margin over no columns
             return p
-        S = self.sample.reshape(-1, self.sample.shape[-1])
+        # the sorted sample: its z rows are monotone, which ndtr takes
+        # faster, and its knots are the sample itself
+        S = np.sort(self.sample.reshape(-1, self.sample.shape[-1]), axis=1)
         (n, m), h = S.shape, np.reshape(self.bandwidth, -1)
         if self.sample.ndim > 1 and p.shape[-1:] != (n,):
             raise ValueError(f"p's last axis must have the {n} columns")
         P = p.reshape(-1, n)
-        knots = np.concatenate(((S.min(axis=1) - 4.0 * h)[:, None],
-                                np.sort(S, axis=1),
-                                (S.max(axis=1) + 4.0 * h)[:, None]), axis=1)
-        z = (knots[:, :, None] - S[:, None, :]) / h[:, None, None]
-        F = special.ndtr(z).sum(axis=-1) / m
-        f = np.exp(-0.5 * z * z).sum(axis=-1) / m / (h[:, None] * _SQRT_2PI)
+        knots, C = _knot_table(S, h)
+        F = C[0]
         # p at or beyond F at a support end maps to that end; NaN stays NaN
         x = np.where(P <= F[:, 0], knots[:, 0],
                      np.where(P >= F[:, -1], knots[:, -1], np.nan))
@@ -140,29 +165,103 @@ class KernelMargin(_ScoresViaQuantile):
         col, target = todo % n, P.ravel()[todo]
         k = np.column_stack([np.searchsorted(F[c], P[:, c], side="right")
                              for c in range(n)]).ravel()[todo]
-        lo, hi = knots[col, k - 1], knots[col, k]
-        t = (target - F[col, k - 1]) / (F[col, k] - F[col, k - 1])
-        # Inverse cubic Hermite in F: slopes dx/dF = 1/f at the ends, as
-        # multiples of the secant's, clipped at 3 (Fritsch & Carlson 1980)
-        # so the cubic is monotone and stays in the bracket.
+        # the start: the inverse cubic Hermite of x in normal scores
+        # y = ndtri(F), in which a kernel's tail is a line, with slopes
+        # dx/dy = phi(y)/f at the ends as multiples of the secant's,
+        # clipped at 3 (Fritsch & Carlson 1980) so that the cubic is
+        # monotone and stays in the bracket
+        Y = special.ndtri(F)
+        dydx = C[1] * _SQRT_2PI * np.exp(0.5 * Y * Y) / h[:, None]  # f/phi(y)
+        i = col * (m + 2) + k
+        lo, hi = knots.ravel()[i - 1], knots.ravel()[i]
+        y0, y1 = Y.ravel()[i - 1], Y.ravel()[i]
         with np.errstate(divide="ignore", invalid="ignore"):
-            secant = (F[col, k] - F[col, k - 1]) / (hi - lo)
-            a0 = np.minimum(secant / f[col, k - 1], 3.0)
-            a1 = np.minimum(secant / f[col, k], 3.0)
+            t = (special.ndtri(target) - y0) / (y1 - y0)
+            secant = (y1 - y0) / (hi - lo)
+            a0 = np.minimum(secant / dydx.ravel()[i - 1], 3.0)
+            a1 = np.minimum(secant / dydx.ravel()[i], 3.0)
             u = 1.0 - t
             cur = lo + (hi - lo) * t * (t * (3.0 - 2.0 * t)
                                         + u * (u * a0 - t * a1))
-        cur = np.where(np.isfinite(cur), np.clip(cur, lo, hi),
-                       lo + t * (hi - lo))
+        # no start where y does not resolve the bracket
+        cur = np.where(np.isfinite(cur), np.clip(cur, lo, hi), 0.5 * (lo + hi))
         # the 44-step bisection's resolution of each column's support
         span = 2.0 ** -46 * (knots[:, -1] - knots[:, 0])
+        # the knot nearer the start, or the sample's end in an outer
+        # interval: about the outer knots F is a far tail
+        near = np.clip(k - (cur - lo <= hi - cur), 1, m)
         out = x.ravel()
         rows = max(1, _BLOCK // m)
         for s in range(0, todo.size, rows):
             b = slice(s, s + rows)
-            out[todo[b]] = _kernel_solve(S, h, span, col[b], target[b],
-                                         lo[b], hi[b], cur[b])
+            xb, ok = _taylor_solve(C, knots, h, col[b], near[b], target[b],
+                                   cur[b])
+            # in its bracket, the iterate is certified or the exact
+            # solve's start
+            inside = (xb >= lo[b]) & (xb <= hi[b])
+            bad = np.flatnonzero(~(ok & inside))
+            if bad.size:
+                start = np.where(inside[bad], xb[bad], cur[b][bad])
+                xb[bad] = _kernel_solve(S, h, span, col[b][bad],
+                                        target[b][bad], lo[b][bad],
+                                        hi[b][bad], start)
+            out[todo[b]] = xb
         return out.reshape(p.shape)[()]
+
+
+def _knot_table(S, h):
+    """The knots [min - 4h, sample, max + 4h] of each row of S, a sorted
+    (n, m) sample, and F's Taylor coefficients there in t = (x - knot)/h,
+    (Q + 1, n, m + 2): c_0 = F and, for q >= 1, the sample means of
+    (-1)^(q-1) He_(q-1)(z) phi(z) / q!, z = (knot - s)/h, from the sums of
+    z^j phi(z) over the sample.
+    """
+    n, m = S.shape
+    knots = np.concatenate(((S[:, 0] - 4.0 * h)[:, None], S,
+                            (S[:, -1] + 4.0 * h)[:, None]), axis=1)
+    z = (knots[:, :, None] - S[:, None, :]) / h[:, None, None]
+    C = np.empty((_TAYLOR_DEGREE + 1, n, m + 2))
+    C[0] = special.ndtr(z).sum(axis=-1) / m
+    # the sums of z^j phi(z)/phi(0), with the sample on the leading axis,
+    # in two arrays of z's size
+    z = np.moveaxis(z, -1, 0).copy()
+    w = z * z
+    w *= -0.5
+    np.exp(w, out=w)
+    moments = np.empty((_TAYLOR_DEGREE, n, m + 2))
+    for j in range(_TAYLOR_DEGREE):
+        np.add.reduce(w, axis=0, out=moments[j])
+        if j + 1 < _TAYLOR_DEGREE:
+            np.multiply(w, z, out=w)
+    C[1:] = np.einsum("qj,jnk->qnk", _TAYLOR_ROWS, moments) / m
+    return knots, C
+
+
+def _taylor_solve(C, knots, h, col, near, target, cur):
+    """Newton's iterate on F's Taylor polynomial P about knot ``near`` of
+    column ``col`` for each point, and whether it is certified as x.
+
+    ``_TAYLOR_STEPS`` Newton steps from ``cur``, in t = (x - knot)/h.  The
+    iterate is certified where F's residual there is bounded at F's
+    rounding level, 4 eps target, by the sum of Newton's error bound,
+    max|F''| step^2 / 2, and of P's remainder, from Cramer's
+    |He_Q(z)| exp(-z^2/4) <= 1.0865 sqrt(Q!).
+    """
+    hc = h[col]
+    knot = knots[col, near]
+    coef = C.reshape(len(C), -1)[:, col * knots.shape[1] + near]
+    t = (cur - knot) / hc
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_TAYLOR_STEPS):
+            val, der = coef[-1], np.zeros(t.size)
+            for c in coef[-2::-1]:
+                der = der * t + val
+                val = val * t + c
+            step = (val - target) / der
+            t = t - step
+        bound = (_CURVE_MAX * step * step
+                 + _TAYLOR_BOUND * np.abs(t) ** (_TAYLOR_DEGREE + 1))
+        return knot + hc * t, bound <= 4.0 * _EPS * target
 
 
 def _kernel_solve(S, h, span, col, target, lo, hi, cur):
@@ -206,16 +305,17 @@ def _kernel_solve(S, h, span, col, target, lo, hi, cur):
             halley = np.abs(a) <= 0.5
             step = cur - np.where(halley, newton / (1.0 - a), newton)
             K = np.abs(bend * bend - (e2 - e0) / (6.0 * hc * hc * e0))
-        inside = (step >= lo) & (step <= hi)
-        nxt = np.where(inside, step, 0.5 * (lo + hi))
-        d = np.abs(nxt - cur)
-        tol = np.maximum(span[col], 4.0 * _EPS * np.abs(nxt))
-        # at F's rounding level the residual's sign is noise, and where
-        # the density is small Newton would hop between two points a
-        # step > tol apart until the iteration cap
-        exact = np.abs(resid) <= 4.0 * _EPS * target
-        settled = (inside & halley & (d <= 1e-4 * hc)
-                   & (dens * K * d ** 3 <= 4.0 * _EPS * target))
+            inside = (step >= lo) & (step <= hi)
+            nxt = np.where(inside, step, 0.5 * (lo + hi))
+            d = np.abs(nxt - cur)
+            tol = np.maximum(span[col], 4.0 * _EPS * np.abs(nxt))
+            # at F's rounding level the residual's sign is noise, and where
+            # the density is small Newton would hop between two points a
+            # step > tol apart until the iteration cap; where it underflows
+            # K is NaN and no step is settled
+            exact = np.abs(resid) <= 4.0 * _EPS * target
+            settled = (inside & halley & (d <= 1e-4 * hc)
+                       & (dens * K * d ** 3 <= 4.0 * _EPS * target))
         done = exact | settled | (d <= tol) | (hi - lo <= tol)
         x[todo] = np.where(exact, cur, nxt)
         keep = ~done

@@ -115,7 +115,7 @@ def test_criterion_1_gceda_kernel_sphere():
         and elapsed < 120
     report(1, ok, f"{successes}/30 success (need >= {MIN_SUCCESSES}), mean "
                   f"generations {mean_gens:.2f} (band [28, 45]), "
-                  f"{elapsed:.0f}s; missed (run, generations, best): "
+                  f"{elapsed:.1f}s; missed (run, generations, best): "
                   f"[{format_missed(missed)}]")
     assert all(math.isfinite(best) for _, _, best in missed)
     assert not_below_reference(successes)
@@ -135,7 +135,7 @@ def test_criterion_2_umda_sphere():
     report(2, ok, f"{successes}/30 success (need >= {MIN_SUCCESSES}), mean "
                   f"evaluations {mean_evals:.0f} (band [{0.8 * 3788:.0f}, "
                   f"{1.2 * 3788:.0f}]; successful-run mean "
-                  f"{np.mean(success_evals):.0f}), {elapsed:.0f}s; missed "
+                  f"{np.mean(success_evals):.0f}), {elapsed:.1f}s; missed "
                   f"(run, generations, best): [{format_missed(missed)}]")
     assert all(math.isfinite(best) for _, _, best in missed)
     assert not_below_reference(successes)
@@ -151,7 +151,7 @@ def test_criterion_3_gceda_summation_cancellation():
         and elapsed < 180
     report(3, ok, f"{successes}/30 success (need >= 29), mean evaluations "
                   f"{mean_evals:.0f} (band [{0.8 * 38913:.0f}, "
-                  f"{1.2 * 38913:.0f}]), {elapsed:.0f}s")
+                  f"{1.2 * 38913:.0f}]), {elapsed:.1f}s")
     assert successes >= 29
     assert abs(mean_evals - 38913.0) <= 0.2 * 38913.0
     assert elapsed < 180
@@ -163,7 +163,7 @@ def test_criterion_4_umda_summation_cancellation_fails():
     mean_best = summary.best_evaluation.mean
     ok = successes == 0 and mean_best > -1e4 and elapsed < 600
     report(4, ok, f"{successes}/30 success (need 0), mean best evaluation "
-                  f"{mean_best:.3e} (need > -1e4), {elapsed:.0f}s")
+                  f"{mean_best:.3e} (need > -1e4), {elapsed:.1f}s")
     assert successes == 0
     assert mean_best > -1e4
     assert elapsed < 600
@@ -181,7 +181,7 @@ def test_criterion_5_vine_edas_sphere(algorithm, target_evals):
         and elapsed < 600
     report(5, ok, f"{algorithm} {successes}/30 success, mean evaluations "
                   f"{mean_evals:.0f} (band [{0.75 * target_evals:.0f}, "
-                  f"{1.25 * target_evals:.0f}]), {elapsed:.0f}s")
+                  f"{1.25 * target_evals:.0f}]), {elapsed:.1f}s")
     assert successes == 30
     assert abs(mean_evals - target_evals) <= 0.25 * target_evals
     assert elapsed < 600
@@ -196,7 +196,7 @@ def test_criterion_6_copula_mimic_sphere():
         and elapsed < 300
     report(6, ok, f"{successes}/30 success (need >= 27), mean evaluations "
                   f"{mean_evals:.0f} (band [{0.7 * 7442:.0f}, "
-                  f"{1.3 * 7442:.0f}]), {elapsed:.0f}s")
+                  f"{1.3 * 7442:.0f}]), {elapsed:.1f}s")
     assert successes >= 27
     assert abs(mean_evals - 7442.0) <= 0.3 * 7442.0
     assert elapsed < 300
@@ -262,7 +262,7 @@ def test_criterion_7_copula_property_suite():
     report(7, ok, f"h round-trip {worst_round:.2e} (<=1e-8), tau round-trip "
                   f"{worst_tau:.2e} (<=1e-6), pdf/cdf consistency "
                   f"{worst_fd:.2e} (<=1e-3), sampled-tau error "
-                  f"{worst_sample:.3f} (<=0.05), {elapsed:.0f}s")
+                  f"{worst_sample:.3f} (<=0.05), {elapsed:.1f}s")
     assert worst_sample <= 0.05
     assert elapsed < 60
 
@@ -302,7 +302,7 @@ def test_criterion_8_dependence_suite():
     ok = recovered >= 16 and false_positives <= 5 and elapsed < 120
     report(8, ok, f"Clayton recovery {recovered}/20 (need >= 16), "
                   f"independence false positives {false_positives}/100 "
-                  f"(<= 5), 100 matrices repaired, {elapsed:.0f}s")
+                  f"(<= 5), 100 matrices repaired, {elapsed:.1f}s")
     assert elapsed < 120
 
 
@@ -331,5 +331,5 @@ def test_criterion_9_harness_suite():
     ok = 100 <= found <= 110 and elapsed < 60
     report(9, ok, f"critical pop size {found} (threshold 100, within 10%), "
                   f"10 configs deterministic with exact evaluation "
-                  f"accounting, {elapsed:.0f}s")
+                  f"accounting, {elapsed:.1f}s")
     assert elapsed < 60

@@ -402,6 +402,16 @@ class TestKernelQuantile:
         assert np.all(qs[P_GRID < 0.83] < 10.0)
         assert np.all(qs[P_GRID > 0.84] > 990.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_warning_where_the_density_underflows(self):
+        # for p just above the big cluster's share, 8/9, the exact solve
+        # starts in the gap, where the density underflows to 0 and
+        # Halley's error constant is NaN
+        model = kernel([-1.65, -0.49, -0.82, -0.12, 0.28, -0.46, -0.37,
+                        -0.46, 1001.0])
+        ps = np.linspace(0.8, 0.99, 20001)
+        assert_as_accurate_as_bisection(model, ps)
+
     def test_ends_at_the_rounding_level_of_the_cdf(self, monkeypatch):
         # Near p = 1 the residual cannot fall below F's rounding error, and
         # with a small density Newton's step there exceeds the x tolerance.
@@ -506,8 +516,8 @@ class TestStackedKernelQuantile:
             stacked.quantile(np.full((4, 2), 0.5))
 
     def test_about_one_cdf_row_per_point(self, monkeypatch):
-        # the knot table is one (m + 2, m) CDF call; the iteration after it
-        # needs little more than one CDF row per point
+        # the knot table is one (m + 2, m) CDF call; after it, most points
+        # are certified on the knot's Taylor polynomial with no CDF row
         m, points = 60, 200
         model = kernel(np.random.default_rng(11).normal(0.0, 1.0, m))
         ps = np.random.default_rng(12).random(points)
@@ -522,4 +532,62 @@ class TestStackedKernelQuantile:
         model.quantile(ps)
         monkeypatch.undo()
         assert rows[0] == m + 2
-        assert sum(rows[1:]) <= 1.5 * points
+        assert sum(rows[1:]) <= 0.25 * points
+
+
+class TestTaylorKernelQuantile:
+    @given(st.lists(COLUMN, min_size=1, max_size=4), st.integers(2, 60),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_columns(self, spec, m, seed):
+        # as accurate as bisection and monotone in p in every column, each
+        # column as its one-column fit, and every point the polynomial
+        # does not certify as the exact solve of that point alone
+        columns = [make_column(shape, s, m) for shape, s in spec]
+        stacked = kernel(np.column_stack(columns))
+        P = np.sort(np.random.default_rng(seed).random((70, len(columns))),
+                    axis=0)
+        solve, routed = margins._kernel_solve, []
+
+        def recording_solve(*args):
+            routed.append((args, solve(*args)))
+            return routed[-1][1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(margins, "_kernel_solve", recording_solve)
+            Q = stacked.quantile(P)
+        assert np.all(np.diff(Q, axis=0) >= 0.0)
+        for j, column in enumerate(columns):
+            single = kernel(column)
+            assert np.array_equal(Q[:, j], single.quantile(P[:, j]))
+            assert_as_accurate_as_bisection(single, P[:, j])
+        for (S, h, span, *points), x in routed:
+            for i, xi in enumerate(x):
+                alone = solve(S, h, span, *(a[i:i + 1] for a in points))
+                assert alone[0] == xi
+
+    @pytest.mark.parametrize("shape", ["normal", "ties", "clusters"])
+    def test_remainder_within_cramer_bound(self, shape):
+        # |He_n(z)| exp(-z^2/4) <= 1.0865 sqrt(n!) bounds F's Taylor
+        # remainder at each knot by _TAYLOR_BOUND |t|^(Q + 1), t in
+        # bandwidths, up to the rounding of the two evaluations
+        model = kernel(make_column(shape, 5, 40))
+        h = model.bandwidth
+        S = np.sort(model.sample)[None, :]
+        knots, C = margins._knot_table(S, np.array([h]))
+        t = np.linspace(-1.0, 1.0, 41)
+        for k in range(1, knots.shape[1] - 1):
+            x = knots[0, k] + h * t
+            exact_t = (x - knots[0, k]) / h
+            bound = (margins._TAYLOR_BOUND
+                     * np.abs(exact_t) ** (margins._TAYLOR_DEGREE + 1))
+            taylor = np.polynomial.polynomial.polyval(exact_t, C[:, 0, k])
+            gap = np.abs(taylor - model.cdf(x))
+            assert np.all(gap <= bound + 16.0 * np.finfo(float).eps)
+
+    def test_cramer_constant(self):
+        z = np.linspace(-40.0, 40.0, 80001)
+        for n in range(margins._TAYLOR_DEGREE + 1):
+            he = np.polynomial.hermite_e.hermeval(z, [0] * n + [1])
+            assert np.max(np.abs(he) * np.exp(-z * z / 4)) \
+                <= 1.0865 * math.sqrt(math.factorial(n))
