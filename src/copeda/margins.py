@@ -9,31 +9,38 @@ systematically underestimates the spread of small selected populations,
 which compounds over generations and causes premature convergence at the
 population sizes the benchmark studies pin down.
 
-The kernel quantile has no closed form.  One table at the knots [min - 4h,
-sorted sample, max + 4h], from one ndtr and one exp over the (knot, sample)
-pairs, holds F's Taylor coefficients in t = (x - knot)/h up to degree 14:
-c_0 = F and c_q = (-1)^(q-1) mean(He_(q-1)(z) phi(z)) / q! over the sample,
-He being the probabilists' Hermite polynomials, the expansion of the fast
-Gauss transform (Greengard & Strain 1991).  F at the knots gives each
+The kernel quantile has no closed form.  A table at knots evenly spaced
+over [min - 4h, max + 4h], at most h/2 apart, holds F's Taylor coefficients
+in t = (x - knot)/h up to degree 14: c_0 = F and c_q = (-1)^(q-1)
+mean(He_(q-1)(z) phi(z)) / q! over the sample, He being the probabilists'
+Hermite polynomials, the expansion of the fast Gauss transform (Greengard &
+Strain 1991), which also expands on a regular grid.  The grid has
+ceil(2 (span/h + 8)) intervals, so its size grows with span/h and not with
+the sample; a column whose grid would take more than m + 2 knots, a sample
+in far-apart clusters or a small m, has the knots [min - 4h, sorted sample,
+max + 4h] instead.  One ndtr and one exp over the (knot, sample) pairs, in
+slabs of bounded size, give the table.  F at the knots gives each
 probability a bracket between adjacent knots and a start: the inverse
 cubic Hermite interpolant of x in normal scores y = ndtri(F), with end
 slopes dx/dy = phi(y)/f clipped at three times the secant's (Fritsch &
 Carlson 1980), so that the start is monotone in p and inside the bracket.
-Two Newton steps on the polynomial of the knot nearer the start (the
-sample's end in an outer interval) then need no pass over the sample.  A
-point's iterate is kept where Newton's error bound and the remainder bound,
-from Cramer's inequality |He_n(z)| exp(-z^2/4) <= 1.0865 sqrt(n!), hold its
-residual at F's rounding level.  The others, mostly in the outer intervals
-and wide gaps, go on from the iterate, or from the start where the iterate
-left the bracket.  One pass over the sample per iteration gives F and its
-first three derivatives for a Halley step (Newton's where Halley's
-correction is large) inside the bracket, which every residual narrows; a
-step that would leave it is replaced by its midpoint, so the iteration
-cannot diverge where the density is tiny.  A point stops once its residual
-is at F's rounding level, once a small Halley step predicts that the next
-residual will be, or at the resolution of a 44-step bisection of the
-support, mostly after one pass.  Probabilities at or beyond the CDF at
-either end of the support map to that end.
+Two Newton steps on the polynomial of the knot nearer the start then need
+no pass over the sample.  A point's iterate is kept where Newton's error
+bound and the remainder bound, from Cramer's inequality |He_n(z)|
+exp(-z^2/4) <= 1.0865 sqrt(n!), hold its residual at F's rounding level:
+on the grid, where no point is more than h/4 from a knot, that is all but
+a few points in the tails.  The others, those and the points in the wide
+gaps between sample knots, go on from the iterate, or from the start
+where the iterate left the bracket.  One pass over the sample per
+iteration gives F and its first three derivatives for a Halley step
+(Newton's where Halley's correction is large) inside the bracket, which
+every residual narrows; a step that would leave it is replaced by its
+midpoint, so the iteration cannot diverge where the density is tiny.  A
+point stops once its residual is at F's rounding level, once a small
+Halley step predicts that the next residual will be, or at the resolution
+of a 44-step bisection of the support, mostly after one pass.
+Probabilities at or beyond the CDF at either end of the support map to
+that end.
 
 Every kind fits, evaluates and inverts stacked columns: fitted to (m, n)
 rows, a margin's parameters are (n,) arrays (the kernel's sample is
@@ -63,7 +70,7 @@ _NEWTON_MAX_ITER = 100    # hard cap; midpoint steps alone converge in 46
 _BETA_TIGHT = 1e6         # moment a + b from which a beta keeps the moments
 _BETA_CAP = 1e15          # a + b of a constant column's beta
 _BETA_MAX_ITER = 50       # hard cap; most columns take 3 to 6 Newton steps
-_BLOCK = 2 ** 17          # points x sample size a kernel cdf/quantile block holds
+_BLOCK = 2 ** 17          # (point or knot, sample) pairs a kernel block holds
 _EPS = np.finfo(float).eps
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _TAYLOR_DEGREE = 14       # Q: degree of F's polynomial at a knot
@@ -150,21 +157,25 @@ class KernelMargin(_ScoresViaQuantile):
         if p.size == 0:  # no points, or a margin over no columns
             return p
         # the sorted sample: its z rows are monotone, which ndtr takes
-        # faster, and its knots are the sample itself
+        # faster, and it is the knots where they are not a grid
         S = np.sort(self.sample.reshape(-1, self.sample.shape[-1]), axis=1)
         (n, m), h = S.shape, np.reshape(self.bandwidth, -1)
         if self.sample.ndim > 1 and p.shape[-1:] != (n,):
             raise ValueError(f"p's last axis must have the {n} columns")
         P = p.reshape(-1, n)
         knots, C = _knot_table(S, h)
+        width = knots.shape[1]
         F = C[0]
         # p at or beyond F at a support end maps to that end; NaN stays NaN
         x = np.where(P <= F[:, 0], knots[:, 0],
                      np.where(P >= F[:, -1], knots[:, -1], np.nan))
         todo = np.flatnonzero((P > F[:, 0]) & (P < F[:, -1]))
         col, target = todo % n, P.ravel()[todo]
-        k = np.column_stack([np.searchsorted(F[c], P[:, c], side="right")
-                             for c in range(n)]).ravel()[todo]
+        # each point's bracket from one search of the table's F, ordered
+        # by column and then by F: complex numbers compare lexicographically
+        i = np.searchsorted((np.arange(n)[:, None] + 1j * F).ravel(),
+                            col + 1j * target, side="right")
+        k = i - col * width
         # the start: the inverse cubic Hermite of x in normal scores
         # y = ndtri(F), in which a kernel's tail is a line, with slopes
         # dx/dy = phi(y)/f at the ends as multiples of the secant's,
@@ -172,7 +183,6 @@ class KernelMargin(_ScoresViaQuantile):
         # monotone and stays in the bracket
         Y = special.ndtri(F)
         dydx = C[1] * _SQRT_2PI * np.exp(0.5 * Y * Y) / h[:, None]  # f/phi(y)
-        i = col * (m + 2) + k
         lo, hi = knots.ravel()[i - 1], knots.ravel()[i]
         y0, y1 = Y.ravel()[i - 1], Y.ravel()[i]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -187,9 +197,8 @@ class KernelMargin(_ScoresViaQuantile):
         cur = np.where(np.isfinite(cur), np.clip(cur, lo, hi), 0.5 * (lo + hi))
         # the 44-step bisection's resolution of each column's support
         span = 2.0 ** -46 * (knots[:, -1] - knots[:, 0])
-        # the knot nearer the start, or the sample's end in an outer
-        # interval: about the outer knots F is a far tail
-        near = np.clip(k - (cur - lo <= hi - cur), 1, m)
+        # the knot of the bracket nearer the start
+        near = k - (cur - lo <= hi - cur)
         out = x.ravel()
         rows = max(1, _BLOCK // m)
         for s in range(0, todo.size, rows):
@@ -210,31 +219,53 @@ class KernelMargin(_ScoresViaQuantile):
 
 
 def _knot_table(S, h):
-    """The knots [min - 4h, sample, max + 4h] of each row of S, a sorted
-    (n, m) sample, and F's Taylor coefficients there in t = (x - knot)/h,
-    (Q + 1, n, m + 2): c_0 = F and, for q >= 1, the sample means of
-    (-1)^(q-1) He_(q-1)(z) phi(z) / q!, z = (knot - s)/h, from the sums of
-    z^j phi(z) over the sample.
+    """Knots of each row of S, a sorted (n, m) sample, and F's Taylor
+    coefficients there in t = (x - knot)/h, (Q + 1, n, K).
+
+    A row's knots are K_c + 1 <= m + 2 evenly spaced over [min - 4h,
+    max + 4h] with K_c = ceil(2 (span/h + 8)) intervals, at most h/2 apart,
+    or, where that needs more knots, [min - 4h, sample, max + 4h].  Each row
+    repeats its last knot up to the widest row's K knots.  c_0 = F and, for
+    q >= 1, c_q is the sample mean of (-1)^(q-1) He_(q-1)(z) phi(z) / q!,
+    z = (knot - s)/h, from the sums of z^j phi(z) over the sample.
     """
     n, m = S.shape
-    knots = np.concatenate(((S[:, 0] - 4.0 * h)[:, None], S,
-                            (S[:, -1] + 4.0 * h)[:, None]), axis=1)
-    z = (knots[:, :, None] - S[:, None, :]) / h[:, None, None]
-    C = np.empty((_TAYLOR_DEGREE + 1, n, m + 2))
-    C[0] = special.ndtr(z).sum(axis=-1) / m
-    # the sums of z^j phi(z)/phi(0), with the sample on the leading axis,
-    # in two arrays of z's size
-    z = np.moveaxis(z, -1, 0).copy()
-    w = z * z
-    w *= -0.5
-    np.exp(w, out=w)
-    moments = np.empty((_TAYLOR_DEGREE, n, m + 2))
-    for j in range(_TAYLOR_DEGREE):
-        np.add.reduce(w, axis=0, out=moments[j])
-        if j + 1 < _TAYLOR_DEGREE:
-            np.multiply(w, z, out=w)
-    C[1:] = np.einsum("qj,jnk->qnk", _TAYLOR_ROWS, moments) / m
-    return knots, C
+    lo, hi = S[:, 0] - 4.0 * h, S[:, -1] + 4.0 * h
+    size = 2.0 * ((S[:, -1] - S[:, 0]) / h + 8.0)
+    grid = size <= m + 1
+    count = np.where(grid, np.ceil(size) + 1.0, m + 2).astype(int)
+    j = np.arange(count.max())
+    last = (count - 1)[:, None]
+    knots = np.where(j < last, lo[:, None] + (hi - lo)[:, None] * (j / last),
+                     hi[:, None])
+    if not grid.all():
+        knots[~grid, 1:m + 1] = S[~grid]
+    # the table of each (column, knot) row up to a column's last knot, in
+    # slabs of at most _BLOCK (knot, sample) pairs; a slab's row is one
+    # knot's, so slabs change no bits
+    cols, rows = np.nonzero(j < count[:, None])
+    table = np.empty((_TAYLOR_DEGREE + 1, cols.size))
+    step = max(1, _BLOCK // m)
+    for s in range(0, cols.size, step):
+        c = cols[s:s + step]
+        z = (knots[c, rows[s:s + step], None] - S[c]) / h[c, None]
+        table[0, s:s + step] = special.ndtr(z).sum(axis=-1) / m
+        # the sums of z^j phi(z)/phi(0), with the sample on the leading
+        # axis, in two arrays of z's size
+        z = z.T.copy()
+        w = z * z
+        w *= -0.5
+        np.exp(w, out=w)
+        moments = np.empty((_TAYLOR_DEGREE, c.size))
+        for q in range(_TAYLOR_DEGREE):
+            np.add.reduce(w, axis=0, out=moments[q])
+            if q + 1 < _TAYLOR_DEGREE:
+                np.multiply(w, z, out=w)
+        table[1:, s:s + step] = np.einsum("qj,jr->qr", _TAYLOR_ROWS,
+                                          moments) / m
+    # a padded knot has its column's last row
+    first = np.cumsum(count) - count
+    return knots, table[:, first[:, None] + np.minimum(j, last)]
 
 
 def _taylor_solve(C, knots, h, col, near, target, cur):
@@ -386,7 +417,17 @@ def _columns(margin: MarginModel) -> list[MarginModel]:
 def _silverman_bandwidth(S: np.ndarray, sd):
     """R's bw.nrd0 of each sample along the last axis of S."""
     m = S.shape[-1]
-    q25, q75 = np.percentile(S, [25, 75], axis=-1)
+    # np.percentile's linear rule, bit for bit, on the sorted rows: between
+    # the order statistics a and b about g = q (m - 1), a + (b - a) t below
+    # t = 1/2 and b - (b - a) (1 - t) from it on, t being g's fraction
+    R = np.sort(S, axis=-1)
+    quartiles = []
+    for g in (0.25 * (m - 1), 0.75 * (m - 1)):
+        k = int(g)
+        a, b, t = R[..., k], R[..., k + 1], g - k
+        quartiles.append(a + (b - a) * t if t < 0.5
+                         else b - (b - a) * (1.0 - t))
+    q25, q75 = quartiles
     # R's bw.nrd0: the sd alone when the IQR is 0; a constant sample floors
     spread = np.minimum(sd, (q75 - q25) / 1.34)
     # m ** -0.2 as a Python int power: numpy's power differs from it in the

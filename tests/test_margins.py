@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -156,6 +157,31 @@ class TestFit:
         assert model.bandwidth == pytest.approx(0.9 * sd * 5 ** -0.2,
                                                 rel=1e-12)
         assert model.bandwidth == pytest.approx(0.29, abs=0.005)
+
+    @given(st.lists(st.tuples(st.sampled_from(["normal", "ties", "constant"]),
+                              st.integers(0, 2 ** 32 - 1)),
+                    min_size=1, max_size=4),
+           st.integers(2, 80))
+    @settings(max_examples=100, deadline=None)
+    def test_bandwidth_quartiles_are_percentiles_bit_for_bit(self, rows, m):
+        # the rows' quartiles from one sort and the linear rule give the
+        # bandwidths of np.percentile's, ties and constant rows included
+        def row(shape, seed):
+            rng = np.random.default_rng(seed)
+            if shape == "normal":
+                return rng.normal(rng.uniform(-1e3, 1e3),
+                                  rng.uniform(1e-3, 1e3), m)
+            if shape == "ties":
+                return rng.choice(rng.normal(0.0, 10.0, 3), m)
+            return np.full(m, rng.normal(0.0, 10.0))
+
+        S = np.array([row(shape, seed) for shape, seed in rows])
+        sd = np.std(S, axis=-1, ddof=1)
+        q25, q75 = np.percentile(S, [25, 75], axis=-1)
+        spread = np.minimum(sd, (q75 - q25) / 1.34)
+        want = np.maximum(0.9 * np.where(spread, spread, sd) * m ** -0.2,
+                          margins.BANDWIDTH_FLOOR)
+        assert np.array_equal(margins._silverman_bandwidth(S, sd), want)
 
 
 class TestFitBits:
@@ -506,7 +532,7 @@ class TestStackedKernelQuantile:
         P = rng.random((50, 3))
         whole = stacked.quantile(P)
         F = stacked.cdf(whole)
-        monkeypatch.setattr(margins, "_BLOCK", 7 * 30)  # 7 points a block
+        monkeypatch.setattr(margins, "_BLOCK", 7 * 30)  # 7 points or knots
         assert np.array_equal(stacked.quantile(P), whole)
         assert np.array_equal(stacked.cdf(whole), F)  # 2 rows of 3 a block
 
@@ -516,8 +542,9 @@ class TestStackedKernelQuantile:
             stacked.quantile(np.full((4, 2), 0.5))
 
     def test_about_one_cdf_row_per_point(self, monkeypatch):
-        # the knot table is one (m + 2, m) CDF call; after it, most points
-        # are certified on the knot's Taylor polynomial with no CDF row
+        # the knot table is one (knots, m) CDF call, its grid no larger than
+        # m + 2 sample knots; after it, almost every point is certified on
+        # the knot's Taylor polynomial with no CDF row
         m, points = 60, 200
         model = kernel(np.random.default_rng(11).normal(0.0, 1.0, m))
         ps = np.random.default_rng(12).random(points)
@@ -531,8 +558,60 @@ class TestStackedKernelQuantile:
         monkeypatch.setattr(special, "ndtr", counting_ndtr)
         model.quantile(ps)
         monkeypatch.undo()
-        assert rows[0] == m + 2
-        assert sum(rows[1:]) <= 0.25 * points
+        span = np.ptp(model.sample) / model.bandwidth
+        assert rows[0] == math.ceil(2.0 * (span + 8.0)) + 1 <= m + 2
+        assert sum(rows[1:]) <= 0.05 * points
+
+    def test_grid_or_sample_knots(self):
+        # a normal column's knots are a grid at most h/2 apart, far-apart
+        # clusters keep their sample as knots, and a constant column's
+        # floored bandwidth gives a grid of 17; stacked, each column keeps
+        # the table and quantiles of its one-column fit, its knots padded
+        # with its last one
+        m = 60
+        columns = [make_column(shape, 5, m)
+                   for shape in ("normal", "clusters", "constant")]
+        stacked = kernel(np.column_stack(columns))
+        h = stacked.bandwidth
+        S = np.sort(stacked.sample, axis=1)
+        knots, C = margins._knot_table(S, h)
+        assert knots.shape == (3, m + 2) and C.shape[1:] == (3, m + 2)
+        count = math.ceil(2.0 * (np.ptp(S[0]) / h[0] + 8.0)) + 1
+        grid = knots[0, :count]
+        assert count < m + 2
+        assert grid[0] == S[0, 0] - 4.0 * h[0]
+        assert grid[-1] == S[0, -1] + 4.0 * h[0]
+        assert np.all(np.diff(grid) > 0.0)
+        assert np.all(np.diff(grid) <= 0.5 * h[0] * (1.0 + 1e-12))
+        assert np.array_equal(knots[1, 1:m + 1], S[1])
+        assert h[2] == margins.BANDWIDTH_FLOOR
+        P = np.random.default_rng(6).random((200, 3))
+        Q = stacked.quantile(P)
+        for j, column in enumerate(columns):
+            single = kernel(column)
+            one_knots, one_C = margins._knot_table(
+                np.sort(single.sample)[None], np.array([single.bandwidth]))
+            width = one_knots.shape[1]
+            assert width == (count, m + 2, 17)[j]
+            assert np.array_equal(knots[j, :width], one_knots[0])
+            assert np.all(knots[j, width:] == one_knots[0, -1])
+            assert np.array_equal(C[:, j, :width], one_C[:, 0])
+            assert np.all(C[:, j, width:] == one_C[:, 0, -1:])
+            assert np.array_equal(Q[:, j], single.quantile(P[:, j]))
+
+    def test_table_memory_is_blocked(self):
+        # at (1000, 10) clusters the table keeps its sample knots: whole, each
+        # of its arrays would be 10 x 1002 x 1000 floats, 80 MB
+        columns = [make_column("clusters", seed, 1000) for seed in range(10)]
+        model = kernel(np.column_stack(columns))
+        P = np.random.default_rng(4).random((200, 10))
+        tracemalloc.start()
+        try:
+            model.quantile(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestTaylorKernelQuantile:
