@@ -10,7 +10,6 @@ from .copulas import (
     copula_h,
     copula_hinv,
     copula_loglik,
-    copula_pdf,
     copula_sample,
     fit_frank,
     fit_student_dof,
@@ -40,7 +39,6 @@ from .vines import (
     VineType,
     describe_vine,
     fit_vine,
-    select_dvine_order,
     vine_loglik,
     vine_sample,
 )

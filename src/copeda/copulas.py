@@ -377,11 +377,6 @@ def copula_logpdf(c: BivariateCopula, u, v):
     return ops.logpdf(c, _interior(u), _interior(v))
 
 
-def copula_pdf(c: BivariateCopula, u, v):
-    """Copula density c(u, v); finite at interior points."""
-    return np.exp(copula_logpdf(c, u, v))
-
-
 def copula_cdf(c: BivariateCopula, u, v):
     """Copula CDF with exact boundary behavior C(u,0)=0, C(u,1)=u."""
     ua = np.asarray(u, dtype=float)

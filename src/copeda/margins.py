@@ -20,27 +20,20 @@ the sample; a column whose grid would take more than m + 2 knots, a sample
 in far-apart clusters or a small m, has the knots [min - 4h, sorted sample,
 max + 4h] instead.  One ndtr and one exp over the (knot, sample) pairs, in
 slabs of bounded size, give the table.  F at the knots gives each
-probability a bracket between adjacent knots and a start: the inverse
-cubic Hermite interpolant of x in normal scores y = ndtri(F), with end
-slopes dx/dy = phi(y)/f clipped at three times the secant's (Fritsch &
-Carlson 1980), so that the start is monotone in p and inside the bracket.
-Two Newton steps on the polynomial of the knot nearer the start then need
-no pass over the sample.  A point's iterate is kept where Newton's error
-bound and the remainder bound, from Cramer's inequality |He_n(z)|
-exp(-z^2/4) <= 1.0865 sqrt(n!), hold its residual at F's rounding level:
-on the grid, where no point is more than h/4 from a knot, that is all but
-a few points in the tails.  The others, those and the points in the wide
-gaps between sample knots, go on from the iterate, or from the start
-where the iterate left the bracket.  One pass over the sample per
-iteration gives F and its first three derivatives for a Halley step
-(Newton's where Halley's correction is large) inside the bracket, which
-every residual narrows; a step that would leave it is replaced by its
-midpoint, so the iteration cannot diverge where the density is tiny.  A
-point stops once its residual is at F's rounding level, once a small
-Halley step predicts that the next residual will be, or at the resolution
-of a 44-step bisection of the support, mostly after one pass.
-Probabilities at or beyond the CDF at either end of the support map to
-that end.
+probability a bracket between adjacent knots and a start, x linear in the
+normal scores y = ndtri(F) across the bracket.  Three Newton steps on the
+polynomial of the knot nearer the start then need no pass over the sample.
+A point's iterate is kept where Newton's error bound and the remainder
+bound, from Cramer's inequality |He_n(z)| exp(-z^2/4) <= 1.0865 sqrt(n!),
+hold its residual at F's rounding level: on the grid, where no point is
+more than h/4 from a knot, that is all but a few points in the tails.  The
+others, those and the points in the wide gaps between sample knots, go on
+from the iterate, or from the start where the iterate left the bracket,
+with Newton steps on F itself, one pass over the sample each, inside the
+bracket, which every residual narrows; a step that would leave it is
+replaced by its midpoint, so the iteration cannot diverge where the density
+is tiny.  Probabilities at or beyond the CDF at either end of the support
+map to that end.
 
 Every kind fits, evaluates and inverts stacked columns: fitted to (m, n)
 rows, a margin's parameters are (n,) arrays (the kernel's sample is
@@ -74,7 +67,7 @@ _BLOCK = 2 ** 17          # (point or knot, sample) pairs a kernel block holds
 _EPS = np.finfo(float).eps
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _TAYLOR_DEGREE = 14       # Q: degree of F's polynomial at a knot
-_TAYLOR_STEPS = 2         # Newton steps on it before a point goes exact
+_TAYLOR_STEPS = 3         # Newton steps on it before a point goes exact
 # row q - 1 maps the sums of z^j phi(z)/phi(0) over the sample to m c_q:
 # He_(q-1)'s power coefficients times (-1)^(q-1) / (sqrt(2 pi) q!)
 _TAYLOR_ROWS = np.array([
@@ -151,8 +144,8 @@ class KernelMargin(_ScoresViaQuantile):
     def quantile(self, p):
         # Each p's bracket [lo, hi] between adjacent knots and a start;
         # then Newton on the Taylor polynomial of a knot of the bracket,
-        # and the safeguarded Halley iteration of ``_kernel_solve`` for the
-        # points that polynomial cannot certify.
+        # and Newton on F in ``_kernel_solve`` for the points that
+        # polynomial cannot certify.
         p = np.clip(np.asarray(p, float), _P_EPS, 1.0 - _P_EPS)
         if p.size == 0:  # no points, or a margin over no columns
             return p
@@ -176,23 +169,13 @@ class KernelMargin(_ScoresViaQuantile):
         i = np.searchsorted((np.arange(n)[:, None] + 1j * F).ravel(),
                             col + 1j * target, side="right")
         k = i - col * width
-        # the start: the inverse cubic Hermite of x in normal scores
-        # y = ndtri(F), in which a kernel's tail is a line, with slopes
-        # dx/dy = phi(y)/f at the ends as multiples of the secant's,
-        # clipped at 3 (Fritsch & Carlson 1980) so that the cubic is
-        # monotone and stays in the bracket
+        # the start: x linear in the normal scores y = ndtri(F), in which a
+        # kernel's tail is a line
         Y = special.ndtri(F)
-        dydx = C[1] * _SQRT_2PI * np.exp(0.5 * Y * Y) / h[:, None]  # f/phi(y)
         lo, hi = knots.ravel()[i - 1], knots.ravel()[i]
         y0, y1 = Y.ravel()[i - 1], Y.ravel()[i]
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = (special.ndtri(target) - y0) / (y1 - y0)
-            secant = (y1 - y0) / (hi - lo)
-            a0 = np.minimum(secant / dydx.ravel()[i - 1], 3.0)
-            a1 = np.minimum(secant / dydx.ravel()[i], 3.0)
-            u = 1.0 - t
-            cur = lo + (hi - lo) * t * (t * (3.0 - 2.0 * t)
-                                        + u * (u * a0 - t * a1))
+            cur = lo + (hi - lo) * ((special.ndtri(target) - y0) / (y1 - y0))
         # no start where y does not resolve the bracket
         cur = np.where(np.isfinite(cur), np.clip(cur, lo, hi), 0.5 * (lo + hi))
         # the 44-step bisection's resolution of each column's support
@@ -241,15 +224,18 @@ def _knot_table(S, h):
     if not grid.all():
         knots[~grid, 1:m + 1] = S[~grid]
     # the table of each (column, knot) row up to a column's last knot, in
-    # slabs of at most _BLOCK (knot, sample) pairs; a slab's row is one
-    # knot's, so slabs change no bits
+    # balanced slabs of at most max(3, _BLOCK // m) rows, a row being one
+    # knot's (knot, sample) pairs; every column has four knots or more, so
+    # each slab holds two rows or more (numpy sums a one-row slab in another
+    # order), and slabs change no bits
     cols, rows = np.nonzero(j < count[:, None])
     table = np.empty((_TAYLOR_DEGREE + 1, cols.size))
-    step = max(1, _BLOCK // m)
-    for s in range(0, cols.size, step):
-        c = cols[s:s + step]
-        z = (knots[c, rows[s:s + step], None] - S[c]) / h[c, None]
-        table[0, s:s + step] = special.ndtr(z).sum(axis=-1) / m
+    slabs = -(-cols.size // max(3, _BLOCK // m))
+    cuts = [cols.size * k // slabs for k in range(slabs + 1)]
+    for b in map(slice, cuts, cuts[1:]):
+        c = cols[b]
+        z = (knots[c, rows[b], None] - S[c]) / h[c, None]
+        table[0, b] = special.ndtr(z).sum(axis=-1) / m
         # the sums of z^j phi(z)/phi(0), with the sample on the leading
         # axis, in two arrays of z's size
         z = z.T.copy()
@@ -261,8 +247,7 @@ def _knot_table(S, h):
             np.add.reduce(w, axis=0, out=moments[q])
             if q + 1 < _TAYLOR_DEGREE:
                 np.multiply(w, z, out=w)
-        table[1:, s:s + step] = np.einsum("qj,jr->qr", _TAYLOR_ROWS,
-                                          moments) / m
+        table[1:, b] = np.einsum("qj,jr->qr", _TAYLOR_ROWS, moments) / m
     # a padded knot has its column's last row
     first = np.cumsum(count) - count
     return knots, table[:, first[:, None] + np.minimum(j, last)]
@@ -298,23 +283,18 @@ def _taylor_solve(C, knots, h, col, near, target, cur):
 def _kernel_solve(S, h, span, col, target, lo, hi, cur):
     """x with F(x) = target for each point, F being column ``col``'s CDF.
 
-    One pass over the sample per iteration gives F and, from one exp row,
-    its first three derivatives.  The Halley step x - (r/f) / (1 - a), with
-    r = F(x) - target and a = r F'' / (2 f^2), is taken where |a| <= 1/2,
-    Newton's elsewhere; a step that leaves the bracket, which every residual
-    narrows, is replaced by the bracket's midpoint.  A point stops once its
-    residual is at F's rounding level, its step or bracket is within the
-    tolerance, or a Halley step d predicts a next residual f K d^3 at that
-    level, K = |(F''/2f)^2 - F'''/(6f)| being Halley's error constant.  The
-    prediction also needs d <= h/10^4: the next term, of order (d/h)^4 in
-    the residual, is then at the rounding level too, even where K is ~0.
+    One pass over the sample per iteration gives F and its density f for a
+    Newton step x - r/f, r = F(x) - target, inside the bracket, which every
+    residual narrows; a step that would leave it is replaced by the
+    bracket's midpoint.  A point stops once its residual is at F's rounding
+    level, or its step or bracket is within the tolerance.
     """
     m = S.shape[1]
     x = np.empty(target.size)
     todo = np.arange(target.size)
     for _ in range(_NEWTON_MAX_ITER):
         # two (points, m) arrays, reused in place: z, then ndtr(z) and the
-        # exp row e, giving the sums of e, z e and z^2 e
+        # exp row, giving F and f
         hc = h[col]
         z = S[col]
         np.subtract(cur[:, None], z, out=z)
@@ -323,31 +303,18 @@ def _kernel_solve(S, h, span, col, target, lo, hi, cur):
         resid = w.sum(axis=-1) / m - target
         np.multiply(z, z, out=w)
         np.multiply(w, -0.5, out=w)
-        e0 = np.exp(w, out=w).sum(axis=-1)
-        e1 = np.multiply(z, w, out=w).sum(axis=-1)
-        e2 = np.multiply(z, w, out=w).sum(axis=-1)
+        dens = np.exp(w, out=w).sum(axis=-1) / m / (hc * _SQRT_2PI)
         lo = np.where(resid < 0.0, cur, lo)
         hi = np.where(resid > 0.0, cur, hi)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            dens = e0 / m / (hc * _SQRT_2PI)
-            newton = resid / dens
-            bend = -e1 / (2.0 * hc * e0)                   # F'' / (2f)
-            a = newton * bend
-            halley = np.abs(a) <= 0.5
-            step = cur - np.where(halley, newton / (1.0 - a), newton)
-            K = np.abs(bend * bend - (e2 - e0) / (6.0 * hc * hc * e0))
-            inside = (step >= lo) & (step <= hi)
-            nxt = np.where(inside, step, 0.5 * (lo + hi))
-            d = np.abs(nxt - cur)
-            tol = np.maximum(span[col], 4.0 * _EPS * np.abs(nxt))
-            # at F's rounding level the residual's sign is noise, and where
-            # the density is small Newton would hop between two points a
-            # step > tol apart until the iteration cap; where it underflows
-            # K is NaN and no step is settled
-            exact = np.abs(resid) <= 4.0 * _EPS * target
-            settled = (inside & halley & (d <= 1e-4 * hc)
-                       & (dens * K * d ** 3 <= 4.0 * _EPS * target))
-        done = exact | settled | (d <= tol) | (hi - lo <= tol)
+            step = cur - resid / dens
+        nxt = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        tol = np.maximum(span[col], 4.0 * _EPS * np.abs(nxt))
+        # at F's rounding level the residual's sign is noise, and where the
+        # density is small Newton would hop between two points a step > tol
+        # apart until the iteration cap
+        exact = np.abs(resid) <= 4.0 * _EPS * target
+        done = exact | (np.abs(nxt - cur) <= tol) | (hi - lo <= tol)
         x[todo] = np.where(exact, cur, nxt)
         keep = ~done
         todo, col, target, lo, hi, cur = (todo[keep], col[keep], target[keep],

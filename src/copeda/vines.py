@@ -90,23 +90,15 @@ class RVineModel:
         return len(self.order)
 
 
-def select_dvine_order(U) -> tuple[int, ...]:
-    """D-vine path by cheapest insertion on edge costs 1 - |tau|.
+def _dvine_path(taus: np.ndarray) -> tuple[int, ...]:
+    """D-vine path by cheapest insertion on edge costs 1 - |tau|, from the
+    (n, n) tau matrix of a sample of n >= 2 variables.
 
     Starts from the highest-|tau| pair and inserts each remaining node where
     the open-path cost increase is smallest.  Ties break to the lowest
     index; the returned path is canonicalized so its first endpoint is the
     smaller variable index.
     """
-    U = np.asarray(U, dtype=float)
-    n = U.shape[1]
-    if n < 2:
-        return tuple(range(n))
-    return _dvine_path(kendall_tau_matrix(U))
-
-
-def _dvine_path(taus: np.ndarray) -> tuple[int, ...]:
-    """:func:`select_dvine_order` of a sample with tau matrix ``taus``."""
     n = taus.shape[0]
     cost = 1.0 - np.abs(taus)
     np.fill_diagonal(cost, np.inf)
@@ -226,7 +218,7 @@ class _DVineTrees:
 
     ``a[i]`` is F(x_i | between) and ``b[i]`` is F(x_{i+j+1} | between).
     Fitting selects the path from the tau matrix of ``U``
-    (:func:`select_dvine_order`) and keeps tree 1's edge taus from it in
+    (:func:`_dvine_path`) and keeps tree 1's edge taus from it in
     ``taus`` (see :func:`_edge_taus`); deeper trees have none.
     """
 

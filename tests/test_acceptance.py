@@ -30,7 +30,7 @@ from copeda.copulas import (
     copula_cdf,
     copula_h,
     copula_hinv,
-    copula_pdf,
+    copula_logpdf,
     copula_sample,
     parameter_to_tau,
     student,
@@ -247,7 +247,8 @@ def test_criterion_7_copula_property_suite():
                       - copula_cdf(cop, u + d, v - d)
                       - copula_cdf(cop, u - d, v + d)
                       + copula_cdf(cop, u - d, v - d)) / (4 * d * d)
-                worst_fd = max(worst_fd, abs(copula_pdf(cop, u, v) - fd))
+                worst_fd = max(worst_fd,
+                               abs(np.exp(copula_logpdf(cop, u, v)) - fd))
     assert worst_fd <= 1e-3
 
     worst_sample = 0.0

@@ -16,7 +16,6 @@ from copeda.copulas import (
     copula_h,
     copula_hinv,
     copula_logpdf,
-    copula_pdf,
     frank,
     gumbel,
     normal,
@@ -58,7 +57,7 @@ SCALAR_RULE_CASES = (
     [pytest.param((m.cdf, m.quantile), 1, id=m.kind.value)
      for m in all_kind_models()]
     + [pytest.param(tuple(functools.partial(op, c) for op in (
-        copula_logpdf, copula_pdf, copula_cdf, copula_h, copula_hinv)), 2,
+        copula_logpdf, copula_cdf, copula_h, copula_hinv)), 2,
         id=f"copula-{name}") for name, c in COPULA_ROWS.items()])
 # by arity: the scalar arguments, then array arguments whose first
 # broadcast entry is those scalars
@@ -390,6 +389,12 @@ def kernel(sample):
     return fit_margin(MarginKind.KERNEL, sample, -1e4, 1e4)
 
 
+def two_far_apart_clusters():
+    rng = np.random.default_rng(7)
+    return np.concatenate([rng.normal(0.0, 1.0, 50),
+                           rng.normal(1000.0, 1.0, 10)])
+
+
 class TestKernelQuantile:
     def test_grid_as_accurate_as_bisection(self):
         model = all_kind_models()[1]
@@ -416,9 +421,7 @@ class TestKernelQuantile:
     def test_two_far_apart_clusters(self):
         # Both quartiles fall in the big cluster, so h is about 0.4 and the
         # CDF is flat at 5/6 across the gap, where the density underflows.
-        rng = np.random.default_rng(7)
-        model = kernel(np.concatenate([rng.normal(0.0, 1.0, 50),
-                                       rng.normal(1000.0, 1.0, 10)]))
+        model = kernel(two_far_apart_clusters())
         assert model.bandwidth < 1.0
         gap = model.cdf(500.0)
         ps = np.concatenate([P_GRID, [gap, gap - 1e-9, gap + 1e-9]])
@@ -431,12 +434,45 @@ class TestKernelQuantile:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_no_warning_where_the_density_underflows(self):
         # for p just above the big cluster's share, 8/9, the exact solve
-        # starts in the gap, where the density underflows to 0 and
-        # Halley's error constant is NaN
+        # starts in the gap, where the density underflows to 0 and the
+        # Newton step is infinite or NaN
         model = kernel([-1.65, -0.49, -0.82, -0.12, 0.28, -0.46, -0.37,
                         -0.46, 1001.0])
         ps = np.linspace(0.8, 0.99, 20001)
         assert_as_accurate_as_bisection(model, ps)
+
+    @pytest.mark.parametrize("sample", [
+        two_far_apart_clusters(),
+        np.array([-1.65, -0.49, -0.82, -0.12, 0.28, -0.46, -0.37, -0.46,
+                  1001.0]),
+        np.random.default_rng(0).normal(0.0, 30.0, 60),
+    ], ids=["clusters", "underflow", "normal"])
+    def test_exact_solve_from_the_support_midpoint(self, sample, monkeypatch):
+        # the exact solve from the worst start, the support's midpoint with
+        # the whole support as its bracket, is as accurate as bisection in
+        # far fewer passes over the sample than the iteration cap
+        model = kernel(sample)
+        h = model.bandwidth
+        lo, hi = sample.min() - 4.0 * h, sample.max() + 4.0 * h
+        ps = np.linspace(0.0, 1.0, 2002)[1:-1]
+        ends = np.ones(ps.size)
+        passes = []
+        ndtr = special.ndtr
+
+        def counting_ndtr(z):
+            passes.append(1)
+            return ndtr(z)
+
+        monkeypatch.setattr(special, "ndtr", counting_ndtr)
+        x = margins._kernel_solve(
+            np.sort(sample)[None], np.array([h]),
+            np.array([2.0 ** -46 * (hi - lo)]), np.zeros(ps.size, int), ps,
+            lo * ends, hi * ends, 0.5 * (lo + hi) * ends)
+        monkeypatch.undo()
+        assert len(passes) <= 30  # 19, 22 and 11 on these columns
+        assert np.all(np.abs(model.cdf(x) - ps)
+                      <= np.abs(model.cdf(bisection_quantile(model, ps)) - ps)
+                      + 1e-12)
 
     def test_ends_at_the_rounding_level_of_the_cdf(self, monkeypatch):
         # Near p = 1 the residual cannot fall below F's rounding error, and
@@ -530,11 +566,18 @@ class TestStackedKernelQuantile:
         stacked = kernel(
             np.column_stack([rng.normal(0.0, 1.0, 30) for _ in range(3)]))
         P = rng.random((50, 3))
+        S, h = np.sort(stacked.sample, axis=1), stacked.bandwidth
+        table = margins._knot_table(S, h)
         whole = stacked.quantile(P)
         F = stacked.cdf(whole)
-        monkeypatch.setattr(margins, "_BLOCK", 7 * 30)  # 7 points or knots
-        assert np.array_equal(stacked.quantile(P), whole)
-        assert np.array_equal(stacked.cdf(whole), F)  # 2 rows of 3 a block
+        # 7 or 5 points or knots a block; the table's 96 rows in slabs of 5
+        # would leave one row in the last
+        for rows in (7, 5):
+            monkeypatch.setattr(margins, "_BLOCK", rows * 30)
+            for blocked, one in zip(margins._knot_table(S, h), table):
+                assert np.array_equal(blocked, one)
+            assert np.array_equal(stacked.quantile(P), whole)
+            assert np.array_equal(stacked.cdf(whole), F)  # 2 or 1 rows of 3
 
     def test_probabilities_must_have_one_column_per_margin(self):
         stacked = kernel(np.tile([[0.0], [1.0], [2.0]], 3))
