@@ -5,8 +5,11 @@ Gumbel.  Each family supports density, CDF, conditional distribution
 (h-function), inverse h-function, sampling and moment-based parameter
 estimation through Kendall's tau.  One table, ``_FAMILY_OPS``, holds each
 family's log density, CDF, h and h-inverse at interior points; the public
-functions clip their arguments and look the family up.  Clayton and Gumbel
-are evaluated in log space so that extreme dependence parameters do not
+functions clip their arguments and look the family up.  Each is a closed
+form or one fixed vectorised rule: the Student CDF is a 64-node
+Gauss-Legendre sum over Plackett's identity, Frank's tau a dilogarithm and
+the Gumbel h-inverse a few monotone Newton steps.  Clayton and Gumbel are
+evaluated in log space so that extreme dependence parameters do not
 overflow.  Frank with theta < 0 is the 90-degree rotation of Frank(-theta),
 the copula of (1 - U, V), derived once from the Frank row by ``_rotated``.
 """
@@ -17,7 +20,6 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 
 import numpy as np
 from scipy import special
@@ -27,7 +29,6 @@ RHO_MAX = 1.0 - 1e-8       # largest admissible |rho| for normal/Student
 FRANK_THETA_MAX = 300.0    # |theta| cap keeping exp(-theta*(u+v)) in range
 STUDENT_NU_MIN = 1.0
 STUDENT_NU_MAX = 100.0
-HINV_TOL = 1e-13           # bracket width that stops the Gumbel h-inverse
 
 
 class CopulaFamily(str, Enum):
@@ -221,13 +222,28 @@ def _bvn_cdf(x, y, rho):
     return np.clip(out, 0.0, 1.0)
 
 
-@partial(np.vectorize, otypes=[float])
+# _student_cdf's rule: 64 Gauss-Legendre nodes s in (0, 1) mapped by
+# phi = L s^3, so the nodes are s^3 and the weights carry dphi/ds / L = 3 s^2
+_S, _W = np.polynomial.legendre.leggauss(64)
+_STUDENT_NODES, _STUDENT_WEIGHTS = ((_S + 1.0) / 2.0) ** 3, 0.375 * _W * (_S + 1.0) ** 2
+
+
 def _student_cdf(rho, nu, u, v):
-    # C(u, v) = int_0^v h(u | t) dt; the integrand is smooth and bounded
-    from scipy.integrate import quad  # loaded on first use only
-    val, _ = quad(lambda t: _student_h(rho, nu, u, t), 0.0, v,
-                  epsabs=1e-6, epsrel=1e-8, limit=200)
-    return min(max(val, 0.0), 1.0)
+    # Plackett's identity for the bivariate t (Genz 2004): C leaves the
+    # Frechet bound at r = sign(rho) by dC/dr = (1 + (x^2 - 2rxy + y^2) /
+    # (nu (1 - r^2)))^(-nu/2) / (2 pi sqrt(1 - r^2)), which in
+    # phi = pi/2 - asin|r| over [0, L] is the power alone over 2 pi
+    x = special.stdtrit(nu, u)[..., None]
+    y = special.stdtrit(nu, v)[..., None]
+    sign = 1.0 if rho >= 0.0 else -1.0
+    big_l = 0.5 * math.pi - math.asin(abs(rho))
+    phi = big_l * _STUDENT_NODES
+    # the quadratic form over nu (1 - r^2), written without cancellation
+    q = (((x - sign * y) ** 2 + 4.0 * sign * x * y * np.sin(0.5 * phi) ** 2)
+         / (nu * np.sin(phi) ** 2))
+    integral = np.sum(_STUDENT_WEIGHTS * np.exp(-0.5 * nu * np.log1p(q)), axis=-1)
+    bound = np.minimum(u, v) if sign > 0.0 else np.maximum(u + v - 1.0, 0.0)
+    return bound - sign * big_l / (2.0 * math.pi) * integral
 
 
 def _frank_cdf(theta, u, v):
@@ -297,19 +313,23 @@ def _gumbel_h(theta, u, v):
 
 
 def _gumbel_hinv(theta, p, v):
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-    p_b, v_b = np.broadcast_arrays(p, v)
-    lo = np.full(p_b.shape, INTERIOR_EPS)
-    hi = np.full(p_b.shape, 1.0 - INTERIOR_EPS)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        too_low = _gumbel_h(theta, mid, v_b) < p_b
-        lo = np.where(too_low, mid, lo)
-        hi = np.where(too_low, hi, mid)
-        if np.max(hi - lo) < HINV_TOL:
+    # with b = -log v and d = ((-log u)^theta + b^theta)^(1/theta) - b >= 0,
+    # h(u | v) = p is g(d) = d + (theta - 1) log1p(d / b) + log p = 0, concave
+    # and increasing.  Either term of g alone bounds the root from above; one
+    # Newton step from the smaller bound lands in [0, root], and the next
+    # ones climb to it
+    b = -np.log(v)
+    target = -np.log(p)
+    with np.errstate(divide="ignore"):  # theta = 1 leaves the first bound
+        d = b * np.expm1(np.minimum(np.log1p(target / b), target / (theta - 1.0)))
+    for _ in range(50):
+        step = ((d + (theta - 1.0) * np.log1p(d / b) - target)
+                / (1.0 + (theta - 1.0) / (b + d)))
+        d -= step
+        if np.all(np.abs(step) <= 1e-12 * d):
             break
-    return 0.5 * (lo + hi)
+    # -log u = (b + d) (1 - (b / (b + d))^theta)^(1/theta), which cannot overflow
+    return np.exp(-(b + d) * (-np.expm1(-theta * np.log1p(d / b))) ** (1.0 / theta))
 
 
 # ---------------------------------------------------------------------------
@@ -453,24 +473,25 @@ def clip_tau(tau: float) -> float:
     return float(np.clip(tau, -(1.0 - 1e-8), 1.0 - 1e-8))
 
 
-def _debye1(theta: float) -> float:
-    """First Debye function D1(theta) = (1/theta) * int_0^theta t/(e^t - 1) dt."""
-    from scipy.integrate import quad  # loaded on first use only
-
-    def integrand(t):
-        if abs(t) < 1e-12:
-            return 1.0
-        return t / math.expm1(t)
-
-    val, _ = quad(integrand, 0.0, theta, limit=200)
-    return val / theta
+# Frank tau's Taylor series, 4 B_2k theta^(2k-1) / ((2k + 1) (2k)!) for
+# k = 1..8, which the closed form's cancellation needs below |theta| = 1/2
+_FRANK_TAU_SERIES = (-3617 / 45350147082240000, 1 / 280215936000,
+                     -691 / 4249941696000, 1 / 131725440, -1 / 2721600,
+                     1 / 52920, -1 / 900, 1 / 9)
 
 
 def _frank_tau(theta: float) -> float:
-    # tau(theta) = 1 - (4/theta) * (1 - D1(theta)); odd in theta
-    sign = 1.0 if theta > 0 else -1.0
-    th = abs(theta)
-    return sign * (1.0 - 4.0 / th * (1.0 - _debye1(th)))
+    # tau = 1 - 4/t + (4/t^2) int_0^t s/(e^s - 1) ds with t = |theta|, odd in
+    # theta; the integral is pi^2/6 + t log(1 - e^-t) - Li2(e^-t)
+    t = abs(theta)
+    if t < 0.5:
+        acc = 0.0
+        for c in _FRANK_TAU_SERIES:
+            acc = acc * theta * theta + c
+        return theta * acc
+    w = -math.expm1(-t)  # 1 - e^-t, and Li2(e^-t) = spence(1 - e^-t)
+    integral = math.pi ** 2 / 6.0 + t * math.log(w) - float(special.spence(w))
+    return math.copysign(1.0 - 4.0 / t + 4.0 * integral / (t * t), theta)
 
 
 def tau_to_parameter(family: CopulaFamily, tau: float) -> BivariateCopula:
@@ -504,8 +525,11 @@ def tau_to_parameter(family: CopulaFamily, tau: float) -> BivariateCopula:
         theta = FRANK_THETA_MAX
     else:
         from scipy.optimize import brentq  # loaded on first use only
-        theta = brentq(lambda t: _frank_tau(t) - target, 1e-10, FRANK_THETA_MAX,
-                       xtol=1e-12, rtol=8.9e-16)
+        # tau(theta) <= theta / 9, and tau(18 tau) > tau while tau < 0.3;
+        # xtol is below theta's rounding, so rtol alone stops the search
+        hi = 18.0 * target if target < 0.3 else FRANK_THETA_MAX
+        theta = brentq(lambda t: _frank_tau(t) - target, 4.5 * target, hi,
+                       xtol=1e-15 * target, rtol=8.9e-16)
     return frank(math.copysign(theta, tau))
 
 

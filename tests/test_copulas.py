@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 import zlib
 
 import numpy as np
@@ -148,6 +149,38 @@ class TestCdf:
             emp = np.mean((uv[:, 0] <= u) & (uv[:, 1] <= v))
             assert copula_cdf(c, u, v) == pytest.approx(emp, abs=0.01)
 
+    @pytest.mark.parametrize("nu", [1.0, 4.0, 100.0])
+    @pytest.mark.parametrize("rho", [copulas.RHO_MAX, 0.999, 0.5, 0.0, -0.5,
+                                     -0.999, -copulas.RHO_MAX])
+    def test_student_orthant_identity(self, rho, nu):
+        # P(X <= 0, Y <= 0) of an elliptical pair is 1/4 + asin(rho)/(2 pi)
+        assert copula_cdf(student(rho, nu), 0.5, 0.5) == pytest.approx(
+            0.25 + math.asin(rho) / (2.0 * math.pi), abs=1e-12)
+
+    def test_student_against_quadrature_of_h(self):
+        # independent oracle: C(u, v) = int_0^v h(u | t) dt by adaptive
+        # quadrature, split where h's transition in t sits (x = rho y(t));
+        # beyond |rho| = 0.999 the oracle itself loses accuracy
+        eps = copulas.INTERIOR_EPS
+        points = [(0.3, 0.4), (0.5, 0.5), (0.2, 0.2), (0.9, 0.9),
+                  (0.4, 0.4 + 1e-6), (0.7, 0.7 + 1e-9), (0.3, 0.7),
+                  (0.9, 0.1), (0.05, 0.95), (eps, 0.5), (0.5, eps),
+                  (1 - eps, 0.3), (0.3, 1 - eps), (eps, eps),
+                  (1 - eps, 1 - eps), (eps, 1 - eps)]
+        for rho in (-0.999, -0.9, -0.5, 0.0, 0.5, 0.9, 0.999):
+            for nu in (1.0, 2.5, 4.0, 30.0, 100.0):
+                for u, v in points:
+                    x = special.stdtrit(nu, u)
+                    kink = special.stdtr(nu, x / rho) if rho else 0.0
+                    expected, abserr = quad(
+                        lambda t: copulas._student_h(rho, nu, u, t), 0.0, v,
+                        epsabs=1e-13, epsrel=1e-11, limit=200,
+                        points=[kink] if 0.0 < kink < v else None,
+                        full_output=1)[:2]
+                    assert abserr < 1e-10
+                    assert copula_cdf(student(rho, nu), u, v) == pytest.approx(
+                        expected, abs=1e-7)
+
     @pytest.mark.parametrize("c", SAMPLE_COPULAS)
     def test_two_increasing(self, c):
         rng = np.random.default_rng(11)
@@ -202,6 +235,28 @@ class TestHInverse:
     def test_gumbel_bisection_tolerance(self):
         u = copula_hinv(gumbel(2.0), 0.3, 0.6)
         assert abs(copula_h(gumbel(2.0), u, 0.6) - 0.3) <= 1e-10
+
+    @pytest.mark.parametrize("theta", [1.0 + 1e-9, 1.001, 1.25, 2.0, 20.0,
+                                       100.0])
+    def test_gumbel_round_trip_over_the_range(self, theta):
+        # h(hinv(p | v) | v) = p to 1e-10 wherever hinv is inside the clamp,
+        # plus what one double of u moves h: c(u, v) ulp(u), which near
+        # u = v = 1 exceeds 1e-10 for any inverse
+        c = gumbel(theta)
+        p, v = np.meshgrid(
+            np.concatenate([[1e-300, 1e-100, 1e-20, 1e-8],
+                            np.linspace(0.01, 0.99, 25),
+                            [1 - 1e-8, 1 - 1e-12, 1 - 1e-16]]),
+            np.concatenate([[1e-10, 1e-6, 1e-3], np.linspace(0.02, 0.98, 17),
+                            [1 - 1e-3, 1 - 1e-6, 1 - 1e-10]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            u = copula_hinv(c, p, v)
+            err = np.abs(copula_h(c, u, v) - p)
+            bound = 1e-10 + np.exp(copula_logpdf(c, u, v)) * np.spacing(u)
+        inside = (u > copulas.INTERIOR_EPS) & (u < 1 - copulas.INTERIOR_EPS)
+        assert inside.mean() > 0.8
+        assert np.all(err[inside] <= bound[inside])
 
 
 def same_bits(a, b) -> bool:
@@ -295,7 +350,7 @@ FAMILY_BITS = {
     ("normal", "copula_h"): "6c6924a5ca82bd4c",
     ("normal", "copula_hinv"): "f64afeed877609e1",
     ("student", "copula_logpdf"): "4f4781a1847ff9ea",
-    ("student", "copula_cdf"): "1607172ff57fcb34",
+    ("student", "copula_cdf"): "5873c3592d5521cd",
     ("student", "copula_h"): "11b627b3e4a5136d",
     ("student", "copula_hinv"): "ddaa862baec52962",
     ("clayton", "copula_logpdf"): "827341e12207e468",
@@ -313,7 +368,7 @@ FAMILY_BITS = {
     ("gumbel", "copula_logpdf"): "4a3246c5873a1d5d",
     ("gumbel", "copula_cdf"): "b662898b8fc8c3d1",
     ("gumbel", "copula_h"): "0217965cfd82612f",
-    ("gumbel", "copula_hinv"): "d215a06811353628",
+    ("gumbel", "copula_hinv"): "503bb7f68492e813",
 }
 
 
@@ -393,6 +448,14 @@ class TestTauConversions:
             expected = 1.0 - 4.0 / abs(theta) + 4.0 * integral / theta ** 2
             expected = math.copysign(expected, theta)
             assert parameter_to_tau(frank(theta)) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("tau", [1e-12, 1e-9, 1e-6, 2e-5, 0.5, 0.98])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_frank_round_trip_to_small_tau(self, tau, sign):
+        # an untied edge's tau is a multiple of 1/N with N = m(m - 1)/2, so
+        # large samples reach |tau| near 0, where theta is near 9 tau
+        c = tau_to_parameter(CopulaFamily.FRANK, sign * tau)
+        assert parameter_to_tau(c) == pytest.approx(sign * tau, rel=1e-9)
 
     @pytest.mark.parametrize("family", [CopulaFamily.NORMAL, CopulaFamily.STUDENT,
                                         CopulaFamily.CLAYTON, CopulaFamily.FRANK,
@@ -531,9 +594,9 @@ class TestProperties:
     # h(hinv(p, v), v) = p, checked in p: hinv(h(u, v), v) = u cannot hold
     # to any fixed tolerance where h is within rounding of 0 or 1 (normal,
     # theta 0.957, u = 0.75, v = 0.0625 gives h = 1 - 7.9e-14, whose distance
-    # from 1 a double holds to three digits).  The closed-form inverses are
-    # exact to rounding and the Gumbel bisection brackets u to 1e-13, so
-    # 1e-10 allows a copula density up to 1000 at hinv(p, v).
+    # from 1 a double holds to three digits).  The closed-form inverses and
+    # the Gumbel Newton solve are exact to rounding, so 1e-10 allows a
+    # copula density up to about 1e6 at hinv(p, v).
     @given(copulas_strategy(), st.floats(0.05, 0.95), st.floats(0.05, 0.95))
     @settings(max_examples=60, deadline=None)
     def test_hinv_h_identity(self, c, p, v):

@@ -292,11 +292,11 @@ CVINE_EDGES = (
     "gumbel 0x1.c94e547ef8ebap+0", "normal -0x1.3eb96ca9c0f58p-2",
     "normal 0x1.2dc1fd07fb1dep-1", "normal -0x1.278f510e2435fp-1", "product",
     "clayton 0x1.080a4a9cf1d96p-1", "normal -0x1.9eb036215926dp-1",
-    "frank 0x1.0f0a16917d721p+1", "gumbel 0x1.61c9f01970e50p+0",
+    "frank 0x1.0f0a16917d75bp+1", "gumbel 0x1.61c9f01970e50p+0",
     "normal -0x1.9691a0d0e2b95p-2")
 DVINE_EDGES = (
     "normal 0x1.2dc1fd07fb1dep-1", "gumbel 0x1.c94e547ef8ebap+0",
-    "normal -0x1.1f448ddcfdde8p-2", "frank -0x1.6f7a831f477bap+1", "product",
+    "normal -0x1.1f448ddcfdde8p-2", "frank -0x1.6f7a831f477c9p+1", "product",
     "product", "normal -0x1.f7a140500d6aap-2", "clayton 0x1.219e95e4c6c3dp-1",
     "normal -0x1.7c5b129b19300p-1", "gumbel 0x1.10ae4c415c988p+1")
 
@@ -310,10 +310,10 @@ DVINE_TESTS = (1, 1, 23, 1, 83, 111, 1, 2, 1, 1)
 # truncates
 VINE_REGRESSION = {
     ("cvine", criterion): ((4, 1, 2, 0, 3), 4, CVINE_EDGES,
-                           "0x1.c11d22faee888p+6", CVINE_TESTS)
+                           "0x1.c11d22faee887p+6", CVINE_TESTS)
     for criterion in ("aic", "bic", "none")} | {
     ("dvine", criterion): ((2, 4, 0, 1, 3), 4, DVINE_EDGES,
-                           "0x1.10a00d31b771bp+7", DVINE_TESTS)
+                           "0x1.10a00d31b7717p+7", DVINE_TESTS)
     for criterion in ("aic", "bic", "none")}
 
 
