@@ -31,6 +31,7 @@ from .copulas import (
     normal,
 )
 from .dependence import (
+    _symmetric_taus,
     _upper_pairs,
     copula_mutual_information,
     kendall_tau_matrix,
@@ -161,15 +162,16 @@ class NormalDependence:
         """With normal margins the algorithm coincides with the classic
         multivariate-normal EDA, so the correlation matrix is the sample
         (Pearson) correlation.  With any other margin kind it is estimated by
-        pairwise Kendall tau inversion, rho = sin(pi tau / 2).  Either way the
-        matrix is clipped away from +-1 and repaired to positive definite.
+        pairwise Kendall tau inversion, rho = sin(pi tau / 2), with pair
+        {i, j}, i < j, taking the tau of (X_i, X_j).  Either way the matrix
+        is clipped away from +-1 and repaired to positive definite.
         """
         if spec.effective_margin is MarginKind.NORMAL:
             with np.errstate(invalid="ignore"):
                 rho = np.atleast_2d(np.corrcoef(X.T))
             rho = np.nan_to_num(rho, nan=0.0)
         else:
-            rho = np.sin(np.pi * kendall_tau_matrix(X) / 2.0)
+            rho = np.sin(np.pi * _symmetric_taus(kendall_tau_matrix(X)) / 2.0)
         rho = np.clip(rho, -RHO_MAX, RHO_MAX)
         np.fill_diagonal(rho, 1.0)
         return cls(make_positive_definite(rho))

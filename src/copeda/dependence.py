@@ -3,9 +3,12 @@
 Kendall's tau, pseudo-observations, the rank Cramer-von Mises independence
 test of Genest & Remillard (2004), CvM goodness-of-fit copula selection,
 copula-entropy mutual information, and positive-definite repair of
-correlation matrices.  Both tau functions share one dispatch, whose
-per-pair fallback for long or non-finite samples is copeda's only use of
-``scipy.stats``: it imports the module on first use, not at import.
+correlation matrices.  Entry (i, j) of the tau matrix is the tau of the
+ordered pair (X_i, X_j), and ``kendall_tau`` reads entry (0, 1).  Each
+call takes one kernel for the whole matrix: the pair-sign kernel, or a
+per-pair fallback for long samples or ones with an infinite value, which
+is copeda's only use of ``scipy.stats``: it imports the module on first
+use, not at import.
 
 The independence test's null distribution depends only on the sample size;
 it is simulated once per size from a fixed seed and cached, so no test
@@ -68,61 +71,73 @@ def _upper_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sign_tau(X: np.ndarray) -> np.ndarray:
-    """tau-b of every column pair of a finite, nowhere-constant sample.
+    """tau-b of every ordered column pair (i, j) of a sample with no
+    infinite value; NaN where column i or j is constant or holds a NaN.
 
     Row j of ``S`` holds the signs of column j's differences over all row
     pairs, so ``S @ S.T`` holds concordant minus discordant pair counts
     off the diagonal and untied pair counts on it.  The entries are -1, 0
-    and 1, so the float64 (BLAS) sums are exact integers; the tau-b
-    expression and clamp are scipy's, which keeps entry (i, j), i < j,
-    equal to ``scipy.stats.kendalltau(X[:, i], X[:, j])`` bit for bit.
+    and 1, so the float64 (BLAS) sums are exact integers, and
+    G[i, j] / sqrt(G[i, i]) / sqrt(G[j, j]), clamped, is scipy's expression
+    for x = column i, y = column j: entry (i, j) has the bits of
+    ``scipy.stats.kendalltau(X[:, i], X[:, j])``.  A constant column's
+    entries are 0/0.
     """
     first, second = _upper_pairs(X.shape[0])
     S = np.sign(X[first] - X[second]).T
     G = S @ S.T
     root = np.sqrt(np.diag(G))
-    T = np.clip(G / root[:, None] / root[None, :], -1.0, 1.0)
-    i, j = _upper_pairs(X.shape[1])
-    T[j, i] = T[i, j]  # keep scipy's (x = i, y = j) division order
-    np.fill_diagonal(T, 1.0)
-    return T
+    with np.errstate(invalid="ignore"):
+        return np.clip(G / root[:, None] / root[None, :], -1.0, 1.0)
 
 
 def kendall_tau_matrix(X) -> np.ndarray:
-    """Symmetric matrix of the tau-b values of the column pairs of an
-    (m, n) sample, m >= 2, with unit diagonal.
+    """Matrix of the tau-b values of the ordered column pairs of an (m, n)
+    sample, m >= 2, with unit diagonal.
 
-    Entry (i, j), i < j, has the bits of ``scipy.stats.kendalltau(X[:, i],
-    X[:, j]).statistic``, and entry (j, i) repeats it: where the columns'
-    tie counts differ, ``kendall_tau(X[:, j], X[:, i])`` divides by their
-    tie terms in the other order and can differ in the last bit.  A pair
-    with a constant column gives 0 and a ``DegenerateDataWarning``, and a
-    NaN tau gives 0.  Finite, non-constant columns share a pair-sign kernel
-    where it beats scipy's merge count (``TAU_SIGN_M2_PER_COLUMN``), and
-    every other pair goes to scipy.
+    Entry (i, j), i != j, has the bits of ``scipy.stats.kendalltau(X[:, i],
+    X[:, j]).statistic``, which tau-b divides by column i's tie term first:
+    where the two columns' tie counts differ, entries (i, j) and (j, i)
+    can differ in the last bit.  A pair with a constant column gives 0 and
+    a ``DegenerateDataWarning``, and a NaN tau gives 0.  The whole matrix
+    comes from a pair-sign kernel where it beats scipy's merge count
+    (``TAU_SIGN_M2_PER_COLUMN``) and no value is infinite; otherwise every
+    pair goes to scipy, once per orientation when either column has ties.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("Kendall's tau needs an (m, n) sample, m >= 2")
     m, n = X.shape
-    constant = np.ptp(X, axis=0) == 0.0
-    fast = np.isfinite(X).all(axis=0) & ~constant
-    if m > TAU_SIGN_MAX_M or m * m > TAU_SIGN_M2_PER_COLUMN * (fast.sum() - 1):
-        fast[:] = False
-    if n and fast.all():
-        return _sign_tau(X)
-    out = np.eye(n)
-    if fast.any():
-        out[np.ix_(fast, fast)] = _sign_tau(X[:, fast])
-    for i, j in zip(*_upper_pairs(n)):
-        if constant[i] or constant[j]:
-            warnings.warn("constant input vector; tau set to 0",
-                          DegenerateDataWarning, stacklevel=2)
-        elif not (fast[i] and fast[j]):
-            from scipy import stats  # loaded on first use only
-            tau = stats.kendalltau(X[:, i], X[:, j]).statistic
-            out[i, j] = out[j, i] = tau if np.isfinite(tau) else 0.0
-    return out
+    i, j = _upper_pairs(n)
+    constant = (X == X[0]).all(axis=0)
+    for _ in range(np.count_nonzero(constant[i] | constant[j])):
+        warnings.warn("constant input vector; tau set to 0",
+                      DegenerateDataWarning, stacklevel=2)
+    if (m <= TAU_SIGN_MAX_M and m * m <= TAU_SIGN_M2_PER_COLUMN * (n - 1)
+            and not np.isinf(X).any()):
+        T = _sign_tau(X)
+    else:
+        T = np.zeros((n, n))
+        s = np.sort(X, axis=0)
+        tied = (s[1:] == s[:-1]).any(axis=0)
+        for a, b in zip(i.tolist(), j.tolist()):
+            if not (constant[a] or constant[b]):
+                from scipy import stats  # loaded on first use only
+                T[a, b] = stats.kendalltau(X[:, a], X[:, b]).statistic
+                T[b, a] = (stats.kendalltau(X[:, b], X[:, a]).statistic
+                           if tied[a] or tied[b] else T[a, b])
+    T[np.isnan(T)] = 0.0
+    np.fill_diagonal(T, 1.0)
+    return T
+
+
+def _symmetric_taus(T: np.ndarray) -> np.ndarray:
+    """Tau matrix ``T`` with each pair {i, j}, i < j, read from entry
+    (i, j) in both triangles, and 0 on the diagonal, so that a score built
+    on it does not depend on which orientation's tie-term division rounds
+    up."""
+    upper = np.triu(T, 1)
+    return upper + upper.T
 
 
 def kendall_tau(x, y) -> float:
@@ -158,6 +173,8 @@ def pseudo_observations(X) -> np.ndarray:
     ``upto`` count of -x.
     """
     X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError("pseudo-observations need an (m, n) sample")
     m, n = X.shape
     upto = _le_ranks(np.concatenate([X.T, -X.T]))
     twice = (upto[:n] - upto[n:] + (m + 1)).T.astype(float)

@@ -9,10 +9,11 @@ random numbers and runs once per tree over all of the tree's edges,
 decides between the product copula and CvM goodness-of-fit selection among
 the candidate families, and fitting truncates when AIC or BIC stops
 improving.  GoF moment-fits each edge from a tau the structure selection
-already has: each C-vine tree's root-selection matrix holds that tree's
-edge taus, and the D-vine path's matrix holds tree 1's.  GoF computes its
-own for deeper D-vine trees and for an edge whose matrix entry lacks the
-bits of the edge's own orientation (``_edge_taus``).
+already has: ``kendall_tau_matrix`` entry (a, b) is the tau of the
+ordered pair (a, b), so each C-vine tree's root-selection matrix holds
+that tree's edge taus and the D-vine path's matrix holds tree 1's.  GoF
+computes its own for deeper D-vine trees.  The structure scores read each
+unordered pair's tau in ascending index order.
 
 Fitting, ``vine_loglik`` and ``vine_sample`` share one edge layout per vine
 type, stated in ``RVineModel``: the tree walkers ``_CVineTrees`` and
@@ -38,7 +39,8 @@ from .copulas import (
     copula_loglik,
     product,
 )
-from .dependence import gof_select_copula, indep_tests_cvm, kendall_tau_matrix
+from .dependence import (_symmetric_taus, gof_select_copula, indep_tests_cvm,
+                         kendall_tau_matrix)
 
 
 class VineType(str, Enum):
@@ -92,7 +94,8 @@ class RVineModel:
 
 def _dvine_path(taus: np.ndarray) -> tuple[int, ...]:
     """D-vine path by cheapest insertion on edge costs 1 - |tau|, from the
-    (n, n) tau matrix of a sample of n >= 2 variables.
+    (n, n) tau matrix of a sample of n >= 2 variables; pair {i, j}, i < j,
+    costs by entry (i, j) in either direction.
 
     Starts from the highest-|tau| pair and inserts each remaining node where
     the open-path cost increase is smallest.  Ties break to the lowest
@@ -100,7 +103,7 @@ def _dvine_path(taus: np.ndarray) -> tuple[int, ...]:
     smaller variable index.
     """
     n = taus.shape[0]
-    cost = 1.0 - np.abs(taus)
+    cost = 1.0 - np.abs(_symmetric_taus(taus))
     np.fill_diagonal(cost, np.inf)
     # Python floats: the same IEEE sums as numpy scalars, indexed faster
     cost = cost.tolist()
@@ -141,21 +144,6 @@ def _criterion_penalty(criterion: str, k: int, m: int) -> float:
     raise ValueError(f"unknown criterion: {criterion}")
 
 
-def _edge_taus(taus: np.ndarray, X: np.ndarray, edges) -> list:
-    """``kendall_tau(X[:, a], X[:, b])`` of each edge (a, b), read from
-    ``taus = kendall_tau_matrix(X)``, or None where it cannot be read.
-
-    Entry (a, b) has those bits when a < b.  Below the diagonal the matrix
-    repeats entry (b, a), whose tau-b divides by the two columns' tie terms
-    in the other order; that is the same division when neither column has
-    ties, and otherwise the edge gets None.
-    """
-    s = np.sort(X, axis=0)
-    untied = (s[1:] != s[:-1]).all(axis=0).tolist()
-    return [taus[a, b] if a < b or untied[a] and untied[b] else None
-            for a, b in edges]
-
-
 # bound once: on CPython 3.11 an enum member lookup costs about ten global reads
 _PRODUCT = CopulaFamily.PRODUCT
 
@@ -175,10 +163,11 @@ class _CVineTrees:
 
     The roots are ``order`` when one is given; fitting picks each as the
     remaining variable with the largest summed absolute tau to the others
-    on the current pseudo-observations, ties to the lowest index, and
-    keeps each edge's tau from that matrix in ``taus`` (see
-    :func:`_edge_taus`).  After tree j, ``cols[o]`` holds
-    F(x_o | roots 0..j) and a root's column keeps F(x_root | earlier roots).
+    on the current pseudo-observations (pair {a, b}, a < b, by entry
+    (a, b)), ties to the lowest index, and keeps each edge (o, root)'s
+    tau, entry (o, root) of that matrix, in ``taus``.  After tree j,
+    ``cols[o]`` holds F(x_o | roots 0..j) and a root's column keeps
+    F(x_root | earlier roots).
     """
 
     def __init__(self, U, order=None):
@@ -195,10 +184,9 @@ class _CVineTrees:
         else:
             X = np.column_stack([self.cols[i] for i in self.remaining])
             taus = kendall_tau_matrix(X)
-            r = int(np.argmax(np.abs(taus - np.eye(k)).sum(axis=1)))
+            r = int(np.argmax(np.abs(_symmetric_taus(taus)).sum(axis=1)))
             self.root = self.remaining[r]
-            self.taus = _edge_taus(taus, X,
-                                   [(a, r) for a in range(k) if a != r])
+            self.taus = [taus[a, r] for a in range(k) if a != r]
         self.others = [i for i in self.remaining if i != self.root]
         return [(self.cols[o], self.cols[self.root]) for o in self.others]
 
@@ -218,8 +206,8 @@ class _DVineTrees:
 
     ``a[i]`` is F(x_i | between) and ``b[i]`` is F(x_{i+j+1} | between).
     Fitting selects the path from the tau matrix of ``U``
-    (:func:`_dvine_path`) and keeps tree 1's edge taus from it in
-    ``taus`` (see :func:`_edge_taus`); deeper trees have none.
+    (:func:`_dvine_path`) and keeps each tree-1 edge (a, b)'s tau, entry
+    (a, b) of that matrix, in ``taus``; deeper trees have none.
     """
 
     def __init__(self, U, order=None):
@@ -227,7 +215,7 @@ class _DVineTrees:
         if order is None:
             taus = kendall_tau_matrix(U)
             order = _dvine_path(taus)
-            self.taus = _edge_taus(taus, U, zip(order[:-1], order[1:]))
+            self.taus = [taus[a, b] for a, b in zip(order[:-1], order[1:])]
         else:
             self.taus = [None] * (n - 1)
         self.order = order

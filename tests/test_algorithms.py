@@ -68,6 +68,24 @@ def test_gceda_kernel_margins_use_tau_inversion():
                                                                abs=1e-12)
 
 
+def test_gceda_tau_inversion_is_symmetric_on_ties():
+    # the tau matrix is orientation-exact, and on columns with unequal tie
+    # counts its two triangles round apart; pair {i, j}, i < j, takes the
+    # tau of (X_i, X_j) in both triangles
+    pop = np.round(np.random.default_rng(91).random((60, 4))
+                   * [3.0, 8.0, 20.0, 1000.0])
+    spec = make_spec("gceda", margin=MarginKind.KERNEL)
+    R = learn_model(spec, pop, np.full(4, -1.0), np.full(4, 1001.0),
+                    NO_DRAWS).dependence.correlation
+    assert R.tobytes() == R.T.copy().tobytes()
+    flipped = 0
+    for i, j in itertools.combinations(range(4), 2):
+        tau = kendall_tau(pop[:, i], pop[:, j])
+        assert R[i, j].hex() == np.sin(np.pi * tau / 2.0).hex()
+        flipped += tau != kendall_tau(pop[:, j], pop[:, i])
+    assert flipped
+
+
 def test_gceda_normal_margins_use_pearson():
     pop = mvn_population(2, 0.7, 200, 80)
     spec = make_spec("gceda", margin=MarginKind.NORMAL)

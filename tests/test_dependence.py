@@ -95,18 +95,24 @@ def same_bits(a, b) -> bool:
 
 
 def reference_tau_matrix(X):
-    # the per-pair scipy loop the vectorised kernel must reproduce bit for bit
+    # the per-pair scipy loop the vectorised kernel must reproduce bit for
+    # bit, each entry (i, j) in its own orientation: x = X[:, i], y = X[:, j]
     n = X.shape[1]
     out = np.eye(n)
-    for i, j in itertools.combinations(range(n), 2):
+    for i, j in itertools.permutations(range(n), 2):
         x, y = X[:, i], X[:, j]
         if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
             tau = 0.0
         else:
             tau = stats.kendalltau(x, y).statistic
             tau = float(tau) if np.isfinite(tau) else 0.0
-        out[i, j] = out[j, i] = tau
+        out[i, j] = tau
     return out
+
+
+def unequal_ties(rng, m):
+    # columns rounded on different grids, so every pair's tie counts differ
+    return np.round(rng.random((m, 4)) * [3.0, 8.0, 20.0, 1000.0])
 
 
 def tau_cases():
@@ -131,6 +137,15 @@ def tau_cases():
     for k in range(40):
         m, n = int(rng.integers(2, 90)), int(rng.integers(1, 9))
         yield f"random {k}", rng.integers(0, int(rng.integers(2, 9)), (m, n)) * 0.5
+    yield "unequal ties", unequal_ties(rng, 60)
+    yield "unequal ties above the kernel cap", unequal_ties(rng, TAU_SIGN_MAX_M + 20)
+    X = rng.integers(0, 5, (30, 3)) * 1.0
+    X[4, 1] = np.inf
+    yield "inf next to ties", X
+    X = rng.random((40, 4))
+    X[11, 1] = np.nan
+    X[:, 3] = 0.25
+    yield "nan and constant columns, m = 40", X
 
 
 TAU_CASES = dict(tau_cases())
@@ -143,6 +158,23 @@ class TestTauMatchesScipyBitwise:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegenerateDataWarning)
             assert same_bits(kendall_tau_matrix(X), reference_tau_matrix(X))
+
+    @pytest.mark.parametrize("name", TAU_CASES)
+    def test_entries_are_the_pair_taus(self, name):
+        X = TAU_CASES[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateDataWarning)
+            T = kendall_tau_matrix(X)
+            for i, j in itertools.permutations(range(X.shape[1]), 2):
+                assert T[i, j].hex() == kendall_tau(X[:, i], X[:, j]).hex()
+
+    @pytest.mark.parametrize("m", [60, TAU_SIGN_MAX_M + 20])
+    def test_orientations_differ_on_unequal_ties(self, m):
+        # the orientation the oracle checks is visible: some pair's two
+        # tie-term division orders round apart
+        T = kendall_tau_matrix(unequal_ties(np.random.default_rng(24), m))
+        assert (T != T.T).any()
+        assert np.allclose(T, T.T, rtol=1e-15, atol=0.0)
 
     @pytest.mark.parametrize(
         "name", [k for k, X in TAU_CASES.items() if X.shape[1] >= 2])
@@ -161,9 +193,46 @@ class TestTauMatchesScipyBitwise:
         assert len(record) == 3
         assert np.all(M[1, [0, 2, 3]] == 0.0) and M[1, 1] == 1.0
 
+    def test_infinite_constant_column_is_constant(self):
+        # one infinity repeated is a constant column, found without an
+        # inf - inf
+        X = np.random.default_rng(26).random((20, 3))
+        X[:, 1] = np.inf
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            M = kendall_tau_matrix(X)
+        assert [w.category for w in record] == [DegenerateDataWarning] * 2
+        assert np.all(M[1, [0, 2]] == 0.0) and np.all(M[[0, 2], 1] == 0.0)
+
     def test_fewer_than_two_rows_rejected(self):
         with pytest.raises(ValueError):
             kendall_tau_matrix(np.zeros((1, 3)))
+
+    def test_nan_and_constant_columns_stay_off_scipy(self):
+        # the sign kernel maps their 0/0 to 0 inside its np.errstate, so the
+        # only warnings are one DegenerateDataWarning per constant pair
+        script = (
+            "import sys, warnings\n"
+            "import numpy as np\n"
+            "from copeda.dependence import kendall_tau_matrix\n"
+            "X = np.random.default_rng(25).random((40, 4))\n"
+            "X[11, 1] = np.nan\n"
+            "X[:, 3] = 0.25\n"
+            "with warnings.catch_warnings(record=True) as record:\n"
+            "    warnings.simplefilter('always')\n"
+            "    T = kendall_tau_matrix(X)\n"
+            "print([w.category.__name__ for w in record])\n"
+            "print(T[[1, 1, 1, 0, 2, 3, 3, 3, 0, 2], "
+            "[0, 2, 3, 1, 1, 0, 1, 2, 3, 3]].tolist())\n"
+            "print('scipy.stats' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(dependence.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            str(["DegenerateDataWarning"] * 3), str([0.0] * 10), "False"]
 
 
 class TestPseudoObservations:
@@ -176,6 +245,12 @@ class TestPseudoObservations:
     def test_ties_get_average_ranks(self):
         U = pseudo_observations(np.array([[1.0], [1.0], [2.0]]))
         assert U[0, 0] == pytest.approx(U[1, 0])
+
+    @pytest.mark.parametrize("X", [[1.0, 2.0, 3.0], 2.0, np.zeros((2, 2, 2))],
+                             ids=["1-D", "scalar", "3-D"])
+    def test_non_2d_input_rejected(self, X):
+        with pytest.raises(ValueError, match="pseudo-observations need"):
+            pseudo_observations(np.array(X))
 
 
     def test_matches_per_column_rankdata_bitwise(self):

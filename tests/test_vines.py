@@ -367,10 +367,9 @@ FIVE_FAMILIES = ("normal", "student", "clayton", "frank", "gumbel")
 
 class TestWalkTaus:
     """``fit_vine`` hands GoF the taus of its tree walk's matrices.  On tied
-    data the symmetric matrix's entry below the diagonal can differ in the
-    last bit from the edge's own ``kendall_tau(u, v)``; each sample below
-    has such an edge that decides a fitted bit, so reading it would change
-    the fit."""
+    data an edge's ``kendall_tau(u, v)`` can differ in the last bit from
+    ``kendall_tau(v, u)``; each sample below has such an edge that decides
+    a fitted bit, so reading the other orientation would change the fit."""
 
     @pytest.mark.parametrize("vine_type, families, seed", [
         pytest.param("cvine", FIVE_FAMILIES, 29, id="cvine-five"),
@@ -396,23 +395,36 @@ class TestWalkTaus:
             fit_vine(U, vine_type, families))
         assert any(passed)
 
-    def test_tied_lower_entries_are_not_read(self):
-        # entry (a, b) below the diagonal is read only when neither column
-        # has ties; on tied columns it is the (b, a) division order
-        X = tied_sample(29)
-        taus = kendall_tau_matrix(X)
-        edges = list(itertools.permutations(range(5), 2))
-        read = vines._edge_taus(taus, X, edges)
-        for (a, b), tau in zip(edges, read):
-            assert (tau is None) == (a > b)
-            if tau is not None:
-                assert tau.hex() == kendall_tau(X[:, a], X[:, b]).hex()
-        assert any(taus[a, b] != kendall_tau(X[:, a], X[:, b])
-                   for a, b in edges if a > b)
-        untied = X + np.arange(60)[:, None] * 1e-3
-        read = vines._edge_taus(kendall_tau_matrix(untied), untied, edges)
-        assert [tau.hex() for tau in read] == [
-            kendall_tau(untied[:, a], untied[:, b]).hex() for a, b in edges]
+    def test_walk_taus_carry_each_edge_bits(self):
+        # the tau matrix is orientation-exact, so the walk reads each edge
+        # (u, v)'s tau with the bits of kendall_tau(u, v), tied columns
+        # included: every C-vine tree, and the D-vine's tree 1
+        U = tied_sample(29)
+        flipped = 0
+        for vine_type, depth in ((VineType.CVINE, 4), (VineType.DVINE, 1)):
+            model = fit_vine(U, vine_type, FIVE_FAMILIES, criterion="none")
+            walk = vines._TREES[vine_type](U)
+            for tree in model.trees[:depth]:
+                pairs = walk.pairs()
+                assert [tau.hex() for tau in walk.taus] == [
+                    kendall_tau(u, v).hex() for u, v in pairs]
+                flipped += sum(kendall_tau(u, v) != kendall_tau(v, u)
+                               for u, v in pairs)
+                walk.advance(tree)
+            assert walk.order == model.order
+        assert flipped
+
+    def test_structure_reads_one_orientation_per_pair(self):
+        # on tied columns entries (a, b) and (b, a) can round apart; the
+        # structure scores read pair {a, b}, a < b, by entry (a, b) alone:
+        # the D-vine path ignores the lower triangle, and the C-vine's last
+        # two variables tie exactly, the root going to the lower index
+        U = tied_sample(21)
+        T = kendall_tau_matrix(U)
+        assert (T != T.T).any()
+        noise = np.tril(np.random.default_rng(22).uniform(-1, 1, (5, 5)), -1)
+        assert vines._dvine_path(np.triu(T) + noise) == vines._dvine_path(T)
+        assert fit_vine(U, "cvine", FIVE_FAMILIES).order == (2, 3, 4, 0, 1)
 
 
 class TestFittedVineOnItsSample:
