@@ -12,8 +12,11 @@ use, not at import.
 
 The independence test's null distribution depends only on the sample size;
 it is simulated once per size from a fixed seed and cached, so no test
-draws from a caller's generator.  ``indep_tests_cvm`` tests a stack of
-equally long pairs in one call (a vine fitter's whole tree);
+draws from a caller's generator.  One exact pair-sum kernel,
+``_cvm_pair_sums``, scores both the observed statistics and the null's
+permutations: its float64 sums of integers stay below 2^53, so they are
+exact in any order and under any BLAS kernel.  ``indep_tests_cvm`` tests
+a stack of equally long pairs in one call (a vine fitter's whole tree);
 ``indep_test_cvm`` is its one-pair form.
 """
 
@@ -41,10 +44,11 @@ from .copulas import (
 EIG_FLOOR = 1e-8  # smallest eigenvalue kept by the PD repair
 # CvM independence test: null draws per sample size and their seed, rank
 # cells held in one array (bounding memory), and the largest sample: the
-# statistic's integer sums reach ~m^5, which int64 holds up to m = 6207.
+# pair sums reach m^4, exact in float64 up to m = 9741, and the diagonal
+# sums ~m^5, which int64 holds up to m = 6207.
 CVM_NULL_DRAWS = 1000
 CVM_NULL_SEED = 20040413
-CVM_BLOCK_CELLS = 1 << 12
+CVM_BLOCK_CELLS = 1 << 14
 CVM_MAX_M = 6000
 
 
@@ -214,42 +218,6 @@ def _cvm_statistics(pairs, r, s) -> list[float]:
             for p, d in zip(np.ravel(pairs).tolist(), np.ravel(diag).tolist())]
 
 
-def _permutation_pair_sums(s: np.ndarray) -> np.ndarray:
-    """Pair sums of u ranks 1..m against each row of ``s``, a permutation.
-
-    With u in rank order, w_k = m - k (k from 0) and b = m + 1 - s, the
-    pair sum is sum_k w_k (b_k + 2 sum_{i<k} min(b_i, b_k)).  The inner
-    sums are taken over the sibling blocks of a bottom-up merge sort: each
-    value of a right half looks up the count and sum of the smaller values
-    in its sorted left half, in log2(m) array passes instead of m^2 pairs.
-    Rows are padded to a power of two with b = w = 0, which adds nothing.
-    """
-    rows, m = s.shape
-    size = 1 << (m - 1).bit_length()
-    b = np.zeros((rows, size), dtype=np.int64)
-    b[:, :m] = m + 1 - s
-    w = np.zeros(size, dtype=np.int64)
-    w[:m] = np.arange(m, 0, -1)
-    total = b @ w
-    h = 1
-    while h < size:
-        halves = b.reshape(-1, 2, h)
-        left, right = np.sort(halves[:, 0], axis=1), halves[:, 1]
-        # b lies in [0, m], so shifting block j by j (m + 1) sorts every
-        # left half as one array
-        block = np.arange(len(halves))[:, None]
-        below = np.searchsorted((left + (m + 1) * block).ravel(),
-                                (right + (m + 1) * block).ravel())
-        below = below.reshape(-1, h) - h * block
-        prefix = np.zeros((len(halves), h + 1), dtype=np.int64)
-        np.cumsum(left, axis=1, out=prefix[:, 1:])
-        mins = np.take_along_axis(prefix, below, axis=1) + right * (h - below)
-        total += 2 * (mins.reshape(rows, -1)
-                      @ w.reshape(-1, 2, h)[:, 1].ravel())
-        h *= 2
-    return total
-
-
 @functools.lru_cache(maxsize=64)
 def _cvm_null(m: int) -> np.ndarray:
     """Sorted statistics of ``CVM_NULL_DRAWS`` random rank permutations.
@@ -257,47 +225,57 @@ def _cvm_null(m: int) -> np.ndarray:
     Under independence the ranks of v are a uniformly random permutation
     of those of u whatever the margins, so one table per m serves every
     test of that size.  The draws come from a generator seeded by
-    (``CVM_NULL_SEED``, m) alone, in blocks of at most ``CVM_BLOCK_CELLS``
-    padded cells.  The table is read-only.
+    (``CVM_NULL_SEED``, m) alone, in row blocks of at most
+    ``CVM_BLOCK_CELLS`` cells (any blocking draws the same stream), and
+    ``_cvm_pair_sums`` scores each block against the ranks 1..m.  The
+    build costs ~m^2 per draw: on a 2-vCPU VM about 4 ms at m = 31,
+    0.14 s at m = 290, 0.55 s at m = 600 and 6.3 s at m = 2000.  The
+    table is read-only.
     """
     rng = np.random.default_rng([CVM_NULL_SEED, m])
     ranks = np.arange(1, m + 1)
-    per_block = max(1, CVM_BLOCK_CELLS // (1 << (m - 1).bit_length()))
+    per_block = max(1, CVM_BLOCK_CELLS // m)
     null = []
     for lo in range(0, CVM_NULL_DRAWS, per_block):
         s = rng.permuted(
             np.tile(ranks, (min(per_block, CVM_NULL_DRAWS - lo), 1)), axis=1)
-        null += _cvm_statistics(_permutation_pair_sums(s), ranks, s)
+        null += _cvm_statistics(
+            _cvm_pair_sums(m + 1 - ranks[None], m + 1 - s), ranks, s)
     null = np.sort(null)
     null.flags.writeable = False
     return null
 
 
 def _cvm_pair_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_ik min(a_i, a_k) min(b_i, b_k) of each row pair of (k, m) ints.
+    """sum_ik min(a_i, a_k) min(b_i, b_k) of each row of (k, m) ints ``b``.
 
-    The (edges, rows, m) products are formed in blocks of at most
-    ``CVM_BLOCK_CELLS`` cells: several whole edges at a time while m^2
-    fits, row blocks of one edge beyond.  Each sum is an exact integer.
-
-    It scores the observed statistics, the merge-sort
-    ``_permutation_pair_sums`` the null.  A merge-sort version with per-row
-    weights gives bit-identical sums here, but on a 2-vCPU VM it was 4-6x
-    slower at a 10-D vine's tree sizes (9 edges: 228 against 52 us at
-    m = 31, 349 against 57 us at m = 33), and faster only on long samples
-    (1.7 against 17 ms at m = 2000), so each kernel keeps its own job.
+    ``a`` holds one row per row of ``b``, or one row for them all.  The
+    sum runs over a block of rows i against the columns k >= its first
+    row, in float64 tables of at most ``CVM_BLOCK_CELLS`` cells (several
+    whole rows of ``b`` at a time while they fit); ``a``'s table doubles
+    each pair past the block, which stands for both of its orders.  A
+    one-row ``a`` serves every row of a block through one matrix-vector
+    product.  Each product is an integer <= 2 m^2 and every partial sum
+    is at most m^4 < 2^53 (m <= ``CVM_MAX_M``), so each sum is exact in
+    any order.
     """
-    k, m = a.shape
+    k, m = b.shape
+    a, b = a.astype(float), b.astype(float)
     rows = min(m, max(1, CVM_BLOCK_CELLS // m))
     edges = max(1, CVM_BLOCK_CELLS // (rows * m))
+    shared = len(a) == 1
     pairs = np.zeros(k, dtype=np.int64)
-    for e in range(0, k, edges):
-        ae, be = a[e:e + edges], b[e:e + edges]
-        for lo in range(0, m, rows):
-            pairs[e:e + edges] += (
-                np.minimum(ae[:, lo:lo + rows, None], ae[:, None])
-                * np.minimum(be[:, lo:lo + rows, None], be[:, None])
-            ).sum(axis=(1, 2))
+    for lo in range(0, m, rows):
+        for e in range(0, k, edges):
+            if e == 0 or not shared:  # a one-row a's table serves all e
+                ae = a if shared else a[e:e + edges]
+                ta = np.minimum(ae[:, lo:lo + rows, None], ae[:, None, lo:])
+                ta[:, :, rows:] *= 2
+            be = b[e:e + edges]
+            tb = np.minimum(be[:, lo:lo + rows, None], be[:, None, lo:])
+            sums = (tb.reshape(len(be), -1) @ ta.ravel() if shared
+                    else np.einsum("eik,eik->e", ta, tb))
+            pairs[e:e + edges] += sums.astype(np.int64)
     return pairs
 
 
@@ -312,8 +290,10 @@ def indep_tests_cvm(U, V, sig_level: float = 0.01) -> list[IndepTestResult]:
     (:func:`_cvm_null`), as the R copula package's ``indepTestSim`` does,
     so the test draws nothing from any run's generator.  The p-value is
     (#null >= statistic + 1) / (B + 1), and the pair counts as
-    independent when ``p_value >= sig_level``.
+    independent when ``p_value >= sig_level``, 0 < ``sig_level`` < 1.
     """
+    if not 0.0 < sig_level < 1.0:  # also catches NaN
+        raise ValueError("sig_level must be in (0, 1)")
     U = np.asarray(U, dtype=float)
     V = np.asarray(V, dtype=float)
     if U.shape != V.shape or U.ndim != 2 or not 2 <= U.shape[1] <= CVM_MAX_M:

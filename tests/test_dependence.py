@@ -332,13 +332,34 @@ class TestCvmStatistic:
 
     @pytest.mark.parametrize("m", [2, 3, 5, 8, 9, 17, 31, 64, 70])
     def test_null_statistics_match_the_test_on_each_permutation(self, m):
-        # the null's merge-sort pair sums against the test's m^2 pairs
+        # the null's one-row form of the pair-sum kernel against its
+        # row-by-row form and the one-pair test; up to m = 9 the pair sums
+        # against the exact integral
         rng = np.random.default_rng(29)
         ranks = np.arange(1, m + 1)
         S = rng.permuted(np.tile(ranks, (25, 1)), axis=1)
-        null = dependence._cvm_statistics(
-            dependence._permutation_pair_sums(S), ranks, S)
+        pairs = dependence._cvm_pair_sums(m + 1 - ranks[None], m + 1 - S)
+        null = dependence._cvm_statistics(pairs, ranks, S)
+        assert null == [res.statistic for res in indep_tests_cvm(
+            np.tile(ranks, (25, 1)), S)]
         assert null == [indep_test_cvm(ranks, s).statistic for s in S]
+        if m <= 9:
+            a = m + 1
+            for p, s in zip(pairs.tolist(), S):
+                diag = int(((a * a - ranks ** 2) * (a * a - s ** 2)).sum())
+                assert (Fraction(2 * a * a * p - m * diag, 2 * m * a ** 4)
+                        + Fraction(m, 9)) == reference_cvm_statistic(ranks, s)
+
+    @pytest.mark.parametrize("rows", [(1, 1), (1, 2), (2, 2)])
+    def test_largest_pair_sum_is_exact(self, rows):
+        # u = v at m = CVM_MAX_M: sum_ik min(i, k)^2, the largest sum a
+        # pair reaches; min(i, k) = j on 2 (m - j) + 1 pairs
+        m = dependence.CVM_MAX_M
+        ranks = np.arange(1, m + 1)
+        pairs = dependence._cvm_pair_sums(np.tile(ranks, (rows[0], 1)),
+                                          np.tile(ranks, (rows[1], 1)))
+        exact = sum(j * j * (2 * (m - j) + 1) for j in range(1, m + 1))
+        assert pairs.tolist() == [exact] * rows[1]
 
 
 NULL_DIGEST = (
@@ -371,6 +392,28 @@ class TestCvmNull:
         here = hashlib.sha256(b"".join(dependence._cvm_null(m).tobytes()
                                        for m in (2, 31, 60))).hexdigest()
         assert digests == [here + "\n"] * 2
+
+    @pytest.mark.parametrize("m, digest", [
+        (2, "520f0a01c2272642694a8e057ec47ac8188f355274c8b9e6466599563c87eef9"),
+        (3, "94239179206416901549da7f37693d5f8592c5499c1d85f2890bf35f7a43b7bf"),
+        (5, "eaca7d47beb34b1c32a3e9141c29091305d522f2db9bd8d2315d24753dd524a8"),
+        (8, "896b34e58b52964d1881758507c47058f52470aeb132cbb8754c59ccb1fc0ad6"),
+        (9, "d8c467886a72586ae0f3cc44edba2a548ed633a475567ca80095452777bceebb"),
+        (16, "3dcf0e6fffc3b35cdd25b07565065874e896736607d52a2ef170e6e52797025f"),
+        (17, "3ac3bf8ee5ba43b23ed2e1dbe3bf3c9af06419b0c152d4100c56e5ec64907c17"),
+        (31, "e05e319fb1dfa49252571fadcb848525bc4806b4a08f1a070daf9cd9067946f0"),
+        (32, "fa5bc92ae4d10611167a6cfb646238ec514d92a9b935ae0fb9015fa2d8b1e583"),
+        (33, "e86eb3bc16be6f4324d4546b96c09649244570fa49384e74cb15f020c2d95a32"),
+        (60, "127e1c819ff89728127bcbea0cfb9d2c875dfad6d15670bf048263c18272b550"),
+        (64, "991fc781e97aa9089e2f91baa4d22eb36294df508a6e1adfb8a132d7c81c8678"),
+        (65, "6f74d323c5f5b3cfdc33f5be4e7c821c49f724be9ae39ca2ea777d70b657e688"),
+        (88, "221c3953b1bc0537e1272e79a21ce871d753eda92065ab1949f57197355999da"),
+        (290, "7048fabb57b083243c97371f3927be79f071029272e137243c7e309acb1d6c09"),
+    ])
+    def test_table_bits_are_pinned(self, m, digest):
+        # each table's sha256, at sizes either side of powers of two
+        assert hashlib.sha256(
+            dependence._cvm_null(m).tobytes()).hexdigest() == digest
 
     def test_blocks_change_nothing(self, monkeypatch):
         rng = np.random.default_rng(30)
@@ -463,6 +506,15 @@ class TestIndependenceTest:
     def test_sample_size_out_of_range_rejected(self, m):
         with pytest.raises(ValueError, match="m <="):
             indep_test_cvm(np.zeros(m), np.zeros(m))
+
+    @pytest.mark.parametrize("sig_level", [np.nan, 0.0, 1.0, -1.0, 2.0])
+    def test_sig_level_outside_unit_interval_rejected(self, sig_level):
+        u = np.linspace(0.0, 1.0, 20)
+        with pytest.raises(ValueError, match=r"sig_level must be in \(0, 1\)"):
+            indep_test_cvm(u, u[::-1], sig_level)
+        with pytest.raises(ValueError, match=r"sig_level must be in \(0, 1\)"):
+            indep_tests_cvm(np.tile(u, (3, 1)), np.tile(u[::-1], (3, 1)),
+                            sig_level)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected(self, bad):

@@ -167,6 +167,14 @@ class TestFitVine:
             for c in tree:
                 assert c.family in (CopulaFamily.NORMAL, CopulaFamily.PRODUCT)
 
+    @pytest.mark.parametrize("sig_level", [np.nan, 0.0, 1.0, -1.0, 2.0])
+    def test_sig_level_outside_unit_interval_rejected(self, sig_level):
+        U = sample_trivariate((0.6, 0.5, 0.4), 50, 9)
+        for vine_type in VineType:
+            with pytest.raises(ValueError,
+                               match=r"sig_level must be in \(0, 1\)"):
+                fit_vine(U, vine_type, ALL_FAMILIES, sig_level, "aic")
+
     def test_determinism(self):
         U = sample_trivariate((0.6, 0.5, 0.4), 300, 9)
         m1 = fit_vine(U, VineType.DVINE, ALL_FAMILIES, 0.01, "aic")
