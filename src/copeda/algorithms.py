@@ -5,11 +5,12 @@ multivariate normal copula whose correlation matrix comes from pairwise tau
 inversion plus positive-definite repair, CVEDA/DVEDA with a fitted vine,
 and the copula-chain variant of MIMIC with ML normal (closed-form cubic
 roots) or Frank (bounded Brent search) bivariate copulas along a greedily
-chosen permutation ordered by copula-entropy mutual information.  The
-Gaussian structures (product, normal copula, and the all-normal chain, a
-Gaussian Markov chain) draw normal scores and hand them to the margins'
-``from_scores``; vines and every other chain, which inverts its links'
-h-functions one by one, hand uniforms to the margins' ``quantile``.
+chosen permutation, its links ranked by |theta| in the order of their
+mutual information.  The Gaussian structures (product, normal copula, and
+the all-normal chain, a Gaussian Markov chain) draw normal scores and hand
+them to the margins' ``from_scores``; vines and every other chain, which
+inverts its links' h-functions one by one, hand uniforms to the margins'
+``quantile``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .copulas import (
 from .dependence import (
     _symmetric_taus,
     _upper_pairs,
-    copula_mutual_information,
     kendall_tau_matrix,
     make_positive_definite,
     pseudo_observations,
@@ -95,24 +95,25 @@ def _normal_ml_rho(U: np.ndarray) -> np.ndarray:
     return rho
 
 
-def chain_permutation(mi: np.ndarray) -> tuple[int, ...]:
-    """Greedy chain: start at the strongest pair, then prepend the unused
-    variable with the highest mutual information to the current head."""
-    n = mi.shape[0]
+def chain_permutation(strength: np.ndarray) -> tuple[int, ...]:
+    """Greedy chain (MIMIC): start at the strongest pair, then prepend the
+    unused variable most strongly linked to the current head; ``strength``
+    orders pairs as their mutual information does (|theta| in a chain)."""
+    n = strength.shape[0]
     if n < 2:
         return tuple(range(n))
     # Python floats: the same IEEE comparisons as numpy scalars, indexed faster
-    mi = mi.tolist()
+    s = strength.tolist()
     best = (-np.inf, 1, 0)
     for i in range(1, n):
         for j in range(i):
-            if mi[i][j] > best[0]:
-                best = (mi[i][j], i, j)
+            if s[i][j] > best[0]:
+                best = (s[i][j], i, j)
     perm = [best[1], best[2]]
     while len(perm) < n:
         head = perm[0]
         candidates = [k for k in range(n) if k not in perm]
-        perm.insert(0, max(candidates, key=lambda c: (mi[c][head], -c)))
+        perm.insert(0, max(candidates, key=lambda c: (s[c][head], -c)))
     return tuple(perm)
 
 
@@ -124,7 +125,7 @@ def _family_counts(copulas) -> dict[str, int]:
 
 
 # Every dependence structure has the same four methods: the classmethod
-# learn(spec, X, margins, rng) fits it to the selected rows X;
+# learn(spec, X, margins) fits it to the selected rows X, drawing nothing;
 # sample(margins, m, rng) returns m rows, its draw pushed through the
 # margins (normal scores into from_scores if the structure is Gaussian,
 # uniforms into quantile otherwise); describe() is the text after
@@ -138,7 +139,7 @@ class ProductDependence:
     n: int
 
     @classmethod
-    def learn(cls, spec, X, margins, rng):
+    def learn(cls, spec, X, margins):
         return cls(X.shape[1])
 
     def sample(self, margins, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -158,7 +159,7 @@ class NormalDependence:
     correlation: np.ndarray
 
     @classmethod
-    def learn(cls, spec, X, margins, rng):
+    def learn(cls, spec, X, margins):
         """With normal margins the algorithm coincides with the classic
         multivariate-normal EDA, so the correlation matrix is the sample
         (Pearson) correlation.  With any other margin kind it is estimated by
@@ -195,7 +196,7 @@ class VineDependence:
     vine: RVineModel
 
     @classmethod
-    def learn(cls, spec, X, margins, rng):
+    def learn(cls, spec, X, margins):
         vine_type = (VineType.DVINE if spec.algorithm == "dveda"
                      else VineType.CVINE)
         return cls(fit_vine(pseudo_observations(X), vine_type,
@@ -220,30 +221,28 @@ class ChainDependence:
     copulas: tuple[BivariateCopula, ...]
 
     @classmethod
-    def learn(cls, spec, X, margins, rng):
+    def learn(cls, spec, X, margins):
         """Chain structure over margin-CDF transforms of the selected rows.
 
-        Normal links are ``_normal_ml_rho`` with mutual information
-        -log(1 - rho^2)/2 and draw nothing from ``rng``; Frank links are the
-        ML parameter of a bounded Brent search (``fit_frank``), with a
-        Monte-Carlo copula-entropy mutual information.
+        Every pair gets its ML link (``_normal_ml_rho``, or ``fit_frank``
+        with theta = 0 for a product fit).  A normal link's mutual
+        information is -log(1 - rho^2)/2 and a Frank link's is even in theta
+        and rises strictly with |theta|, so ranking by |theta| is exact.
         """
         U = margins.cdf(X)
         if spec.copulas[0] is CopulaFamily.NORMAL:
-            rho = _normal_ml_rho(U)
-            mi = -0.5 * np.log1p(-rho * rho)
-            link = lambda a, b: normal(float(rho[a, b]))
+            theta = _normal_ml_rho(U)
+            link = lambda a, b: normal(float(theta[a, b]))
         else:
             n = X.shape[1]
             pair: dict[tuple[int, int], BivariateCopula] = {}
-            mi = np.zeros((n, n))
+            theta = np.zeros((n, n))
             for i in range(1, n):
                 for j in range(i):
-                    cop = fit_frank(U[:, [i, j]])
-                    mi[i, j] = mi[j, i] = copula_mutual_information(cop, rng)
-                    pair[(i, j)] = pair[(j, i)] = cop
+                    cop = pair[(i, j)] = pair[(j, i)] = fit_frank(U[:, [i, j]])
+                    theta[i, j] = theta[j, i] = cop.theta
             link = lambda a, b: pair[(a, b)]
-        perm = chain_permutation(mi)
+        perm = chain_permutation(np.abs(theta))
         return cls(perm, tuple(link(a, b) for a, b in zip(perm, perm[1:])))
 
     def sample(self, margins, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -299,12 +298,11 @@ class SearchModel:
     dependence: Dependence
 
 
-def learn_model(spec, X: np.ndarray, lower, upper,
-                rng: np.random.Generator) -> SearchModel:
+def learn_model(spec, X: np.ndarray, lower, upper) -> SearchModel:
     """Fit the margins to the selected ``(m, n)`` rows X, then the
     dependence structure of ``spec`` (an ``EdaSpec``)."""
     margins = fit_margin(spec.effective_margin, X, lower, upper)
-    dependence = _DEPENDENCE[spec.algorithm].learn(spec, X, margins, rng)
+    dependence = _DEPENDENCE[spec.algorithm].learn(spec, X, margins)
     return SearchModel(margins, dependence)
 
 

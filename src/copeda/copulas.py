@@ -521,7 +521,9 @@ def tau_to_parameter(family: CopulaFamily, tau: float) -> BivariateCopula:
         return gumbel(1.0 / (1.0 - tau))
     # Frank: invert tau(theta) numerically on theta > 0, use odd symmetry
     target = abs(tau)
-    if target >= _frank_tau(FRANK_THETA_MAX):
+    if target < 1e-8:  # where brentq's f(a) f(b) can underflow
+        theta = 9.0 * target  # 9 tau (1 + 0.81 tau^2 + ...) to rounding
+    elif target >= _frank_tau(FRANK_THETA_MAX):
         theta = FRANK_THETA_MAX
     else:
         from scipy.optimize import brentq  # loaded on first use only

@@ -2,13 +2,13 @@
 
 Kendall's tau, pseudo-observations, the rank Cramer-von Mises independence
 test of Genest & Remillard (2004), CvM goodness-of-fit copula selection,
-copula-entropy mutual information, and positive-definite repair of
-correlation matrices.  Entry (i, j) of the tau matrix is the tau of the
-ordered pair (X_i, X_j), and ``kendall_tau`` reads entry (0, 1).  Each
-call takes one kernel for the whole matrix: the pair-sign kernel, or a
-per-pair fallback for long samples or ones with an infinite value, which
-is copeda's only use of ``scipy.stats``: it imports the module on first
-use, not at import.
+the closed-form mutual information of the normal and product copulas, and
+positive-definite repair of correlation matrices.  Entry (i, j) of the tau
+matrix is the tau of the ordered pair (X_i, X_j), and ``kendall_tau``
+reads entry (0, 1).  Each call takes one kernel for the whole matrix: the
+pair-sign kernel, or a per-pair fallback for long samples or ones with an
+infinite value, which is copeda's only use of ``scipy.stats``: it imports
+the module on first use, not at import.
 
 The independence test's null distribution depends only on the sample size;
 it is simulated once per size from a fixed seed and cached, so no test
@@ -34,8 +34,6 @@ from .copulas import (
     UnsupportedTauError,
     clip_tau,
     copula_cdf,
-    copula_logpdf,
-    copula_sample,
     fit_student_dof,
     product,
     tau_to_parameter,
@@ -365,22 +363,19 @@ def gof_select_copula(u, v, candidates, tau=None) -> BivariateCopula:
     return min(fits, key=lambda c: float(np.sum((cn - copula_cdf(c, u, v)) ** 2)))
 
 
-def copula_mutual_information(c: BivariateCopula, rng: np.random.Generator,
-                              samples: int = 100) -> float:
-    """Mutual information of the coupled pair via the copula entropy.
+def copula_mutual_information(c: BivariateCopula) -> float:
+    """Mutual information of a pair coupled by a normal or product copula.
 
-    The normal family has the closed form -log(1 - rho^2)/2; other families
-    are estimated by a Monte-Carlo average of the log density over
-    ``samples`` draws from the copula itself, taken from ``rng``.  The
-    estimate is floored at zero.
+    The normal family's is -log(1 - rho^2)/2 and the product's is 0; any
+    other family raises ``ValueError``.  A chain ranks its links by
+    |theta| instead, which orders one-parameter links as their mutual
+    information does (``ChainDependence.learn``).
     """
     if c.family is CopulaFamily.NORMAL:
         return float(-0.5 * np.log1p(-c.theta * c.theta))
     if c.family is CopulaFamily.PRODUCT:
         return 0.0
-    U = copula_sample(c, samples, rng)
-    mi = float(np.mean(copula_logpdf(c, U[:, 0], U[:, 1])))
-    return max(mi, 0.0)
+    raise ValueError(f"no closed-form mutual information for {c.family.value}")
 
 
 def _factorizes(M: np.ndarray) -> bool:

@@ -278,7 +278,7 @@ def eda_run(spec: EdaSpec, f, lower, upper, rng: np.random.Generator,
                            best_eval=best_eval, eval_stddev=_std(evals)):
             break
         selected = select_truncation(X, evals, spec.truncation_factor)
-        model = learn_model(spec, selected, lower, upper, rng)
+        model = learn_model(spec, selected, lower, upper)
         X = sample_model(model, spec.pop_size, rng)
 
     return RunResult(gen, f_evals, best_sol, best_eval,

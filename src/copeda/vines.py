@@ -136,14 +136,6 @@ def _dvine_path(taus: np.ndarray) -> tuple[int, ...]:
     return tuple(path)
 
 
-def _criterion_penalty(criterion: str, k: int, m: int) -> float:
-    if criterion == "aic":
-        return 2.0 * k
-    if criterion == "bic":
-        return k * math.log(m)
-    raise ValueError(f"unknown criterion: {criterion}")
-
-
 # bound once: on CPython 3.11 an enum member lookup costs about ten global reads
 _PRODUCT = CopulaFamily.PRODUCT
 
@@ -251,8 +243,13 @@ def fit_vine(U, vine_type: VineType, candidates, sig_level: float = 0.01,
     ``criterion`` "aic" or "bic" the cumulative information criterion is
     evaluated after each tree and fitting stops as soon as it fails to
     decrease strictly; the offending tree and all deeper trees become
-    product copulas.  ``criterion="none"`` fits all trees.
+    product copulas.  ``criterion="none"`` fits all trees.  Bad options
+    raise ``ValueError`` before any tree, whatever the column count.
     """
+    if not 0.0 < sig_level < 1.0:  # also catches NaN
+        raise ValueError("sig_level must be in (0, 1)")
+    if criterion not in ("aic", "bic", "none"):
+        raise ValueError(f"unknown criterion: {criterion}")
     U = np.asarray(U, dtype=float)
     vine_type = VineType(vine_type)
     m, n = U.shape
@@ -273,19 +270,17 @@ def fit_vine(U, vine_type: VineType, candidates, sig_level: float = 0.01,
         edges = [product() if test.independent
                  else gof_select_copula(u, v, candidates, tau)
                  for test, (u, v), tau in zip(tests, pairs, walk.taus)]
-        tree_ll = sum(copula_loglik(c, np.column_stack(pair))
-                      for c, pair in zip(edges, pairs)
-                      if c.family is not CopulaFamily.PRODUCT)
-        tree_k = sum(c.n_params for c in edges)
+        loglik_cum += sum(copula_loglik(c, np.column_stack(pair))
+                          for c, pair in zip(edges, pairs)
+                          if c.family is not CopulaFamily.PRODUCT)
+        k_cum += sum(c.n_params for c in edges)
         if criterion != "none":
-            crit_new = (-2.0 * (loglik_cum + tree_ll)
-                        + _criterion_penalty(criterion, k_cum + tree_k, m))
+            penalty = 2.0 if criterion == "aic" else math.log(m)
+            crit_new = -2.0 * loglik_cum + penalty * k_cum
             if crit_new >= crit_prev:
                 trunc_level = level
                 break
             crit_prev = crit_new
-        loglik_cum += tree_ll
-        k_cum += tree_k
         trees.append(edges)
         walk.advance(edges)
     trees += [[product()] * (n - 1 - j) for j in range(len(trees), n - 1)]

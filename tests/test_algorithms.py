@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from copeda.algorithms import (
     ProductDependence,
     SearchModel,
     VineDependence,
+    _DEPENDENCE,
     _cubic_real_parts,
     _normal_ml_rho,
     chain_permutation,
@@ -26,19 +29,16 @@ from copeda.copulas import (
     clayton,
     copula_hinv,
     copula_loglik,
+    fit_frank,
     frank,
     gumbel,
     normal,
     student,
 )
-from copeda.dependence import kendall_tau
+from copeda.dependence import copula_mutual_information, kendall_tau
 from copeda.eda import EdaSpec, TerminationSpec, run_rng
 from copeda.margins import MarginKind, NormalMargin, fit_margin
 from copeda.vines import RVineModel, VineType
-
-
-# UMDA and GCEDA learning draws no random numbers
-NO_DRAWS = np.random.default_rng(0)
 
 
 def make_spec(algorithm, pop_size=100, margin=MarginKind.NORMAL,
@@ -51,8 +51,7 @@ def test_chain_algorithm_defaults_to_beta_margins():
     from copeda.margins import BetaRescaledMargin
     spec = EdaSpec("copula-mimic", 50, TerminationSpec(max_gen=5))
     pop = mvn_population(2, 0.5, 80, 77)
-    model = learn_model(spec, pop, np.full(2, -10.0), np.full(2, 10.0),
-                        np.random.default_rng(78))
+    model = learn_model(spec, pop, np.full(2, -10.0), np.full(2, 10.0))
     assert isinstance(model.margins, BetaRescaledMargin)
 
 
@@ -61,8 +60,7 @@ def test_gceda_kernel_margins_use_tau_inversion():
     from copeda.dependence import kendall_tau as _kt
     pop = mvn_population(2, 0.7, 200, 79)
     spec = make_spec("gceda", margin=MarginKind.KERNEL)
-    model = learn_model(spec, pop, np.full(2, -10.0), np.full(2, 10.0),
-                        NO_DRAWS)
+    model = learn_model(spec, pop, np.full(2, -10.0), np.full(2, 10.0))
     expected = _math.sin(_math.pi * _kt(pop[:, 0], pop[:, 1]) / 2.0)
     assert model.dependence.correlation[0, 1] == pytest.approx(expected,
                                                                abs=1e-12)
@@ -75,8 +73,8 @@ def test_gceda_tau_inversion_is_symmetric_on_ties():
     pop = np.round(np.random.default_rng(91).random((60, 4))
                    * [3.0, 8.0, 20.0, 1000.0])
     spec = make_spec("gceda", margin=MarginKind.KERNEL)
-    R = learn_model(spec, pop, np.full(4, -1.0), np.full(4, 1001.0),
-                    NO_DRAWS).dependence.correlation
+    R = learn_model(spec, pop, np.full(4, -1.0),
+                    np.full(4, 1001.0)).dependence.correlation
     assert R.tobytes() == R.T.copy().tobytes()
     flipped = 0
     for i, j in itertools.combinations(range(4), 2):
@@ -89,8 +87,7 @@ def test_gceda_tau_inversion_is_symmetric_on_ties():
 def test_gceda_normal_margins_use_pearson():
     pop = mvn_population(2, 0.7, 200, 80)
     spec = make_spec("gceda", margin=MarginKind.NORMAL)
-    model = learn_model(spec, pop, np.full(2, -10.0), np.full(2, 10.0),
-                        NO_DRAWS)
+    model = learn_model(spec, pop, np.full(2, -10.0), np.full(2, 10.0))
     expected = np.corrcoef(pop.T)[0, 1]
     assert model.dependence.correlation[0, 1] == pytest.approx(expected,
                                                                abs=1e-12)
@@ -125,21 +122,21 @@ BOUNDS3 = (np.array([-10.0] * 3), np.array([10.0] * 3))
 class TestCedaLearn:
     def test_umda_always_product(self):
         pop = mvn_population(3, 0.9, 200, 1)
-        model = learn_model(make_spec("umda"), pop, *BOUNDS3, NO_DRAWS)
+        model = learn_model(make_spec("umda"), pop, *BOUNDS3)
         assert isinstance(model.dependence, ProductDependence)
 
     def test_gceda_clips_comonotone_pair(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(100)
         pop = np.column_stack([x, 2.0 * x + 1.0, rng.standard_normal(100)])
-        model = learn_model(make_spec("gceda"), pop, *BOUNDS3, NO_DRAWS)
+        model = learn_model(make_spec("gceda"), pop, *BOUNDS3)
         R = model.dependence.correlation
         assert R[0, 1] < 1.0
         np.linalg.cholesky(R)
 
     def test_gceda_correlation_is_factorizable(self):
         pop = mvn_population(3, 0.7, 150, 3)
-        model = learn_model(make_spec("gceda"), pop, *BOUNDS3, NO_DRAWS)
+        model = learn_model(make_spec("gceda"), pop, *BOUNDS3)
         R = model.dependence.correlation
         assert np.allclose(R, R.T)
         assert np.allclose(np.diag(R), 1.0)
@@ -152,7 +149,7 @@ class TestCedaLearn:
         cov = np.array([[2.0, 0.8, 0.2], [0.8, 1.0, 0.4], [0.2, 0.4, 1.5]])
         data = rng.multivariate_normal(mean, cov, size=800)
         model = learn_model(make_spec("gceda"), data,
-                            np.full(3, -50.0), np.full(3, 50.0), NO_DRAWS)
+                            np.full(3, -50.0), np.full(3, 50.0))
         out = sample_model(model, 2000, np.random.default_rng(5))
         assert np.allclose(out.mean(axis=0), data.mean(axis=0),
                            atol=0.1 * np.sqrt(np.diag(cov)))
@@ -167,7 +164,7 @@ class TestCedaSample:
     def test_kernel_margins_solved_together_as_each_column(self):
         pop = mvn_population(3, 0.5, 120, 81)
         spec = make_spec("gceda", margin=MarginKind.KERNEL)
-        model = learn_model(spec, pop, *BOUNDS3, NO_DRAWS)
+        model = learn_model(spec, pop, *BOUNDS3)
         out = sample_model(model, 500, np.random.default_rng(9))
         Z = model.dependence.sample(RAW, 500, np.random.default_rng(9))
         for j in range(3):
@@ -186,7 +183,7 @@ class TestCedaSample:
 
     def test_product_independent_columns(self):
         pop = mvn_population(3, 0.9, 300, 6)
-        model = learn_model(make_spec("umda"), pop, *BOUNDS3, NO_DRAWS)
+        model = learn_model(make_spec("umda"), pop, *BOUNDS3)
         out = sample_model(model, 2000, np.random.default_rng(7))
         for i, j in itertools.combinations(range(3), 2):
             assert abs(kendall_tau(out[:, i], out[:, j])) <= 0.05
@@ -194,8 +191,7 @@ class TestCedaSample:
     def test_identity_correlation_matches_product(self):
         margins = learn_model(make_spec("umda"),
                               mvn_population(2, 0.0, 300, 8),
-                              np.full(2, -10.0), np.full(2, 10.0),
-                              NO_DRAWS).margins
+                              np.full(2, -10.0), np.full(2, 10.0)).margins
         model = SearchModel(margins, NormalDependence(np.eye(2)))
         out = sample_model(model, 2000, np.random.default_rng(9))
         assert abs(kendall_tau(out[:, 0], out[:, 1])) <= 0.05
@@ -203,8 +199,7 @@ class TestCedaSample:
     def test_pearson_correlation_transfers(self):
         margins = learn_model(make_spec("umda"),
                               mvn_population(2, 0.0, 300, 10),
-                              np.full(2, -10.0), np.full(2, 10.0),
-                              NO_DRAWS).margins
+                              np.full(2, -10.0), np.full(2, 10.0)).margins
         R = np.array([[1.0, 0.707], [0.707, 1.0]])
         model = SearchModel(margins, NormalDependence(R))
         out = sample_model(model, 2000, np.random.default_rng(11))
@@ -272,7 +267,7 @@ class TestVedaLearnSample:
         rng = np.random.default_rng(12)
         pop = rng.random((300, 4))
         spec = make_spec("cveda")
-        model = learn_model(spec, pop, np.zeros(4), np.ones(4), rng)
+        model = learn_model(spec, pop, np.zeros(4), np.ones(4))
         vine = model.dependence.vine
         products = sum(c.family is CopulaFamily.PRODUCT
                        for tree in vine.trees for c in tree)
@@ -284,8 +279,7 @@ class TestVedaLearnSample:
     def test_two_variable_normal_pair(self):
         pop = mvn_population(2, 0.8, 400, 14)
         spec = make_spec("cveda")
-        model = learn_model(spec, pop, np.full(2, -10.0), np.full(2, 10.0),
-                            np.random.default_rng(15))
+        model = learn_model(spec, pop, np.full(2, -10.0), np.full(2, 10.0))
         c = model.dependence.vine.trees[0][0]
         assert c.family is CopulaFamily.NORMAL
         assert c.theta == pytest.approx(0.8, abs=0.05)
@@ -293,8 +287,7 @@ class TestVedaLearnSample:
     def test_candidate_restriction(self):
         pop = mvn_population(4, 0.6, 300, 16)
         spec = make_spec("dveda", copulas=(CopulaFamily.NORMAL,))
-        model = learn_model(spec, pop, np.full(4, -10.0), np.full(4, 10.0),
-                            np.random.default_rng(17))
+        model = learn_model(spec, pop, np.full(4, -10.0), np.full(4, 10.0))
         for tree in model.dependence.vine.trees:
             for c in tree:
                 assert c.family in (CopulaFamily.NORMAL, CopulaFamily.PRODUCT)
@@ -303,11 +296,9 @@ class TestVedaLearnSample:
         pop = mvn_population(3, 0.6, 1000, 18)
         spec = make_spec("cveda", trunc_criterion="none")
         rng = np.random.default_rng(19)
-        model = learn_model(spec, pop, np.full(3, -10.0), np.full(3, 10.0),
-                            rng)
+        model = learn_model(spec, pop, np.full(3, -10.0), np.full(3, 10.0))
         out = sample_model(model, 1500, rng)
-        refit = learn_model(spec, out, np.full(3, -10.0),
-                            np.full(3, 10.0), rng)
+        refit = learn_model(spec, out, np.full(3, -10.0), np.full(3, 10.0))
         original = sorted(abs(c.theta) for c in model.dependence.vine.trees[0])
         recovered = sorted(abs(c.theta) for c in refit.dependence.vine.trees[0])
         for a, b in zip(original, recovered):
@@ -318,7 +309,7 @@ class TestVedaLearnSample:
         rng = np.random.default_rng(20)
         pop = rng.uniform(-1.0, 1.0, size=(200, 3))
         spec = make_spec("cveda", margin=MarginKind.TRUNC_NORMAL)
-        model = learn_model(spec, pop, np.full(3, -1.0), np.full(3, 1.0), rng)
+        model = learn_model(spec, pop, np.full(3, -1.0), np.full(3, 1.0))
         out = sample_model(model, 2000, rng)
         assert np.all(out >= -1.0)
         assert np.all(out <= 1.0)
@@ -373,6 +364,71 @@ class TestChainPermutation:
         i, j = np.triu_indices(n, 1)
         mi[i, j] = mi[j, i] = upper
         assert chain_permutation(mi) == self.numpy_scalar_permutation(mi)
+
+
+# written by scripts/frank_mutual_information.py (mpmath, 30 digits)
+FRANK_MI_TABLE = pathlib.Path(__file__).parent / "data" / \
+    "frank_mutual_information.csv"
+
+
+def frank_mutual_information(theta):
+    """log(t / (1 - e^-t)) + 2 D1(t) - 2 at t = |theta|, the first Debye
+    function D1 by 64-point Gauss-Legendre over [0, min(t, 40)] (past 40
+    its integrand s / (e^s - 1) adds below 1e-15); 0 at theta = 0."""
+    t = abs(theta)
+    if t == 0.0:
+        return 0.0
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    top = min(t, 40.0)
+    s = 0.5 * top * (nodes + 1.0)
+    debye = 0.5 * top * np.sum(weights * s / np.expm1(s)) / t
+    return -math.log(-math.expm1(-t) / t) + 2.0 * debye - 2.0
+
+
+class TestChainRanking:
+    """copula-MIMIC ranks links by |theta|, which orders them as their
+    mutual information does."""
+
+    def test_frank_mutual_information_rises_strictly(self):
+        theta, mi = np.loadtxt(FRANK_MI_TABLE, delimiter=",", skiprows=1,
+                               unpack=True)
+        assert (theta.size, theta[0], theta[-1]) == (300, 1e-3, 300.0)
+        assert np.all(np.diff(theta) > 0.0)
+        assert np.all(np.diff(mi) > 0.0)
+        # the tests' float64 reference, against the table
+        assert np.allclose([frank_mutual_information(t) for t in theta], mi,
+                           rtol=1e-10, atol=1e-15)
+
+    @pytest.mark.parametrize("family", [CopulaFamily.NORMAL,
+                                        CopulaFamily.FRANK])
+    def test_learned_chain_is_the_mutual_information_chain(self, family):
+        # two-factor samples: strong, weak, positive and negative links
+        rng = np.random.default_rng(47)
+        spec = make_spec("copula-mimic", copulas=(family,))
+        n = 5
+        i, j = np.triu_indices(n, 1)
+        negative = 0
+        for _ in range(24):
+            loadings = rng.uniform(-1.0, 1.0, (n, 2))
+            pop = (rng.standard_normal((60, 2)) @ loadings.T
+                   + 0.6 * rng.standard_normal((60, n)))
+            model = learn_model(spec, pop, np.full(n, -60.0),
+                                np.full(n, 60.0))
+            U = model.margins.cdf(pop)
+            if family is CopulaFamily.NORMAL:
+                theta = _normal_ml_rho(U)
+                mi = np.vectorize(lambda r: copula_mutual_information(
+                    normal(r)))(theta)
+            else:
+                theta = np.zeros((n, n))
+                for a, b in zip(i, j):
+                    theta[a, b] = theta[b, a] = fit_frank(U[:, [b, a]]).theta
+                mi = np.vectorize(frank_mutual_information)(theta)
+            strengths = np.sort(np.abs(theta[i, j]))
+            assert np.all(np.diff(strengths) > 1e-6 * strengths[1:])
+            negative += np.count_nonzero(theta[i, j] < 0.0)
+            assert model.dependence.perm == chain_permutation(mi)
+        assert negative >= 24
 
 
 class FixedUniforms:
@@ -498,8 +554,7 @@ class TestCopulaMimic:
     def test_two_variable_model(self):
         pop = mvn_population(2, 0.7, 150, 21)
         spec = make_spec("copula-mimic", margin=MarginKind.BETA_RESCALED)
-        model = learn_model(spec, pop, np.full(2, -10.0), np.full(2, 10.0),
-                            np.random.default_rng(22))
+        model = learn_model(spec, pop, np.full(2, -10.0), np.full(2, 10.0))
         dep = model.dependence
         assert isinstance(dep, ChainDependence)
         assert sorted(dep.perm) == [0, 1]
@@ -518,31 +573,27 @@ class TestCopulaMimic:
         for j, c in enumerate(coeffs, start=1):
             x[:, j] = c * x[:, j - 1] + math.sqrt(1 - c * c) * rng.standard_normal(m)
         spec = make_spec("copula-mimic")
-        model = learn_model(spec, x, np.full(4, -60.0),
-                            np.full(4, 60.0), np.random.default_rng(24))
+        model = learn_model(spec, x, np.full(4, -60.0), np.full(4, 60.0))
         perm = model.dependence.perm
         assert perm in ((0, 1, 2, 3), (3, 2, 1, 0))
 
     def test_frank_chain_supported(self):
         pop = mvn_population(3, 0.5, 120, 25)
         spec = make_spec("copula-mimic", copulas=(CopulaFamily.FRANK,))
-        model = learn_model(spec, pop, np.full(3, -10.0), np.full(3, 10.0),
-                            np.random.default_rng(26))
+        model = learn_model(spec, pop, np.full(3, -10.0), np.full(3, 10.0))
         for c in model.dependence.copulas:
             assert c.family in (CopulaFamily.FRANK, CopulaFamily.PRODUCT)
 
     def test_ml_refinement_close_to_truth(self):
         pop = mvn_population(2, 0.6, 500, 27)
         spec = make_spec("copula-mimic")
-        model = learn_model(spec, pop, np.full(2, -10.0), np.full(2, 10.0),
-                            np.random.default_rng(28))
+        model = learn_model(spec, pop, np.full(2, -10.0), np.full(2, 10.0))
         assert model.dependence.copulas[0].theta == pytest.approx(0.6, abs=0.07)
 
     def test_sampling_preserves_chain_tau(self):
         pop = mvn_population(2, 0.8, 400, 29)
         spec = make_spec("copula-mimic")
-        model = learn_model(spec, pop, np.full(2, -10.0), np.full(2, 10.0),
-                            np.random.default_rng(30))
+        model = learn_model(spec, pop, np.full(2, -10.0), np.full(2, 10.0))
         out = sample_model(model, 2000, np.random.default_rng(31))
         expected_tau = 2 * math.asin(0.8) / math.pi
         assert kendall_tau(out[:, 0], out[:, 1]) == pytest.approx(
@@ -649,15 +700,14 @@ class TestNormalClosedForm:
         assert rho == _normal_ml_rho(np.clip(U2, 1e-10, 1 - 1e-10))[1, 0]
 
     def test_learning_a_normal_chain_draws_nothing(self):
+        # no generator goes in: the links are the ML rhos, ranked by |rho|
         pop = mvn_population(4, 0.5, 60, 45)
-        rng = np.random.default_rng(46)
-        state = rng.bit_generator.state
         model = learn_model(make_spec("copula-mimic"), pop, np.full(4, -10.0),
-                            np.full(4, 10.0), rng)
-        assert rng.bit_generator.state == state
+                            np.full(4, 10.0))
         dep = model.dependence
         U = model.margins.cdf(pop)
         rho = _normal_ml_rho(U)
+        assert dep.perm == chain_permutation(np.abs(rho))
         assert [c.theta for c in dep.copulas] == [
             rho[a, b] for a, b in zip(dep.perm, dep.perm[1:])]
 
@@ -723,12 +773,19 @@ class TestCubicRoots:
 
 
 class TestDispatchAndIntrospection:
+    def test_learning_takes_no_generator(self):
+        assert list(inspect.signature(learn_model).parameters) == [
+            "spec", "X", "lower", "upper"]
+        for structure in _DEPENDENCE.values():
+            assert list(inspect.signature(structure.learn).parameters) == [
+                "spec", "X", "margins"]
+
     @pytest.mark.parametrize("algorithm", ["umda", "gceda", "cveda", "dveda",
                                            "copula-mimic"])
     def test_every_learned_model_samples(self, algorithm):
         pop = mvn_population(3, 0.5, 60, 32)
         spec = make_spec(algorithm, pop_size=40)
-        model = learn_model(spec, pop, *BOUNDS3, run_rng(1, 2))
+        model = learn_model(spec, pop, *BOUNDS3)
         for pop_size in (1, 7):
             out = sample_model(model, pop_size, run_rng(3, 4))
             assert out.shape == (pop_size, 3)
@@ -737,14 +794,14 @@ class TestDispatchAndIntrospection:
     def test_family_counts(self):
         pop = mvn_population(3, 0.7, 200, 33)
         spec = make_spec("cveda")
-        model = learn_model(spec, pop, *BOUNDS3, run_rng(5, 6))
+        model = learn_model(spec, pop, *BOUNDS3)
         counts = model.dependence.family_counts()
         assert sum(counts.values()) == 3  # all pair copulas of a 3-dim vine
 
     def test_describe_mentions_structure(self):
         pop = mvn_population(2, 0.5, 100, 34)
         model = learn_model(make_spec("gceda"), pop,
-                            np.full(2, -10.0), np.full(2, 10.0), run_rng(7, 8))
+                            np.full(2, -10.0), np.full(2, 10.0))
         text = describe_search_model(model)
         assert "normal copula" in text
         assert "margin 0" in text

@@ -52,7 +52,17 @@ class TestRun:
                                "sphere", "--dim", "2", "--pop-size", "20",
                                *option])
         assert (status, out) == (2, "")
-        assert capsys.readouterr().err.startswith("error:")
+        message = {"--tol": "target_tol must be >= 0",
+                   "--target": "target_eval must be finite",
+                   "--stddev-floor": "eval_stddev_floor must be > 0"}
+        assert capsys.readouterr().err == f"error: {message[option[0]]}\n"
+
+    @pytest.mark.parametrize("bound", ["--lower", "--upper"])
+    def test_nan_bound_flag_exits_2(self, bound, capsys):
+        status, out = run_cli(["run", *FAST_RUN, bound, "nan"])
+        assert (status, out) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: need finite bounds with a finite upper - lower\n")
 
     def test_final_block_without_report(self):
         status, out = run_cli(["run", *FAST_RUN])
@@ -413,7 +423,7 @@ class TestEntryPoint:
             "spec = c.EdaSpec('copula-mimic', 40, "
             "c.TerminationSpec(max_gen=2), copulas=('frank',))\n"
             "X = rng.random((40, 3))\n"
-            "model = c.learn_model(spec, X, np.zeros(3), np.ones(3), rng)\n"
+            "model = c.learn_model(spec, X, np.zeros(3), np.ones(3))\n"
             "assert model.dependence.family_counts()['frank'] "
             "+ model.dependence.family_counts()['product'] == 2\n"
             "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') "

@@ -449,13 +449,25 @@ class TestTauConversions:
             expected = math.copysign(expected, theta)
             assert parameter_to_tau(frank(theta)) == pytest.approx(expected, abs=1e-9)
 
-    @pytest.mark.parametrize("tau", [1e-12, 1e-9, 1e-6, 2e-5, 0.5, 0.98])
+    @pytest.mark.parametrize("tau", [1e-12, 1e-9, 1e-6, 2e-5, 0.5, 0.98,
+                                     1e-160, 5e-324])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_frank_round_trip_to_small_tau(self, tau, sign):
         # an untied edge's tau is a multiple of 1/N with N = m(m - 1)/2, so
-        # large samples reach |tau| near 0, where theta is near 9 tau
+        # large samples reach |tau| near 0, where theta is near 9 tau; the
+        # root search's sign test would underflow below |tau| ~ 1e-154
         c = tau_to_parameter(CopulaFamily.FRANK, sign * tau)
-        assert parameter_to_tau(c) == pytest.approx(sign * tau, rel=1e-9)
+        assert c.family is CopulaFamily.FRANK
+        assert parameter_to_tau(c) == pytest.approx(sign * tau, rel=1e-9,
+                                                    abs=0.0)
+
+    def test_frank_series_meets_the_root_search(self):
+        # just above the switch at |tau| = 1e-8 the search gives the
+        # series' theta to rounding
+        for tau in (1e-8, 1.5e-8, 4e-8):
+            theta = tau_to_parameter(CopulaFamily.FRANK, tau).theta
+            assert theta == pytest.approx(9.0 * tau * (1.0 + 0.81 * tau * tau),
+                                          rel=4e-16)
 
     @pytest.mark.parametrize("family", [CopulaFamily.NORMAL, CopulaFamily.STUDENT,
                                         CopulaFamily.CLAYTON, CopulaFamily.FRANK,

@@ -19,9 +19,11 @@ from copeda.copulas import (
     clip_tau,
     copula_sample,
     frank,
+    gumbel,
     mvnormal_copula_sample,
     normal,
     product,
+    student,
     tau_to_parameter,
 )
 from copeda import dependence
@@ -714,24 +716,21 @@ class TestGofPassedTau:
 
 class TestMutualInformation:
     def test_normal_zero(self):
-        rng = np.random.default_rng(10)
-        assert copula_mutual_information(normal(1e-12), rng) == \
-            pytest.approx(0.0)
+        assert copula_mutual_information(normal(1e-12)) == pytest.approx(0.0)
 
     def test_normal_closed_form(self):
         expected = -0.5 * math.log(0.75)
-        rng = np.random.default_rng(10)
-        assert copula_mutual_information(normal(0.5), rng) == \
+        assert copula_mutual_information(normal(0.5)) == \
             pytest.approx(expected, abs=1e-12)
 
     def test_product_exact_zero(self):
-        rng = np.random.default_rng(11)
-        assert copula_mutual_information(product(), rng) == 0.0
+        assert copula_mutual_information(product()) == 0.0
 
-    def test_monte_carlo_path_close_to_truth(self):
-        rng = np.random.default_rng(12)
-        mi = copula_mutual_information(frank(5.0), rng, samples=5000)
-        assert 0.1 < mi < 0.6
+    @pytest.mark.parametrize("c", [frank(5.0), clayton(2.0), gumbel(1.5),
+                                   student(0.5, 4.0)], ids=str)
+    def test_other_families_have_no_closed_form(self, c):
+        with pytest.raises(ValueError, match="no closed-form"):
+            copula_mutual_information(c)
 
 
 class TestMakePositiveDefinite:

@@ -107,8 +107,7 @@ LAYERS = ("algorithms.learn", "algorithms.sample", "vines.fit",
 
 
 def test_traced_pass_counts_the_frank_chain_hinv():
-    # learning calls copula_hinv too (copula_sample, under the mutual
-    # information), so count the calls made by the sampler itself
+    # learning draws nothing, so every copula_hinv call is the sampler's
     calls = traced_calls("""
 spec = EdaSpec("copula-mimic", 30, TerminationSpec(max_gen=3),
                copulas=("frank",))
@@ -122,4 +121,4 @@ print("sample>copulas.hinv",
 LAYERS = ("algorithms.sample", "copulas.hinv")
 """)
     assert calls["algorithms.sample"] > 0
-    assert calls["sample>copulas.hinv"] > 0
+    assert calls["sample>copulas.hinv"] == calls["copulas.hinv"] > 0

@@ -175,6 +175,23 @@ class TestFitVine:
                                match=r"sig_level must be in \(0, 1\)"):
                 fit_vine(U, vine_type, ALL_FAMILIES, sig_level, "aic")
 
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    @pytest.mark.parametrize("options,message", [
+        ((np.nan, "aic"), r"sig_level must be in \(0, 1\)"),
+        ((0.01, "bogus"), "unknown criterion: bogus")])
+    def test_options_checked_before_any_tree(self, n, options, message,
+                                             monkeypatch):
+        # one column has no tree to fit, and three columns must not fit
+        # tree 1 before a bad criterion raises
+        def no_tests(*args, **kwargs):
+            raise AssertionError("a tree was fitted")
+
+        monkeypatch.setattr(vines, "indep_tests_cvm", no_tests)
+        U = np.random.default_rng(10).random((50, n))
+        for vine_type in VineType:
+            with pytest.raises(ValueError, match=message):
+                fit_vine(U, vine_type, NORMAL_ONLY, *options)
+
     def test_determinism(self):
         U = sample_trivariate((0.6, 0.5, 0.4), 300, 9)
         m1 = fit_vine(U, VineType.DVINE, ALL_FAMILIES, 0.01, "aic")
