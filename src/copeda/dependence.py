@@ -5,10 +5,10 @@ test of Genest & Remillard (2004), CvM goodness-of-fit copula selection,
 the closed-form mutual information of the normal and product copulas, and
 positive-definite repair of correlation matrices.  Entry (i, j) of the tau
 matrix is the tau of the ordered pair (X_i, X_j), and ``kendall_tau``
-reads entry (0, 1).  Each call takes one kernel for the whole matrix: the
-pair-sign kernel, or a per-pair fallback for long samples or ones with an
-infinite value, which is copeda's only use of ``scipy.stats``: it imports
-the module on first use, not at import.
+reads entry (0, 1).  Each call counts every pair with one of two exact
+kernels, the pair-sign kernel for short samples and Knight's (1966) merge
+count for long ones or ones with an infinite value; both give the
+integer counts that ``scipy.stats.kendalltau`` forms, and so its bits.
 
 The independence test's null distribution depends only on the sample size;
 it is simulated once per size from a fixed seed and cached, so no test
@@ -54,13 +54,15 @@ class DegenerateDataWarning(UserWarning):
     """A dependence statistic was requested on constant data."""
 
 
-# When the pair-sign kernel runs in place of scipy's O(m log m) merge count
-# (Knight 1966) pair by pair.  The kernel costs ~n m^2 and scipy ~n (n - 1) / 2
-# calls, so the break-even m grows with the column count n: measured at
-# m ~ 190, 310 and 520 for n = 2, 5 and 10 (m^2 ~ 30000 (n - 1)).  The cap
-# bounds the sign matrix, n m (m - 1) / 2 floats: 3.6 MB at m = 300, n = 10.
-TAU_SIGN_MAX_M = 300
-TAU_SIGN_M2_PER_COLUMN = 30_000
+# The largest sample the pair-sign kernel takes; longer ones, and any with
+# an infinite value, go to the Knight count.  The sign kernel costs ~n m^2
+# for n columns and Knight ~n (n - 1) / 2 m log m plus a fixed ~0.1 ms, so
+# the crossover grows slowly with n: on a 2-vCPU VM it was m ~ 90 for
+# n = 2 to 5 columns and for stacks of 1 to 8 pairs, and m ~ 150-160 for
+# n = 10 and 12.  The cap sits at the study dimension's crossover; below
+# it the sign kernel is at most 2.5 times Knight's time (n = 2, m = 150).
+# It also bounds the sign matrix, n m (m - 1) / 2 floats: 0.9 MB at n = 10.
+TAU_SIGN_MAX_M = 150
 
 
 @functools.lru_cache(maxsize=64)
@@ -72,25 +74,108 @@ def _upper_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def _sign_tau(X: np.ndarray) -> np.ndarray:
-    """tau-b of every ordered column pair (i, j) of a sample with no
-    infinite value; NaN where column i or j is constant or holds a NaN.
+def _sign_counts(X: np.ndarray, pairs) -> np.ndarray:
+    """Count matrix G of an (m, n) sample with no infinite value: every
+    column pair's concordant minus discordant pairs off the diagonal and
+    each column's untied pairs on it; NaN for a column holding a NaN.
 
     Row j of ``S`` holds the signs of column j's differences over all row
-    pairs, so ``S @ S.T`` holds concordant minus discordant pair counts
-    off the diagonal and untied pair counts on it.  The entries are -1, 0
-    and 1, so the float64 (BLAS) sums are exact integers, and
-    G[i, j] / sqrt(G[i, i]) / sqrt(G[j, j]), clamped, is scipy's expression
-    for x = column i, y = column j: entry (i, j) has the bits of
-    ``scipy.stats.kendalltau(X[:, i], X[:, j])``.  A constant column's
-    entries are 0/0.
+    pairs, so G = ``S @ S.T``, for all pairs whatever ``pairs`` asks.  The
+    entries are -1, 0 and 1, so the float64 (BLAS) sums are exact
+    integers.
     """
-    first, second = _upper_pairs(X.shape[0])
-    S = np.sign(X[first] - X[second]).T
-    G = S @ S.T
+    a, b = _upper_pairs(len(X))
+    S = np.sign(X[a] - X[b]).T
+    return S @ S.T
+
+
+def _inversions(Y: np.ndarray) -> np.ndarray:
+    """#{i < j : Y[r, i] > Y[r, j]} of each row r of (k, m) ranks 1..m.
+
+    A bottom-up merge count over rows padded to a power of two with m + 1,
+    which is above every rank and sits at the end, so it adds no pair.
+    The levels whose halves are shorter than eight compare the halves
+    directly; each later level sorts its blocks of two sorted halves with
+    the right half's values tagged odd, 2 y + 1, so that a left value sorts
+    before an equal right one.  A right value at position p of its block
+    and q of its half then has p - q left values at or below it and
+    w - p + q above it.
+    """
+    k, m = Y.shape
+    size = max(8, 1 << (m - 1).bit_length())
+    Z = np.full((k, size), m + 1, dtype=np.int64)
+    Z[:, :m] = Y
+    dis = np.zeros(k, dtype=np.int64)
+    w = 1
+    while w < 8:
+        H = Z.reshape(k, size // (2 * w), 2, w)
+        above = H[:, :, 0, :, None] > H[:, :, 1, None, :]
+        dis += np.count_nonzero(above.reshape(k, size * w // 2), axis=1)
+        w *= 2
+    Z = np.sort(Z.reshape(-1, w), axis=1)
+    while w < size:
+        B = Z.reshape(-1, 2 * w) << 1
+        B[:, w:] += 1
+        B.sort(axis=1)
+        blocks = size // (2 * w)
+        right = ((B & 1) @ np.arange(2 * w)).reshape(k, blocks)
+        dis += blocks * (w * w + w * (w - 1) // 2) - right.sum(axis=1)
+        Z = B >> 1
+        w *= 2
+    return dis
+
+
+def _knight_counts(X: np.ndarray, pairs) -> np.ndarray:
+    """The G of :func:`_sign_counts` by Knight's (1966) O(m log m) merge
+    count, for any sample, infinite values included; off the diagonal it
+    fills only the column pairs ``pairs = (first, second)``.
+
+    Ranks in which ties share the largest value (``_le_ranks``) sum to
+    m (m + 1) / 2 plus the tied pairs: that gives each column's ties and,
+    from the ranks of each pair's key (x rank, y rank), its joint ties.
+    Sorted by that key, a pair's discordant pairs are the strict
+    inversions of its y ranks.  Then, as in ``scipy.stats.kendalltau``,
+    concordant minus discordant is tot - x ties - y ties + joint ties -
+    2 dis, and the untied pairs tot - ties, tot = m (m - 1) / 2.
+    """
+    first, second = pairs
+    m = X.shape[0]
+    base, tot = m * (m + 1) // 2, m * (m - 1) // 2
+    R = _le_ranks(X.T)
+    key = R[first] * (m + 1) + R[second]
+    ties = R.sum(axis=1) - base
+    joint = _le_ranks(key).sum(axis=1) - base
+    key.sort(axis=1)
+    dis = _inversions(key % (m + 1))
+    G = np.diag(np.where(np.isnan(X).any(axis=0), np.nan, tot - ties))
+    G[first, second] = G[second, first] = (
+        tot - ties[first] - ties[second] + joint - 2 * dis)
+    return G
+
+
+def _tau_matrix(X: np.ndarray, pairs) -> np.ndarray:
+    """tau-b of the ordered column pairs (i, j) of an (m, n) sample, for
+    the pairs ``pairs = (first, second)`` in both orders:
+    G[i, j] / sqrt(G[i, i]) / sqrt(G[j, j]), clamped, which is scipy's
+    expression for x = column i, y = column j.  G comes from the sign
+    kernel up to ``TAU_SIGN_MAX_M`` rows with no infinite value, else from
+    Knight's count; the two give the same integers.  A pair with a
+    constant column gives 0 and a ``DegenerateDataWarning`` at the
+    caller's caller, and a NaN tau gives 0.
+    """
+    first, second = pairs
+    constant = (X == X[0]).all(axis=0)
+    for _ in range(np.count_nonzero(constant[first] | constant[second])):
+        warnings.warn("constant input vector; tau set to 0",
+                      DegenerateDataWarning, stacklevel=3)
+    kernel = (_sign_counts if len(X) <= TAU_SIGN_MAX_M
+              and not np.isinf(X).any() else _knight_counts)
+    G = kernel(X, pairs)
     root = np.sqrt(np.diag(G))
-    with np.errstate(invalid="ignore"):
-        return np.clip(G / root[:, None] / root[None, :], -1.0, 1.0)
+    with np.errstate(invalid="ignore"):  # a constant column's 0/0
+        T = np.clip(G / root[:, None] / root[None, :], -1.0, 1.0)
+    T[np.isnan(T)] = 0.0
+    return T
 
 
 def kendall_tau_matrix(X) -> np.ndarray:
@@ -101,36 +186,25 @@ def kendall_tau_matrix(X) -> np.ndarray:
     X[:, j]).statistic``, which tau-b divides by column i's tie term first:
     where the two columns' tie counts differ, entries (i, j) and (j, i)
     can differ in the last bit.  A pair with a constant column gives 0 and
-    a ``DegenerateDataWarning``, and a NaN tau gives 0.  The whole matrix
-    comes from a pair-sign kernel where it beats scipy's merge count
-    (``TAU_SIGN_M2_PER_COLUMN``) and no value is infinite; otherwise every
-    pair goes to scipy, once per orientation when either column has ties.
+    a ``DegenerateDataWarning``, and a NaN tau gives 0.  One kernel counts
+    every pair: the pair-sign kernel up to ``TAU_SIGN_MAX_M`` rows, else
+    Knight's merge count.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("Kendall's tau needs an (m, n) sample, m >= 2")
-    m, n = X.shape
-    i, j = _upper_pairs(n)
-    constant = (X == X[0]).all(axis=0)
-    for _ in range(np.count_nonzero(constant[i] | constant[j])):
-        warnings.warn("constant input vector; tau set to 0",
-                      DegenerateDataWarning, stacklevel=2)
-    if (m <= TAU_SIGN_MAX_M and m * m <= TAU_SIGN_M2_PER_COLUMN * (n - 1)
-            and not np.isinf(X).any()):
-        T = _sign_tau(X)
-    else:
-        T = np.zeros((n, n))
-        s = np.sort(X, axis=0)
-        tied = (s[1:] == s[:-1]).any(axis=0)
-        for a, b in zip(i.tolist(), j.tolist()):
-            if not (constant[a] or constant[b]):
-                from scipy import stats  # loaded on first use only
-                T[a, b] = stats.kendalltau(X[:, a], X[:, b]).statistic
-                T[b, a] = (stats.kendalltau(X[:, b], X[:, a]).statistic
-                           if tied[a] or tied[b] else T[a, b])
-    T[np.isnan(T)] = 0.0
+    T = _tau_matrix(X, _upper_pairs(X.shape[1]))
     np.fill_diagonal(T, 1.0)
     return T
+
+
+def _pair_taus(pairs) -> np.ndarray:
+    """tau-b of each (u, v) of a list of equally long vector pairs, with
+    the bits of ``kendall_tau(u, v)``, warnings included, from one
+    kernel call."""
+    X = np.column_stack([u for u, _ in pairs] + [v for _, v in pairs])
+    first, second = np.arange(2 * len(pairs)).reshape(2, -1)
+    return _tau_matrix(X, (first, second))[first, second]
 
 
 def _symmetric_taus(T: np.ndarray) -> np.ndarray:

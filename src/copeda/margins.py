@@ -159,16 +159,16 @@ class KernelMargin(_ScoresViaQuantile):
         knots, C = _knot_table(S, h)
         width = knots.shape[1]
         F = C[0]
-        # p at or beyond F at a support end maps to that end; NaN stays NaN
-        x = np.where(P <= F[:, 0], knots[:, 0],
-                     np.where(P >= F[:, -1], knots[:, -1], np.nan))
-        todo = np.flatnonzero((P > F[:, 0]) & (P < F[:, -1]))
-        col, target = todo % n, P.ravel()[todo]
-        # each point's bracket from one search of the table's F, ordered
-        # by column and then by F: complex numbers compare lexicographically
-        i = np.searchsorted((np.arange(n)[:, None] + 1j * F).ravel(),
-                            col + 1j * target, side="right")
-        k = i - col * width
+        # each point's bracket F[k - 1] <= p < F[k] from one search per
+        # column: k = width is p at or past F at the last knot (or NaN),
+        # and p at or below F at the first knot maps to that knot
+        K = np.stack([np.searchsorted(f, q, side="right")
+                      for f, q in zip(F, P.T)], axis=1)
+        x = np.where(K == width, knots[:, -1], knots[:, 0])
+        x[np.isnan(P)] = np.nan
+        todo = np.flatnonzero((K < width) & (P > F[:, 0]))
+        col, target, k = todo % n, P.ravel()[todo], K.ravel()[todo]
+        i = k + col * width
         # the start: x linear in the normal scores y = ndtri(F), in which a
         # kernel's tail is a line
         Y = special.ndtri(F)

@@ -11,9 +11,10 @@ the candidate families, and fitting truncates when AIC or BIC stops
 improving.  GoF moment-fits each edge from a tau the structure selection
 already has: ``kendall_tau_matrix`` entry (a, b) is the tau of the
 ordered pair (a, b), so each C-vine tree's root-selection matrix holds
-that tree's edge taus and the D-vine path's matrix holds tree 1's.  GoF
-computes its own for deeper D-vine trees.  The structure scores read each
-unordered pair's tau in ascending index order.
+that tree's edge taus and the D-vine path's matrix holds tree 1's.  A
+deeper D-vine tree gets its dependent edges' taus from one batched call.
+The structure scores read each unordered pair's tau in ascending index
+order.
 
 Fitting, ``vine_loglik`` and ``vine_sample`` share one edge layout per vine
 type, stated in ``RVineModel``: the tree walkers ``_CVineTrees`` and
@@ -39,8 +40,8 @@ from .copulas import (
     copula_loglik,
     product,
 )
-from .dependence import (_symmetric_taus, gof_select_copula, indep_tests_cvm,
-                         kendall_tau_matrix)
+from .dependence import (_pair_taus, _symmetric_taus, gof_select_copula,
+                         indep_tests_cvm, kendall_tau_matrix)
 
 
 class VineType(str, Enum):
@@ -157,7 +158,8 @@ class _CVineTrees:
     remaining variable with the largest summed absolute tau to the others
     on the current pseudo-observations (pair {a, b}, a < b, by entry
     (a, b)), ties to the lowest index, and keeps each edge (o, root)'s
-    tau, entry (o, root) of that matrix, in ``taus``.  After tree j,
+    tau, entry (o, root) of that matrix, in ``taus`` (None for a given
+    order).  After tree j,
     ``cols[o]`` holds F(x_o | roots 0..j) and a root's column keeps
     F(x_root | earlier roots).
     """
@@ -172,7 +174,7 @@ class _CVineTrees:
         k = len(self.remaining)
         if self.given is not None:
             self.root = self.given[len(self.roots)]
-            self.taus = [None] * (k - 1)
+            self.taus = None
         else:
             X = np.column_stack([self.cols[i] for i in self.remaining])
             taus = kendall_tau_matrix(X)
@@ -199,7 +201,7 @@ class _DVineTrees:
     ``a[i]`` is F(x_i | between) and ``b[i]`` is F(x_{i+j+1} | between).
     Fitting selects the path from the tau matrix of ``U``
     (:func:`_dvine_path`) and keeps each tree-1 edge (a, b)'s tau, entry
-    (a, b) of that matrix, in ``taus``; deeper trees have none.
+    (a, b) of that matrix, in ``taus``; deeper trees have ``taus`` None.
     """
 
     def __init__(self, U, order=None):
@@ -209,7 +211,7 @@ class _DVineTrees:
             order = _dvine_path(taus)
             self.taus = [taus[a, b] for a, b in zip(order[:-1], order[1:])]
         else:
-            self.taus = [None] * (n - 1)
+            self.taus = None
         self.order = order
         cols = U[:, list(order)]
         self.a = [cols[:, i] for i in range(n - 1)]
@@ -223,7 +225,7 @@ class _DVineTrees:
         a = [_h(edges[i], self.a[i], self.b[i]) for i in range(k)]
         b = [_h(edges[i + 1], self.b[i + 1], self.a[i + 1]) for i in range(k)]
         self.a, self.b = a, b
-        self.taus = [None] * k
+        self.taus = None
 
 
 _TREES = {VineType.CVINE: _CVineTrees, VineType.DVINE: _DVineTrees}
@@ -236,10 +238,11 @@ def fit_vine(U, vine_type: VineType, candidates, sig_level: float = 0.01,
     One ``indep_tests_cvm`` call per tree tests every edge at
     ``sig_level``; an edge it finds independent gets the product copula,
     every other edge CvM selection among ``candidates``
-    (``gof_select_copula``).  GoF gets the edge's tau from the tree walk
-    when the walk has it: from each C-vine tree's root-selection matrix
-    and from the D-vine path's matrix on tree 1, with the bits of
-    ``kendall_tau(u, v)`` in the edge's orientation.  With
+    (``gof_select_copula``).  GoF gets the edge's tau, with the bits of
+    ``kendall_tau(u, v)`` in the edge's orientation, from the tree walk
+    when the walk has it (each C-vine tree's root-selection matrix and the
+    D-vine path's matrix on tree 1), and otherwise from one
+    ``_pair_taus`` call over the tree's dependent edges.  With
     ``criterion`` "aic" or "bic" the cumulative information criterion is
     evaluated after each tree and fitting stops as soon as it fails to
     decrease strictly; the offending tree and all deeper trees become
@@ -267,9 +270,14 @@ def fit_vine(U, vine_type: VineType, candidates, sig_level: float = 0.01,
         pairs = walk.pairs()
         tests = indep_tests_cvm([u for u, _ in pairs], [v for _, v in pairs],
                                 sig_level)
+        taus = walk.taus
+        dependent = [p for p, test in enumerate(tests) if not test.independent]
+        if taus is None and dependent:  # one call for the tree's GoF edges
+            taus = dict(zip(dependent,
+                            _pair_taus([pairs[p] for p in dependent])))
         edges = [product() if test.independent
-                 else gof_select_copula(u, v, candidates, tau)
-                 for test, (u, v), tau in zip(tests, pairs, walk.taus)]
+                 else gof_select_copula(u, v, candidates, taus[p])
+                 for p, (test, (u, v)) in enumerate(zip(tests, pairs))]
         loglik_cum += sum(copula_loglik(c, np.column_stack(pair))
                           for c, pair in zip(edges, pairs)
                           if c.family is not CopulaFamily.PRODUCT)

@@ -432,6 +432,30 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "['scipy.optimize']\n"
 
+    def test_no_run_loads_scipy_stats(self):
+        # runs whose taus come from Knight's count: long vine samples over
+        # every copula family (pop 700 selects 210 rows), a kernel-margin
+        # GCEDA at pop 1100 (330 rows) and an infinite value
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import copeda as c\n"
+            "from copeda.benchmarks import f_summation_cancellation as f\n"
+            "lo, hi = np.full(5, -0.16), np.full(5, 0.16)\n"
+            "for algorithm in ('cveda', 'dveda'):\n"
+            "    spec = c.EdaSpec(algorithm, 700, c.TerminationSpec(max_gen=3), "
+            "copulas=('normal', 'student', 'clayton', 'frank', 'gumbel'))\n"
+            "    c.eda_run(spec, f, lo, hi, c.run_rng(12345, 0))\n"
+            "spec = c.EdaSpec('gceda', 1100, c.TerminationSpec(max_gen=2), "
+            "margin=c.MarginKind.KERNEL)\n"
+            "c.eda_run(spec, f, lo, hi, c.run_rng(12345, 0))\n"
+            "X = np.random.default_rng(0).random((40, 3))\n"
+            "X[5, 0], X[7, 2] = np.inf, -np.inf\n"
+            "c.kendall_tau_matrix(X)\n"
+            "print('scipy.stats' in sys.modules)\n")
+        proc = run_python("-c", script)
+        assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
     def test_beta_margin_fit_loads_no_optimizer(self):
         # the beta fit solves its likelihood equations with scipy.special
         script = (

@@ -135,12 +135,13 @@ def tau_cases():
     yield "m = 2 tied", np.array([[1.0, 2.0, 3.0], [1.0, 1.0, 4.0]])
     yield "two columns, m = 150", rng.random((150, 2))
     yield "two columns, m = 200", rng.random((200, 2))
-    yield "above the kernel cap", rng.integers(0, 50, (TAU_SIGN_MAX_M + 1, 4)) * 0.1
+    # above the sign kernel's TAU_SIGN_MAX_M rows: Knight's count
+    yield "above the kernel cap", rng.integers(0, 50, (301, 4)) * 0.1
     for k in range(40):
         m, n = int(rng.integers(2, 90)), int(rng.integers(1, 9))
         yield f"random {k}", rng.integers(0, int(rng.integers(2, 9)), (m, n)) * 0.5
     yield "unequal ties", unequal_ties(rng, 60)
-    yield "unequal ties above the kernel cap", unequal_ties(rng, TAU_SIGN_MAX_M + 20)
+    yield "unequal ties above the kernel cap", unequal_ties(rng, 320)
     X = rng.integers(0, 5, (30, 3)) * 1.0
     X[4, 1] = np.inf
     yield "inf next to ties", X
@@ -148,6 +149,20 @@ def tau_cases():
     X[11, 1] = np.nan
     X[:, 3] = 0.25
     yield "nan and constant columns, m = 40", X
+    # Knight's count: a deeper D-vine tree's pair shape, long tied and
+    # infinite samples, and a long continuous one
+    yield "two tied columns, m = 290", np.round(rng.random((290, 2)), 2)
+    yield "unequal ties, m = 600", unequal_ties(rng, 600)
+    X = rng.integers(0, 7, (400, 4)) * 1.0
+    X[[3, 50], 0] = np.inf
+    X[[9, 10, 11], 2] = -np.inf
+    X[200, 3] = np.inf
+    yield "inf next to ties, m = 400", X
+    X = rng.random((400, 4))
+    X[123, 0] = np.nan
+    X[:, 2] = -1.5
+    yield "nan and constant columns, m = 400", X
+    yield "continuous, m = 2000", rng.random((2000, 3))
 
 
 TAU_CASES = dict(tau_cases())
@@ -170,10 +185,12 @@ class TestTauMatchesScipyBitwise:
             for i, j in itertools.permutations(range(X.shape[1]), 2):
                 assert T[i, j].hex() == kendall_tau(X[:, i], X[:, j]).hex()
 
-    @pytest.mark.parametrize("m", [60, TAU_SIGN_MAX_M + 20])
+    @pytest.mark.parametrize("m", [60, 320])
     def test_orientations_differ_on_unequal_ties(self, m):
-        # the orientation the oracle checks is visible: some pair's two
-        # tie-term division orders round apart
+        # the orientation the oracle checks is visible on both kernels (the
+        # sign kernel at m = 60, Knight's at 320): some pair's two tie-term
+        # division orders round apart
+        assert (m <= TAU_SIGN_MAX_M) == (m == 60)
         T = kendall_tau_matrix(unequal_ties(np.random.default_rng(24), m))
         assert (T != T.T).any()
         assert np.allclose(T, T.T, rtol=1e-15, atol=0.0)
@@ -211,21 +228,27 @@ class TestTauMatchesScipyBitwise:
             kendall_tau_matrix(np.zeros((1, 3)))
 
     def test_nan_and_constant_columns_stay_off_scipy(self):
-        # the sign kernel maps their 0/0 to 0 inside its np.errstate, so the
-        # only warnings are one DegenerateDataWarning per constant pair
+        # both kernels map a constant column's 0/0 and a NaN to 0 inside
+        # their np.errstate, so the only warnings are one
+        # DegenerateDataWarning per constant pair; no input, long or
+        # infinite ones included, loads scipy.stats
         script = (
             "import sys, warnings\n"
             "import numpy as np\n"
-            "from copeda.dependence import kendall_tau_matrix\n"
-            "X = np.random.default_rng(25).random((40, 4))\n"
-            "X[11, 1] = np.nan\n"
-            "X[:, 3] = 0.25\n"
-            "with warnings.catch_warnings(record=True) as record:\n"
-            "    warnings.simplefilter('always')\n"
-            "    T = kendall_tau_matrix(X)\n"
-            "print([w.category.__name__ for w in record])\n"
-            "print(T[[1, 1, 1, 0, 2, 3, 3, 3, 0, 2], "
+            "from copeda.dependence import kendall_tau, kendall_tau_matrix\n"
+            "for m in (40, 400):\n"
+            "    X = np.random.default_rng(25).random((m, 4))\n"
+            "    X[11, 1] = np.nan\n"
+            "    X[:, 3] = 0.25\n"
+            "    with warnings.catch_warnings(record=True) as record:\n"
+            "        warnings.simplefilter('always')\n"
+            "        T = kendall_tau_matrix(X)\n"
+            "    print([w.category.__name__ for w in record])\n"
+            "    print(T[[1, 1, 1, 0, 2, 3, 3, 3, 0, 2], "
             "[0, 2, 3, 1, 1, 0, 1, 2, 3, 3]].tolist())\n"
+            "X = np.random.default_rng(26).integers(0, 5, (2000, 3)) * 1.0\n"
+            "X[[0, 9], 0], X[4, 2] = np.inf, -np.inf\n"
+            "kendall_tau_matrix(X), kendall_tau(X[:30, 0], X[:30, 1])\n"
             "print('scipy.stats' in sys.modules)\n")
         src = os.path.dirname(os.path.dirname(dependence.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -234,7 +257,7 @@ class TestTauMatchesScipyBitwise:
                               env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
-            str(["DegenerateDataWarning"] * 3), str([0.0] * 10), "False"]
+            str(["DegenerateDataWarning"] * 3), str([0.0] * 10)] * 2 + ["False"]
 
 
 class TestPseudoObservations:

@@ -409,6 +409,22 @@ class TestKernelQuantile:
         assert model.quantile(0.0) == model.sample.min() - 4.0 * h
         assert model.quantile(1.0) == model.sample.max() + 4.0 * h
 
+    def test_p_equal_to_f_at_an_end_knot_maps_to_that_knot(self):
+        # one search per column finds each bracket; p exactly at F of the
+        # first or last knot, below or above them, and NaN keep their rules
+        rng = np.random.default_rng(17)
+        stacked = kernel(np.column_stack([rng.normal(0.0, s, 40)
+                                          for s in (0.5, 1.0, 3.0)]))
+        knots, C = margins._knot_table(np.sort(stacked.sample, axis=1),
+                                       stacked.bandwidth)
+        F = C[0]
+        P = np.stack([F[:, 0], F[:, -1], F[:, 0] / 2, (1.0 + F[:, -1]) / 2,
+                      np.full(3, np.nan)])
+        Q = stacked.quantile(P)
+        assert np.array_equal(Q[[0, 2]], np.tile(knots[:, 0], (2, 1)))
+        assert np.array_equal(Q[[1, 3]], np.tile(knots[:, -1], (2, 1)))
+        assert np.isnan(Q[4]).all()
+
     def test_floored_bandwidth_constant_sample(self):
         model = kernel([5.0, 5.0, 5.0])
         assert model.bandwidth == 1e-8

@@ -122,3 +122,14 @@ LAYERS = ("algorithms.sample", "copulas.hinv")
 """)
     assert calls["algorithms.sample"] > 0
     assert calls["sample>copulas.hinv"] == calls["copulas.hinv"] > 0
+
+
+def test_benchmark_pass_replays_the_study_runs():
+    # each workload's benchmark pass does exactly the runs of
+    # eda_indep_runs, the identity the benchmark's fingerprints rest on
+    done = subprocess.run(
+        [sys.executable, str(SPANS.parent / "harness_check.py"),
+         "--seconds", "5"], capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 4 and all(line.split()[1] == "same" for line in lines)

@@ -13,9 +13,11 @@ from copeda.copulas import (
     product,
     tau_to_parameter,
 )
-from copeda import vines
+from copeda import dependence, vines
+from copeda.benchmarks import study_cell
 from copeda.dependence import (indep_tests_cvm, kendall_tau,
                                kendall_tau_matrix, pseudo_observations)
+from copeda.eda import eda_run, run_rng
 from copeda.vines import (
     RVineModel,
     VineType,
@@ -439,6 +441,25 @@ class TestWalkTaus:
             assert walk.order == model.order
         assert flipped
 
+    def test_no_gof_call_computes_its_own_tau(self, monkeypatch):
+        # a D-vine's deeper trees get their dependent edges' taus from one
+        # batched call at the paper's long samples (m = 290 at pop 965)
+        def no_tau(*args):
+            raise AssertionError("GoF computed its own tau")
+
+        monkeypatch.setattr(dependence, "kendall_tau", no_tau)
+        batches = []
+        pair_taus = vines._pair_taus
+        monkeypatch.setattr(vines, "_pair_taus",
+                            lambda pairs: batches.append(len(pairs))
+                            or pair_taus(pairs))
+        U = random_gaussian_sample(6, 290, 31)
+        model = fit_vine(U, "dvine", FIVE_FAMILIES, criterion="none")
+        deeper = [c for tree in model.trees[1:] for c in tree
+                  if c.family is not CopulaFamily.PRODUCT]
+        assert len(deeper) == sum(batches) >= 3
+        assert len(batches) <= 4  # at most one call per deeper tree
+
     def test_structure_reads_one_orientation_per_pair(self):
         # on tied columns entries (a, b) and (b, a) can round apart; the
         # structure scores read pair {a, b}, a < b, by entry (a, b) alone:
@@ -549,3 +570,19 @@ class TestGaussianVineOracle:
         expected[:, o] = ndtr(ndtri(W) @ np.linalg.cholesky(R[np.ix_(o, o)]).T)
         draws = vine_sample(model, m, np.random.default_rng(22))
         assert np.allclose(draws, expected, rtol=0.0, atol=1e-9)
+
+
+class TestPaperCellPins:
+    """Run 0 of the paper's vine cells at Summation Cancellation size
+    (10-D, published population sizes), pinned bit for bit: every tau,
+    pre-test and fit of a run at pop 294 and 965 decides these bits."""
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("algorithm, pinned", [
+        ("cveda", (157, 46158, "-0x1.869ffffff0a37p+16")),
+        ("dveda", (128, 123520, "-0x1.869ffffff33fdp+16"))])
+    def test_run_zero_bits(self, algorithm, pinned):
+        spec, f, lower, upper = study_cell(algorithm, "summation-cancellation")
+        result = eda_run(spec, f, lower, upper, run_rng(12345, 0))
+        assert (result.num_gens, result.f_evals,
+                float(result.best_eval).hex()) == pinned
