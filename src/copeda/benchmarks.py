@@ -13,11 +13,12 @@ from .eda import EdaSpec, TerminationSpec
 def f_sphere(x):
     """Sum of squares; global minimum 0 at the origin.
 
-    Batched: a row-vector times column-vector product runs each row through
-    the same dot kernel as ``np.dot(x, x)``, so every row's value is the
-    one-point value bit for bit (``np.sum(x * x, -1)`` is not).  The kernel
-    sums a strided row in another order, hence the contiguous copy.  The
-    trailing ``[()]`` turns one point's 0-d result into a float.
+    Batched: a row-vector times column-vector product gives each row the
+    one-point value's bits wherever the two calls reach the same OpenBLAS
+    dot kernel (not under ``OPENBLAS_CORETYPE=Prescott``, for one); the
+    sum ``np.sum(x * x, -1)`` rounds otherwise.  The kernel sums a strided row
+    in another order, hence the contiguous copy.  The trailing ``[()]``
+    turns one point's 0-d result into a float.
     """
     x = np.ascontiguousarray(x, dtype=float)
     return (x[..., None, :] @ x[..., :, None])[..., 0, 0][()]

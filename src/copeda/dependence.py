@@ -16,8 +16,9 @@ draws from a caller's generator.  One exact pair-sum kernel,
 ``_cvm_pair_sums``, scores both the observed statistics and the null's
 permutations: its float64 sums of integers stay below 2^53, so they are
 exact in any order and under any BLAS kernel.  ``indep_tests_cvm`` tests
-a stack of equally long pairs in one call (a vine fitter's whole tree);
-``indep_test_cvm`` is its one-pair form.
+column pairs of one sample in one call (a vine fitter's whole tree),
+addressed by column index as ``_tau_matrix`` addresses them, and ranks
+each column once; ``indep_test_cvm`` is its one-pair form.
 """
 
 from __future__ import annotations
@@ -198,15 +199,6 @@ def kendall_tau_matrix(X) -> np.ndarray:
     return T
 
 
-def _pair_taus(pairs) -> np.ndarray:
-    """tau-b of each (u, v) of a list of equally long vector pairs, with
-    the bits of ``kendall_tau(u, v)``, warnings included, from one
-    kernel call."""
-    X = np.column_stack([u for u, _ in pairs] + [v for _, v in pairs])
-    first, second = np.arange(2 * len(pairs)).reshape(2, -1)
-    return _tau_matrix(X, (first, second))[first, second]
-
-
 def _symmetric_taus(T: np.ndarray) -> np.ndarray:
     """Tau matrix ``T`` with each pair {i, j}, i < j, read from entry
     (i, j) in both triangles, and 0 on the diagonal, so that a score built
@@ -351,31 +343,37 @@ def _cvm_pair_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return pairs
 
 
-def indep_tests_cvm(U, V, sig_level: float = 0.01) -> list[IndepTestResult]:
-    """Rank Cramer-von Mises independence test of each row pair (U[j], V[j]).
+def indep_tests_cvm(X, pairs, sig_level: float = 0.01) -> list[IndepTestResult]:
+    """Rank Cramer-von Mises independence test of each column pair of ``X``.
 
-    ``U`` and ``V`` are (k, m) stacks of k equally long pairs, and the
-    result holds one :class:`IndepTestResult` per row.  The statistic is
-    :func:`_cvm_statistics` on the ranks R_i = #{k : u_k <= u_i} (ties
-    share the largest rank, as the empirical copula's ``<=`` does).  Its
-    null distribution depends on m alone and is simulated once per m
-    (:func:`_cvm_null`), as the R copula package's ``indepTestSim`` does,
-    so the test draws nothing from any run's generator.  The p-value is
-    (#null >= statistic + 1) / (B + 1), and the pair counts as
-    independent when ``p_value >= sig_level``, 0 < ``sig_level`` < 1.
+    ``X`` is an (m, c) sample and ``pairs = (first, second)`` lists the
+    tested pairs (X[:, first[j]], X[:, second[j]]) by column index, as
+    ``_tau_matrix`` takes them; the result holds one
+    :class:`IndepTestResult` per pair.  Each column is ranked once,
+    R_i = #{k : x_k <= x_i} (ties share the largest rank, as the empirical
+    copula's ``<=`` does), and the statistic is :func:`_cvm_statistics` on
+    a pair's ranks.  Its null distribution depends on m alone and is
+    simulated once per m (:func:`_cvm_null`), as the R copula package's
+    ``indepTestSim`` does, so the test draws nothing from any run's
+    generator.  The p-value is (#null >= statistic + 1) / (B + 1), and the
+    pair counts as independent when ``p_value >= sig_level``,
+    0 < ``sig_level`` < 1.
     """
     if not 0.0 < sig_level < 1.0:  # also catches NaN
         raise ValueError("sig_level must be in (0, 1)")
-    U = np.asarray(U, dtype=float)
-    V = np.asarray(V, dtype=float)
-    if U.shape != V.shape or U.ndim != 2 or not 2 <= U.shape[1] <= CVM_MAX_M:
+    X = np.asarray(X, dtype=float)
+    first, second = pairs
+    if X.ndim != 2 or not 2 <= X.shape[0] <= CVM_MAX_M:
+        raise ValueError("the CvM independence test needs an (m, c) sample, "
+                         f"2 <= m <= {CVM_MAX_M}")
+    if len(first) != len(second):
         raise ValueError("the CvM independence test needs equally long "
-                         f"vectors, 2 <= m <= {CVM_MAX_M}")
-    if not (np.isfinite(U).all() and np.isfinite(V).all()):
+                         "first and second column indices")
+    if not np.isfinite(X).all():
         raise ValueError("the CvM independence test needs finite values")
-    k, m = U.shape
-    ranks = _le_ranks(np.concatenate([U, V]))
-    r, s = ranks[:k], ranks[k:]
+    m = X.shape[0]
+    R = _le_ranks(X.T)
+    r, s = R[first], R[second]
     # m + 1 - max(r_i, r_k) = min(m + 1 - r_i, m + 1 - r_k)
     statistics = _cvm_statistics(_cvm_pair_sums(m + 1 - r, m + 1 - s), r, s)
     null = _cvm_null(m)
@@ -390,11 +388,9 @@ def indep_tests_cvm(U, V, sig_level: float = 0.01) -> list[IndepTestResult]:
 
 def indep_test_cvm(u, v, sig_level: float = 0.01) -> IndepTestResult:
     """:func:`indep_tests_cvm` of one pair of equally long vectors."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1:
+    if np.ndim(u) != 1 or np.shape(u) != np.shape(v):
         raise ValueError("indep_test_cvm needs two equally long vectors")
-    return indep_tests_cvm(u[None], np.asarray(v, dtype=float)[None],
-                           sig_level)[0]
+    return indep_tests_cvm(np.column_stack([u, v]), ([0], [1]), sig_level)[0]
 
 
 def gof_select_copula(u, v, candidates, tau=None) -> BivariateCopula:

@@ -8,13 +8,13 @@ absolute tau along consecutive pairs via cheapest insertion on edge costs
 random numbers and runs once per tree over all of the tree's edges,
 decides between the product copula and CvM goodness-of-fit selection among
 the candidate families, and fitting truncates when AIC or BIC stops
-improving.  GoF moment-fits each edge from a tau the structure selection
-already has: ``kendall_tau_matrix`` entry (a, b) is the tau of the
-ordered pair (a, b), so each C-vine tree's root-selection matrix holds
-that tree's edge taus and the D-vine path's matrix holds tree 1's.  A
-deeper D-vine tree gets its dependent edges' taus from one batched call.
-The structure scores read each unordered pair's tau in ascending index
-order.
+improving.  A tree is its columns and its edges as column index pairs
+(f, s), as the pre-test and the tau kernel take them.  GoF moment-fits
+edge (f, s) from entry (f, s) of a tau matrix the structure selection
+already has: each C-vine tree's root-selection matrix, and the D-vine
+path's on tree 1.  A deeper D-vine tree gets its dependent edges' taus
+from one ``_tau_matrix`` call.  The structure scores read each unordered
+pair's tau in ascending index order.
 
 Fitting, ``vine_loglik`` and ``vine_sample`` share one edge layout per vine
 type, stated in ``RVineModel``: the tree walkers ``_CVineTrees`` and
@@ -40,7 +40,7 @@ from .copulas import (
     copula_loglik,
     product,
 )
-from .dependence import (_pair_taus, _symmetric_taus, gof_select_copula,
+from .dependence import (_symmetric_taus, _tau_matrix, gof_select_copula,
                          indep_tests_cvm, kendall_tau_matrix)
 
 
@@ -154,14 +154,13 @@ def _hinv(c: BivariateCopula, p, v):
 class _CVineTrees:
     """Tree j pairs root j with every remaining variable, in ascending index.
 
-    The roots are ``order`` when one is given; fitting picks each as the
-    remaining variable with the largest summed absolute tau to the others
-    on the current pseudo-observations (pair {a, b}, a < b, by entry
-    (a, b)), ties to the lowest index, and keeps each edge (o, root)'s
-    tau, entry (o, root) of that matrix, in ``taus`` (None for a given
-    order).  After tree j,
-    ``cols[o]`` holds F(x_o | roots 0..j) and a root's column keeps
-    F(x_root | earlier roots).
+    ``tree`` returns the remaining variables' columns X in ascending
+    index, the edges (o, root) as column indices of X, and the tau matrix
+    of X from which fitting picks the root: the variable with the largest
+    summed absolute tau to the others (pair {a, b}, a < b, by entry
+    (a, b)), ties to the lowest index.  With ``order`` given, the roots
+    are ``order`` and the matrix is None.  After tree j, the column of a
+    remaining variable o holds F(x_o | roots 0..j).
     """
 
     def __init__(self, U, order=None):
@@ -170,61 +169,57 @@ class _CVineTrees:
         self.remaining = list(range(U.shape[1]))
         self.roots: list[int] = []
 
-    def pairs(self):
-        k = len(self.remaining)
-        if self.given is not None:
-            self.root = self.given[len(self.roots)]
-            self.taus = None
-        else:
-            X = np.column_stack([self.cols[i] for i in self.remaining])
+    def tree(self):
+        X = np.column_stack(self.cols)
+        if self.given is None:
             taus = kendall_tau_matrix(X)
             r = int(np.argmax(np.abs(_symmetric_taus(taus)).sum(axis=1)))
-            self.root = self.remaining[r]
-            self.taus = [taus[a, r] for a in range(k) if a != r]
-        self.others = [i for i in self.remaining if i != self.root]
-        return [(self.cols[o], self.cols[self.root]) for o in self.others]
+        else:
+            taus = None
+            r = self.remaining.index(self.given[len(self.roots)])
+        others = [a for a in range(len(self.cols)) if a != r]
+        self.edges = (others, [r] * len(others))
+        return X, self.edges, taus
 
     def advance(self, edges):
-        for c, o in zip(edges, self.others):
-            self.cols[o] = _h(c, self.cols[o], self.cols[self.root])
-        self.roots.append(self.root)
-        self.remaining = self.others
+        others, (r, *_) = self.edges
+        self.cols = [_h(c, self.cols[o], self.cols[r])
+                     for c, o in zip(edges, others)]
+        self.roots.append(self.remaining.pop(r))
 
     @property
     def order(self) -> tuple[int, ...]:
-        return tuple(self.roots + sorted(self.remaining))
+        return tuple(self.roots + self.remaining)
 
 
 class _DVineTrees:
     """Tree j pairs path positions i and i + j + 1 given the nodes between.
 
-    ``a[i]`` is F(x_i | between) and ``b[i]`` is F(x_{i+j+1} | between).
-    Fitting selects the path from the tau matrix of ``U``
-    (:func:`_dvine_path`) and keeps each tree-1 edge (a, b)'s tau, entry
-    (a, b) of that matrix, in ``taus``; deeper trees have ``taus`` None.
+    Tree 1's columns are ``U``'s, its edges consecutive path variables and
+    its tau matrix the one :func:`_dvine_path` selects the path from.  A
+    deeper tree of k edges has column i = F(x_i | between) and column
+    k + i = F(x_{i+j+1} | between), edge i pairing them, and no matrix.
     """
 
     def __init__(self, U, order=None):
-        n = U.shape[1]
+        self.taus = None
         if order is None:
-            taus = kendall_tau_matrix(U)
-            order = _dvine_path(taus)
-            self.taus = [taus[a, b] for a, b in zip(order[:-1], order[1:])]
-        else:
-            self.taus = None
+            self.taus = kendall_tau_matrix(U)
+            order = _dvine_path(self.taus)
         self.order = order
-        cols = U[:, list(order)]
-        self.a = [cols[:, i] for i in range(n - 1)]
-        self.b = [cols[:, i + 1] for i in range(n - 1)]
+        self.cols = list(U.T)
+        self.edges = (list(order[:-1]), list(order[1:]))
 
-    def pairs(self):
-        return list(zip(self.a, self.b))
+    def tree(self):
+        return np.column_stack(self.cols), self.edges, self.taus
 
     def advance(self, edges):
-        k = len(self.a) - 1
-        a = [_h(edges[i], self.a[i], self.b[i]) for i in range(k)]
-        b = [_h(edges[i + 1], self.b[i + 1], self.a[i + 1]) for i in range(k)]
-        self.a, self.b = a, b
+        (first, second), cols, k = self.edges, self.cols, len(edges) - 1
+        self.cols = (
+            [_h(edges[i], cols[first[i]], cols[second[i]]) for i in range(k)]
+            + [_h(edges[i], cols[second[i]], cols[first[i]])
+               for i in range(1, k + 1)])
+        self.edges = (list(range(k)), list(range(k, 2 * k)))
         self.taus = None
 
 
@@ -235,14 +230,14 @@ def fit_vine(U, vine_type: VineType, candidates, sig_level: float = 0.01,
              criterion: str = "aic") -> RVineModel:
     """Fit a C-vine or D-vine tree by tree.
 
-    One ``indep_tests_cvm`` call per tree tests every edge at
-    ``sig_level``; an edge it finds independent gets the product copula,
-    every other edge CvM selection among ``candidates``
-    (``gof_select_copula``).  GoF gets the edge's tau, with the bits of
-    ``kendall_tau(u, v)`` in the edge's orientation, from the tree walk
-    when the walk has it (each C-vine tree's root-selection matrix and the
-    D-vine path's matrix on tree 1), and otherwise from one
-    ``_pair_taus`` call over the tree's dependent edges.  With
+    The tree walk gives each tree as its columns X, its edges (f, s) as
+    column indices, u = X[:, f] and v = X[:, s], and the tau matrix T of
+    X where it has one.  One ``indep_tests_cvm`` call per tree tests every
+    edge at ``sig_level``; an edge it finds independent gets the product
+    copula, every other edge CvM selection among ``candidates``
+    (``gof_select_copula``) with tau T[f, s], the bits of
+    ``kendall_tau(u, v)``, T coming from one ``_tau_matrix`` call over the
+    dependent edges where the walk has none.  With
     ``criterion`` "aic" or "bic" the cumulative information criterion is
     evaluated after each tree and fitting stops as soon as it fails to
     decrease strictly; the offending tree and all deeper trees become
@@ -267,19 +262,18 @@ def fit_vine(U, vine_type: VineType, candidates, sig_level: float = 0.01,
     crit_prev = 0.0
     trunc_level = n - 1
     for level in range(n - 1):
-        pairs = walk.pairs()
-        tests = indep_tests_cvm([u for u, _ in pairs], [v for _, v in pairs],
-                                sig_level)
-        taus = walk.taus
-        dependent = [p for p, test in enumerate(tests) if not test.independent]
+        X, (first, second), taus = walk.tree()
+        tests = indep_tests_cvm(X, (first, second), sig_level)
+        dependent = [(f, s) for f, s, test in zip(first, second, tests)
+                     if not test.independent]
         if taus is None and dependent:  # one call for the tree's GoF edges
-            taus = dict(zip(dependent,
-                            _pair_taus([pairs[p] for p in dependent])))
+            taus = _tau_matrix(X, np.transpose(dependent))
         edges = [product() if test.independent
-                 else gof_select_copula(u, v, candidates, taus[p])
-                 for p, (test, (u, v)) in enumerate(zip(tests, pairs))]
-        loglik_cum += sum(copula_loglik(c, np.column_stack(pair))
-                          for c, pair in zip(edges, pairs)
+                 else gof_select_copula(X[:, f], X[:, s], candidates,
+                                        taus[f, s])
+                 for test, f, s in zip(tests, first, second)]
+        loglik_cum += sum(copula_loglik(c, X[:, [f, s]])
+                          for c, f, s in zip(edges, first, second)
                           if c.family is not CopulaFamily.PRODUCT)
         k_cum += sum(c.n_params for c in edges)
         if criterion != "none":
@@ -307,9 +301,10 @@ def vine_loglik(model: RVineModel, U) -> float:
     walk = _TREES[model.vine_type](U, model.order)
     total = 0.0
     for tree in model.trees:
-        for c, pair in zip(tree, walk.pairs()):
+        X, (first, second), _ = walk.tree()
+        for c, f, s in zip(tree, first, second):
             if c.family is not CopulaFamily.PRODUCT:
-                total += copula_loglik(c, np.column_stack(pair))
+                total += copula_loglik(c, X[:, [f, s]])
         walk.advance(tree)
     return total
 

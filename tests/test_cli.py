@@ -118,6 +118,30 @@ class TestRun:
         assert first[0] == "2"
         assert sum(int(x) for x in first[1:]) == 3  # all pair copulas, n=3
 
+    def test_dveda_dump_names_its_vine(self, tmp_path):
+        # the algorithm alone picks the vine type
+        path = tmp_path / "dmodel.txt"
+        status, _ = run_cli(["run", "--algorithm", "dveda", "--function",
+                             "sphere", "--dim", "3", "--lower", "-5",
+                             "--upper", "5", "--pop-size", "40",
+                             "--max-gen", "4", "--dump-model", str(path)])
+        assert status == 0
+        assert "dependence: dvine" in path.read_text()
+
+    def test_frank_chain_runs_and_dumps(self, tmp_path):
+        # a Frank chain samples link by link through the h-inverse; the
+        # normal chain of every benchmark workload takes the Gaussian path
+        path = tmp_path / "chain.txt"
+        status, _ = run_cli(["run", "--algorithm", "copula-mimic",
+                             "--copula", "frank", "--function", "sphere",
+                             "--dim", "3", "--lower", "-5", "--upper", "5",
+                             "--pop-size", "40", "--max-gen", "4",
+                             "--dump-model", str(path)])
+        assert status == 0
+        lines = path.read_text().splitlines()
+        assert any("dependence: chain perm=" in line for line in lines)
+        assert sum(line.startswith("link ") for line in lines) >= 2
+
     @pytest.mark.parametrize("flag", [["--jobs", "4"], ["--format", "json"],
                                       ["--out", "x.json"]])
     def test_study_output_flags_rejected(self, flag, capsys):

@@ -366,7 +366,7 @@ class TestCvmStatistic:
         pairs = dependence._cvm_pair_sums(m + 1 - ranks[None], m + 1 - S)
         null = dependence._cvm_statistics(pairs, ranks, S)
         assert null == [res.statistic for res in indep_tests_cvm(
-            np.tile(ranks, (25, 1)), S)]
+            np.column_stack([ranks, *S]), ([0] * 25, np.arange(1, 26)))]
         assert null == [indep_test_cvm(ranks, s).statistic for s in S]
         if m <= 9:
             a = m + 1
@@ -538,8 +538,8 @@ class TestIndependenceTest:
         with pytest.raises(ValueError, match=r"sig_level must be in \(0, 1\)"):
             indep_test_cvm(u, u[::-1], sig_level)
         with pytest.raises(ValueError, match=r"sig_level must be in \(0, 1\)"):
-            indep_tests_cvm(np.tile(u, (3, 1)), np.tile(u[::-1], (3, 1)),
-                            sig_level)
+            indep_tests_cvm(np.column_stack([u, u[::-1]]),
+                            ([0, 0, 0], [1, 1, 1]), sig_level)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected(self, bad):
@@ -576,55 +576,81 @@ def batched_cases(m, k=5, seed=32):
     yield "near comonotone", u, u + 1e-3 * rng.random((k, m))
 
 
+def stacked(U, V):
+    """The sample and column pairs of the row pairs (U[j], V[j])."""
+    k = len(U)
+    return np.concatenate([U, V]).T, (np.arange(k), k + np.arange(k))
+
+
 class TestBatchedIndepTest:
-    """``indep_tests_cvm`` gives each row exactly the one-pair result."""
+    """``indep_tests_cvm`` gives each column pair exactly the one-pair
+    result."""
 
     @pytest.mark.parametrize("m", [2, 3, 31, 33, 88, 300, 1200])
     def test_rows_equal_one_pair_tests(self, m):
         for _, U, V in batched_cases(m):
-            results = indep_tests_cvm(U, V, 0.05)
+            results = indep_tests_cvm(*stacked(U, V), 0.05)
             assert len(results) == len(U)
             for res, u, v in zip(results, U, V):
                 ref = one_edge_reference(u, v, 0.05)
                 assert res == ref == indep_test_cvm(u, v, 0.05)
                 assert same_bits(res.statistic, ref.statistic)
 
+    @pytest.mark.parametrize("m", [3, 31, 88])
+    def test_column_pairs_equal_one_pair_tests(self, m):
+        # column 0 in four pairs, (1, 2) twice, and (1, 2), (0, 3) in both
+        # orientations; column 3 is tied
+        X = np.random.default_rng([34, m]).random((m, 4))
+        X[:, 3] = np.round(3.0 * X[:, 3])
+        first, second = [0, 0, 1, 1, 2, 3, 0], [1, 2, 2, 2, 1, 0, 3]
+        results = indep_tests_cvm(X, (first, second), 0.05)
+        assert len(results) == len(first)
+        for res, f, s in zip(results, first, second):
+            ref = indep_test_cvm(X[:, f], X[:, s], 0.05)
+            assert res == ref
+            assert same_bits(res.statistic, ref.statistic)
+        assert indep_tests_cvm(X, ([], [])) == []
+
+    def test_out_of_range_column_rejected(self):
+        X = np.random.default_rng(35).random((20, 3))
+        with pytest.raises(IndexError):
+            indep_tests_cvm(X, ([0, 1], [2, 3]))
+
     @pytest.mark.parametrize("m", [31, 88])
     def test_block_boundaries_change_nothing(self, m, monkeypatch):
         # nine edges across blocks of two edges, then of a few rows
         U, V = np.random.default_rng(33).random((2, 9, m))
-        whole = indep_tests_cvm(U, V)
+        whole = indep_tests_cvm(*stacked(U, V))
         for cells in (2 * m * m, m * m - 1, 3 * m):
             monkeypatch.setattr(dependence, "CVM_BLOCK_CELLS", cells)
-            assert indep_tests_cvm(U, V) == whole
+            assert indep_tests_cvm(*stacked(U, V)) == whole
 
     def test_no_edges(self):
-        assert indep_tests_cvm(np.zeros((0, 5)), np.zeros((0, 5))) == []
+        assert indep_tests_cvm(np.zeros((5, 0)), ([], [])) == []
 
-    @pytest.mark.parametrize("U, V", [
-        (np.zeros((2, 3)), np.zeros((2, 4))),
-        (np.zeros((2, 3)), np.zeros((3, 3))),
-        (np.zeros(3), np.zeros(3)),
-        (np.zeros((2, 3, 3)), np.zeros((2, 3, 3))),
-    ])
-    def test_unequal_shapes_rejected(self, U, V):
-        with pytest.raises(ValueError, match="equally long"):
-            indep_tests_cvm(U, V)
+    @pytest.mark.parametrize("X, pairs, message", [
+        (np.zeros((3, 2)), ([0, 1], [1]), "equally long"),
+        (np.zeros((3, 2)), ([0], [1, 0]), "equally long"),
+        (np.zeros(3), ([0], [0]), r"\(m, c\) sample"),
+        (np.zeros((3, 2, 2)), ([0], [1]), r"\(m, c\) sample"),
+    ], ids=["more-first", "more-second", "1-d", "3-d"])
+    def test_bad_shapes_rejected(self, X, pairs, message):
+        with pytest.raises(ValueError, match=message):
+            indep_tests_cvm(X, pairs)
 
     @pytest.mark.parametrize("m", [0, 1, dependence.CVM_MAX_M + 1])
     def test_sample_size_out_of_range_rejected(self, m):
         with pytest.raises(ValueError, match="m <="):
-            indep_tests_cvm(np.zeros((3, m)), np.zeros((3, m)))
+            indep_tests_cvm(np.zeros((m, 3)), ([0, 1], [1, 2]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected(self, bad):
-        U = np.tile(np.linspace(0.0, 1.0, 20), (3, 1))
-        V = U.copy()
-        U[2, 4] = bad
+        X = np.tile(np.linspace(0.0, 1.0, 20), (3, 1)).T
+        X[4, 2] = bad
         with pytest.raises(ValueError, match="finite"):
-            indep_tests_cvm(U, V)
+            indep_tests_cvm(X, ([0, 2], [1, 1]))
         with pytest.raises(ValueError, match="finite"):
-            indep_tests_cvm(V, U)
+            indep_tests_cvm(X, ([1, 1], [0, 2]))
 
 
 CANDIDATES = [CopulaFamily.NORMAL, CopulaFamily.CLAYTON,

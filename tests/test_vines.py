@@ -432,8 +432,9 @@ class TestWalkTaus:
             model = fit_vine(U, vine_type, FIVE_FAMILIES, criterion="none")
             walk = vines._TREES[vine_type](U)
             for tree in model.trees[:depth]:
-                pairs = walk.pairs()
-                assert [tau.hex() for tau in walk.taus] == [
+                X, (first, second), taus = walk.tree()
+                pairs = [(X[:, f], X[:, s]) for f, s in zip(first, second)]
+                assert [taus[f, s].hex() for f, s in zip(first, second)] == [
                     kendall_tau(u, v).hex() for u, v in pairs]
                 flipped += sum(kendall_tau(u, v) != kendall_tau(v, u)
                                for u, v in pairs)
@@ -449,10 +450,10 @@ class TestWalkTaus:
 
         monkeypatch.setattr(dependence, "kendall_tau", no_tau)
         batches = []
-        pair_taus = vines._pair_taus
-        monkeypatch.setattr(vines, "_pair_taus",
-                            lambda pairs: batches.append(len(pairs))
-                            or pair_taus(pairs))
+        tau_matrix = vines._tau_matrix
+        monkeypatch.setattr(vines, "_tau_matrix",
+                            lambda X, pairs: batches.append(len(pairs[0]))
+                            or tau_matrix(X, pairs))
         U = random_gaussian_sample(6, 290, 31)
         model = fit_vine(U, "dvine", FIVE_FAMILIES, criterion="none")
         deeper = [c for tree in model.trees[1:] for c in tree
@@ -471,6 +472,28 @@ class TestWalkTaus:
         noise = np.tril(np.random.default_rng(22).uniform(-1, 1, (5, 5)), -1)
         assert vines._dvine_path(np.triu(T) + noise) == vines._dvine_path(T)
         assert fit_vine(U, "cvine", FIVE_FAMILIES).order == (2, 3, 4, 0, 1)
+
+
+class TestTreeRanks:
+    def test_cvine_pretest_ranks_each_column_once(self, monkeypatch):
+        # a C-vine tree over c columns has c - 1 edges that share the
+        # root's column; its pre-test ranks the c columns, not 2 (c - 1)
+        rows, per_tree = [], []
+        le_ranks = dependence._le_ranks
+        monkeypatch.setattr(dependence, "_le_ranks",
+                            lambda X: rows.append(len(X)) or le_ranks(X))
+        tests = vines.indep_tests_cvm
+
+        def counted(*args, **kwargs):
+            rows.clear()
+            results = tests(*args, **kwargs)
+            per_tree.append((len(results) + 1, sum(rows)))
+            return results
+
+        monkeypatch.setattr(vines, "indep_tests_cvm", counted)
+        U = random_gaussian_sample(6, 60, 41)
+        fit_vine(U, "cvine", FIVE_FAMILIES, criterion="none")
+        assert per_tree == [(c, c) for c in range(6, 1, -1)]
 
 
 class TestFittedVineOnItsSample:
