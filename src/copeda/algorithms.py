@@ -210,7 +210,10 @@ class VineDependence:
         return describe_vine(self.vine)
 
     def family_counts(self) -> dict[str, int]:
-        return _family_counts(c for tree in self.vine.trees for c in tree)
+        # a pair past the last fitted tree is independent: a product edge
+        counts = _family_counts(c for tree in self.vine.trees for c in tree)
+        counts["product"] += math.comb(self.vine.dim, 2) - sum(counts.values())
+        return counts
 
 
 @dataclass(frozen=True)

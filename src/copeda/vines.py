@@ -7,21 +7,23 @@ absolute tau along consecutive pairs via cheapest insertion on edge costs
 1 - |tau|.  For each edge, the rank CvM independence test, which draws no
 random numbers and runs once per tree over all of the tree's edges,
 decides between the product copula and CvM goodness-of-fit selection among
-the candidate families, and fitting truncates when AIC or BIC stops
-improving.  A tree is its columns and its edges as column index pairs
-(f, s), as the pre-test and the tau kernel take them.  GoF moment-fits
-edge (f, s) from entry (f, s) of a tau matrix the structure selection
-already has: each C-vine tree's root-selection matrix, and the D-vine
-path's on tree 1.  A deeper D-vine tree gets its dependent edges' taus
-from one ``_tau_matrix`` call.  The structure scores read each unordered
-pair's tau in ascending index order.
+the candidate families.  Fitting truncates when AIC or BIC stops
+improving: the model keeps the trees before that one, and every pair past
+them is independent given its conditioning set.  A tree is its columns
+and its edges as column index pairs (f, s), as the pre-test and the tau
+kernel take them.  GoF moment-fits edge (f, s) from entry (f, s) of a tau
+matrix the structure selection already has: each C-vine tree's
+root-selection matrix, and the D-vine path's on tree 1.  A deeper D-vine
+tree gets its dependent edges' taus from one ``_tau_matrix`` call.  The
+structure scores read each unordered pair's tau in ascending index order.
 
 Fitting, ``vine_loglik`` and ``vine_sample`` share one edge layout per vine
 type, stated in ``RVineModel``: the tree walkers ``_CVineTrees`` and
 ``_DVineTrees`` h-transform the data tree by tree, and sampling by the
 conditional distribution method (Aas, Czado, Frigessi & Bakken 2009,
 Algorithms 1-2) inverts the same edges with h^-1.  The product copula's h
-and h^-1 are the identity; ``_h`` and ``_hinv`` skip them for every caller.
+and h^-1 are the identity; ``_h`` and ``_hinv`` skip them for every caller,
+and a truncated vine's missing trees are never walked.
 """
 
 from __future__ import annotations
@@ -51,12 +53,14 @@ class VineType(str, Enum):
 
 @dataclass(frozen=True)
 class RVineModel:
-    """A fitted C-vine or D-vine.
+    """A fitted C-vine or D-vine, truncated after its last fitted tree.
 
     ``order`` is the root sequence (C-vine) or path sequence (D-vine) over
     the original variable indices.  ``trees[j]`` holds the ``n - 1 - j``
-    pair copulas of tree ``j + 1``; every tree past ``trunc_level`` (1-based)
-    is all product copulas.  With j counted from 0, the edges of tree j are:
+    pair copulas of tree ``j + 1``.  The truncation level ``trunc_level`` is
+    the number of trees, at most ``n - 1``; every pair past the last tree
+    is independent given its conditioning set, as if its copula were the
+    product.  With j counted from 0, the edges of tree j are:
 
     - C-vine: root ``order[j]`` paired with each variable o of
       ``order[j + 1:]`` in ascending index, the copula of
@@ -69,28 +73,24 @@ class RVineModel:
     vine_type: VineType
     order: tuple[int, ...]
     trees: tuple[tuple[BivariateCopula, ...], ...]
-    trunc_level: int
 
     def __post_init__(self):
         n = len(self.order)
         if sorted(self.order) != list(range(n)):
             raise ValueError("order must be a permutation of 0..n-1")
-        if len(self.trees) != max(n - 1, 0):
-            raise ValueError(f"expected {n - 1} trees, got {len(self.trees)}")
+        if len(self.trees) > max(n - 1, 0):
+            raise ValueError(f"at most {n - 1} trees, got {len(self.trees)}")
         for j, tree in enumerate(self.trees):
             if len(tree) != n - 1 - j:
                 raise ValueError(f"tree {j + 1} must hold {n - 1 - j} copulas")
-            if j >= self.trunc_level:
-                if any(c.family is not CopulaFamily.PRODUCT for c in tree):
-                    raise ValueError(
-                        f"tree {j + 1} is past trunc_level {self.trunc_level} "
-                        "and must be all product")
-        if not 0 <= self.trunc_level <= max(n - 1, 0):
-            raise ValueError("trunc_level out of range")
 
     @property
     def dim(self) -> int:
         return len(self.order)
+
+    @property
+    def trunc_level(self) -> int:
+        return len(self.trees)
 
 
 def _dvine_path(taus: np.ndarray) -> tuple[int, ...]:
@@ -240,8 +240,8 @@ def fit_vine(U, vine_type: VineType, candidates, sig_level: float = 0.01,
     dependent edges where the walk has none.  With
     ``criterion`` "aic" or "bic" the cumulative information criterion is
     evaluated after each tree and fitting stops as soon as it fails to
-    decrease strictly; the offending tree and all deeper trees become
-    product copulas.  ``criterion="none"`` fits all trees.  Bad options
+    decrease strictly, and the model keeps only the trees before the
+    offending one.  ``criterion="none"`` fits all trees.  Bad options
     raise ``ValueError`` before any tree, whatever the column count.
     """
     if not 0.0 < sig_level < 1.0:  # also catches NaN
@@ -252,7 +252,7 @@ def fit_vine(U, vine_type: VineType, candidates, sig_level: float = 0.01,
     vine_type = VineType(vine_type)
     m, n = U.shape
     if n < 2:
-        return RVineModel(vine_type, tuple(range(n)), (), 0)
+        return RVineModel(vine_type, tuple(range(n)), ())
     candidates = [CopulaFamily(c) for c in candidates
                   if CopulaFamily(c) is not CopulaFamily.PRODUCT]
     walk = _TREES[vine_type](U)
@@ -260,8 +260,7 @@ def fit_vine(U, vine_type: VineType, candidates, sig_level: float = 0.01,
     loglik_cum = 0.0
     k_cum = 0
     crit_prev = 0.0
-    trunc_level = n - 1
-    for level in range(n - 1):
+    for _ in range(n - 1):
         X, (first, second), taus = walk.tree()
         tests = indep_tests_cvm(X, (first, second), sig_level)
         dependent = [(f, s) for f, s, test in zip(first, second, tests)
@@ -280,24 +279,18 @@ def fit_vine(U, vine_type: VineType, candidates, sig_level: float = 0.01,
             penalty = 2.0 if criterion == "aic" else math.log(m)
             crit_new = -2.0 * loglik_cum + penalty * k_cum
             if crit_new >= crit_prev:
-                trunc_level = level
                 break
             crit_prev = crit_new
         trees.append(edges)
         walk.advance(edges)
-    trees += [[product()] * (n - 1 - j) for j in range(len(trees), n - 1)]
-    return RVineModel(vine_type, walk.order, tuple(map(tuple, trees)),
-                      trunc_level)
+    return RVineModel(vine_type, walk.order, tuple(map(tuple, trees)))
 
 
 def vine_loglik(model: RVineModel, U) -> float:
-    """Sum of pair-copula log likelihoods over all non-product edges."""
+    """Sum of pair-copula log likelihoods over the fitted non-product edges."""
     U = np.asarray(U, dtype=float)
-    n = model.dim
-    if U.shape[1] != n:
+    if U.shape[1] != model.dim:
         raise ValueError("dimension mismatch between model and data")
-    if n < 2:
-        return 0.0
     walk = _TREES[model.vine_type](U, model.order)
     total = 0.0
     for tree in model.trees:
@@ -311,7 +304,7 @@ def vine_loglik(model: RVineModel, U) -> float:
 
 def vine_sample(model: RVineModel, m: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``m`` rows with uniform margins and the vine's dependence."""
-    n = model.dim
+    n, t = model.dim, len(model.trees)
     W = rng.random((m, n))
     if n < 2:
         return W
@@ -319,24 +312,26 @@ def vine_sample(model: RVineModel, m: int, rng: np.random.Generator) -> np.ndarr
     cols = dict(zip(model.order, W.T))
     if model.vine_type is VineType.CVINE:
         # W[:, k] plays F(x_order[k] | x_order[:k]), the column the fitting
-        # walk leaves for order[k]; undo its trees last to first
-        later = [model.order[-1]]
-        for root, tree in zip(model.order[-2::-1], model.trees[::-1]):
+        # walk leaves for order[k]; undo its fitted trees last to first
+        later = list(model.order[t:])
+        for root, tree in reversed(list(zip(model.order, model.trees))):
             for c, o in zip(tree, sorted(later)):
                 cols[o] = _hinv(c, cols[o], cols[root])
             later.append(root)
     else:
-        # path positions: back[k] = F(x_k | x_{k+1}..x_{i-1}) for the
-        # already sampled prefix
+        # path position i is conditioned on its predecessors k0..i-1 through
+        # back[k] = F(x_k | x_{k+1}..x_{i-1}) of the already sampled prefix
         back = [W[:, 0]]
         for i in range(1, n):
-            edges = [model.trees[i - k - 1][k] for k in range(i)]
-            inner = [W[:, i]]  # inner[k+1] = F(x_i | x_{k+1}..x_{i-1})
-            for c, b in zip(edges, back):
+            k0 = max(0, i - t)
+            edges = [model.trees[i - k - 1][k] for k in range(k0, i)]
+            inner = [W[:, i]]  # inner[k+1-k0] = F(x_i | x_{k+1}..x_{i-1})
+            for c, b in zip(edges, back[k0:]):
                 inner.append(_hinv(c, inner[-1], b))
             cols[model.order[i]] = inner[-1]
             if i < n - 1:
-                back = [_h(c, b, u) for c, b, u in zip(edges, back, inner[1:])]
+                back[k0:] = [_h(c, b, u)
+                             for c, b, u in zip(edges, back[k0:], inner[1:])]
                 back.append(inner[-1])
     out = np.empty_like(W)
     for i, col in cols.items():
@@ -345,7 +340,7 @@ def vine_sample(model: RVineModel, m: int, rng: np.random.Generator) -> np.ndarr
 
 
 def describe_vine(model: RVineModel) -> str:
-    """Readable text form of the vine: order, truncation and per-tree copulas."""
+    """Readable text form of the vine: order, truncation and fitted trees."""
     lines = [f"{model.vine_type.value} order="
              f"{','.join(str(i) for i in model.order)} "
              f"trunc_level={model.trunc_level}"]

@@ -142,6 +142,44 @@ class TestRun:
         assert any("dependence: chain perm=" in line for line in lines)
         assert sum(line.startswith("link ") for line in lines) >= 2
 
+    @pytest.mark.parametrize("algorithm", ["cveda", "dveda"])
+    def test_vine_trace_over_every_copula_family(self, algorithm, tmp_path):
+        # most generations choose Student and Frank edges, and Clayton and
+        # Gumbel are scored; a pair past the last fitted tree counts as
+        # product, so each row holds all 10 pairs of a 5-variable vine
+        path = tmp_path / "families.csv"
+        status, _ = run_cli(["run", "--algorithm", algorithm, "--copula",
+                             "normal,student,clayton,frank,gumbel",
+                             "--function", "summation-cancellation",
+                             "--dim", "5", "--pop-size", "200",
+                             "--max-gen", "8", "--copula-trace", str(path)])
+        assert status == 0
+        lines = path.read_text().splitlines()
+        assert len(lines) == 8  # the header and generations 2-8
+        assert lines[0] == ("generation,product,normal,student,clayton,"
+                            "frank,gumbel")
+        assert all(sum(map(int, row.split(",")[1:])) == 10
+                   for row in lines[1:])
+
+    @pytest.mark.parametrize("margin", ["kernel", "truncnorm", "beta"])
+    @pytest.mark.parametrize("algorithm", ["umda", "gceda", "copula-mimic"])
+    def test_dump_lists_each_margin(self, algorithm, margin, tmp_path):
+        # a margin model holds every column: one "margin j:" line per
+        # column and, for a 3-variable chain, two "link k:" lines; the
+        # Gaussian structures hand normal scores to the margins, which the
+        # kernel, truncnorm and beta kinds map through quantile(ndtr(z))
+        path = tmp_path / "model.txt"
+        status, _ = run_cli(["run", "--algorithm", algorithm, "--margin",
+                             margin, "--function", "sphere", "--dim", "3",
+                             "--lower", "-5", "--upper", "5", "--pop-size",
+                             "40", "--max-gen", "4", "--dump-model",
+                             str(path)])
+        assert status == 0
+        lines = path.read_text().splitlines()
+        assert sum(line.startswith("margin ") for line in lines) == 3
+        links = sum(line.startswith("link ") for line in lines)
+        assert links == (2 if algorithm == "copula-mimic" else 0)
+
     @pytest.mark.parametrize("flag", [["--jobs", "4"], ["--format", "json"],
                                       ["--out", "x.json"]])
     def test_study_output_flags_rejected(self, flag, capsys):
@@ -368,6 +406,20 @@ class TestConfigFile:
         assert status == 0
         assert "Run 2" in out
         assert "Run 3" not in out
+
+    def test_study_config_sets_the_format(self, tmp_path):
+        # a study file's format key reaches indep-runs' --out file
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("algorithm=umda\nfunction=sphere\ndim=2\nlower=-5\n"
+                       "upper=5\npop-size=30\nmax-gen=10\ntol=1e-2\n"
+                       "runs=3\nformat=csv\n")
+        out = tmp_path / "runs.csv"
+        status, _ = run_cli(["indep-runs", "--config", str(cfg), "--runs",
+                             "2", "--out", str(out)])
+        assert status == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == CSV_HEADER
+        assert [row.split(",")[0] for row in lines[1:]] == ["1", "2"]
 
     @pytest.mark.parametrize("line", ["runs=3", "jobs=2", "report=1",
                                       "config=x"])

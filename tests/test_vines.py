@@ -7,10 +7,14 @@ from scipy.special import ndtr, ndtri
 
 from copeda.copulas import (
     CopulaFamily,
+    clayton,
     copula_sample,
+    frank,
+    gumbel,
     mvnormal_copula_sample,
     normal,
     product,
+    student,
     tau_to_parameter,
 )
 from copeda import dependence, vines
@@ -50,12 +54,16 @@ def sample_trivariate(taus, m, seed):
 class TestModelValidation:
     def test_tree_sizes_enforced(self):
         with pytest.raises(ValueError):
-            RVineModel(VineType.CVINE, (0, 1, 2), ((product(),),), 0)
+            RVineModel(VineType.CVINE, (0, 1, 2), ((product(),),))
 
-    def test_product_beyond_truncation_enforced(self):
-        trees = ((normal(0.5), normal(0.5)), (normal(0.5),))
-        with pytest.raises(ValueError):
-            RVineModel(VineType.CVINE, (0, 1, 2), trees, 1)
+    def test_too_many_trees_rejected(self):
+        # n trees on n variables, each of the size tree j would have
+        for n in (1, 2, 3):
+            trees = tuple((normal(0.5),) * (n - 1 - j) for j in range(n))
+            with pytest.raises(ValueError, match=f"at most {n - 1} trees"):
+                RVineModel(VineType.CVINE, tuple(range(n)), trees)
+            assert RVineModel(VineType.CVINE, tuple(range(n)),
+                              trees[:-1]).trunc_level == n - 1
 
 
 def cvine_order(U):
@@ -149,10 +157,7 @@ class TestFitVine:
         base = RVineModel(
             VineType.CVINE, (0, 1, 2, 3),
             ((normal(rho_for_tau(0.7)), normal(rho_for_tau(0.6)),
-              normal(rho_for_tau(0.5))),
-             (product(), product()),
-             (product(),)),
-            trunc_level=1)
+              normal(rho_for_tau(0.5))),))
         shallow = 0
         for seed in range(20):
             rng = np.random.default_rng(200 + seed)
@@ -204,14 +209,14 @@ class TestFitVine:
 class TestVineSample:
     def test_all_product_independent(self):
         model = RVineModel(VineType.CVINE, (0, 1, 2),
-                           ((product(), product()), (product(),)), 0)
+                           ((product(), product()), (product(),)))
         rng = np.random.default_rng(11)
         U = vine_sample(model, 2000, rng)
         for i, j in itertools.combinations(range(3), 2):
             assert abs(kendall_tau(U[:, i], U[:, j])) <= 0.05
 
     def test_two_variable_tau(self):
-        model = RVineModel(VineType.DVINE, (0, 1), ((normal(0.7071),),), 1)
+        model = RVineModel(VineType.DVINE, (0, 1), ((normal(0.7071),),))
         rng = np.random.default_rng(12)
         U = vine_sample(model, 2000, rng)
         assert kendall_tau(U[:, 0], U[:, 1]) == pytest.approx(0.5, abs=0.05)
@@ -220,7 +225,7 @@ class TestVineSample:
     def test_round_trip_recovers_tree_one(self, vine_type):
         trees = ((normal(rho_for_tau(0.6)), normal(rho_for_tau(0.5))),
                  (normal(rho_for_tau(0.2)),))
-        model = RVineModel(vine_type, (0, 1, 2), trees, 2)
+        model = RVineModel(vine_type, (0, 1, 2), trees)
         rng = np.random.default_rng(13)
         U = vine_sample(model, 1000, rng)
         refit = fit_vine(U, vine_type, NORMAL_ONLY, 0.01, "none")
@@ -232,7 +237,7 @@ class TestVineSample:
         assert fitted_taus[1] == pytest.approx(0.6, abs=0.1)
 
     def test_sampling_deterministic(self):
-        model = RVineModel(VineType.DVINE, (1, 0), ((normal(0.5),),), 1)
+        model = RVineModel(VineType.DVINE, (1, 0), ((normal(0.5),),))
         u1 = vine_sample(model, 50, np.random.default_rng(14))
         u2 = vine_sample(model, 50, np.random.default_rng(14))
         assert np.array_equal(u1, u2)
@@ -243,7 +248,7 @@ class TestVineSample:
         r12, r23_1 = 0.6, 0.4
         model = RVineModel(
             VineType.DVINE, (0, 1, 2),
-            ((normal(r12), normal(0.5)), (normal(r23_1),)), 2)
+            ((normal(r12), normal(0.5)), (normal(r23_1),)))
         rng = np.random.default_rng(15)
         U = vine_sample(model, 4000, rng)
         # tree-1 edges are unconditional pairs
@@ -263,7 +268,7 @@ class TestVineSample:
         r10, r20, r12_0 = 0.7, -0.3, 0.5
         model = RVineModel(
             VineType.CVINE, (0, 2, 1),
-            ((normal(r10), normal(r20)), (normal(r12_0),)), 2)
+            ((normal(r10), normal(r20)), (normal(r12_0),)))
         U = vine_sample(model, 4000, np.random.default_rng(20))
         r12 = r12_0 * math.sqrt((1 - r10 ** 2) * (1 - r20 ** 2)) + r10 * r20
         for (i, j), r in {(0, 1): r10, (0, 2): r20, (1, 2): r12}.items():
@@ -271,15 +276,57 @@ class TestVineSample:
                 2 * math.asin(r) / math.pi, abs=0.04)
 
 
+def mixed_trees(n, rng):
+    """All n - 1 trees of an n-variable vine, the edges cycling through
+    normal, Student, Clayton, Frank with theta < 0, Gumbel and product
+    copulas from a random start."""
+    makers = (lambda: normal(rng.uniform(-0.8, 0.8)),
+              lambda: student(rng.uniform(-0.8, 0.8), rng.uniform(2.5, 10.0)),
+              lambda: clayton(rng.uniform(0.3, 3.0)),
+              lambda: frank(-rng.uniform(0.5, 8.0)),
+              lambda: gumbel(rng.uniform(1.1, 3.0)),
+              product)
+    start = int(rng.integers(len(makers)))
+    return tuple(tuple(makers[(start + j + e) % len(makers)]()
+                       for e in range(n - 1 - j)) for j in range(n - 1))
+
+
+class TestTruncation:
+    """A vine truncated after tree t samples and scores as the same vine
+    with trees t + 1..n - 1 written out as product copulas, bit for bit:
+    the C-vine sampler starts from the last n - t variables, and the D-vine
+    sampler conditions each path position on at most t predecessors."""
+
+    @pytest.mark.parametrize("vine_type", list(VineType))
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_equals_product_padding(self, vine_type, n):
+        rng = np.random.default_rng(60 + n)
+        for t in range(n):
+            order = tuple(int(i) for i in rng.permutation(n))
+            trees = mixed_trees(n, rng)
+            padding = tuple((product(),) * (n - 1 - j)
+                            for j in range(t, n - 1))
+            truncated = RVineModel(vine_type, order, trees[:t])
+            padded = RVineModel(vine_type, order, trees[:t] + padding)
+            assert truncated.trunc_level == t
+            draws = vine_sample(truncated, 300, np.random.default_rng(t))
+            assert draws.tobytes() == vine_sample(
+                padded, 300, np.random.default_rng(t)).tobytes()
+            U = vine_sample(RVineModel(vine_type, order, trees), 300,
+                            np.random.default_rng(70 + t))
+            assert (vine_loglik(truncated, U).hex()
+                    == vine_loglik(padded, U).hex())
+
+
 class TestVineLoglik:
     def test_all_product_zero(self):
         model = RVineModel(VineType.CVINE, (0, 1, 2),
-                           ((product(), product()), (product(),)), 0)
+                           ((product(), product()), (product(),)))
         rng = np.random.default_rng(16)
         assert vine_loglik(model, rng.random((100, 3))) == 0.0
 
     def test_two_variable_positive_on_own_sample(self):
-        model = RVineModel(VineType.CVINE, (0, 1), ((normal(0.7),),), 1)
+        model = RVineModel(VineType.CVINE, (0, 1), ((normal(0.7),),))
         rng = np.random.default_rng(17)
         U = vine_sample(model, 500, rng)
         assert vine_loglik(model, U) > 0.0
@@ -287,22 +334,22 @@ class TestVineLoglik:
     def test_nested_trees_never_decrease_in_sample_loglik(self):
         U = sample_trivariate((0.7, 0.6, 0.5), 600, 18)
         full = fit_vine(U, VineType.CVINE, NORMAL_ONLY, 0.01, "none")
-        truncated = RVineModel(
-            full.vine_type, full.order,
-            (full.trees[0], (product(),)), 1)
+        truncated = RVineModel(full.vine_type, full.order, full.trees[:1])
         assert vine_loglik(full, U) >= vine_loglik(truncated, U) - 1e-9
 
 
 class TestSerialization:
     def test_describe_contains_structure(self):
+        # the dump lists the fitted trees alone
         model = RVineModel(VineType.DVINE, (2, 0, 1),
-                           ((normal(0.5), product()), (product(),)), 1)
+                           ((normal(0.5), product()),))
         text = describe_vine(model)
         assert "dvine" in text
         assert "order=2,0,1" in text
         assert "trunc_level=1" in text
         assert "normal(theta=0.5)" in text
-        assert "tree 2: product" in text
+        assert "tree 1: " in text
+        assert "tree 2:" not in text
 
 
 def regression_sample():
@@ -524,10 +571,13 @@ def implied_correlation(model):
     tree order from its edges' partial correlations (Bedford & Cooke 2002):
     edge (a, b | S) with partial correlation rho gives
     r_a' R_S^-1 r_b + rho sqrt((1 - r_a' R_S^-1 r_a)(1 - r_b' R_S^-1 r_b)),
-    r_x = R[S, x], and a product edge has rho = 0."""
+    r_x = R[S, x], and a product edge, as is every pair past the last
+    fitted tree, has rho = 0."""
     n, o = model.dim, model.order
     R = np.eye(n)
-    for j, tree in enumerate(model.trees):
+    for j in range(n - 1):
+        tree = (model.trees[j] if j < model.trunc_level
+                else (product(),) * (n - 1 - j))
         if model.vine_type is VineType.CVINE:
             edges = [(v, o[j], list(o[:j])) for v in sorted(o[j + 1:])]
         else:
