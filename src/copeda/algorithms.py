@@ -10,19 +10,20 @@ mutual information.  The Gaussian structures (product, normal copula, and
 the all-normal chain, a Gaussian Markov chain) draw normal scores and hand
 them to the margins' ``from_scores``; vines and every other chain, which
 inverts its links' h-functions one by one, hand uniforms to the margins'
-``quantile``.
+``quantile``.  The normal chain also learns in normal scores, the margins'
+``to_scores``, and samples through one triangular factor of its
+correlation matrix, built once per model.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 from .copulas import (
-    INTERIOR_EPS,
     RHO_MAX,
     BivariateCopula,
     CopulaFamily,
@@ -70,18 +71,18 @@ def _cubic_real_parts(b, c, d):
     return t - shift[..., None]
 
 
-def _normal_ml_rho(U: np.ndarray) -> np.ndarray:
-    """ML normal-copula rho of every column pair of U, zero diagonal.
+def _normal_ml_rho(Z: np.ndarray) -> np.ndarray:
+    """ML normal-copula rho of every column pair of the normal scores Z,
+    zero diagonal.
 
-    With x, y the ``ndtri`` of the interior-clipped columns, C = sum(xy) and
-    S = sum(x^2 + y^2), the likelihood's stationary points are the roots of
+    With x, y two columns, C = sum(xy) and S = sum(x^2 + y^2), the
+    likelihood's stationary points are the roots of
     -m r^3 + C r^2 + (m - S) r + C (>= 0 at -1, <= 0 at 1).  One Gram matrix
     gives every C and S, ``_cubic_real_parts`` the real part of every root
     in closed form, and the clipped real part with the highest likelihood
     wins.
     """
-    m, n = U.shape
-    Z = special.ndtri(np.clip(U, INTERIOR_EPS, 1.0 - INTERIOR_EPS))
+    m, n = Z.shape
     G = Z.T @ Z
     j, i = _upper_pairs(n)  # every (i, j) with i > j
     C, S = G[i, j], G[i, i] + G[j, j]
@@ -225,18 +226,20 @@ class ChainDependence:
 
     @classmethod
     def learn(cls, spec, X, margins):
-        """Chain structure over margin-CDF transforms of the selected rows.
+        """Chain structure over the selected rows' margin transforms.
 
-        Every pair gets its ML link (``_normal_ml_rho``, or ``fit_frank``
-        with theta = 0 for a product fit).  A normal link's mutual
-        information is -log(1 - rho^2)/2 and a Frank link's is even in theta
-        and rises strictly with |theta|, so ranking by |theta| is exact.
+        Every pair gets its ML link: ``_normal_ml_rho`` on the margins'
+        normal scores ``to_scores(X)``, or ``fit_frank`` on their CDF values
+        ``cdf(X)``, with theta = 0 for a product fit.  A normal link's
+        mutual information is -log(1 - rho^2)/2 and a Frank link's is even
+        in theta and rises strictly with |theta|, so ranking by |theta| is
+        exact.
         """
-        U = margins.cdf(X)
         if spec.copulas[0] is CopulaFamily.NORMAL:
-            theta = _normal_ml_rho(U)
+            theta = _normal_ml_rho(margins.to_scores(X))
             link = lambda a, b: normal(float(theta[a, b]))
         else:
+            U = margins.cdf(X)
             n = X.shape[1]
             pair: dict[tuple[int, int], BivariateCopula] = {}
             theta = np.zeros((n, n))
@@ -248,27 +251,48 @@ class ChainDependence:
         perm = chain_permutation(np.abs(theta))
         return cls(perm, tuple(link(a, b) for a, b in zip(perm, perm[1:])))
 
+    @cached_property
+    def factor(self) -> np.ndarray | None:
+        """The all-normal chain's (n, n) factor F, built once: row ``v`` of
+        F @ G is variable v's normal scores from a standard-normal block G,
+        whose row k drives slot n - 1 - k; ``None`` if a link is not
+        normal.
+
+        Slot n - 1 takes G[0]; slot i < n - 1 is s_i g + rho_i y, with y
+        slot i + 1's scores, g its own row of G, rho_i link i's rho and
+        s_i = sqrt(1 - rho_i^2).  So in draw order F is lower-triangular,
+        F[r, k] = s_k rho_(k+1) ... rho_r with rho_r, s_r those of slot
+        n - 1 - r and s_0 = 1, and F F^T is the chain's Markov correlation,
+        the product of the link rhos between two slots.
+        """
+        if any(c.family is not CopulaFamily.NORMAL for c in self.copulas):
+            return None
+        n = len(self.perm)
+        drawn = self.perm[::-1]
+        F = np.zeros((n, n))
+        for r, v in enumerate(drawn):
+            rho = self.copulas[n - 1 - r].theta if r else 0.0
+            F[v, :r] = rho * F[drawn[r - 1], :r]
+            F[v, r] = math.sqrt(1.0 - rho * rho)
+        return F
+
     def sample(self, margins, m: int, rng: np.random.Generator) -> np.ndarray:
         """Last permutation slot first, each other slot conditional on the
         next; row n - 1 - k of the one ``(n, m)`` draw drives link k.
 
         An all-normal chain, a Gaussian Markov chain, draws
-        ``standard_normal`` scores, runs y <- sqrt(1 - rho^2) g + rho y along
-        them and hands them to ``margins.from_scores``. Any other chain
-        draws uniforms, inverts link by link with ``copula_hinv`` (whose
-        interior output is the next link's conditioning value) and hands
-        them to ``margins.quantile``.
+        ``standard_normal`` scores G, takes (F G)^T with its ``factor`` F and
+        hands them to ``margins.from_scores``.  Any other chain draws
+        uniforms, inverts link by link with ``copula_hinv`` (whose interior
+        output is the next link's conditioning value) and hands them to
+        ``margins.quantile``.
         """
         n = len(self.perm)
-        if all(c.family is CopulaFamily.NORMAL for c in self.copulas):
-            Y = rng.standard_normal((n, m))
-            for r in range(1, n):
-                rho = self.copulas[n - 1 - r].theta
-                Y[r] *= math.sqrt(1.0 - rho * rho)
-                Y[r] += rho * Y[r - 1]
-            Z = np.empty((m, n))
-            Z[:, list(self.perm[::-1])] = Y.T
-            return margins.from_scores(Z)
+        F = self.factor
+        if F is not None:
+            # (m, n) rows of G^T F^T: one product, C-ordered like every
+            # other structure's draw
+            return margins.from_scores(rng.standard_normal((n, m)).T @ F.T)
         W = rng.random((n, m))
         U = np.empty((m, n))
         v = U[:, self.perm[-1]] = W[0]

@@ -15,10 +15,11 @@ it is simulated once per size from a fixed seed and cached, so no test
 draws from a caller's generator.  One exact pair-sum kernel,
 ``_cvm_pair_sums``, scores both the observed statistics and the null's
 permutations: its float64 sums of integers stay below 2^53, so they are
-exact in any order and under any BLAS kernel.  ``indep_tests_cvm`` tests
-column pairs of one sample in one call (a vine fitter's whole tree),
-addressed by column index as ``_tau_matrix`` addresses them, and ranks
-each column once; ``indep_test_cvm`` is its one-pair form.
+exact in any order, and ``einsum`` takes them on one thread, without BLAS.
+``indep_tests_cvm`` tests column pairs of one sample in one call (a vine
+fitter's whole tree), addressed by column index as ``_tau_matrix``
+addresses them, and ranks each column once; ``indep_test_cvm`` is its
+one-pair form.
 """
 
 from __future__ import annotations
@@ -318,8 +319,9 @@ def _cvm_pair_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     row, in float64 tables of at most ``CVM_BLOCK_CELLS`` cells (several
     whole rows of ``b`` at a time while they fit); ``a``'s table doubles
     each pair past the block, which stands for both of its orders.  A
-    one-row ``a`` serves every row of a block through one matrix-vector
-    product.  Each product is an integer <= 2 m^2 and every partial sum
+    one-row ``a``'s table serves every row of a block.  The sums are
+    ``einsum``'s own loops, not BLAS, which would spread a long row over
+    every core.  Each product is an integer <= 2 m^2 and every partial sum
     is at most m^4 < 2^53 (m <= ``CVM_MAX_M``), so each sum is exact in
     any order.
     """
@@ -337,8 +339,8 @@ def _cvm_pair_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 ta[:, :, rows:] *= 2
             be = b[e:e + edges]
             tb = np.minimum(be[:, lo:lo + rows, None], be[:, None, lo:])
-            sums = (tb.reshape(len(be), -1) @ ta.ravel() if shared
-                    else np.einsum("eik,eik->e", ta, tb))
+            # a one-row a's table broadcasts over the block's rows
+            sums = np.einsum("eik,eik->e", ta, tb)
             pairs[e:e + edges] += sums.astype(np.int64)
     return pairs
 

@@ -44,7 +44,10 @@ A dependence structure hands the margins its draw in the form it samples:
 uniforms to ``quantile``, or, from a Gaussian structure, normal scores z to
 ``from_scores``, which is ``quantile(ndtr(z))``: mu + sigma z in closed
 form for the normal kind, with no ``ndtr``, clip or ``ndtri``, and exactly
-that computation, bit for bit, for every other kind.
+that computation, bit for bit, for every other kind.  Its inverse,
+``to_scores``, maps data x to normal scores for a structure that learns in
+them: (x - mu) / sigma for the normal kind, and for every other kind
+``ndtri`` of the CDF clipped to the copulas' interior, ``INTERIOR_EPS``.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ from enum import Enum
 
 import numpy as np
 from scipy import special
+
+from .copulas import INTERIOR_EPS
 
 SIGMA_FLOOR = 1e-300      # anti-zero floor only; must not cap precision
 BANDWIDTH_FLOOR = 1e-8
@@ -104,18 +109,28 @@ class NormalMargin:
         return self.mu + self.sigma * special.ndtri(p)
 
     def from_scores(self, z):
-        return self.mu + self.sigma * z
+        out = self.sigma * np.asarray(z, float)
+        out += self.mu
+        return out
+
+    def to_scores(self, x):
+        return (np.asarray(x, float) - self.mu) / self.sigma
 
 
-class _ScoresViaQuantile:
-    """``from_scores`` of a margin with no closed form in normal scores."""
+class _ScoresViaUniforms:
+    """``from_scores`` and ``to_scores`` of a margin with no closed form in
+    normal scores: through ``quantile`` and ``cdf``."""
 
     def from_scores(self, z):
         return self.quantile(special.ndtr(z))
 
+    def to_scores(self, x):
+        return special.ndtri(np.clip(self.cdf(x), INTERIOR_EPS,
+                                     1.0 - INTERIOR_EPS))
+
 
 @dataclass(frozen=True, eq=False)
-class KernelMargin(_ScoresViaQuantile):
+class KernelMargin(_ScoresViaUniforms):
     """Normal-kernel smoothed empirical distribution.
 
     ``sample`` is one column's (m,) sample with a float ``bandwidth``, or
@@ -325,7 +340,7 @@ def _kernel_solve(S, h, span, col, target, lo, hi, cur):
 
 
 @dataclass(frozen=True, eq=False)
-class TruncNormalMargin(_ScoresViaQuantile):
+class TruncNormalMargin(_ScoresViaUniforms):
     mu: float | np.ndarray
     sigma: float | np.ndarray
     lower: float | np.ndarray
@@ -351,7 +366,7 @@ class TruncNormalMargin(_ScoresViaQuantile):
 
 
 @dataclass(frozen=True, eq=False)
-class BetaRescaledMargin(_ScoresViaQuantile):
+class BetaRescaledMargin(_ScoresViaUniforms):
     lower: float | np.ndarray
     upper: float | np.ndarray
     a: float | np.ndarray
@@ -463,8 +478,8 @@ def fit_margin(kind: MarginKind, sample, lower, upper) -> MarginModel:
     # one contiguous row per column: numpy's pairwise sums along it give
     # each column the bits of its own (m,) fit
     S = np.array(X.T, order="C")
-    lower = np.array(np.broadcast_to(lower, len(S)), dtype=float)
-    upper = np.array(np.broadcast_to(upper, len(S)), dtype=float)
+    lower = np.full(len(S), lower, dtype=float)
+    upper = np.full(len(S), upper, dtype=float)
     if not np.all(lower < upper):
         raise ValueError(f"invalid bounds: [{lower}, {upper}]")
     # a NaN or infinite entry makes the sd NaN (so does |x| > ~1e154)

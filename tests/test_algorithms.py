@@ -24,6 +24,7 @@ from copeda.algorithms import (
     sample_model,
 )
 from copeda.copulas import (
+    INTERIOR_EPS,
     RHO_MAX,
     CopulaFamily,
     clayton,
@@ -37,7 +38,8 @@ from copeda.copulas import (
 )
 from copeda.dependence import copula_mutual_information, kendall_tau
 from copeda.eda import EdaSpec, TerminationSpec, run_rng
-from copeda.margins import MarginKind, NormalMargin, fit_margin
+from copeda.margins import (BetaRescaledMargin, MarginKind, NormalMargin,
+                            fit_margin)
 from copeda.vines import RVineModel, VineType
 
 
@@ -48,7 +50,6 @@ def make_spec(algorithm, pop_size=100, margin=MarginKind.NORMAL,
 
 
 def test_chain_algorithm_defaults_to_beta_margins():
-    from copeda.margins import BetaRescaledMargin
     spec = EdaSpec("copula-mimic", 50, TerminationSpec(max_gen=5))
     pop = mvn_population(2, 0.5, 80, 77)
     model = learn_model(spec, pop, np.full(2, -10.0), np.full(2, 10.0))
@@ -412,12 +413,12 @@ class TestChainRanking:
                    + 0.6 * rng.standard_normal((60, n)))
             model = learn_model(spec, pop, np.full(n, -60.0),
                                 np.full(n, 60.0))
-            U = model.margins.cdf(pop)
             if family is CopulaFamily.NORMAL:
-                theta = _normal_ml_rho(U)
+                theta = _normal_ml_rho(model.margins.to_scores(pop))
                 mi = np.vectorize(lambda r: copula_mutual_information(
                     normal(r)))(theta)
             else:
+                U = model.margins.cdf(pop)
                 theta = np.zeros((n, n))
                 for a, b in zip(i, j):
                     theta[a, b] = theta[b, a] = fit_frank(U[:, [b, a]]).theta
@@ -495,8 +496,8 @@ class TestChainSample:
 
     @staticmethod
     def score_recurrence(dep, G):
-        """The all-normal chain's normal scores, a row at a time: the
-        reference of the Gaussian path."""
+        """The all-normal chain's normal scores, a row at a time,
+        y <- sqrt(1 - rho^2) g + rho y: the reference of the factor."""
         n, m = G.shape
         Z = np.empty((m, n))
         y = Z[:, dep.perm[-1]] = G[0]
@@ -513,11 +514,43 @@ class TestChainSample:
     ], ids=["moderate", "strong", "mixed"])
 
     @NORMAL_CHAINS
-    def test_normal_chain_matches_score_recurrence_bit_for_bit(self, rhos):
-        G = self.fixed_scores()
+    def test_normal_chain_matches_score_recurrence(self, rhos):
+        # A score is sum_k F[v, k] g_k, |F| <= 1, with each F entry a
+        # product of at most n rounded factors: the factor's product and the
+        # recurrence each come within (2n + 2) eps sum_k |g_k| of it, so
+        # within twice that of each other.
+        n, m = 6, 64
+        G = self.fixed_scores(n, m)
         dep = ChainDependence((3, 0, 5, 1, 4, 2), tuple(map(normal, rhos)))
-        Z = dep.sample(RAW, 64, FixedNormals(G))
-        assert Z.tobytes() == self.score_recurrence(dep, G).tobytes()
+        Z = dep.sample(RAW, m, FixedNormals(G))
+        tol = 4.0 * (n + 1) * np.finfo(float).eps * np.abs(G).sum(axis=0)
+        assert np.all(np.abs(Z - self.score_recurrence(dep, G))
+                      <= tol[:, None])
+
+    @NORMAL_CHAINS
+    def test_factor_is_the_markov_correlation(self, rhos):
+        # F F^T has the product of the link rhos between two slots, 1 on
+        # the diagonal, each entry a sum of n products of at most 2n
+        # rounded factors; in draw order F is lower-triangular
+        n, perm = 6, (3, 0, 5, 1, 4, 2)
+        F = ChainDependence(perm, tuple(map(normal, rhos))).factor
+        R = F @ F.T
+        for a, b in itertools.product(range(n), repeat=2):
+            rho = math.prod(rhos[min(a, b):max(a, b)])
+            assert abs(R[perm[a], perm[b]] - rho) <= 4.0 * n * np.finfo(
+                float).eps, (a, b)
+        drawn = F[list(perm[::-1])]
+        assert np.array_equal(drawn, np.tril(drawn))
+
+    @pytest.mark.parametrize("perm", [(), (0,)], ids=["n0", "n1"])
+    def test_normal_chain_of_fewer_than_two_variables(self, perm):
+        n, m = len(perm), 5
+        dep = ChainDependence(perm, ())
+        assert np.array_equal(dep.factor, np.eye(n))
+        rng, twin = np.random.default_rng(34), np.random.default_rng(34)
+        Z = dep.sample(RAW, m, rng)
+        assert Z.shape == (m, n)
+        assert np.array_equal(Z, twin.standard_normal((n, m)).T)
 
     @NORMAL_CHAINS
     def test_normal_chain_draws_one_score_block(self, rhos):
@@ -535,7 +568,7 @@ class TestChainSample:
     def test_normal_chain_close_to_copula_hinv_loop(self, rhos):
         # The loop, fed W = ndtr(G), also rounds every score through ndtr
         # and ndtri, and it clamps a score past +-6.36 (the ndtri of the
-        # interior clip) where the recurrence keeps it.  Samples whose loop
+        # interior clip) where the normal chain keeps it.  Samples whose loop
         # outputs are strictly interior never clamp, and the ndtr of their
         # scores agrees with the loop within 1e-12; the fixture's extreme
         # samples clamp and may not.
@@ -633,6 +666,17 @@ def brent_rho(U2):
     return res.x
 
 
+# the uniform margin on (0, 1): its cdf, betainc(1, 1, x), is x bit for
+# bit, so its to_scores is the interior-clipped ndtri of U that every
+# margin kind but the normal one hands the chain's learning
+UNIFORM = BetaRescaledMargin(0.0, 1.0, 1.0, 1.0)
+
+
+def ml_rho(U):
+    """``_normal_ml_rho`` of uniforms U, through their normal scores."""
+    return _normal_ml_rho(UNIFORM.to_scores(U))
+
+
 def assert_admissible_max(U2, rho):
     assert np.isfinite(rho) and -RHO_MAX <= rho <= RHO_MAX
     best = copula_loglik(normal(rho), U2)
@@ -650,27 +694,27 @@ class TestNormalClosedForm:
         (0.7, 500, 7, 0.4)])
     def test_maximises_loglik_on_a_grid(self, rho, m, seed, scale):
         U2 = normal_pair(rho, m, seed, scale)
-        assert_admissible_max(U2, _normal_ml_rho(U2)[1, 0])
+        assert_admissible_max(U2, ml_rho(U2)[1, 0])
 
     def test_agrees_with_brent(self):
         rng = np.random.default_rng(40)
         for seed in range(60):
             U2 = normal_pair(rng.uniform(-0.99, 0.99), 52, 100 + seed,
                              rng.uniform(0.5, 1.5))
-            assert _normal_ml_rho(U2)[1, 0] == pytest.approx(
+            assert ml_rho(U2)[1, 0] == pytest.approx(
                 brent_rho(U2), abs=1e-6)
 
     def test_every_pair_of_a_matrix(self):
         U = special.ndtr(mvn_population(4, 0.6, 52, 41))
-        rho = _normal_ml_rho(U)
+        rho = ml_rho(U)
         assert np.array_equal(rho, rho.T)
         assert np.all(np.diag(rho) == 0.0)
         for i, j in itertools.combinations(range(4), 2):
-            assert rho[i, j] == _normal_ml_rho(U[:, [i, j]])[1, 0]
+            assert rho[i, j] == ml_rho(U[:, [i, j]])[1, 0]
 
     def test_two_rows(self):
         U2 = np.array([[0.2, 0.3], [0.9, 0.6]])
-        assert_admissible_max(U2, _normal_ml_rho(U2)[1, 0])
+        assert_admissible_max(U2, ml_rho(U2)[1, 0])
 
     @pytest.mark.parametrize("x", [[0.3, 0.8, 0.6, 0.1],
                                    [1e-6, 1 - 1e-6, 0.5, 1e-5]])
@@ -678,24 +722,24 @@ class TestNormalClosedForm:
         # v = 1/2 gives y = 0 exactly, so C = 0; the second sample has
         # S > m, where the only real root is 0
         U2 = np.column_stack([x, np.full(4, 0.5)])
-        assert_admissible_max(U2, _normal_ml_rho(U2)[1, 0])
+        assert_admissible_max(U2, ml_rho(U2)[1, 0])
 
     def test_identical_columns(self):
         u = normal_pair(0.0, 52, 42)[:, 0]
-        assert _normal_ml_rho(np.column_stack([u, u]))[1, 0] == RHO_MAX
+        assert ml_rho(np.column_stack([u, u]))[1, 0] == RHO_MAX
 
     def test_antithetic_columns(self):
         u = normal_pair(0.0, 52, 43)[:, 0]
-        assert _normal_ml_rho(np.column_stack([u, 1.0 - u]))[1, 0] == -RHO_MAX
+        assert ml_rho(np.column_stack([u, 1.0 - u]))[1, 0] == -RHO_MAX
 
     def test_boundary_values_are_clipped(self):
         U2 = normal_pair(0.6, 52, 44)
         U2[:3, 0] = 0.0
         U2[3:6, 1] = 1.0
         U2[6, :] = (0.0, 1.0)
-        rho = _normal_ml_rho(U2)[1, 0]
+        rho = ml_rho(U2)[1, 0]
         assert_admissible_max(U2, rho)
-        assert rho == _normal_ml_rho(np.clip(U2, 1e-10, 1 - 1e-10))[1, 0]
+        assert rho == ml_rho(np.clip(U2, 1e-10, 1 - 1e-10))[1, 0]
 
     def test_learning_a_normal_chain_draws_nothing(self):
         # no generator goes in: the links are the ML rhos, ranked by |rho|
@@ -703,8 +747,20 @@ class TestNormalClosedForm:
         model = learn_model(make_spec("copula-mimic"), pop, np.full(4, -10.0),
                             np.full(4, 10.0))
         dep = model.dependence
-        U = model.margins.cdf(pop)
-        rho = _normal_ml_rho(U)
+        rho = _normal_ml_rho(model.margins.to_scores(pop))
+        assert dep.perm == chain_permutation(np.abs(rho))
+        assert [c.theta for c in dep.copulas] == [
+            rho[a, b] for a, b in zip(dep.perm, dep.perm[1:])]
+
+    def test_beta_margins_learn_from_clipped_ndtri_of_the_cdf(self):
+        # every margin kind but the normal one learns from its CDF values,
+        # clipped to the interior and mapped by ndtri, bit for bit
+        pop = mvn_population(4, 0.5, 60, 46)
+        spec = make_spec("copula-mimic", margin=MarginKind.BETA_RESCALED)
+        model = learn_model(spec, pop, np.full(4, -10.0), np.full(4, 10.0))
+        dep = model.dependence
+        rho = _normal_ml_rho(special.ndtri(np.clip(
+            model.margins.cdf(pop), INTERIOR_EPS, 1.0 - INTERIOR_EPS)))
         assert dep.perm == chain_permutation(np.abs(rho))
         assert [c.theta for c in dep.copulas] == [
             rho[a, b] for a, b in zip(dep.perm, dep.perm[1:])]

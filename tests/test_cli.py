@@ -241,6 +241,19 @@ class TestIndepRuns:
         for tok in row[1:]:
             assert "e" in tok  # scientific notation
 
+    def test_copula_mimic_default_margin_sphere_cell(self):
+        # copula-MIMIC's default cell, pop 172 with rescaled beta margins,
+        # as the study runs it (every other run of beta margins here is
+        # small): a CSV header and two runs, both at the target
+        status, out = run_cli(["indep-runs", "--algorithm", "copula-mimic",
+                               "--function", "sphere", "--pop-size", "172",
+                               "--max-evals", "300000", "--stddev-floor",
+                               "1e-8", "--runs", "2", "--format", "csv"])
+        assert status == 0
+        lines = out.splitlines()
+        assert len(lines) == 3
+        assert all(float(line.split(",")[3]) <= 1e-6 for line in lines[1:])
+
     def test_json_round_trip(self):
         status, out = run_cli(["indep-runs", *FAST_RUN, "--runs", "2",
                                "--format", "json"])

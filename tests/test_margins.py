@@ -11,6 +11,7 @@ from scipy import special, stats
 
 from copeda import margins
 from copeda.copulas import (
+    INTERIOR_EPS,
     clayton,
     copula_cdf,
     copula_h,
@@ -47,14 +48,15 @@ def all_kind_models():
     ]
 
 
-# every margin kind's cdf and quantile, and every public copula operation
-# of each family row, negative-theta Frank included
+# every margin kind's cdf, quantile, from_scores and to_scores, and every
+# public copula operation of each family row, negative-theta Frank included
 COPULA_ROWS = {"product": product(), "normal": normal(0.5),
                "student": student(0.5, 4.0), "clayton": clayton(2.0),
                "frank": frank(5.0), "frank-negative": frank(-5.0),
                "gumbel": gumbel(2.0)}
 SCALAR_RULE_CASES = (
-    [pytest.param((m.cdf, m.quantile), 1, id=m.kind.value)
+    [pytest.param((m.cdf, m.quantile, m.from_scores, m.to_scores), 1,
+                  id=m.kind.value)
      for m in all_kind_models()]
     + [pytest.param(tuple(functools.partial(op, c) for op in (
         copula_logpdf, copula_cdf, copula_h, copula_hinv)), 2,
@@ -136,6 +138,14 @@ class TestFit:
     def test_degenerate_sample_keeps_positive_sigma(self):
         model = fit_margin(MarginKind.NORMAL, [2.0, 2.0], 0.0, 10.0)
         assert model.sigma > 0.0
+
+    @pytest.mark.parametrize("lower,upper", [([0.0, 0.0], 5.0),
+                                             (0.0, np.full(4, 5.0)),
+                                             (np.zeros((3, 1)), 5.0)])
+    def test_wrongly_shaped_bounds_rejected(self, lower, upper):
+        X = np.random.default_rng(28).random((10, 3))
+        with pytest.raises(ValueError):
+            fit_margin(MarginKind.BETA_RESCALED, X, lower, upper)
 
     def test_too_short_sample_rejected(self):
         with pytest.raises(ValueError):
@@ -269,6 +279,59 @@ class TestCdf:
         hi = model.sample.max() + 8.0 * model.bandwidth
         assert model.cdf(lo) < 1e-6
         assert model.cdf(hi) > 1.0 - 1e-6
+
+
+class TestScores:
+    """``to_scores`` and ``from_scores``: a margin in normal scores."""
+
+    @staticmethod
+    def fits():
+        # every kind fitted to one column (float fields) and to three
+        rng = np.random.default_rng(2025)
+        X = rng.normal(1.5, 2.0, (60, 3))
+        return [model for kind in MarginKind for model in (
+            fit_margin(kind, X[:, 0], -8.0, 11.0),
+            fit_margin(kind, X, -8.0, 11.0))]
+
+    @staticmethod
+    def points(model, v):
+        """v as one column's points, or reversed and halved in two more
+        columns for a margin fitted to three."""
+        if len(margins._columns(model)) == 1:
+            return v
+        return np.column_stack([v, v[::-1], 0.5 * v])
+
+    @pytest.mark.parametrize("model", fits(), ids=lambda m: m.kind.value)
+    def test_to_scores_inverts_from_scores(self, model):
+        # a round trip through the uniforms moves p by a few eps, which
+        # moves z by that over phi(z); |z| <= 4 keeps p inside the kernel's
+        # support [min - 4h, max + 4h], whose ends hold p below 1e-6
+        z = self.points(model, np.linspace(-4.0, 4.0, 2001))
+        phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        back = model.to_scores(model.from_scores(z))
+        assert back.shape == z.shape
+        assert np.all(np.abs(back - z) <= 64.0 * np.finfo(float).eps / phi)
+
+    @pytest.mark.parametrize("mu,sigma", [(0.0, 1.0), (3.0, 0.5),
+                                          (np.array([-250.0, 1e3]),
+                                           np.array([1e-3, 40.0]))])
+    def test_normal_is_closed_form(self, mu, sigma):
+        margin = NormalMargin(mu, sigma)
+        x = np.random.default_rng(26).normal(0.0, 300.0, (40, np.size(mu)))
+        assert same_bits(margin.to_scores(x), (x - mu) / sigma)
+        z = np.random.default_rng(27).standard_normal((40, np.size(mu)))
+        assert same_bits(margin.from_scores(z), mu + sigma * z)
+
+    @pytest.mark.parametrize("model", [m for m in fits()
+                                       if m.kind is not MarginKind.NORMAL],
+                             ids=lambda m: m.kind.value)
+    def test_other_kinds_take_the_clipped_ndtri_of_the_cdf(self, model):
+        # points across and past the support, so the clip binds at both ends
+        x = self.points(model, np.linspace(-12.0, 15.0, 271))
+        expected = special.ndtri(np.clip(model.cdf(x), INTERIOR_EPS,
+                                         1.0 - INTERIOR_EPS))
+        assert same_bits(model.to_scores(x), expected)
+        assert np.all(np.isfinite(expected))
 
 
 def same_bits(a, b) -> bool:

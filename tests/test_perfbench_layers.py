@@ -124,6 +124,21 @@ LAYERS = ("algorithms.sample", "copulas.hinv")
     assert calls["sample>copulas.hinv"] == calls["copulas.hinv"] > 0
 
 
+def test_traced_normal_chain_takes_no_margin_cdf():
+    # normal margins map to and from normal scores in closed form, so a
+    # normal chain on them learns and samples without cdf or quantile
+    calls = traced_calls("""
+spec = EdaSpec("copula-mimic", 30, TerminationSpec(max_gen=3),
+               margin="normal")
+run(spec, f_sphere, np.full(3, -5.0), np.full(3, 5.0), run_rng(1, 0),
+    model_sink=lambda *_: None)
+LAYERS = ("algorithms.learn", "algorithms.sample", "margins.cdf",
+          "margins.quantile")
+""")
+    assert calls["algorithms.learn"] > 0 and calls["algorithms.sample"] > 0
+    assert calls["margins.cdf"] == calls["margins.quantile"] == 0
+
+
 def test_benchmark_pass_replays_the_study_runs():
     # each workload's benchmark pass does exactly the runs of
     # eda_indep_runs, the identity the benchmark's fingerprints rest on
