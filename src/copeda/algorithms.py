@@ -6,13 +6,12 @@ inversion plus positive-definite repair, CVEDA/DVEDA with a fitted vine,
 and the copula-chain variant of MIMIC with ML normal (closed-form cubic
 roots) or Frank (bounded Brent search) bivariate copulas along a greedily
 chosen permutation, its links ranked by |theta| in the order of their
-mutual information.  The Gaussian structures (product, normal copula, and
-the all-normal chain, a Gaussian Markov chain) draw normal scores and hand
-them to the margins' ``from_scores``; vines and every other chain, which
-inverts its links' h-functions one by one, hand uniforms to the margins'
-``quantile``.  The normal chain also learns in normal scores, the margins'
-``to_scores``, and samples through one triangular factor of its
-correlation matrix, built once per model.
+mutual information.  The Gaussian structures (product, normal copula and
+the all-normal chain) hand G F^T, G one standard-normal block and F their
+correlation's factor (none for the product), to the margins'
+``from_scores``; vines and every other chain, a D-vine cut after tree 1,
+hand ``vine_sample``'s uniforms to the margins' ``quantile``.  The normal
+chain also learns in normal scores, the margins' ``to_scores``.
 """
 
 from __future__ import annotations
@@ -27,9 +26,7 @@ from .copulas import (
     RHO_MAX,
     BivariateCopula,
     CopulaFamily,
-    copula_hinv,
     fit_frank,
-    mvnormal_score_sample,
     normal,
 )
 from .dependence import (
@@ -128,9 +125,17 @@ def _family_counts(copulas) -> dict[str, int]:
 # Every dependence structure has the same four methods: the classmethod
 # learn(spec, X, margins) fits it to the selected rows X, drawing nothing;
 # sample(margins, m, rng) returns m rows, its draw pushed through the
-# margins (normal scores into from_scores if the structure is Gaussian,
-# uniforms into quantile otherwise); describe() is the text after
-# "dependence: "; family_counts() maps each pair-copula family to its edges.
+# margins (_score_sample's normal scores, or vine_sample's uniforms into
+# quantile); describe() is the text after "dependence: "; family_counts()
+# maps each pair-copula family to its edges.
+
+
+def _score_sample(margins, m: int, n: int, rng: np.random.Generator,
+                  factor: np.ndarray | None = None) -> np.ndarray:
+    """``from_scores(G @ F.T)`` of one ``(m, n)`` standard-normal block G,
+    column r of G driving column r of the factor F (G without one)."""
+    G = rng.standard_normal((m, n))
+    return margins.from_scores(G if factor is None else G @ factor.T)
 
 
 @dataclass(frozen=True)
@@ -144,7 +149,7 @@ class ProductDependence:
         return cls(X.shape[1])
 
     def sample(self, margins, m: int, rng: np.random.Generator) -> np.ndarray:
-        return margins.from_scores(rng.standard_normal((m, self.n)))
+        return _score_sample(margins, m, self.n, rng)
 
     def describe(self) -> str:
         return "product"
@@ -178,9 +183,14 @@ class NormalDependence:
         np.fill_diagonal(rho, 1.0)
         return cls(make_positive_definite(rho))
 
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """The Cholesky factor of ``correlation``, built once."""
+        return np.linalg.cholesky(self.correlation)
+
     def sample(self, margins, m: int, rng: np.random.Generator) -> np.ndarray:
-        return margins.from_scores(
-            mvnormal_score_sample(self.correlation, m, rng))
+        return _score_sample(margins, m, len(self.correlation), rng,
+                             self.factor)
 
     def describe(self) -> str:
         return ("normal copula, correlation=\n"
@@ -253,13 +263,11 @@ class ChainDependence:
 
     @cached_property
     def factor(self) -> np.ndarray | None:
-        """The all-normal chain's (n, n) factor F, built once: row ``v`` of
-        F @ G is variable v's normal scores from a standard-normal block G,
-        whose row k drives slot n - 1 - k; ``None`` if a link is not
-        normal.
+        """The all-normal chain's (n, n) factor F, built once (``None`` if
+        a link is not normal): slot n - 1 - r takes column r of the block G.
 
-        Slot n - 1 takes G[0]; slot i < n - 1 is s_i g + rho_i y, with y
-        slot i + 1's scores, g its own row of G, rho_i link i's rho and
+        Slot n - 1 is G's column 0; slot i < n - 1 is s_i g + rho_i y, with y
+        slot i + 1's scores, g its own column of G, rho_i link i's rho and
         s_i = sqrt(1 - rho_i^2).  So in draw order F is lower-triangular,
         F[r, k] = s_k rho_(k+1) ... rho_r with rho_r, s_r those of slot
         n - 1 - r and s_0 = 1, and F F^T is the chain's Markov correlation,
@@ -277,29 +285,13 @@ class ChainDependence:
         return F
 
     def sample(self, margins, m: int, rng: np.random.Generator) -> np.ndarray:
-        """Last permutation slot first, each other slot conditional on the
-        next; row n - 1 - k of the one ``(n, m)`` draw drives link k.
-
-        An all-normal chain, a Gaussian Markov chain, draws
-        ``standard_normal`` scores G, takes (F G)^T with its ``factor`` F and
-        hands them to ``margins.from_scores``.  Any other chain draws
-        uniforms, inverts link by link with ``copula_hinv`` (whose interior
-        output is the next link's conditioning value) and hands them to
-        ``margins.quantile``.
-        """
-        n = len(self.perm)
-        F = self.factor
-        if F is not None:
-            # (m, n) rows of G^T F^T: one product, C-ordered like every
-            # other structure's draw
-            return margins.from_scores(rng.standard_normal((n, m)).T @ F.T)
-        W = rng.random((n, m))
-        U = np.empty((m, n))
-        v = U[:, self.perm[-1]] = W[0]
-        for k in range(n - 2, -1, -1):
-            v = U[:, self.perm[k]] = copula_hinv(self.copulas[k],
-                                                 W[n - 1 - k], v)
-        return margins.quantile(U)
+        """Last slot first: an all-normal chain through its ``factor``, any
+        other as the D-vine along ``perm[::-1]`` cut after tree 1."""
+        if self.factor is None:
+            trees = (self.copulas[::-1],)
+            return margins.quantile(vine_sample(
+                RVineModel(VineType.DVINE, self.perm[::-1], trees), m, rng))
+        return _score_sample(margins, m, len(self.perm), rng, self.factor)
 
     def describe(self) -> str:
         return "\n".join(["chain perm=" + ",".join(map(str, self.perm))]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import numbers
 import pickle
 import time
 from dataclasses import dataclass, replace
@@ -33,6 +34,16 @@ class InputError(ValueError):
     sent to worker processes, or a malformed config file."""
 
 
+def _count(name: str, value, least: int | None = None) -> int:
+    """``value`` as an ``int``, a numpy integer too; a bool, a value that is
+    not an integer or one below ``least`` raises ``InputError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise InputError(f"{name} must be >= {least}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class TerminationSpec:
     """OR-combination of stopping criteria; at least one must be set."""
@@ -48,8 +59,9 @@ class TerminationSpec:
                 and self.target_eval is None and self.eval_stddev_floor is None):
             raise InputError("at least one termination criterion must be set")
         for name in ("max_gen", "max_evals"):
-            if getattr(self, name) is not None and getattr(self, name) < 1:
-                raise InputError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _count(name, value, 1))
         if not self.target_tol >= 0.0:
             raise InputError("target_tol must be >= 0")
         if not (self.target_eval is None or math.isfinite(self.target_eval)):
@@ -78,8 +90,8 @@ class EdaSpec:
         if self.algorithm not in ALGORITHMS:
             raise InputError(f"unknown algorithm {self.algorithm!r}; "
                              f"choose from {ALGORITHMS}")
-        if self.pop_size < 2:
-            raise InputError("pop_size must be at least 2")
+        object.__setattr__(self, "pop_size",
+                           _count("pop_size", self.pop_size, 2))
         if not 0.0 < self.truncation_factor <= 1.0:
             raise InputError("truncation_factor must be in (0, 1]")
         selected = _truncation_count(self.truncation_factor, self.pop_size)
@@ -303,10 +315,7 @@ def eda_indep_runs(spec: EdaSpec, f, lower, upper, runs: int,
                    base_seed: int = 12345, jobs: int = 1
                    ) -> tuple[list[RunResult], RunsSummary]:
     """Independent replications with per-run streams derived from the seed."""
-    if runs < 1:
-        raise InputError("runs must be >= 1")
-    if jobs < 1:
-        raise InputError("jobs must be >= 1")
+    runs, jobs = _count("runs", runs, 1), _count("jobs", jobs, 1)
     tasks = [(spec, f, lower, upper, base_seed, i) for i in range(runs)]
     if jobs > 1:
         try:
@@ -380,6 +389,10 @@ def critical_pop_size(spec: EdaSpec, f, lower, upper, target: float,
     the per-size success probe (used by tests and custom studies); ``trace``
     receives (size, successes, attempted) after each probe.
     """
+    lower_pop = _count("lower_pop", lower_pop)
+    upper_pop = _count("upper_pop", upper_pop)
+    total_runs = _count("total_runs", total_runs)
+    success_runs = _count("success_runs", success_runs)
     if not 1 <= lower_pop < upper_pop:
         raise InputError("need 1 <= lower_pop < upper_pop")
     if not 1 <= success_runs <= total_runs:

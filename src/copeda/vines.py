@@ -329,9 +329,10 @@ def vine_sample(model: RVineModel, m: int, rng: np.random.Generator) -> np.ndarr
             for c, b in zip(edges, back[k0:]):
                 inner.append(_hinv(c, inner[-1], b))
             cols[model.order[i]] = inner[-1]
-            if i < n - 1:
-                back[k0:] = [_h(c, b, u)
-                             for c, b, u in zip(edges, back[k0:], inner[1:])]
+            if i < n - 1:  # position i + 1 reads back[k1:] alone
+                k1 = max(0, i + 1 - t)
+                back[k1:] = [_h(c, b, u) for c, b, u in zip(
+                    edges[k1 - k0:], back[k1:], inner[1 + k1 - k0:])]
                 back.append(inner[-1])
     out = np.empty_like(W)
     for i, col in cols.items():

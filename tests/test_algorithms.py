@@ -197,6 +197,18 @@ class TestCedaSample:
         out = sample_model(model, 2000, np.random.default_rng(9))
         assert abs(kendall_tau(out[:, 0], out[:, 1])) <= 0.05
 
+    def test_product_draws_one_score_block(self):
+        rng, twin = np.random.default_rng(37), np.random.default_rng(37)
+        Z = ProductDependence(4).sample(RAW, 50, rng)
+        assert Z.tobytes() == twin.standard_normal((50, 4)).tobytes()
+
+    def test_normal_copula_draws_one_score_block_through_cholesky(self):
+        R = np.array([[1.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 1.0]])
+        rng, twin = np.random.default_rng(38), np.random.default_rng(38)
+        Z = NormalDependence(R).sample(RAW, 50, rng)
+        expected = twin.standard_normal((50, 3)) @ np.linalg.cholesky(R).T
+        assert Z.tobytes() == expected.tobytes()
+
     def test_pearson_correlation_transfers(self):
         margins = learn_model(make_spec("umda"),
                               mvn_population(2, 0.0, 300, 10),
@@ -472,26 +484,28 @@ class TestChainSample:
          normal(-0.999)),
     ], ids=["moderate", "strong"])
     def test_matches_copula_hinv_loop_bit_for_bit(self, copulas):
+        # the sampler's (m, n) block drives draw r by column r, the loop's
+        # (n, m) block by row r
         n, m = 6, 64
-        W = np.random.default_rng(31).random((n, m))
+        W = np.random.default_rng(31).random((m, n))
         # exact 0, the largest double below 1 and the smallest subnormal in
-        # every row, so the p clip binds; row 0, the last slot's uniforms,
-        # also straddles the interior clip
-        W[:, :3] = [0.0, 1.0 - 2.0**-53, 5e-324]
-        W[0, 3:6] = [1e-12, 1.0 - 1e-12, 0.5]
+        # every column, so the p clip binds; column 0, the last slot's
+        # uniforms, also straddles the interior clip
+        W[:3] = np.array([[0.0], [1.0 - 2.0**-53], [5e-324]])
+        W[3:6, 0] = [1e-12, 1.0 - 1e-12, 0.5]
         dep = ChainDependence((3, 0, 5, 1, 4, 2), copulas)
         U = dep.sample(RAW, m, FixedUniforms(W))
-        assert U.tobytes() == self.copula_hinv_loop(dep, W).tobytes()
+        assert U.tobytes() == self.copula_hinv_loop(dep, W.T).tobytes()
 
     @staticmethod
     def fixed_scores(n=6, m=64):
-        """Normal scores for the all-normal chain: row 0, the last slot's,
-        straddles +-6.36, the ``ndtri`` of the interior clip, and column 2
-        sits deep in the lower tail, where ``ndtr`` is still exact enough
-        for the loop's round trip."""
-        G = np.random.default_rng(31).standard_normal((n, m))
-        G[0, :2] = [-6.5, 6.5]
-        G[:, 2] = -8.0
+        """An (m, n) block of normal scores for the all-normal chain:
+        column 0, the last slot's, straddles +-6.36, the ``ndtri`` of the
+        interior clip, and row 2 sits deep in the lower tail, where ``ndtr``
+        is still exact enough for the loop's round trip."""
+        G = np.random.default_rng(31).standard_normal((m, n))
+        G[:2, 0] = [-6.5, 6.5]
+        G[2] = -8.0
         return G
 
     @staticmethod
@@ -523,8 +537,8 @@ class TestChainSample:
         G = self.fixed_scores(n, m)
         dep = ChainDependence((3, 0, 5, 1, 4, 2), tuple(map(normal, rhos)))
         Z = dep.sample(RAW, m, FixedNormals(G))
-        tol = 4.0 * (n + 1) * np.finfo(float).eps * np.abs(G).sum(axis=0)
-        assert np.all(np.abs(Z - self.score_recurrence(dep, G))
+        tol = 4.0 * (n + 1) * np.finfo(float).eps * np.abs(G).sum(axis=1)
+        assert np.all(np.abs(Z - self.score_recurrence(dep, G.T))
                       <= tol[:, None])
 
     @NORMAL_CHAINS
@@ -550,7 +564,7 @@ class TestChainSample:
         rng, twin = np.random.default_rng(34), np.random.default_rng(34)
         Z = dep.sample(RAW, m, rng)
         assert Z.shape == (m, n)
-        assert np.array_equal(Z, twin.standard_normal((n, m)).T)
+        assert np.array_equal(Z, twin.standard_normal((m, n)))
 
     @NORMAL_CHAINS
     def test_normal_chain_draws_one_score_block(self, rhos):
@@ -558,11 +572,11 @@ class TestChainSample:
         dep = ChainDependence((3, 0, 5, 1, 4, 2), tuple(map(normal, rhos)))
         rng, twin = np.random.default_rng(32), np.random.default_rng(32)
         Z = dep.sample(RAW, m, rng)
-        G = twin.standard_normal((n, m))
+        G = twin.standard_normal((m, n))
         assert rng.bit_generator.state == twin.bit_generator.state
         assert Z.tobytes() == dep.sample(RAW, m, FixedNormals(G)).tobytes()
-        # the last slot's scores are the block's first row as drawn
-        assert np.array_equal(Z[:, 2], G[0])
+        # the last slot's scores are the block's first column as drawn
+        assert np.array_equal(Z[:, 2], G[:, 0])
 
     @NORMAL_CHAINS
     def test_normal_chain_close_to_copula_hinv_loop(self, rhos):
@@ -575,7 +589,7 @@ class TestChainSample:
         G = self.fixed_scores()
         dep = ChainDependence((3, 0, 5, 1, 4, 2), tuple(map(normal, rhos)))
         U = special.ndtr(dep.sample(RAW, 64, FixedNormals(G)))
-        loop = self.copula_hinv_loop(dep, special.ndtr(G))
+        loop = self.copula_hinv_loop(dep, special.ndtr(G).T)
         unclamped = np.all((loop > 1e-10) & (loop < 1.0 - 1e-10), axis=1)
         assert unclamped.sum() >= 60
         assert np.allclose(U[unclamped], loop[unclamped], rtol=0.0,

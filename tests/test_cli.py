@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -315,6 +316,21 @@ class TestIndepRuns:
                                "--jobs", jobs])
         assert (status, out) == (2, "")
         assert capsys.readouterr().err == "error: jobs must be >= 1\n"
+
+    @pytest.mark.slow
+    def test_study_script_quick_run_writes_one_csv_per_cell(self, tmp_path):
+        # the study script loops over copeda.benchmarks.STUDY, whose cells
+        # acceptance criteria 2-6 run, and writes indep-runs' CSV format;
+        # about 10 s, most of it copula-MIMIC's beta-margin Summation
+        # Cancellation cell
+        script = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+        done = run_python(str(script / "benchmark_study.py"), "--quick",
+                          "--runs", "1", "--outdir", str(tmp_path))
+        assert done.returncode == 0, done.stderr
+        assert len(list(tmp_path.glob("*.csv"))) == 10
+        header = (tmp_path / "umda_sphere.csv").read_text().splitlines()[0]
+        assert header == ("run,generations,evaluations,best_evaluation,"
+                          "cpu_time_seconds")
 
 
 class TestCritpop:

@@ -544,6 +544,40 @@ class TestInputError:
         with pytest.raises(InputError):
             build()
 
+    @pytest.mark.parametrize("bad", [10.0, 2.5, True, False, np.float64(3.0),
+                                     np.bool_(True), "3"])
+    @pytest.mark.parametrize("build", [
+        lambda bad: EdaSpec("umda", bad, TerminationSpec(max_gen=2)),
+        lambda bad: TerminationSpec(max_gen=bad),
+        lambda bad: TerminationSpec(max_evals=bad),
+        lambda bad: eda_indep_runs(umda_spec(max_gen=2), f_sphere, [-1.0],
+                                   [1.0], runs=bad),
+        lambda bad: eda_indep_runs(umda_spec(max_gen=2), f_sphere, [-1.0],
+                                   [1.0], runs=2, jobs=bad),
+        lambda bad: checked_search(bad, 64, 2, 2),
+        lambda bad: checked_search(4, bad, 2, 2),
+        lambda bad: checked_search(4, 64, bad, 2),
+        lambda bad: checked_search(4, 64, 2, bad),
+    ], ids=["pop_size", "max_gen", "max_evals", "runs", "jobs", "lower_pop",
+            "upper_pop", "total_runs", "success_runs"])
+    def test_counts_must_be_integers(self, build, bad):
+        with pytest.raises(InputError, match="must be an integer"):
+            build(bad)
+
+    def test_numpy_integer_counts_are_stored_as_int(self):
+        spec = EdaSpec("umda", np.int64(20),
+                       TerminationSpec(max_gen=np.int32(2),
+                                       max_evals=np.uint16(100)))
+        assert type(spec.pop_size) is type(spec.termination.max_gen) is int
+        assert type(spec.termination.max_evals) is int
+        results, _ = eda_indep_runs(spec, f_sphere, [-1.0], [1.0],
+                                    runs=np.int64(2), jobs=np.int8(1))
+        assert [r.f_evals for r in results] == [40, 40]
+        found = critical_pop_size(spec, f_sphere, [-1.0], [1.0], 0.0, 1e-6,
+                                  np.int64(4), np.int64(64), np.int64(2),
+                                  np.int64(2), probe=lambda size: (2, 2))
+        assert type(found) is int
+
     def test_vine_selection_at_the_cvm_limit_is_accepted(self):
         # 6000 selected rows is the CvM test's largest sample; non-vine
         # algorithms run no CvM test

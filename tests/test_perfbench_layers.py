@@ -3,12 +3,14 @@
 ``perfbench/spans.py`` wraps copeda functions and margin methods by name
 from outside the package, so a rename inside ``src/`` would silently drop
 a layer from the traced pass.  These tests read the layer tables from that
-file and check them against the package.
+file and check them against the package, and run each workload's short
+traced pass through ``perfbench/run.py``.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import pathlib
 import subprocess
@@ -107,21 +109,26 @@ LAYERS = ("algorithms.learn", "algorithms.sample", "vines.fit",
 
 
 def test_traced_pass_counts_the_frank_chain_hinv():
-    # learning draws nothing, so every copula_hinv call is the sampler's
+    # learning draws nothing, and a Frank chain samples as a one-tree
+    # D-vine, so every copula_hinv call sits under vines.sample, under
+    # algorithms.sample
     calls = traced_calls("""
 spec = EdaSpec("copula-mimic", 30, TerminationSpec(max_gen=3),
                copulas=("frank",))
 run(spec, f_sphere, np.full(3, -5.0), np.full(3, 5.0), run_rng(1, 0),
     model_sink=lambda *_: None)
 trace = tracer.arrays()
-names = np.array(tracer.layers)[trace["layer"]]
-parents = trace["parent"][names == "copulas.hinv"]
-print("sample>copulas.hinv",
-      np.count_nonzero(names[parents[parents >= 0]] == "algorithms.sample"))
-LAYERS = ("algorithms.sample", "copulas.hinv")
+names = np.append(np.array(tracer.layers)[trace["layer"]], "")
+parents = np.append(trace["parent"], -1)
+vine = parents[names == "copulas.hinv"]
+print("sample>vine>copulas.hinv", np.count_nonzero(
+    (names[vine] == "vines.sample")
+    & (names[parents[vine]] == "algorithms.sample")))
+LAYERS = ("algorithms.sample", "vines.sample", "copulas.hinv")
 """)
     assert calls["algorithms.sample"] > 0
-    assert calls["sample>copulas.hinv"] == calls["copulas.hinv"] > 0
+    assert calls["vines.sample"] == calls["algorithms.sample"]
+    assert calls["sample>vine>copulas.hinv"] == calls["copulas.hinv"] > 0
 
 
 def test_traced_normal_chain_takes_no_margin_cdf():
@@ -148,3 +155,34 @@ def test_benchmark_pass_replays_the_study_runs():
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
     assert len(lines) == 4 and all(line.split()[1] == "same" for line in lines)
+
+
+# each workload's counter check beside the fingerprint check
+TRACED_CHECKS = {
+    "vine-sphere10": lambda metrics: True,
+    # the kernel-margin quantile must still run, and be traced, as one layer
+    "gceda-kernel-sphere5":
+        lambda metrics: metrics["margins.quantile.calls"] > 0,
+    # truncation selection at pop 2000 runs under the tracer's wrappers
+    "umda-sumcan10": lambda metrics: metrics["eda.select.calls"] > 0,
+    # the normal chain learns and samples under the tracer's wrappers; its
+    # normal margins take normal scores both ways in closed form, so no
+    # margin cdf runs
+    "cmimic-sphere10": lambda metrics: (
+        metrics["algorithms.sample.calls"] > 0
+        and metrics["margins.cdf.calls"] == 0),
+}
+
+
+@pytest.mark.parametrize("workload", list(TRACED_CHECKS))
+def test_traced_benchmark_pass_is_correct(workload):
+    # "correct" on run.py's last line says whether the traced pass kept the
+    # untraced fingerprint and counters; about 1 s a workload
+    done = subprocess.run(
+        [sys.executable, str(SPANS.parent / "run.py"), "--workload", workload,
+         "--seconds", "5", "--trace", "1"], capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["correct"] is True, report
+    assert TRACED_CHECKS[workload](
+        {name: metric["value"] for name, metric in report["metrics"].items()})

@@ -8,6 +8,7 @@ from scipy.special import ndtr, ndtri
 from copeda.copulas import (
     CopulaFamily,
     clayton,
+    copula_h,
     copula_sample,
     frank,
     gumbel,
@@ -316,6 +317,25 @@ class TestTruncation:
                             np.random.default_rng(70 + t))
             assert (vine_loglik(truncated, U).hex()
                     == vine_loglik(padded, U).hex())
+
+    @pytest.mark.parametrize("t, calls", [(0, 0), (1, 0), (2, 3), (3, 5),
+                                          (4, 6)])
+    def test_dvine_sampler_takes_only_the_h_values_it_reads(
+            self, monkeypatch, t, calls):
+        # position i + 1 reads back[k] = F(x_k | x_k+1..x_i) only for
+        # k >= i + 1 - t, so of the 5-path's positions 1..3, position i
+        # takes min(i, t - 1) h calls: a one-tree D-vine (a chain) takes none
+        taken = []
+
+        def h(c, u, v):
+            taken.append(c)
+            return copula_h(c, u, v)
+
+        trees = tuple((frank(3.0),) * (4 - j) for j in range(t))
+        monkeypatch.setattr(vines, "copula_h", h)
+        vine_sample(RVineModel(VineType.DVINE, (2, 0, 4, 1, 3), trees), 50,
+                    np.random.default_rng(61))
+        assert len(taken) == calls
 
 
 class TestVineLoglik:
