@@ -51,12 +51,10 @@ def main(argv=None):
         pop = min(STUDY[algorithm, function], 150) if args.quick else None
         spec, func, lower, upper = study_cell(algorithm, function, args.dim,
                                               pop, max_evals)
-        target = spec.termination.target_eval
-        tol = spec.termination.target_tol
         note = ""
         if args.critpop:
             found = critical_pop_size(
-                spec, func, lower, upper, target, tol,
+                spec, func, lower, upper,
                 lower_pop=LOWER_POP, upper_pop=UPPER_POP,
                 total_runs=args.runs, success_runs=args.runs,
                 stop_percent=10.0, base_seed=args.seed,
@@ -74,7 +72,8 @@ def main(argv=None):
                                           args.runs, base_seed=args.seed,
                                           jobs=args.jobs)
         elapsed = time.perf_counter() - start
-        successes = sum(abs(r.best_eval - target) <= tol for r in results)
+        successes = sum(spec.termination.reached(r.best_eval)
+                        for r in results)
         (outdir / f"{algorithm}_{function}.csv").write_text(
             _runs_csv(results) + "\n")
         print(f"{algorithm:<14}{function:<26}{spec.pop_size:>6}"

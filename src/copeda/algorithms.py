@@ -27,7 +27,9 @@ from .copulas import (
     BivariateCopula,
     CopulaFamily,
     fit_frank,
+    frank,
     normal,
+    product,
 )
 from .dependence import (
     _symmetric_taus,
@@ -100,19 +102,17 @@ def chain_permutation(strength: np.ndarray) -> tuple[int, ...]:
     n = strength.shape[0]
     if n < 2:
         return tuple(range(n))
-    # Python floats: the same IEEE comparisons as numpy scalars, indexed faster
+    # Python floats, indexed faster; max keeps the first of tied maxima
     s = strength.tolist()
-    best = (-np.inf, 1, 0)
-    for i in range(1, n):
-        for j in range(i):
-            if s[i][j] > best[0]:
-                best = (s[i][j], i, j)
-    perm = [best[1], best[2]]
-    while len(perm) < n:
-        head = perm[0]
-        candidates = [k for k in range(n) if k not in perm]
-        perm.insert(0, max(candidates, key=lambda c: (s[c][head], -c)))
-    return tuple(perm)
+    i, j = max(((i, j) for i in range(1, n) for j in range(i)),
+               key=lambda pair: s[pair[0]][pair[1]])
+    chain = [j, i]  # the head last
+    free = [k for k in range(n) if k != i and k != j]
+    while free:
+        head = chain[-1]
+        chain.append(max(free, key=lambda c: s[c][head]))
+        free.remove(chain[-1])
+    return tuple(reversed(chain))
 
 
 def _family_counts(copulas) -> dict[str, int]:
@@ -173,7 +173,7 @@ class NormalDependence:
         {i, j}, i < j, taking the tau of (X_i, X_j).  Either way the matrix
         is clipped away from +-1 and repaired to positive definite.
         """
-        if spec.effective_margin is MarginKind.NORMAL:
+        if spec.margin is MarginKind.NORMAL:
             with np.errstate(invalid="ignore"):
                 rho = np.atleast_2d(np.corrcoef(X.T))
             rho = np.nan_to_num(rho, nan=0.0)
@@ -247,19 +247,17 @@ class ChainDependence:
         """
         if spec.copulas[0] is CopulaFamily.NORMAL:
             theta = _normal_ml_rho(margins.to_scores(X))
-            link = lambda a, b: normal(float(theta[a, b]))
+            link = normal
         else:
             U = margins.cdf(X)
             n = X.shape[1]
-            pair: dict[tuple[int, int], BivariateCopula] = {}
             theta = np.zeros((n, n))
-            for i in range(1, n):
-                for j in range(i):
-                    cop = pair[(i, j)] = pair[(j, i)] = fit_frank(U[:, [i, j]])
-                    theta[i, j] = theta[j, i] = cop.theta
-            link = lambda a, b: pair[(a, b)]
+            for j, i in zip(*_upper_pairs(n)):
+                theta[i, j] = theta[j, i] = fit_frank(U[:, [i, j]]).theta
+            link = lambda t: frank(t) if t else product()
         perm = chain_permutation(np.abs(theta))
-        return cls(perm, tuple(link(a, b) for a, b in zip(perm, perm[1:])))
+        return cls(perm, tuple(link(float(theta[a, b]))
+                               for a, b in zip(perm, perm[1:])))
 
     @cached_property
     def factor(self) -> np.ndarray | None:
@@ -320,7 +318,7 @@ class SearchModel:
 def learn_model(spec, X: np.ndarray, lower, upper) -> SearchModel:
     """Fit the margins to the selected ``(m, n)`` rows X, then the
     dependence structure of ``spec`` (an ``EdaSpec``)."""
-    margins = fit_margin(spec.effective_margin, X, lower, upper)
+    margins = fit_margin(spec.margin, X, lower, upper)
     dependence = _DEPENDENCE[spec.algorithm].learn(spec, X, margins)
     return SearchModel(margins, dependence)
 

@@ -21,6 +21,7 @@ from .eda import (
     ObjectiveError,
     RunsSummary,
     TerminationSpec,
+    _count,
     critical_pop_size,
     eda_indep_runs,
     eda_run,
@@ -149,8 +150,7 @@ def _check_before_runs(args: argparse.Namespace):
     """Exit 2 on a bad --jobs or output path before the first run, not
     after a finished study (critpop passes --jobs only to its fallback).
     A file made only to check the path is removed again."""
-    if getattr(args, "jobs", 1) < 1:
-        raise InputError("jobs must be >= 1")
+    _count("jobs", getattr(args, "jobs", 1), 1)
     for dest in ("out", "dump_model", "copula_trace"):
         path = getattr(args, dest, None)
         if not path:
@@ -170,11 +170,10 @@ def _resolve_experiment(args: argparse.Namespace):
     bench = get_benchmark(args.function)
     lower = bench.default_lower if args.lower is None else args.lower
     upper = bench.default_upper if args.upper is None else args.upper
-    target = bench.target_eval if args.target is None else args.target
     termination = TerminationSpec(
         max_gen=args.max_gen,
         max_evals=args.max_evals,
-        target_eval=target,
+        target_eval=bench.target_eval if args.target is None else args.target,
         target_tol=args.tol,
         eval_stddev_floor=args.stddev_floor,
     )
@@ -190,7 +189,7 @@ def _resolve_experiment(args: argparse.Namespace):
         trunc_criterion=args.trunc_criterion,
     )
     return (spec, bench, np.full(args.dim, float(lower)),
-            np.full(args.dim, float(upper)), target)
+            np.full(args.dim, float(upper)))
 
 
 def _fmt(x) -> str:
@@ -284,7 +283,7 @@ def _final_block(result) -> str:
 
 
 def cmd_run(args, stream) -> int:
-    spec, bench, lower, upper, _ = _resolve_experiment(args)
+    spec, bench, lower, upper = _resolve_experiment(args)
     families = [f.value for f in CopulaFamily]
     trace_rows = ["generation," + ",".join(families)]
     last_model = None
@@ -316,7 +315,7 @@ def cmd_run(args, stream) -> int:
 
 
 def cmd_indep_runs(args, stream) -> int:
-    spec, bench, lower, upper, _ = _resolve_experiment(args)
+    spec, bench, lower, upper = _resolve_experiment(args)
     results, summary = eda_indep_runs(spec, bench.func, lower, upper,
                                       args.runs, base_seed=args.seed,
                                       jobs=args.jobs)
@@ -325,7 +324,7 @@ def cmd_indep_runs(args, stream) -> int:
 
 
 def cmd_critpop(args, stream) -> int:
-    spec, bench, lower, upper, target = _resolve_experiment(args)
+    spec, bench, lower, upper = _resolve_experiment(args)
     stream.write(f"critical population size search in [{args.lower_pop}, "
                  f"{args.upper_pop}], stop at {args.stop_percent:g}% width, "
                  f"{args.success_runs}/{args.total_runs} successes required\n")
@@ -333,7 +332,7 @@ def cmd_critpop(args, stream) -> int:
     def trace(size, successes, attempted):
         stream.write(f"pop {size:>6}: {successes}/{attempted} successful runs\n")
 
-    found = critical_pop_size(spec, bench.func, lower, upper, target, args.tol,
+    found = critical_pop_size(spec, bench.func, lower, upper,
                               args.lower_pop, args.upper_pop, args.total_runs,
                               args.success_runs, args.stop_percent,
                               base_seed=args.seed, trace=trace)

@@ -44,6 +44,16 @@ def _count(name: str, value, least: int | None = None) -> int:
     return int(value)
 
 
+def _real(name: str, value, holds, message: str) -> float:
+    """``value`` as a ``float``, numpy's too; a bool, a value that is not real
+    or one failing ``holds`` (as NaN fails it) raises ``InputError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{name} must be a real number, got {value!r}")
+    if not holds(float(value)):
+        raise InputError(message)
+    return float(value)
+
+
 @dataclass(frozen=True)
 class TerminationSpec:
     """OR-combination of stopping criteria; at least one must be set."""
@@ -58,16 +68,23 @@ class TerminationSpec:
         if (self.max_gen is None and self.max_evals is None
                 and self.target_eval is None and self.eval_stddev_floor is None):
             raise InputError("at least one termination criterion must be set")
-        for name in ("max_gen", "max_evals"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, _count(name, value, 1))
-        if not self.target_tol >= 0.0:
-            raise InputError("target_tol must be >= 0")
-        if not (self.target_eval is None or math.isfinite(self.target_eval)):
-            raise InputError("target_eval must be finite")
-        if not (self.eval_stddev_floor is None or self.eval_stddev_floor > 0):
-            raise InputError("eval_stddev_floor must be > 0")
+        for name, kind, *rule in (
+                ("max_gen", _count, 1), ("max_evals", _count, 1),
+                ("target_eval", _real, math.isfinite,
+                 "target_eval must be finite"),
+                ("eval_stddev_floor", _real, lambda v: v > 0.0,
+                 "eval_stddev_floor must be > 0")):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name,
+                                   kind(name, getattr(self, name), *rule))
+        object.__setattr__(self, "target_tol", _real(
+            "target_tol", self.target_tol, lambda v: v >= 0.0,
+            "target_tol must be >= 0"))
+
+    def reached(self, value: float) -> bool:
+        """The one success rule, |value - target_eval| <= target_tol."""
+        return (self.target_eval is not None
+                and abs(value - self.target_eval) <= self.target_tol)
 
 
 ALGORITHMS = tuple(_DEPENDENCE)
@@ -75,7 +92,8 @@ ALGORITHMS = tuple(_DEPENDENCE)
 
 @dataclass(frozen=True)
 class EdaSpec:
-    """Configuration of one algorithm instance."""
+    """Configuration of one algorithm instance.  ``margin`` is stored
+    resolved: by default rescaled beta for copula-mimic, else normal."""
 
     algorithm: str
     pop_size: int
@@ -92,21 +110,24 @@ class EdaSpec:
                              f"choose from {ALGORITHMS}")
         object.__setattr__(self, "pop_size",
                            _count("pop_size", self.pop_size, 2))
-        if not 0.0 < self.truncation_factor <= 1.0:
-            raise InputError("truncation_factor must be in (0, 1]")
+        object.__setattr__(self, "truncation_factor", _real(
+            "truncation_factor", self.truncation_factor,
+            lambda v: 0.0 < v <= 1.0, "truncation_factor must be in (0, 1]"))
         selected = _truncation_count(self.truncation_factor, self.pop_size)
         if self.algorithm in ("cveda", "dveda") and selected > CVM_MAX_M:
             raise InputError(
                 f"{self.algorithm}'s CvM independence pre-test takes at most "
                 f"{CVM_MAX_M} selected rows; pop_size {self.pop_size} "
                 f"selects {selected}")
-        if not 0.0 < self.sig_level < 1.0:  # also catches NaN
-            raise InputError("sig_level must be in (0, 1)")
+        object.__setattr__(self, "sig_level", _real(
+            "sig_level", self.sig_level, lambda v: 0.0 < v < 1.0,
+            "sig_level must be in (0, 1)"))
         if self.trunc_criterion not in ("aic", "bic", "none"):
             raise InputError("trunc_criterion must be aic, bic or none")
+        default = "beta" if self.algorithm == "copula-mimic" else "normal"
         try:
-            if self.margin is not None:
-                object.__setattr__(self, "margin", MarginKind(self.margin))
+            object.__setattr__(self, "margin", MarginKind(
+                default if self.margin is None else self.margin))
             object.__setattr__(self, "copulas",
                                tuple(CopulaFamily(c) for c in self.copulas))
         except ValueError as exc:
@@ -117,20 +138,6 @@ class EdaSpec:
                 (CopulaFamily.NORMAL,), (CopulaFamily.FRANK,)):
             raise InputError("copula-mimic takes exactly one copula family, "
                              "normal or frank")
-
-    @property
-    def effective_margin(self) -> MarginKind:
-        """Margin kind with the per-algorithm default applied.
-
-        The copula-chain algorithm models margins with the rescaled beta
-        distribution unless told otherwise; everything else defaults to
-        normal margins.
-        """
-        if self.margin is not None:
-            return self.margin
-        if self.algorithm == "copula-mimic":
-            return MarginKind.BETA_RESCALED
-        return MarginKind.NORMAL
 
 
 @dataclass
@@ -217,8 +224,7 @@ def terminate_check(term: TerminationSpec, *, gen: int, evals: int,
         return True
     if term.max_evals is not None and evals >= term.max_evals:
         return True
-    if (term.target_eval is not None
-            and abs(best_eval - term.target_eval) <= term.target_tol):
+    if term.reached(best_eval):
         return True
     if (term.eval_stddev_floor is not None
             and eval_stddev < term.eval_stddev_floor):
@@ -302,7 +308,8 @@ def eda_run(spec: EdaSpec, f, lower, upper, rng: np.random.Generator,
 
 
 def run_rng(base_seed: int, *path: int) -> np.random.Generator:
-    """Deterministic stream for (base_seed, run index, ...) combinations."""
+    """Deterministic stream for (base_seed >= 0, run index, ...)."""
+    base_seed = _count("base_seed", base_seed, 0)
     return np.random.default_rng(np.random.SeedSequence([base_seed, *path]))
 
 
@@ -316,6 +323,7 @@ def eda_indep_runs(spec: EdaSpec, f, lower, upper, runs: int,
                    ) -> tuple[list[RunResult], RunsSummary]:
     """Independent replications with per-run streams derived from the seed."""
     runs, jobs = _count("runs", runs, 1), _count("jobs", jobs, 1)
+    base_seed = _count("base_seed", base_seed, 0)
     tasks = [(spec, f, lower, upper, base_seed, i) for i in range(runs)]
     if jobs > 1:
         try:
@@ -354,60 +362,56 @@ def summarize_runs(results: list[RunResult]) -> RunsSummary:
 # critical population size
 
 
-def _probe_size(spec, f, lower, upper, target, tol, size, total_runs,
-                success_runs, base_seed):
-    """Run up to total_runs at this size, stopping once success is impossible."""
-    sized = replace(spec, pop_size=size,
-                    termination=replace(spec.termination, target_eval=target,
-                                        target_tol=tol))
-    max_failures = total_runs - success_runs
-    successes = failures = attempted = 0
+def _probe_size(spec, f, lower, upper, size, total_runs, success_runs,
+                base_seed):
+    """(successes, runs made) of ``spec`` at pop ``size``: up to total_runs
+    runs, stopping once success_runs successes are out of reach."""
+    sized = replace(spec, pop_size=size)
+    successes = 0
     for i in range(total_runs):
         result = eda_run(sized, f, lower, upper, run_rng(base_seed, size, i))
-        attempted += 1
-        if abs(result.best_eval - target) <= tol:
-            successes += 1
-        else:
-            failures += 1
-            if failures > max_failures:
-                break
-    return successes, attempted
+        successes += sized.termination.reached(result.best_eval)
+        if i + 1 - successes > total_runs - success_runs:  # the failures
+            break
+    return successes, i + 1
 
 
-def critical_pop_size(spec: EdaSpec, f, lower, upper, target: float,
-                      tol: float, lower_pop: int, upper_pop: int,
-                      total_runs: int = 30, success_runs: int = 30,
-                      stop_percent: float = 10.0, base_seed: int = 12345,
-                      trace=None, probe=None) -> int | None:
+def critical_pop_size(spec: EdaSpec, f, lower, upper, lower_pop: int,
+                      upper_pop: int, total_runs: int = 30,
+                      success_runs: int = 30, stop_percent: float = 10.0,
+                      base_seed: int = 12345, trace=None,
+                      probe=None) -> int | None:
     """Bisection search for the smallest reliably successful population size.
 
     A size succeeds when at least ``success_runs`` of ``total_runs``
-    independent runs reach ``target`` within ``tol``.  The upper bound is
+    independent runs of ``spec`` at it reach the spec's own target (a spec
+    without ``target_eval`` raises ``InputError``).  The upper bound is
     probed first and ``None`` is returned if it fails.  Bisection keeps a
-    [failing, succeeding] bracket and stops once its width drops below
+    [failing, succeeding] bracket and stops once its width is 1 or below
     ``stop_percent`` percent of the succeeding bound.  ``probe`` overrides
     the per-size success probe (used by tests and custom studies); ``trace``
     receives (size, successes, attempted) after each probe.
     """
+    if spec.termination.target_eval is None:
+        raise InputError("critical_pop_size needs a spec with a target_eval")
     lower_pop = _count("lower_pop", lower_pop)
     upper_pop = _count("upper_pop", upper_pop)
     total_runs = _count("total_runs", total_runs)
     success_runs = _count("success_runs", success_runs)
+    base_seed = _count("base_seed", base_seed, 0)
     if not 1 <= lower_pop < upper_pop:
         raise InputError("need 1 <= lower_pop < upper_pop")
     if not 1 <= success_runs <= total_runs:
         raise InputError("need 1 <= success_runs <= total_runs")
-    if not 0.0 <= stop_percent < math.inf:
-        raise InputError("need a finite stop_percent >= 0")
+    stop_percent = _real("stop_percent", stop_percent,
+                         lambda v: 0.0 <= v < math.inf,
+                         "need a finite stop_percent >= 0")
+    probe = probe or (lambda size: _probe_size(
+        spec, f, lower, upper, size, total_runs, success_runs, base_seed))
 
     def succeeded(size: int) -> bool:
         # bisection never probes a size twice: every mid is inside (lo, hi)
-        if probe is not None:
-            successes, attempted = probe(size)
-        else:
-            successes, attempted = _probe_size(
-                spec, f, lower, upper, target, tol, size, total_runs,
-                success_runs, base_seed)
+        successes, attempted = probe(size)
         if trace is not None:
             trace(size, successes, attempted)
         return successes >= success_runs
@@ -415,10 +419,8 @@ def critical_pop_size(spec: EdaSpec, f, lower, upper, target: float,
     if not succeeded(upper_pop):
         return None
     lo, hi = lower_pop, upper_pop
-    while (hi - lo) > stop_percent / 100.0 * hi:
+    while hi - lo > max(1.0, stop_percent / 100.0 * hi):
         mid = (lo + hi) // 2
-        if mid <= lo or mid >= hi:
-            break
         if succeeded(mid):
             hi = mid
         else:

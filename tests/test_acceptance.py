@@ -311,7 +311,7 @@ def test_criterion_9_harness_suite():
     start = time.perf_counter()
     spec = EdaSpec("umda", 10, TerminationSpec(max_gen=1, target_eval=0.0))
     found = critical_pop_size(
-        spec, f_sphere, [0.0], [1.0], 0.0, 1e-6, 50, 2000, 30, 30, 10.0,
+        spec, f_sphere, [0.0], [1.0], 50, 2000, 30, 30, 10.0,
         probe=lambda size: (30, 30) if size >= 100 else (0, 30))
     assert found is not None
     assert 100 <= found <= 110  # within 10% of the threshold

@@ -585,6 +585,13 @@ class TestEntryPoint:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: need lower < upper")
 
+    @pytest.mark.parametrize("command", ["run", "indep-runs", "critpop"])
+    def test_negative_seed_exits_2_without_a_traceback(self, command):
+        proc = run_python("-m", "copeda.cli", command, *FAST_RUN,
+                          "--seed", "-1")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: base_seed must be >= 0\n"
+
     @pytest.mark.parametrize("sig_level", ["2", "nan", "0"])
     def test_sig_level_outside_unit_interval_exits_2(self, sig_level):
         proc = run_python("-m", "copeda.cli", "run", *FAST_RUN,

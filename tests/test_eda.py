@@ -39,8 +39,8 @@ def no_probe(size):
 
 def checked_search(lower_pop, upper_pop, total_runs, success_runs,
                    stop_percent=10.0):
-    return critical_pop_size(umda_spec(max_gen=2), f_sphere, [-1.0], [1.0],
-                             0.0, 1e-6, lower_pop, upper_pop, total_runs,
+    return critical_pop_size(umda_spec(max_gen=2, target_eval=0.0), f_sphere,
+                             [-1.0], [1.0], lower_pop, upper_pop, total_runs,
                              success_runs, stop_percent, probe=no_probe)
 
 
@@ -165,6 +165,16 @@ class TestTerminateCheck:
     def test_requires_some_criterion(self):
         with pytest.raises(ValueError):
             TerminationSpec()
+
+    def test_reached_includes_the_tolerance_end(self):
+        term = TerminationSpec(target_eval=1.0, target_tol=0.25)
+        assert term.reached(0.75) and term.reached(1.25)
+        assert not term.reached(math.nextafter(1.25, 2.0))
+        assert not term.reached(math.nextafter(0.75, 0.0))
+        assert TerminationSpec(target_eval=0.0, target_tol=0.0).reached(0.0)
+
+    def test_reached_is_false_without_a_target(self):
+        assert not TerminationSpec(max_gen=5, target_tol=math.inf).reached(0.0)
 
 
 class TestEdaRun:
@@ -437,7 +447,7 @@ class TestCriticalPopSize:
             probed.append(size)
             return (30, 30) if size >= 100 else (0, 30)
 
-        found = critical_pop_size(spec, f_sphere, [0.0], [1.0], 0.0, 1e-6,
+        found = critical_pop_size(spec, f_sphere, [0.0], [1.0],
                                   50, 2000, 30, 30, 10.0, probe=probe)
         assert found is not None
         assert 100 <= found <= 110
@@ -445,18 +455,23 @@ class TestCriticalPopSize:
 
     def test_upper_bound_failure_returns_none(self):
         spec = umda_spec(pop_size=10, max_gen=1, target_eval=0.0)
-        found = critical_pop_size(spec, f_sphere, [0.0], [1.0], 0.0, 1e-6,
+        found = critical_pop_size(spec, f_sphere, [0.0], [1.0],
                                   50, 2000, 30, 30, 10.0,
                                   probe=lambda size: (0, 30))
         assert found is None
 
     def test_always_successful_lands_near_lower(self):
         spec = umda_spec(pop_size=10, max_gen=1, target_eval=0.0)
-        found = critical_pop_size(spec, f_sphere, [0.0], [1.0], 0.0, 1e-6,
+        found = critical_pop_size(spec, f_sphere, [0.0], [1.0],
                                   50, 2000, 30, 30, 10.0,
                                   probe=lambda size: (30, 30))
         assert found is not None
         assert found <= 50 * 1.1
+
+    def test_spec_without_a_target_rejected_before_any_probe(self):
+        with pytest.raises(InputError, match="target_eval"):
+            critical_pop_size(umda_spec(max_gen=2), f_sphere, [-1.0], [1.0],
+                              4, 64, 2, 2, probe=no_probe)
 
     def test_real_probe_on_easy_problem(self):
         # every size solves this one; the search must run real probes and
@@ -465,12 +480,27 @@ class TestCriticalPopSize:
                                                   target_tol=1e-2))
         trace = []
         found = critical_pop_size(
-            spec, f_sphere, [-1.0], [1.0], 0.0, 1e-2, 4, 16,
+            spec, f_sphere, [-1.0], [1.0], 4, 16,
             total_runs=3, success_runs=3, stop_percent=10.0, base_seed=11,
             trace=lambda size, ok, att: trace.append((size, ok, att)))
         assert found is not None
         assert 4 <= found <= 16
         assert trace[0][0] == 16  # upper bound probed first
+
+
+class TestEdaSpecMargin:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_default_is_stored_resolved(self, algorithm):
+        spec = EdaSpec(algorithm, 30, TerminationSpec(max_gen=2))
+        assert spec.margin is (MarginKind.BETA_RESCALED
+                               if algorithm == "copula-mimic"
+                               else MarginKind.NORMAL)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_given_kind_is_kept(self, algorithm):
+        spec = EdaSpec(algorithm, 30, TerminationSpec(max_gen=2),
+                       margin="kernel")
+        assert spec.margin is MarginKind.KERNEL
 
 
 class TestInputError:
@@ -497,11 +527,11 @@ class TestInputError:
         lambda: seed_uniform([1.0], [1.0], 5, np.random.default_rng(0)),
         lambda: eda_indep_runs(umda_spec(max_gen=2), f_sphere, [-1.0], [1.0],
                                runs=0),
-        lambda: critical_pop_size(umda_spec(max_gen=2), f_sphere, [-1.0],
-                                  [1.0], 0.0, 1e-6, 20, 10),
-        lambda: critical_pop_size(umda_spec(max_gen=2), f_sphere, [-1.0],
-                                  [1.0], 0.0, 1e-6, 10, 20, total_runs=5,
-                                  success_runs=6),
+        lambda: critical_pop_size(umda_spec(max_gen=2, target_eval=0.0),
+                                  f_sphere, [-1.0], [1.0], 20, 10),
+        lambda: critical_pop_size(umda_spec(max_gen=2, target_eval=0.0),
+                                  f_sphere, [-1.0], [1.0], 10, 20,
+                                  total_runs=5, success_runs=6),
         lambda: EdaSpec("cveda", 30, TerminationSpec(max_gen=5),
                         sig_level=0.0),
         lambda: EdaSpec("cveda", 30, TerminationSpec(max_gen=5),
@@ -564,16 +594,56 @@ class TestInputError:
         with pytest.raises(InputError, match="must be an integer"):
             build(bad)
 
+    @pytest.mark.parametrize("name, build", [
+        ("truncation_factor", lambda: EdaSpec(
+            "umda", 30, TerminationSpec(max_gen=5), truncation_factor=True)),
+        ("sig_level", lambda: EdaSpec(
+            "cveda", 30, TerminationSpec(max_gen=5), sig_level=True)),
+        ("target_tol", lambda: TerminationSpec(target_eval=0.0,
+                                               target_tol=True)),
+        ("target_eval", lambda: TerminationSpec(target_eval=True)),
+        ("target_eval", lambda: TerminationSpec(target_eval="0")),
+        ("eval_stddev_floor", lambda: TerminationSpec(eval_stddev_floor=True)),
+        ("stop_percent", lambda: checked_search(4, 64, 2, 2,
+                                                stop_percent=True)),
+    ] + [
+        ("base_seed", lambda seed=seed, call=call: call(seed))
+        for seed in (True, 2.5, -1)
+        for call in (
+            lambda seed: eda_indep_runs(umda_spec(max_gen=2), f_sphere,
+                                        [-1.0], [1.0], runs=2,
+                                        base_seed=seed),
+            lambda seed: critical_pop_size(
+                umda_spec(max_gen=2, target_eval=0.0), f_sphere, [-1.0],
+                [1.0], 4, 64, 2, 2, base_seed=seed, probe=no_probe),
+            lambda seed: run_rng(seed, 0))
+    ])
+    def test_float_settings_and_base_seed_checked_by_kind(self, name, build):
+        with pytest.raises(InputError, match=name):
+            build()
+
+    def test_numpy_float_settings_are_stored_as_float(self):
+        term = TerminationSpec(target_eval=np.float64(0.0),
+                               target_tol=np.float32(0.5),
+                               eval_stddev_floor=np.float64(1e-9))
+        spec = EdaSpec("cveda", 30, term, sig_level=np.float64(0.05),
+                       truncation_factor=np.float32(0.5))
+        values = (term.target_eval, term.target_tol, term.eval_stddev_floor,
+                  spec.sig_level, spec.truncation_factor)
+        assert [type(v) for v in values] == [float] * 5
+        assert values == (0.0, 0.5, 1e-9, 0.05, 0.5)
+
     def test_numpy_integer_counts_are_stored_as_int(self):
         spec = EdaSpec("umda", np.int64(20),
                        TerminationSpec(max_gen=np.int32(2),
-                                       max_evals=np.uint16(100)))
+                                       max_evals=np.uint16(100),
+                                       target_eval=0.0))
         assert type(spec.pop_size) is type(spec.termination.max_gen) is int
         assert type(spec.termination.max_evals) is int
         results, _ = eda_indep_runs(spec, f_sphere, [-1.0], [1.0],
                                     runs=np.int64(2), jobs=np.int8(1))
         assert [r.f_evals for r in results] == [40, 40]
-        found = critical_pop_size(spec, f_sphere, [-1.0], [1.0], 0.0, 1e-6,
+        found = critical_pop_size(spec, f_sphere, [-1.0], [1.0],
                                   np.int64(4), np.int64(64), np.int64(2),
                                   np.int64(2), probe=lambda size: (2, 2))
         assert type(found) is int
