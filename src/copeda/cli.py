@@ -1,18 +1,21 @@
-"""Command-line harness: single runs, independent-runs studies, and
-critical-population-size searches, with table, CSV or JSON output."""
+"""Command-line harness: single runs, independent-runs studies,
+critical-population-size searches, with table, CSV or JSON output, and the
+five-algorithm study with one CSV per cell."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import os
+import pathlib
 import sys
+import time
 from dataclasses import asdict, replace
 
 import numpy as np
 
 from .algorithms import describe_search_model
-from .benchmarks import UnknownBenchmarkError, get_benchmark
+from .benchmarks import STUDY, UnknownBenchmarkError, get_benchmark, study_cell
 from .copulas import CopulaFamily
 from .eda import (
     ALGORITHMS,
@@ -30,6 +33,8 @@ from .eda import (
 from .margins import MarginKind
 
 CSV_HEADER = "run,generations,evaluations,best_evaluation,cpu_time_seconds"
+# the critical population size search's default [lower, upper] bracket
+POP_BRACKET = (50, 2000)
 
 
 def _read_config_file(path: str, command: argparse.ArgumentParser) -> dict:
@@ -74,15 +79,25 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         prog="copeda",
         description="Copula-based estimation-of-distribution algorithms")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options the study shares with the other commands, defined once
+    shared = {"--dim": dict(type=int, default=10),
+              "--seed": dict(type=int, default=12345),
+              "--jobs": dict(type=int, default=1,
+                             help="worker processes for independent runs"),
+              "--runs": dict(type=int, default=30)}
 
-    def experiment(name, help):
+    def command(name, help):
         p = sub.add_parser(name, help=help)
         p.add_argument("--config",
                        help="key=value file of this command's options")
+        return p
+
+    def experiment(name, help):
+        p = command(name, help)
         p.add_argument("--algorithm", choices=ALGORITHMS, default="gceda")
         p.add_argument("--function", default="sphere",
                        help="benchmark name from the registry")
-        p.add_argument("--dim", type=int, default=10)
+        p.add_argument("--dim", **shared["--dim"])
         p.add_argument("--lower", type=float,
                        help="scalar lower bound (default: the benchmark's)")
         p.add_argument("--upper", type=float,
@@ -102,13 +117,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                        help="target evaluation (default: the benchmark's)")
         p.add_argument("--tol", type=float, default=1e-6)
         p.add_argument("--stddev-floor", type=float)
-        p.add_argument("--seed", type=int, default=12345)
+        p.add_argument("--seed", **shared["--seed"])
         return p
 
     def study(name, help):
         p = experiment(name, help)
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for independent runs")
+        p.add_argument("--jobs", **shared["--jobs"])
         p.add_argument("--format", choices=["table", "csv", "json"],
                        default="table")
         p.add_argument("--out", help="write output to this path")
@@ -123,15 +137,29 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                        help="write per-generation copula family counts (CSV)")
 
     indep_p = study("indep-runs", "independent replications")
-    indep_p.add_argument("--runs", type=int, default=30)
+    indep_p.add_argument("--runs", **shared["--runs"])
 
     crit_p = study("critpop", "critical population size search")
-    crit_p.add_argument("--lower-pop", type=int, default=50)
-    crit_p.add_argument("--upper-pop", type=int, default=2000)
+    crit_p.add_argument("--lower-pop", type=int, default=POP_BRACKET[0])
+    crit_p.add_argument("--upper-pop", type=int, default=POP_BRACKET[1])
     crit_p.add_argument("--total-runs", type=int, default=30)
     crit_p.add_argument("--success-runs", type=int, default=30)
     crit_p.add_argument("--stop-percent", type=float, default=10.0)
-    return parser, {"run": run_p, "indep-runs": indep_p, "critpop": crit_p}
+
+    study_p = command("study", "the five-algorithm comparison on Sphere and "
+                               "Summation Cancellation, one CSV per cell")
+    study_p.add_argument("--outdir", default="study_results",
+                         help="directory for the per-cell CSVs")
+    for flag in ("--runs", "--dim", "--seed", "--jobs"):
+        study_p.add_argument(flag, **shared[flag])
+    study_p.add_argument("--quick", action="store_true",
+                         help="5 runs in dimension 5 for a fast smoke study")
+    study_p.add_argument("--critpop", action="store_true",
+                         help="bisect each cell's critical population size "
+                              f"in {list(POP_BRACKET)} instead of using the "
+                              "published one")
+    return parser, {"run": run_p, "indep-runs": indep_p, "critpop": crit_p,
+                    "study": study_p}
 
 
 def _parse(argv) -> argparse.Namespace:
@@ -147,9 +175,9 @@ def _parse(argv) -> argparse.Namespace:
 
 
 def _check_before_runs(args: argparse.Namespace):
-    """Exit 2 on a bad --jobs or output path before the first run, not
-    after a finished study (critpop passes --jobs only to its fallback).
-    A file made only to check the path is removed again."""
+    """Exit 2 on a bad --jobs, output path or --dim before the first run,
+    not after a finished study (critpop passes --jobs only to its
+    fallback).  A file made only to check the path is removed again."""
     _count("jobs", getattr(args, "jobs", 1), 1)
     for dest in ("out", "dump_model", "copula_trace"):
         path = getattr(args, dest, None)
@@ -162,11 +190,11 @@ def _check_before_runs(args: argparse.Namespace):
             raise InputError(f"cannot write {path}: {exc.strerror}") from exc
         if not existed:
             os.remove(path)
+    if args.dim < 1:
+        raise InputError("dim must be at least 1")
 
 
 def _resolve_experiment(args: argparse.Namespace):
-    if args.dim < 1:
-        raise InputError("dim must be at least 1")
     bench = get_benchmark(args.function)
     lower = bench.default_lower if args.lower is None else args.lower
     upper = bench.default_upper if args.upper is None else args.upper
@@ -325,12 +353,16 @@ def cmd_indep_runs(args, stream) -> int:
 
 def cmd_critpop(args, stream) -> int:
     spec, bench, lower, upper = _resolve_experiment(args)
-    stream.write(f"critical population size search in [{args.lower_pop}, "
-                 f"{args.upper_pop}], stop at {args.stop_percent:g}% width, "
-                 f"{args.success_runs}/{args.total_runs} successes required\n")
+    # written with the first probe's line, so bad search settings print nothing
+    header = (f"critical population size search in [{args.lower_pop}, "
+              f"{args.upper_pop}], stop at {args.stop_percent:g}% width, "
+              f"{args.success_runs}/{args.total_runs} successes required\n")
 
     def trace(size, successes, attempted):
-        stream.write(f"pop {size:>6}: {successes}/{attempted} successful runs\n")
+        nonlocal header
+        stream.write(f"{header}pop {size:>6}: {successes}/{attempted} "
+                     "successful runs\n")
+        header = ""
 
     found = critical_pop_size(spec, bench.func, lower, upper,
                               args.lower_pop, args.upper_pop, args.total_runs,
@@ -350,10 +382,57 @@ def cmd_critpop(args, stream) -> int:
     return 0
 
 
+def cmd_study(args, stream) -> int:
+    runs, dim, max_evals = args.runs, args.dim, 300000
+    if args.quick:
+        runs, dim, max_evals = min(runs, 5), min(dim, 5), 20000
+    outdir = pathlib.Path(args.outdir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create {outdir}: {exc.strerror}") from exc
+    # written with the first row, so bad settings print nothing
+    header = (f"{'algorithm':<14}{'function':<26}{'pop':>6}{'success':>9}"
+              f"{'evals':>12}{'best':>14}{'time':>8}\n")
+    for algorithm, function in STUDY:
+        pop = min(STUDY[algorithm, function], 150) if args.quick else None
+        spec, func, lower, upper = study_cell(algorithm, function, dim, pop,
+                                              max_evals)
+        note = ""
+        if args.critpop:
+            found = critical_pop_size(
+                spec, func, lower, upper, *POP_BRACKET, total_runs=runs,
+                success_runs=runs, base_seed=args.seed,
+                trace=lambda s, ok, att: print(f"  pop {s}: {ok}/{att}",
+                                               file=sys.stderr))
+            if found is None:
+                found = POP_BRACKET[1]
+                note = (f"  no size found in [{POP_BRACKET[0]}, {found}];"
+                        f" ran at {found}")
+                print(note, file=sys.stderr)
+            spec = replace(spec, pop_size=found)
+        start = time.perf_counter()
+        results, summary = eda_indep_runs(spec, func, lower, upper, runs,
+                                          base_seed=args.seed, jobs=args.jobs)
+        elapsed = time.perf_counter() - start
+        successes = sum(spec.termination.reached(r.best_eval)
+                        for r in results)
+        _emit(_runs_csv(results), outdir / f"{algorithm}_{function}.csv",
+              stream)
+        stream.write(f"{header}{algorithm:<14}{function:<26}"
+                     f"{spec.pop_size:>6}{successes:>5}/{runs:<3}"
+                     f"{summary.evaluations.mean:>12.1f}"
+                     f"{summary.best_evaluation.mean:>14.3e}{elapsed:>8.1f}"
+                     f"{note}\n")
+        header = ""
+    stream.write(f"per-run CSVs written to {outdir}/\n")
+    return 0
+
+
 def main(argv=None, stream=None) -> int:
     stream = stream if stream is not None else sys.stdout
     handlers = {"run": cmd_run, "indep-runs": cmd_indep_runs,
-                "critpop": cmd_critpop}
+                "critpop": cmd_critpop, "study": cmd_study}
     # Only bad input is a usage error (exit 2); a ValueError raised by the
     # numerics inside a run propagates with its traceback (exit 1).
     try:

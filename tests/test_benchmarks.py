@@ -22,7 +22,6 @@ from copeda.margins import MarginKind
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
-STUDY_SCRIPT = ROOT / "scripts" / "benchmark_study.py"
 
 
 class TestSphere:
@@ -126,24 +125,6 @@ class TestStudyCell:
                 assert workload.objective is func, name
                 np.testing.assert_array_equal(workload.lower, lower)
                 np.testing.assert_array_equal(workload.upper, upper)
-
-    def test_study_script_says_when_critpop_finds_no_size(
-            self, monkeypatch, tmp_path, capsys):
-        spec = importlib.util.spec_from_file_location("benchmark_study",
-                                                      STUDY_SCRIPT)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        monkeypatch.setattr(script, "STUDY", {("umda", "sphere"): 81})
-        monkeypatch.setattr(script, "critical_pop_size", lambda *a, **k: None)
-        assert script.main(["--quick", "--runs", "1", "--critpop",
-                            "--outdir", str(tmp_path)]) == 0
-        out, err = capsys.readouterr()
-        note = "no size found in [50, 2000]; ran at 2000"
-        row = out.splitlines()[1]
-        assert row.split()[:3] == ["umda", "sphere", "2000"]
-        assert row.endswith(note)
-        assert note in err
-        assert [p.name for p in tmp_path.iterdir()] == ["umda_sphere.csv"]
 
 
 def sphere_point(x):

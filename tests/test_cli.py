@@ -1,7 +1,6 @@
 import io
 import json
 import os
-import pathlib
 import subprocess
 import sys
 
@@ -317,21 +316,6 @@ class TestIndepRuns:
         assert (status, out) == (2, "")
         assert capsys.readouterr().err == "error: jobs must be >= 1\n"
 
-    @pytest.mark.slow
-    def test_study_script_quick_run_writes_one_csv_per_cell(self, tmp_path):
-        # the study script loops over copeda.benchmarks.STUDY, whose cells
-        # acceptance criteria 2-6 run, and writes indep-runs' CSV format;
-        # about 10 s, most of it copula-MIMIC's beta-margin Summation
-        # Cancellation cell
-        script = pathlib.Path(__file__).resolve().parent.parent / "scripts"
-        done = run_python(str(script / "benchmark_study.py"), "--quick",
-                          "--runs", "1", "--outdir", str(tmp_path))
-        assert done.returncode == 0, done.stderr
-        assert len(list(tmp_path.glob("*.csv"))) == 10
-        header = (tmp_path / "umda_sphere.csv").read_text().splitlines()[0]
-        assert header == ("run,generations,evaluations,best_evaluation,"
-                          "cpu_time_seconds")
-
 
 class TestCritpop:
     def test_easy_problem_completes(self):
@@ -398,8 +382,8 @@ class TestCritpop:
         argv = ["critpop", "--algorithm", "umda", "--function", "sphere",
                 "--dim", "2", "--lower", "-1", "--upper", "1", "--max-gen",
                 "2", "--lower-pop", "4", "--upper-pop", "64", *counts]
-        status, _ = run_cli(argv)
-        assert status == 2
+        status, out = run_cli(argv)
+        assert (status, out) == (2, "")
         assert capsys.readouterr().err.startswith("error: need 1 <= ")
 
     @pytest.mark.parametrize("stop_percent", ["nan", "inf", "-1"])
@@ -409,11 +393,74 @@ class TestCritpop:
             raise AssertionError("a run started")
 
         monkeypatch.setattr(eda, "eda_run", no_run)
-        status, _ = run_cli(["critpop", *FAST_RUN,
-                             "--stop-percent", stop_percent])
-        assert status == 2
+        status, out = run_cli(["critpop", *FAST_RUN,
+                               "--stop-percent", stop_percent])
+        assert (status, out) == (2, "")
         assert (capsys.readouterr().err
                 == "error: need a finite stop_percent >= 0\n")
+
+
+class TestStudy:
+    @pytest.mark.parametrize("flags, message", [
+        (["--runs", "0"], "runs must be >= 1"),
+        (["--seed", "-1"], "base_seed must be >= 0"),
+        (["--jobs", "0"], "jobs must be >= 1"),
+        (["--dim", "0"], "dim must be at least 1"),
+        ([], "cannot create "),
+    ], ids=["runs-0", "seed-minus-1", "jobs-0", "dim-0", "outdir-is-a-file"])
+    def test_bad_setting_exits_2_before_any_run(self, flags, message,
+                                                tmp_path, monkeypatch, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(eda, "eda_run", no_run)
+        outdir = tmp_path / "out"
+        if not flags:
+            outdir.write_text("an existing regular file\n")
+        status, out = run_cli(["study", "--outdir", str(outdir), *flags])
+        assert (status, out) == (2, "")
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert list(tmp_path.rglob("*.csv")) == []
+
+    def test_config_file_sets_the_runs(self, tmp_path, monkeypatch, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(eda, "eda_run", no_run)
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("runs=0\n")
+        status, out = run_cli(["study", "--config", str(cfg), "--outdir",
+                               str(tmp_path / "out")])
+        assert (status, out) == (2, "")
+        assert capsys.readouterr().err == "error: runs must be >= 1\n"
+
+    def test_says_when_critpop_finds_no_size(self, monkeypatch, tmp_path,
+                                             capsys):
+        monkeypatch.setattr(cli, "STUDY", {("umda", "sphere"): 81})
+        monkeypatch.setattr(cli, "critical_pop_size", lambda *a, **k: None)
+        assert cli.main(["study", "--quick", "--runs", "1", "--critpop",
+                         "--outdir", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        note = "no size found in [50, 2000]; ran at 2000"
+        row = out.splitlines()[1]
+        assert row.split()[:3] == ["umda", "sphere", "2000"]
+        assert row.endswith(note)
+        assert note in err
+        assert [p.name for p in tmp_path.iterdir()] == ["umda_sphere.csv"]
+
+    @pytest.mark.slow
+    def test_quick_run_writes_one_csv_per_cell(self, tmp_path):
+        # the study loops over copeda.benchmarks.STUDY, whose cells
+        # acceptance criteria 2-6 run, and writes indep-runs' CSV format;
+        # about 21 s on a 2-vCPU VM, 20 s of it copula-MIMIC's beta-margin
+        # Summation Cancellation cell (Boost's betaincinv)
+        status, _ = run_cli(["study", "--quick", "--runs", "1", "--outdir",
+                             str(tmp_path)])
+        assert status == 0
+        assert len(list(tmp_path.glob("*.csv"))) == 10
+        header = (tmp_path / "umda_sphere.csv").read_text().splitlines()[0]
+        assert header == ("run,generations,evaluations,best_evaluation,"
+                          "cpu_time_seconds")
 
 
 class TestConfigFile:
